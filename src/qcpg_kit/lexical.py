@@ -4,11 +4,21 @@ A sentence is reduced to a bag (multiset) of lowercased tokens; the
 distance is the minimal total character-level edit distance over all
 ways of matching the two bags, with unmatched words paying their own
 length. The optimal matching is solved exactly as a linear assignment.
+
+Two steps keep that exact and cheap. Words the two bags share are
+cancelled first: character edit distance extended with the empty word
+is a metric, so by the triangle inequality some optimal matching pairs
+each shared word with its copy at cost 0. The remaining cost matrix is
+filled with the bit-parallel Levenshtein algorithm of Myers (1999), in
+Hyyrö's (2001) form for global distance, with every column word packed
+into one arbitrary-width integer: each row costs one pass over its own
+word's characters, whatever the lengths of the column words.
 """
 
 from __future__ import annotations
 
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,45 +56,86 @@ def tokenize(sentence: str) -> WordBag:
     return WordBag.from_words(out)
 
 
+class _PackedWords:
+    """Words packed side by side into one bit-vector, for Myers' algorithm.
+
+    A word of length m owns m bits, bit k standing for its k-th
+    character, followed by one spacer bit that is kept clear of carries
+    and shifted-in bits, so no word's state leaks into the next.
+    """
+
+    __slots__ = ("peq", "low", "full", "segments")
+
+    def __init__(self, words):
+        peq: dict[str, int] = {}
+        low = full = 0
+        segments = []
+        pos = 0
+        for word in words:
+            m = len(word)
+            mask = (1 << m) - 1
+            segments.append((pos, mask))
+            if m:
+                low |= 1 << pos
+                full |= mask << pos
+            for k, ch in enumerate(word):
+                peq[ch] = peq.get(ch, 0) | (1 << (pos + k))
+            pos += m + 1
+        self.peq = peq  # character -> positions where it occurs
+        self.low = low  # first bit of every non-empty word
+        self.full = full  # every word bit, no spacers
+        self.segments = segments  # (first bit, length mask) per word
+
+    def distances(self, text: str) -> list[int]:
+        """Levenshtein distance from ``text`` to every packed word.
+
+        ``vp``/``vn`` hold the +1/-1 vertical deltas of the current
+        column of the dynamic-programming matrix; after the last column
+        a word's distance is len(text) plus its deltas. Spacer bits may
+        hold garbage in ``vn`` and ``d0`` but never reach a word bit.
+        """
+        peq, low, full = self.peq, self.low, self.full
+        vp, vn = full, 0
+        for ch in text:
+            eq = peq.get(ch, 0)
+            d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+            hp = vn | ~(d0 | vp)
+            hn = d0 & vp
+            hp = (hp << 1) | low
+            hn <<= 1
+            vp = (hn | ~(d0 | hp)) & full
+            vn = hp & d0
+        n = len(text)
+        return [
+            n + ((vp >> pos) & mask).bit_count() - ((vn >> pos) & mask).bit_count()
+            for pos, mask in self.segments
+        ]
+
+
 def char_edit_distance(w1: str, w2: str) -> int:
     """Levenshtein distance over Unicode scalar values."""
-    if w1 == w2:
-        return 0
-    if len(w1) < len(w2):
-        w1, w2 = w2, w1
-    if not w2:
-        return len(w1)
-    previous = list(range(len(w2) + 1))
-    for i, c1 in enumerate(w1, start=1):
-        current = [i]
-        for j, c2 in enumerate(w2, start=1):
-            cost = previous[j - 1] + (c1 != c2)
-            deletion = previous[j] + 1
-            insertion = current[j - 1] + 1
-            current.append(min(cost, deletion, insertion))
-        previous = current
-    return previous[-1]
+    return _PackedWords((w2,)).distances(w1)[0]
 
 
 def bag_assignment_cost(a: WordBag, b: WordBag) -> int:
     """Minimal matching cost between two bags.
 
-    The smaller bag is padded with empty words (matching a word to the
+    Shared words are cancelled first (see the module docstring). The
+    smaller remainder is padded with empty words (matching a word to the
     empty word costs its length, i.e. leaving it unmatched), which makes
     the optimal partial matching expressible as a square assignment.
     """
-    wa, wb = a.words, b.words
-    k = max(len(wa), len(wb))
+    ca, cb = Counter(a.words), Counter(b.words)
+    rows, cols = list((ca - cb).elements()), list((cb - ca).elements())
+    k = max(len(rows), len(cols))
     if k == 0:
         return 0
-    cost = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        wi = wa[i] if i < len(wa) else ""
-        for j in range(k):
-            wj = wb[j] if j < len(wb) else ""
-            cost[i, j] = char_edit_distance(wi, wj)
-    rows, cols = linear_sum_assignment(cost)
-    return int(cost[rows, cols].sum())
+    rows += [""] * (k - len(rows))
+    cols += [""] * (k - len(cols))
+    packed = _PackedWords(cols)
+    cost = np.array([packed.distances(word) for word in rows], dtype=np.int64)
+    r, c = linear_sum_assignment(cost)
+    return int(cost[r, c].sum())
 
 
 def lexical_distance(s1: str, s2: str) -> float:

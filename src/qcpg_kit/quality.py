@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedControlPrefix, NonFiniteValue
 from .semantic import DEFAULT_SCORER, SemanticScorer, semantic_similarity
-from .trees import ParseTree, parse_bracketed, syntactic_distance
+from .trees import FlatTree, ParseTree, parse_bracketed, syntactic_distance, syntactic_form
 from .lexical import lexical_distance
 
 QUANT_STEP = 5
@@ -132,11 +132,14 @@ def apply_offset(r: QualityVector, o: Offset) -> ControlVector:
 def quality_vector(
     s: str,
     t: str,
-    tree_s: ParseTree,
-    tree_t: ParseTree,
+    tree_s: ParseTree | FlatTree,
+    tree_t: ParseTree | FlatTree,
     scorer: SemanticScorer = DEFAULT_SCORER,
 ) -> QualityVector:
-    """Measure the full 3-D quality of ``t`` as a paraphrase of ``s``."""
+    """Measure the full 3-D quality of ``t`` as a paraphrase of ``s``.
+
+    A tree may also be given as its :func:`~qcpg_kit.trees.syntactic_form`.
+    """
     return QualityVector(
         semantic_similarity(scorer.raw(s, t)),
         syntactic_distance(tree_s, tree_t),
@@ -150,13 +153,15 @@ class QualityComputer:
     Grid search evaluates the same (sentence, candidate) pairs at every
     offset; caching by the pair's text makes those lookups free. Tree
     arguments are bracketed strings so the cache key is hashable and the
-    parse is shared. Safe for concurrent readers; duplicated computation
+    parse, and the syntactic form derived from it, are computed once per
+    tree string. Safe for concurrent readers; duplicated computation
     under races is idempotent.
     """
 
     def __init__(self, scorer: SemanticScorer = DEFAULT_SCORER):
         self.scorer = scorer
         self._trees: dict[str, ParseTree] = {}
+        self._forms: dict[str, FlatTree] = {}
         self._pairs: dict[tuple[str, str, str, str], QualityVector] = {}
 
     def tree(self, text: str) -> ParseTree:
@@ -165,11 +170,17 @@ class QualityComputer:
             cached = self._trees[text] = parse_bracketed(text)
         return cached
 
+    def _form(self, text: str) -> FlatTree:
+        cached = self._forms.get(text)
+        if cached is None:
+            cached = self._forms[text] = syntactic_form(self.tree(text))
+        return cached
+
     def pair_quality(self, s: str, t: str, tree_s: str, tree_t: str) -> QualityVector:
         key = (s, t, tree_s, tree_t)
         cached = self._pairs.get(key)
         if cached is None:
             cached = self._pairs[key] = quality_vector(
-                s, t, self.tree(tree_s), self.tree(tree_t), self.scorer
+                s, t, self._form(tree_s), self._form(tree_t), self.scorer
             )
         return cached

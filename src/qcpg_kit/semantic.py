@@ -63,20 +63,32 @@ def sanitize_line_field(text: str) -> str:
 
 
 def run_line_protocol(command: str, lines: list[str], what: str) -> list[str]:
+    r"""Pipe ``lines`` to ``command`` and read back exactly one line per input.
+
+    Both directions are UTF-8. Output lines end at ``\n`` only, with one
+    trailing ``\r`` dropped, so other Unicode line breaks (U+2028, U+0085,
+    form feed, ...) are data inside a line.
+    """
     try:
         proc = subprocess.run(
             shlex.split(command),
-            input="".join(line + "\n" for line in lines),
+            input="".join(line + "\n" for line in lines).encode("utf-8"),
             capture_output=True,
-            text=True,
         )
     except OSError as exc:
         raise SpawnFailure(f"could not spawn {what} command {command!r}: {exc}") from exc
     if proc.returncode != 0:
+        stderr = proc.stderr.decode("utf-8", "replace")
         raise ProtocolError(
-            f"{what} command exited with status {proc.returncode}: {proc.stderr.strip()[:500]}"
+            f"{what} command exited with status {proc.returncode}: {stderr.strip()[:500]}"
         )
-    out = proc.stdout.splitlines()
+    try:
+        out = proc.stdout.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"{what} command wrote invalid UTF-8 at byte {exc.start}") from None
+    if out[-1] == "":
+        out.pop()  # the newline ending the last line
+    out = [line[:-1] if line.endswith("\r") else line for line in out]
     if len(out) != len(lines):
         raise ProtocolError(
             f"{what} command returned {len(out)} lines for {len(lines)} inputs",

@@ -164,12 +164,16 @@ def strip_tokens(tree: ParseTree) -> ParseTree:
     return ParseTree(tree.label, tuple(strip_tokens(c) for c in tree.children))
 
 
-class _Flat:
-    """Postorder arrays used by the Zhang-Shasha recurrence."""
+class FlatTree:
+    """Postorder arrays used by the Zhang-Shasha recurrence.
 
-    __slots__ = ("labels", "lml", "keyroots", "n")
+    ``level`` is the level the tree was pruned to, or None when it was
+    flattened as given.
+    """
 
-    def __init__(self, root: ParseTree):
+    __slots__ = ("labels", "lml", "keyroots", "n", "level")
+
+    def __init__(self, root: ParseTree, level: int | None = None):
         labels: list[str] = []
         lml: list[int] = []
 
@@ -195,74 +199,111 @@ class _Flat:
         for i, l in enumerate(lml):
             last_for_lml[l] = i
         self.keyroots = sorted(last_for_lml.values())
+        self.level = level
 
 
-def tree_edit_distance(a: ParseTree, b: ParseTree, costs: EditCost = _UNIT_COSTS):
+def syntactic_form(tree: ParseTree, level: int = DEFAULT_PRUNE_LEVEL) -> FlatTree:
+    """The form :func:`syntactic_distance` compares: pruned, token-stripped, flattened.
+
+    Computing it once per tree and passing it to
+    :func:`syntactic_distance` in place of the tree saves the pruning,
+    stripping and flattening on every later pair.
+    """
+    return FlatTree(strip_tokens(prune_to_level(tree, level)), level)
+
+
+def tree_edit_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree, costs: EditCost = _UNIT_COSTS):
     """Minimal edit cost transforming ``a`` into ``b`` (Zhang-Shasha).
 
     Edits are node insertion, deletion, and relabeling on ordered trees;
     ancestor and left-to-right relations are preserved. With the default
-    integer unit costs the result is an exact integer.
+    integer unit costs the result is an exact integer. Either tree may
+    also be given in the flattened form :func:`syntactic_form` returns.
     """
-    A, B = _Flat(a), _Flat(b)
+    A = a if isinstance(a, FlatTree) else FlatTree(a)
+    B = b if isinstance(b, FlatTree) else FlatTree(b)
     la, lb = A.lml, B.lml
     aL, bL = A.labels, B.labels
     cd, ci, cr = costs.delete, costs.insert, costs.relabel
     zero = cd - cd  # 0 of the cost type, keeps int costs exact
+    # distance between two single leaves: min(delete + insert, relabel)
+    leaf_swap, leaf_relabel = zero + ci + cd, zero + cr
     td = [[zero] * B.n for _ in range(A.n)]
+
+    # What every forest table against B's keyroot j shares: its first
+    # row, and for each column y the node by, the column of by's leftmost
+    # leaf, and by's label when that leaf is lj (the cell is then a
+    # distance between whole subtrees), else None.
+    b_keyroots = []
+    for j in B.keyroots:
+        lj = lb[j]
+        row0 = [zero]
+        for _ in range(lj, j + 1):
+            row0.append(row0[-1] + ci)
+        cols = [
+            (y, by, lb[by] - lj, bL[by] if lb[by] == lj else None)
+            for y, by in enumerate(range(lj, j + 1), start=1)
+        ]
+        b_keyroots.append((lj, j, row0, cols))
 
     for i in A.keyroots:
         li = la[i]
-        m = i - li + 2
-        for j in B.keyroots:
-            lj = lb[j]
-            n = j - lj + 2
-            fd = [[zero] * n for _ in range(m)]
-            for x in range(1, m):
-                fd[x][0] = fd[x - 1][0] + cd
-            row0 = fd[0]
-            for y in range(1, n):
-                row0[y] = row0[y - 1] + ci
-            for x in range(1, m):
-                ax = x + li - 1
+        a_leaf = li == i
+        tdi, ai_label = td[i], aL[i]
+        for lj, j, row0, cols in b_keyroots:
+            if a_leaf and lj == j:
+                v = leaf_swap
+                w = zero if ai_label == bL[j] else leaf_relabel
+                tdi[j] = w if w < v else v
+                continue
+            # forest distance table: one row per node ax of A's forest li..i
+            fd = [row0]
+            for ax in range(li, i + 1):
                 lax = la[ax]
-                a_whole = lax == li
-                a_label = aL[ax]
-                fdx, fdx1 = fd[x], fd[x - 1]
-                tdax = td[ax]
-                for y in range(1, n):
-                    by = y + lj - 1
-                    if a_whole and lb[by] == lj:
-                        rel = zero if a_label == bL[by] else cr
-                        v = fdx1[y] + cd
-                        w = fdx[y - 1] + ci
-                        if w < v:
-                            v = w
-                        w = fdx1[y - 1] + rel
+                a_label = aL[ax] if lax == li else None
+                tdax, fd_lax, prev = td[ax], fd[lax - li], fd[-1]
+                left = prev[0] + cd
+                row = [left]
+                for y, by, b_col, b_label in cols:
+                    v = prev[y] + cd
+                    w = left + ci
+                    if w < v:
+                        v = w
+                    if a_label is not None and b_label is not None:
+                        w = prev[y - 1] + (zero if a_label == b_label else cr)
                         if w < v:
                             v = w
                         tdax[by] = v
                     else:
-                        v = fdx1[y] + cd
-                        w = fdx[y - 1] + ci
+                        w = fd_lax[b_col] + tdax[by]
                         if w < v:
                             v = w
-                        w = fd[lax - li][lb[by] - lj] + tdax[by]
-                        if w < v:
-                            v = w
-                    fdx[y] = v
+                    row.append(v)
+                    left = v
+                fd.append(row)
     return td[A.n - 1][B.n - 1]
 
 
-def syntactic_distance(a: ParseTree, b: ParseTree, level: int = DEFAULT_PRUNE_LEVEL) -> float:
+def _form_at(tree: ParseTree | FlatTree, level: int) -> FlatTree:
+    if not isinstance(tree, FlatTree):
+        return syntactic_form(tree, level)
+    if tree.level != level:
+        raise ValueError(f"syntactic form pruned at level {tree.level}, expected level {level}")
+    return tree
+
+
+def syntactic_distance(
+    a: ParseTree | FlatTree, b: ParseTree | FlatTree, level: int = DEFAULT_PRUNE_LEVEL
+) -> float:
     """Normalized structural distance between two raw parses, in [0, 100].
 
     Both trees are pruned to the top ``level`` levels and token-stripped,
     then compared with unit-cost tree edit distance normalized by the
-    larger pruned tree size.
+    larger pruned tree size. Either argument may instead be the result
+    of :func:`syntactic_form` at the same ``level``; a form pruned at
+    another level raises ValueError.
     """
-    pa = strip_tokens(prune_to_level(a, level))
-    pb = strip_tokens(prune_to_level(b, level))
-    ted = tree_edit_distance(pa, pb)
-    denom = max(pa.node_count(), pb.node_count())
+    fa, fb = _form_at(a, level), _form_at(b, level)
+    ted = tree_edit_distance(fa, fb)
+    denom = max(fa.n, fb.n)
     return 100.0 * min(max(ted / denom, 0.0), 1.0)

@@ -9,6 +9,7 @@ from qcpg_kit import (
     default_grid,
     dev_items,
     export_heatmap_csv,
+    extract_pairs,
     fit,
     grid_search,
     load_model,
@@ -19,6 +20,7 @@ from qcpg_kit import (
     read_pairs_tsv,
     save_clusters,
     select_operation_point,
+    write_pairs_tsv,
 )
 from qcpg_kit.cli import main
 
@@ -77,13 +79,14 @@ class TestScore:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2  # header + first pair; second skipped
 
-    def test_deterministic_rerun(self, tmp_path):
+    def test_deterministic_rerun(self, corpus, tmp_path):
+        # the README promises byte-identical reruns: score every ordered pair twice
         pairs = tmp_path / "pairs.tsv"
-        tree = "(S (T a) (T b))"
-        pairs.write_text(f"a b\tb a\tc0\t{tree}\t{tree}\n", encoding="utf-8")
+        write_pairs_tsv(extract_pairs(corpus), pairs)
         outs = [tmp_path / "s1.tsv", tmp_path / "s2.tsv"]
         for out in outs:
             assert run(["score", "--pairs", pairs, "--out", out]) == 0
+        assert len(outs[0].read_bytes().splitlines()) == 1 + len(extract_pairs(corpus))
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_missing_file_exit_3(self, tmp_path):

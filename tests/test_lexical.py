@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcpg_kit import WordBag, bag_assignment_cost, char_edit_distance, lexical_distance, tokenize
@@ -61,6 +61,19 @@ class TestCharEditDistance:
     def test_unicode_scalars(self):
         assert char_edit_distance("café", "cafe") == 1
 
+    # Latin, BMP and astral-plane scalars; a word over 64 characters needs
+    # more than one machine word of bit-vector
+    _SCALARS = st.sampled_from("ab\u00e9\u4e2d\U0001F600\U00010348")
+
+    @given(st.text(_SCALARS, max_size=90), st.text(_SCALARS, max_size=90))
+    @example("", "")
+    @example("", "\U0001F600" * 70)
+    @example("ab" * 40, "ba" * 33 + "\U00010348")
+    @example("a" * 65, "a" * 64)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_on_unicode_and_long_words(self, w1, w2):
+        assert char_edit_distance(w1, w2) == levenshtein_oracle(w1, w2)
+
 
 class TestBagAssignmentCost:
     def test_identical(self):
@@ -88,6 +101,21 @@ class TestBagAssignmentCost:
             assert bag_assignment_cost(
                 WordBag.from_words(a), WordBag.from_words(b)
             ) == matching_bruteforce(a, b)
+
+
+    @given(
+        st.lists(st.text("abc", min_size=1, max_size=4), min_size=3, max_size=4, unique=True).flatmap(
+            lambda vocab: st.tuples(
+                st.lists(st.sampled_from(vocab), max_size=7),
+                st.lists(st.sampled_from(vocab), max_size=7),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shared_words_cancel_exactly(self, bags):
+        # a 3-4 word vocabulary makes shared and repeated words common
+        a, b = (tuple(words) for words in bags)
+        assert bag_assignment_cost(WordBag.from_words(a), WordBag.from_words(b)) == matching_bruteforce(a, b)
 
 
 class TestLexicalDistance:

@@ -1,12 +1,17 @@
 import itertools
 import math
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+import qcpg_kit.quality
 from qcpg_kit import (
+    ALL_ORDERED,
     ControlVector,
     Offset,
     QUANT_VALUES,
@@ -14,17 +19,26 @@ from qcpg_kit import (
     QualityVector,
     SemanticScorer,
     apply_offset,
+    builtin_trigram_raw,
     decode_control,
     encode_control,
+    extract_pairs,
     lexical_distance,
+    paraphrase_corpus,
     parse_bracketed,
     prepend_control,
+    prune_to_level,
     quality_vector,
     quantize,
     semantic_similarity,
+    strip_tokens,
     syntactic_distance,
+    tokenize,
+    tree_edit_distance,
 )
 from qcpg_kit.errors import MalformedControlPrefix, NonFiniteValue
+
+from helpers import levenshtein_oracle
 
 
 class TestTypes:
@@ -172,3 +186,50 @@ class TestQualityComputer:
     def test_tree_cache_shares_objects(self):
         computer = QualityComputer()
         assert computer.tree("(A (B))") is computer.tree("(A (B))")
+
+
+_levenshtein = lru_cache(maxsize=None)(levenshtein_oracle)
+
+
+def _clamped_percent(num, denom) -> float:
+    return 100.0 * min(max(num / denom, 0.0), 1.0) if denom else 0.0
+
+
+def reference_quality(s: str, t: str, tree_s: str, tree_t: str) -> QualityVector:
+    """Pair quality from the textbook kernels, with no cancellation or caching.
+
+    lex: full-matrix Levenshtein between every pair of words of the two
+    padded bags, then an optimal assignment; syn: Zhang-Shasha on the
+    pruned, token-stripped parses.
+    """
+    bag_s, bag_t = tokenize(s), tokenize(t)
+    k = max(len(bag_s.words), len(bag_t.words))
+    a = bag_s.words + ("",) * (k - len(bag_s.words))
+    b = bag_t.words + ("",) * (k - len(bag_t.words))
+    cost = np.array([[_levenshtein(wa, wb) for wb in b] for wa in a], dtype=np.int64)
+    rows, cols = linear_sum_assignment(cost)
+    lex = _clamped_percent(int(cost[rows, cols].sum()), max(bag_s.total_chars, bag_t.total_chars))
+    pa, pb = (strip_tokens(prune_to_level(parse_bracketed(tree), 3)) for tree in (tree_s, tree_t))
+    syn = _clamped_percent(tree_edit_distance(pa, pb), max(pa.node_count(), pb.node_count()))
+    return QualityVector(semantic_similarity(builtin_trigram_raw(s, t)), syn, lex)
+
+
+class TestQualityComputerRegression:
+    def test_every_corpus_pair_matches_textbook_kernels(self, monkeypatch):
+        syntactic_form = qcpg_kit.quality.syntactic_form
+        built = Counter()
+
+        def counting_form(tree, *args):
+            built[tree.render()] += 1
+            return syntactic_form(tree, *args)
+
+        monkeypatch.setattr(qcpg_kit.quality, "syntactic_form", counting_form)
+        computer = QualityComputer()
+        pairs = extract_pairs(paraphrase_corpus(20, 6, seed=3, length_jitter=8), ALL_ORDERED)
+        assert len(pairs) == 600
+        for p in pairs:
+            expected = reference_quality(p.source, p.target, p.source_tree, p.target_tree)
+            assert computer.pair_quality(p.source, p.target, p.source_tree, p.target_tree) == expected
+        # one syntactic form per distinct tree string, however many pairs use it
+        trees = {p.source_tree for p in pairs} | {p.target_tree for p in pairs}
+        assert list(built.values()) == [1] * len(trees)

@@ -1,12 +1,16 @@
 import math
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcpg_kit import SemanticScorer, builtin_trigram_raw, external_raw, semantic_similarity
 from qcpg_kit.errors import NonFiniteValue, ProtocolError, SpawnFailure
+from qcpg_kit.semantic import run_line_protocol
+
+ECHO_LINES = f"{sys.executable} {Path(__file__).with_name('stub_echo_lines.py')}"
 
 
 def trigram_cosine_oracle(s1: str, s2: str) -> float:
@@ -143,6 +147,25 @@ class TestExternalRaw:
         )
         # embedded tab must not add protocol fields
         assert external_raw(cmd, [("a\tb", "c")]) == [2.0]
+
+
+class TestRunLineProtocol:
+    # every character str.splitlines() breaks on besides \n and \r
+    SEPARATORS = "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"
+
+    def test_unicode_line_breaks_are_data(self):
+        mixed = "".join(f"{c}{s}" for c, s in zip("abcdefgh", self.SEPARATORS))
+        lines = ["x\u2028y", mixed, "zß\U0001F600"]
+        assert run_line_protocol(ECHO_LINES, lines, "generator") == lines
+
+    def test_one_trailing_carriage_return_dropped(self):
+        lines = ["plain", "ends in cr\r", "\r"]
+        assert run_line_protocol(f"{ECHO_LINES} --crlf", lines, "generator") == lines
+
+    def test_invalid_utf8_is_protocol_error(self, tmp_path):
+        cmd = _stub(tmp_path, "import sys\nsys.stdin.read()\nsys.stdout.buffer.write(b'ok\\n\\xff\\n')\n")
+        with pytest.raises(ProtocolError, match="invalid UTF-8"):
+            run_line_protocol(cmd, ["a", "b"], "scorer")
 
 
 class TestSemanticScorer:

@@ -11,6 +11,7 @@ from qcpg_kit import (
     tree_edit_distance,
 )
 from qcpg_kit.errors import EmptyLabel, TrailingInput, UnbalancedParens
+from qcpg_kit.trees import syntactic_form
 
 from helpers import random_ordered_tree, random_parse_tree, ted_bruteforce
 
@@ -215,3 +216,18 @@ class TestSyntacticDistance:
             a = random_parse_tree(rng)
             b = random_parse_tree(rng)
             assert 0.0 <= syntactic_distance(a, b) <= 100.0
+
+    def test_syntactic_form_gives_same_distance(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            a = random_parse_tree(rng)
+            b = random_parse_tree(rng)
+            for level in (2, 3):
+                fa, fb = syntactic_form(a, level), syntactic_form(b, level)
+                assert syntactic_distance(fa, fb, level) == syntactic_distance(a, b, level)
+                assert syntactic_distance(fa, b, level) == syntactic_distance(a, b, level)
+
+    def test_syntactic_form_level_mismatch_rejected(self):
+        t = parse_bracketed("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
+        with pytest.raises(ValueError):
+            syntactic_distance(syntactic_form(t, 3), t, level=2)

@@ -5,7 +5,7 @@ and evaluate.
 All diagnostics go to stderr; data goes to files or stdout. Exit codes:
 0 success, 2 usage, 3 I/O or spawn failure, 4 malformed input or
 protocol violation, 5 unsatisfiable data constraints, 6 no feasible
-offset. The environment variable QCPG_KIT_THREADS caps parallelism.
+offset.
 """
 
 from __future__ import annotations
@@ -57,9 +57,11 @@ from .selection import (
     grid_search,
     export_heatmap_csv,
     read_heatmap_csv,
+    resolve_target_tree,
     select_operation_point,
 )
 from .semantic import BUILTIN_TRIGRAM, EXTERNAL_COMMAND, SemanticScorer
+from .util import read_lines
 from .evaluation import evaluate_systems
 
 log = logging.getLogger("qcpg_kit")
@@ -108,7 +110,7 @@ def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     config = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -262,7 +264,7 @@ def cmd_train_qp(args, config) -> int:
 
 def cmd_predict_qp(args, config) -> int:
     model = load_model(_resolve(args, config, "model"))
-    sentences = Path(args.sentences).read_text(encoding="utf-8").splitlines()
+    sentences = read_lines(args.sentences)
     lines = ["sentence\tr_sem\tr_syn\tr_lex"]
     for s in sentences:
         r = predict(model, s)
@@ -330,25 +332,16 @@ def cmd_generate(args, config) -> int:
     else:
         o = _parse_offset(_resolve(args, config, "offset", "0,0,0"))
     clusters = load_clusters(_resolve(args, config, "clusters"))
-    computer = QualityComputer(scorer)
-    generator = build_generator(spec, scorer, quality=computer)
+    generator = build_generator(spec, scorer, quality=QualityComputer(scorer))
+    items = [(s, cluster, cluster.trees[i] if cluster.trees else None)
+             for cluster in clusters for i, s in enumerate(cluster.sentences)]
+    outputs = generator.generate_batch([(s, apply_offset(predict(model, s), o), cluster) for s, cluster, _ in items])
     rows = []
-    for cluster in clusters:
-        for i, s in enumerate(cluster.sentences):
-            c = apply_offset(predict(model, s), o)
-            try:
-                t = generator.generate(s, c, cluster)
-            except QcpgError as exc:
-                log.warning("generation failed for %r: %s", s[:40], exc)
-                continue
-            tree_s = cluster.trees[i] if cluster.trees else None
-            tree_t = None
-            if cluster.trees is not None:
-                if t == s:
-                    tree_t = tree_s
-                elif t in cluster.sentences:
-                    tree_t = cluster.trees[cluster.sentences.index(t)]
-            rows.append(SentencePair(s, t, cluster.cluster_id, tree_s, tree_t))
+    for (s, cluster, tree_s), t in zip(items, outputs):
+        if isinstance(t, QcpgError):
+            log.warning("generation failed for %r: %s", s[:40], t)
+            continue
+        rows.append(SentencePair(s, t, cluster.cluster_id, tree_s, resolve_target_tree(t, s, cluster, tree_s)))
     write_pairs_tsv(rows, _resolve(args, config, "out", "generated.tsv"))
     log.info("generated %d paraphrases at offset %s", len(rows), o.as_tuple())
     return 0
@@ -373,7 +366,7 @@ def cmd_eval(args, config) -> int:
         systems.append((name, [p.target for p in pairs], [p.target_tree for p in pairs]))
     references = None
     if args.references:
-        references = Path(args.references).read_text(encoding="utf-8").splitlines()
+        references = read_lines(args.references)
     report = evaluate_systems(systems, sources, source_trees, references, _scorer_from(args, config))
     text = report.to_tsv()
     out_path = _resolve(args, config, "out")

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .errors import InsufficientData, MalformedRecord, TreeLengthMismatch
-from .util import rng_for
+from .util import read_lines, rng_for
 
 log = logging.getLogger(__name__)
 
@@ -252,5 +252,4 @@ def read_pairs_tsv(path) -> list[SentencePair]:
 
 def read_tree_sidecar(path) -> list[str | None]:
     """One bracketed tree per line, aligned with a sentence file; blank = missing."""
-    with open(path, encoding="utf-8") as fh:
-        return [line.strip() or None for line in fh.read().splitlines()]
+    return [line.strip() or None for line in read_lines(path)]

@@ -1,8 +1,10 @@
 """Controlled-generator interface and built-in test generators.
 
-A generator maps (sentence, control vector) to a paraphrase. Besides
-the external-command bridge for real trained models, the built-ins make
-the selection machinery testable end to end without any training:
+A generator maps a batch of (sentence, control vector, cluster) requests
+to one paraphrase or one QcpgError each, in order (``generate_batch``);
+``generate`` is a batch of one. Besides the external-command bridge for
+real trained models, the built-ins make the selection machinery
+testable end to end without any training:
 
 * identity        -- returns the input unchanged (control-blind baseline);
 * retrieval_oracle -- returns the cluster member whose measured quality
@@ -16,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dataset import Cluster
-from .errors import EmptyContext, ProtocolError
+from .errors import EmptyContext, ProtocolError, QcpgError
 from .quality import ControlVector, QualityComputer, prepend_control
 from .semantic import DEFAULT_SCORER, SemanticScorer, run_line_protocol, sanitize_line_field
 from .util import rng_for
@@ -27,6 +31,8 @@ RETRIEVAL_ORACLE = "retrieval_oracle"
 NOISY_ORACLE = "noisy_oracle"
 EXTERNAL_COMMAND = "external_command"
 GENERATOR_KINDS = (IDENTITY, RETRIEVAL_ORACLE, NOISY_ORACLE, EXTERNAL_COMMAND)
+
+Request = tuple[str, ControlVector, "Cluster | None"]
 
 
 @dataclass(frozen=True)
@@ -45,9 +51,20 @@ class GeneratorSpec:
             raise ValueError("external_command generator requires a command string")
 
 
+def _strict(results: list) -> list[str]:
+    """The outputs of a batch; its first failure is raised."""
+    for out in results:
+        if isinstance(out, QcpgError):
+            raise out
+    return results
+
+
 class IdentityGenerator:
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return s
+        return _strict(self.generate_batch([(s, c, context)]))[0]
+
+    def generate_batch(self, requests: list[Request]) -> list[str | QcpgError]:
+        return [s for s, _, _ in requests]
 
 
 class RetrievalOracleGenerator:
@@ -84,61 +101,87 @@ class RetrievalOracleGenerator:
             raise EmptyContext(f"cluster {context.cluster_id!r} has no candidate other than the input")
         return out
 
+    def _noise(self, s: str, controls: list[ControlVector], k: int):
+        """Perturbation of the k candidate qualities, per control; none here."""
+        return 0.0
+
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        best, best_d = None, None
-        for _, t, _, q in self.candidate_qualities(s, context):
-            d = (q.sem - c.sem) ** 2 + (q.syn - c.syn) ** 2 + (q.lex - c.lex) ** 2
-            if best_d is None or d < best_d:
-                best, best_d = t, d
-        return best
+        return _strict(self.generate_batch([(s, c, context)]))[0]
+
+    def generate_batch(self, requests: list[Request]) -> list[str | QcpgError]:
+        """One candidate table per (sentence, context), one argmin over its controls."""
+        out: list = [None] * len(requests)
+        groups: dict[tuple[str, int], list[int]] = {}
+        for i, (s, _, context) in enumerate(requests):
+            groups.setdefault((s, id(context)), []).append(i)
+        for (s, _), members in groups.items():
+            try:
+                candidates = self.candidate_qualities(s, requests[members[0]][2])
+            except QcpgError as exc:
+                for i in members:
+                    out[i] = exc
+                continue
+            controls = [requests[i][1] for i in members]
+            q = np.array([cand[3].as_tuple() for cand in candidates], dtype=np.float64)
+            c = np.array([ctl.as_tuple() for ctl in controls], dtype=np.float64)
+            dist = ((q + self._noise(s, controls, len(q)) - c[:, None, :]) ** 2).sum(axis=2)
+            for i, k in zip(members, dist.argmin(axis=1)):
+                out[i] = candidates[k][1]
+        return out
 
 
 class NoisyOracleGenerator(RetrievalOracleGenerator):
-    """Retrieval oracle over noise-perturbed qualities; deterministic per seed."""
+    """Retrieval oracle over qualities perturbed by noise seeded per (sentence, control)."""
 
     def __init__(self, noise_std: float, seed: int = 42, quality: QualityComputer | None = None):
         super().__init__(quality)
         self.noise_std = noise_std
         self.seed = seed
 
+    def _noise(self, s: str, controls: list[ControlVector], k: int):
+        return np.array([
+            rng_for(self.seed, "noisy_oracle", s, c.sem, c.syn, c.lex).normal(0.0, self.noise_std, size=(k, 3))
+            for c in controls
+        ])
+
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        candidates = self.candidate_qualities(s, context)
-        rng = rng_for(self.seed, "noisy_oracle", s, c.sem, c.syn, c.lex)
-        noise = rng.normal(0.0, self.noise_std, size=(len(candidates), 3))
-        best, best_d = None, None
-        for k, (_, t, _, q) in enumerate(candidates):
-            d = (
-                (q.sem + noise[k, 0] - c.sem) ** 2
-                + (q.syn + noise[k, 1] - c.syn) ** 2
-                + (q.lex + noise[k, 2] - c.lex) ** 2
-            )
-            if best_d is None or d < best_d:
-                best, best_d = t, d
-        return best
+        return _strict(self.generate_batch([(s, c, context)]))[0]
 
 
 class ExternalCommandGenerator:
-    """Bridge to an external generator speaking the control-token protocol."""
+    """Bridge to an external generator speaking the control-token protocol.
+
+    One process per batch; a failure of the process fails every request,
+    an empty output line only its own.
+    """
 
     def __init__(self, command: str):
         self.command = command
 
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return external_generate(self.command, [(s, c)])[0]
+        return _strict(self.generate_batch([(s, c, context)]))[0]
+
+    def generate_batch(self, requests: list[Request]) -> list[str | QcpgError]:
+        if not requests:
+            return []
+        lines = [prepend_control(sanitize_line_field(s), c) for s, c, _ in requests]
+        try:
+            out = run_line_protocol(self.command, lines, "generator")
+        except QcpgError as exc:
+            return [exc] * len(requests)
+        return [
+            ProtocolError("generator returned an empty paraphrase", line=lineno) if not text and s else text
+            for lineno, (text, (s, _, _)) in enumerate(zip(out, requests), start=1)
+        ]
 
 
 def external_generate(command: str, batch: list[tuple[str, ControlVector]]) -> list[str]:
-    """Run a batch through an external generator command.
+    """Run a batch through an external generator command; raise its first failure.
 
     Protocol: each stdin line is the three control tokens followed by the
     sentence; stdout returns exactly one paraphrase per line.
     """
-    lines = [prepend_control(sanitize_line_field(s), c) for s, c in batch]
-    out = run_line_protocol(command, lines, "generator")
-    for lineno, (text, (s, _)) in enumerate(zip(out, batch), start=1):
-        if not text and s:
-            raise ProtocolError("generator returned an empty paraphrase", line=lineno)
-    return out
+    return _strict(ExternalCommandGenerator(command).generate_batch([(s, c, None) for s, c in batch]))
 
 
 def build_generator(spec: GeneratorSpec, scorer: SemanticScorer = DEFAULT_SCORER, quality: QualityComputer | None = None):

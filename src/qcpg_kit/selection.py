@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,11 +25,10 @@ from .errors import (
     NoFeasibleOffset,
     QcpgError,
 )
-from .generators import RETRIEVAL_ORACLE, GeneratorSpec, build_generator
+from .generators import GeneratorSpec, build_generator
 from .quality import ControlVector, Offset, QualityComputer, QualityVector, quantize
 from .reference import ReferenceModel, predict
 from .semantic import DEFAULT_SCORER, SemanticScorer
-from .util import thread_budget
 
 log = logging.getLogger(__name__)
 
@@ -81,6 +79,18 @@ def diversity_of(q: QualityVector) -> float:
     return (q.syn + q.lex) / 2.0
 
 
+def resolve_target_tree(t: str, s: str, cluster: Cluster | None, tree_s: str | None) -> str | None:
+    """Tree of generated ``t``: the source's if ``t == s``, else a cluster member's, else None."""
+    if t == s:
+        return tree_s
+    if cluster is not None and cluster.trees is not None:
+        try:
+            return cluster.trees[cluster.sentences.index(t)]
+        except ValueError:
+            pass
+    return None
+
+
 class _GridEvaluator:
     """Shared state for evaluating many offsets over one dev set."""
 
@@ -89,86 +99,47 @@ class _GridEvaluator:
         if not self.dev:
             raise ValueError("dev set must be non-empty")
         self.computer = QualityComputer(scorer)
-        self.spec = gen
         self.generator = build_generator(gen, scorer, quality=self.computer)
         self.refs = [predict(qp_model, s).as_tuple() for s, _, _ in self.dev]
-        self.use_fast = gen.kind == RETRIEVAL_ORACLE
-        self._tables = None
 
-    # -- generic path ---------------------------------------------------
+    def _measure(self, s: str, t, cluster: Cluster | None, tree_s: str):
+        """Quality tuple of output ``t`` (or the failure it is, or leads to)."""
+        if isinstance(t, QcpgError):
+            return t
+        tree_t = resolve_target_tree(t, s, cluster, tree_s)
+        if tree_t is None:
+            return MissingTree(f"no parse available for generated sentence {t[:60]!r}")
+        try:
+            return self.computer.pair_quality(s, t, tree_s, tree_t).as_tuple()
+        except QcpgError as exc:
+            return exc
 
-    def _resolve_target_tree(self, t: str, s: str, cluster: Cluster | None, tree_s: str) -> str:
-        if t == s:
-            return tree_s
-        if cluster is not None and cluster.trees is not None:
-            try:
-                return cluster.trees[cluster.sentences.index(t)]
-            except ValueError:
-                pass
-        raise MissingTree(f"no parse available for generated sentence {t[:60]!r}")
+    def evaluate(self, offsets: list[Offset]):
+        """Per offset, the mean quality and success count; None where all fail.
 
-    def evaluate(self, o: Offset):
-        """Mean quality and success count at offset ``o``; None if all fail."""
-        if self.use_fast:
-            return self._evaluate_fast(o)
-        rows = []
+        Each dev item is one generator batch holding its distinct
+        controls; its qualities are added to per-offset sums in dev order.
+        """
+        grid = [o.as_tuple() for o in offsets]
+        values = [{t[d] for t in grid} for d in range(3)]
+        sums = np.zeros((len(grid), 3), dtype=np.float64)
+        counts = np.zeros(len(grid), dtype=np.int64)
         for (s, cluster, tree_s), r in zip(self.dev, self.refs):
-            c = ControlVector(
-                quantize(r[0] + o.sem), quantize(r[1] + o.syn), quantize(r[2] + o.lex)
-            )
-            try:
-                t = self.generator.generate(s, c, cluster)
-                tree_t = self._resolve_target_tree(t, s, cluster, tree_s)
-                q = self.computer.pair_quality(s, t, tree_s, tree_t)
-            except QcpgError as exc:
-                log.warning("generation failed for %r at offset %s: %s", s[:40], o.as_tuple(), exc)
-                continue
-            rows.append(q.as_tuple())
-        if not rows:
-            return None
-        mean = np.array(rows, dtype=np.float64).mean(axis=0)
-        return QualityVector(*mean), len(rows)
-
-    # -- vectorized retrieval-oracle path --------------------------------
-
-    def _candidate_tables(self):
-        if self._tables is None:
-            per_item = []
-            for s, cluster, _ in self.dev:
-                try:
-                    per_item.append(self.generator.candidate_qualities(s, cluster))
-                except QcpgError as exc:
-                    # mirrors the generic path, where such an item fails at every offset
-                    log.warning("dev sentence %r excluded from grid: %s", s[:40], exc)
-                    per_item.append(None)
-            usable = [i for i, cands in enumerate(per_item) if cands]
-            width = max((len(per_item[i]) for i in usable), default=1)
-            # padded slots get a huge sentinel so argmin never selects them
-            qualities = np.full((len(usable), width, 3), 1e18)
-            refs = np.array([self.refs[i] for i in usable], dtype=np.float64)
-            for row, i in enumerate(usable):
-                for k, (_, _, _, q) in enumerate(per_item[i]):
-                    qualities[row, k] = q.as_tuple()
-            self._tables = (refs, qualities)
-        return self._tables
-
-    def _evaluate_fast(self, o: Offset):
-        refs, qualities = self._candidate_tables()
-        if len(refs) == 0:
-            return None
-        controls = np.array(
-            [
-                (quantize(r[0] + o.sem), quantize(r[1] + o.syn), quantize(r[2] + o.lex))
-                for r in refs
-            ],
-            dtype=np.float64,
-        )
-        dist = ((qualities - controls[:, None, :]) ** 2).sum(axis=2)
-        chosen = qualities[np.arange(len(refs)), dist.argmin(axis=1)]
-        mean = chosen.mean(axis=0)
-        return QualityVector(*mean), len(refs)
-
-    # -- std units --------------------------------------------------------
+            levels = [{v: quantize(r[d] + v) for v in values[d]} for d in range(3)]
+            index: dict[tuple[int, int, int], int] = {}
+            slots = [index.setdefault((levels[0][a], levels[1][b], levels[2][c]), len(index)) for a, b, c in grid]
+            outputs = self.generator.generate_batch([(s, ControlVector(*key), cluster) for key in index])
+            measured = [self._measure(s, t, cluster, tree_s) for t in outputs]
+            failed = np.array([isinstance(q, QcpgError) for q in measured])
+            table = np.array([(0.0, 0.0, 0.0) if bad else q for q, bad in zip(measured, failed)])
+            # a failed slot adds exactly 0.0, so each sum runs over the successes in dev order
+            sums += table[slots]
+            counts += ~failed[slots]
+            if failed.any():
+                for o, slot in zip(grid, slots):
+                    if failed[slot]:
+                        log.warning("generation failed for %r at offset %s: %s", s[:40], o, measured[slot])
+        return [(QualityVector(*(total / n)), int(n)) if n else None for total, n in zip(sums, counts)]
 
     def dim_std(self) -> tuple[float, float, float]:
         """Population std, per dimension, of the dev set's own pair qualities."""
@@ -196,7 +167,7 @@ def expected_quality(
     scorer: SemanticScorer = DEFAULT_SCORER,
 ) -> tuple[QualityVector, int]:
     """Estimate Q~(o): the dev-set mean of q(s, generate(s, r(s)+o))."""
-    result = _GridEvaluator(gen, qp_model, dev, scorer).evaluate(o)
+    [result] = _GridEvaluator(gen, qp_model, dev, scorer).evaluate([o])
     if result is None:
         raise AllGenerationsFailed(f"no dev sentence produced a usable generation at {o.as_tuple()}")
     return result
@@ -208,7 +179,6 @@ def grid_search(
     dev,
     grid: list[Offset] | None = None,
     scorer: SemanticScorer = DEFAULT_SCORER,
-    threads: int | None = None,
 ) -> GridResult:
     """Evaluate Q~ and responsiveness on every grid offset.
 
@@ -226,12 +196,7 @@ def grid_search(
     ev = _GridEvaluator(gen, qp_model, dev, scorer)
     dim_std = ev.dim_std()
 
-    workers = thread_budget(threads)
-    if workers > 1 and not ev.use_fast:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(ev.evaluate, offsets))
-    else:
-        evaluated = [ev.evaluate(o) for o in offsets]
+    evaluated = ev.evaluate(offsets)
 
     zero_idx = offsets.index(Offset(0.0, 0.0, 0.0))
     if evaluated[zero_idx] is None:

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NonFiniteValue, ProtocolError, SpawnFailure
+from .util import split_lines
 
 BUILTIN_TRIGRAM = "builtin_trigram"
 EXTERNAL_COMMAND = "external_command"
@@ -83,12 +84,9 @@ def run_line_protocol(command: str, lines: list[str], what: str) -> list[str]:
             f"{what} command exited with status {proc.returncode}: {stderr.strip()[:500]}"
         )
     try:
-        out = proc.stdout.decode("utf-8").split("\n")
+        out = split_lines(proc.stdout.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"{what} command wrote invalid UTF-8 at byte {exc.start}") from None
-    if out[-1] == "":
-        out.pop()  # the newline ending the last line
-    out = [line[:-1] if line.endswith("\r") else line for line in out]
     if len(out) != len(lines):
         raise ProtocolError(
             f"{what} command returned {len(out)} lines for {len(lines)} inputs",

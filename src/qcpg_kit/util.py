@@ -1,13 +1,10 @@
-"""Small shared helpers: deterministic RNG derivation and thread budget."""
+"""Small shared helpers: deterministic RNG derivation and line splitting."""
 
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
-
-THREADS_ENV_VAR = "QCPG_KIT_THREADS"
 
 
 def _as_entropy(part) -> int:
@@ -29,16 +26,16 @@ def rng_for(seed: int, *parts) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def thread_budget(requested: int | None = None) -> int:
-    """Resolve the worker count, honoring the QCPG_KIT_THREADS cap."""
-    cap = os.environ.get(THREADS_ENV_VAR)
-    limit = None
-    if cap is not None:
-        try:
-            limit = max(1, int(cap))
-        except ValueError:
-            limit = None
-    n = requested if requested is not None else (limit or 1)
-    if limit is not None:
-        n = min(n, limit)
-    return max(1, n)
+def split_lines(text: str) -> list[str]:
+    r"""Split at ``\n`` only, dropping one trailing ``\r`` per line; U+2028,
+    U+0085, form feed and the like stay inside a line."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline ending the last line
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, split as :func:`split_lines` does."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return split_lines(fh.read())

@@ -1,11 +1,14 @@
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 from qcpg_kit import (
     GeneratorSpec,
     SelectionConstraint,
+    apply_offset,
     default_grid,
     dev_items,
     export_heatmap_csv,
@@ -156,6 +159,14 @@ class TestQpCommands:
             assert fields[0] == s
             assert float(fields[1]) == pytest.approx(expected.sem, abs=1e-4)
 
+    def test_unicode_line_breaks_inside_a_sentence(self, model_file, tmp_path):
+        sentences = tmp_path / "sentences.txt"
+        sentences.write_text("the first\u2028sentence\nthe second\n", encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        assert run(["predict-qp", "--model", model_file, "--sentences", sentences, "--out", out]) == 0
+        rows = out.read_text(encoding="utf-8").split("\n")[1:-1]
+        assert [row.split("\t")[0] for row in rows] == ["the first\u2028sentence", "the second"]
+
     def test_malformed_model_exit_4(self, tmp_path):
         bad = tmp_path / "model.json"
         bad.write_text('{"format": "wrong"}', encoding="utf-8")
@@ -277,6 +288,73 @@ class TestGridSelectGenerateEval:
             [p.source_tree for p in pairs],
         )
         assert report.read_text(encoding="utf-8") == lib.to_tsv()
+
+
+COUNTING_STUB = Path(__file__).with_name("stub_counting_generator.py")
+
+
+class TestExternalBatching:
+    GRID = "0:25:50"
+
+    def stub(self, tmp_path, *options):
+        count = tmp_path / "starts"
+        return count, " ".join([sys.executable, str(COUNTING_STUB), str(count), *options])
+
+    def grid(self, corpus_file, model_file, tmp_path, command):
+        heat = tmp_path / "heat.csv"
+        code = run(
+            [
+                "grid", "--clusters", corpus_file, "--model", model_file, "--grid", self.GRID,
+                "--generator", "external", "--generator-command", command, "--out", heat,
+            ]
+        )
+        return code, read_heatmap_csv(heat) if code == 0 else None
+
+    def test_grid_spawns_one_process_per_dev_item(self, corpus, corpus_file, model_file, tmp_path):
+        count, command = self.stub(tmp_path)
+        code, result = self.grid(corpus_file, model_file, tmp_path, command)
+        assert code == 0
+        assert len(count.read_text(encoding="utf-8").splitlines()) == len(dev_items(corpus))
+        assert all(n == len(dev_items(corpus)) for n in result.n)
+
+    def test_generate_spawns_one_process(self, corpus, corpus_file, model_file, tmp_path):
+        count, command = self.stub(tmp_path)
+        out = tmp_path / "generated.tsv"
+        assert run(
+            [
+                "generate", "--clusters", corpus_file, "--model", model_file, "--offset", "10,10,10",
+                "--generator", "external", "--generator-command", command, "--out", out,
+            ]
+        ) == 0
+        assert len(count.read_text(encoding="utf-8").splitlines()) == 1
+        pairs = read_pairs_tsv(out)
+        assert [p.source for p in pairs] == [s for c in corpus for s in c.sentences]
+        assert all(p.target == p.source and p.target_tree == p.source_tree for p in pairs)
+
+    def test_empty_line_fails_only_its_offsets(self, corpus, corpus_file, model_file, tmp_path):
+        # one sentence's request comes back empty wherever its lex control is 95
+        word = corpus[0].sentences[0].split()[0]
+        count, command = self.stub(tmp_path, "--empty-on", f"<lex_95>,{word}")
+        code, result = self.grid(corpus_file, model_file, tmp_path, command)
+        assert code == 0
+        model = load_model(model_file)
+        items = dev_items(corpus)
+        expected = [
+            sum(not (apply_offset(predict(model, s), o).lex == 95 and word in s.split()) for s, _, _ in items)
+            for o in result.offsets
+        ]
+        assert result.n == expected
+        assert min(expected) < len(items) == max(expected)
+        assert len(count.read_text(encoding="utf-8").splitlines()) == len(items)
+
+    def test_nonzero_exit_fails_the_items_batch(self, corpus, corpus_file, model_file, tmp_path):
+        word = corpus[0].sentences[0].split()[0]
+        count, command = self.stub(tmp_path, "--exit-on", word)
+        code, result = self.grid(corpus_file, model_file, tmp_path, command)
+        assert code == 0
+        survivors = sum(word not in s.split() for s, _, _ in dev_items(corpus))
+        assert 0 < survivors < len(dev_items(corpus))
+        assert all(n == survivors for n in result.n)
 
 
 class TestConfig:

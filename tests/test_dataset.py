@@ -204,3 +204,10 @@ class TestTreeSidecar:
         path = tmp_path / "trees.txt"
         path.write_text("(A)\n\n(B (C))\n", encoding="utf-8")
         assert read_tree_sidecar(path) == ["(A)", None, "(B (C))"]
+
+    def test_only_newline_ends_a_line(self, tmp_path):
+        # U+2028, U+0085 and the ASCII separators are data inside a line;
+        # one \r before the \n is dropped
+        path = tmp_path / "trees.txt"
+        path.write_bytes("(A a\u2028b)\r\n(B c\x85d\x0b\x0c\x1c\x1d\x1ee)\n".encode("utf-8"))
+        assert read_tree_sidecar(path) == ["(A a\u2028b)", "(B c\x85d\x0b\x0c\x1c\x1d\x1ee)"]

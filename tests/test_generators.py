@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from qcpg_kit import (
     generate,
     paraphrase_corpus,
 )
-from qcpg_kit.errors import EmptyContext, ProtocolError
+from qcpg_kit.errors import EmptyContext, ProtocolError, QcpgError, SpawnFailure
 from qcpg_kit.generators import (
+    ExternalCommandGenerator,
     IdentityGenerator,
     NoisyOracleGenerator,
     RetrievalOracleGenerator,
@@ -22,9 +24,24 @@ from qcpg_kit.generators import (
 )
 
 
+COUNTING_STUB = Path(__file__).with_name("stub_counting_generator.py")
+
+
 @pytest.fixture(scope="module")
 def cluster():
     return paraphrase_corpus(n_clusters=1, cluster_size=5, seed=21)[0]
+
+
+def random_requests(cluster, n, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            cluster.sentences[int(rng.integers(0, len(cluster.sentences)))],
+            ControlVector(*(int(v) for v in rng.choice(range(0, 100, 5), size=3))),
+            cluster,
+        )
+        for _ in range(n)
+    ]
 
 
 class TestSpecValidation:
@@ -223,3 +240,91 @@ class TestBuildGenerator:
                 s = cluster.sentences[int(rng.integers(0, len(cluster.sentences)))]
                 c = ControlVector(*(int(v) for v in rng.choice(range(0, 100, 5), size=3)))
                 assert gen.generate(s, c, cluster) != ""
+
+
+class TestGenerateBatch:
+    SPECS = (
+        GeneratorSpec(kind="identity"),
+        GeneratorSpec(kind="retrieval_oracle"),
+        GeneratorSpec(kind="noisy_oracle", noise_std=10.0),
+    )
+
+    def test_batch_equals_per_request_generate(self, cluster):
+        singleton = Cluster("s", ["only one"], trees=["(A)"])
+        requests = random_requests(cluster, 12, seed=131)
+        # failing requests sit between successful ones
+        requests[4:4] = [("only one", ControlVector(0, 0, 0), singleton)]
+        requests[9:9] = [("not a member", ControlVector(50, 50, 50), cluster)]
+        for spec in self.SPECS:
+            gen = build_generator(spec)
+            batch = gen.generate_batch(requests)
+            assert len(batch) == len(requests)
+            for (s, c, context), out in zip(requests, batch):
+                try:
+                    expected = build_generator(spec).generate(s, c, context)
+                except QcpgError as exc:
+                    assert type(out) is type(exc) and str(out) == str(exc)
+                else:
+                    assert out == expected
+        batch = build_generator(GeneratorSpec(kind="retrieval_oracle")).generate_batch(requests)
+        assert isinstance(batch[4], EmptyContext) and isinstance(batch[9], EmptyContext)
+        assert all(isinstance(out, str) for k, out in enumerate(batch) if k not in (4, 9))
+
+    def test_noisy_independent_of_repeats_and_order(self, cluster):
+        gen = NoisyOracleGenerator(noise_std=20.0, seed=5)
+        requests = random_requests(cluster, 15, seed=137) * 2
+        expected = [gen.generate(s, c, context) for s, c, context in requests]
+        assert len(set(expected)) > 1
+        assert gen.generate_batch(requests) == expected
+        order = np.random.default_rng(139).permutation(len(requests))
+        assert gen.generate_batch([requests[k] for k in order]) == [expected[k] for k in order]
+
+    def test_empty_batch(self, tmp_path):
+        count = tmp_path / "starts"
+        for gen in (
+            IdentityGenerator(),
+            RetrievalOracleGenerator(),
+            ExternalCommandGenerator(f"{sys.executable} {COUNTING_STUB} {count}"),
+        ):
+            assert gen.generate_batch([]) == []
+        assert not count.exists()
+
+
+class TestExternalBatch:
+    REQUESTS = [
+        ("a cat sat", ControlVector(0, 0, 0), None),
+        ("the dog ran", ControlVector(5, 10, 15), None),
+        ("a bird flew", ControlVector(95, 95, 95), None),
+    ]
+
+    def run(self, tmp_path, *options):
+        count = tmp_path / "starts"
+        command = " ".join([sys.executable, str(COUNTING_STUB), str(count), *options])
+        out = ExternalCommandGenerator(command).generate_batch(self.REQUESTS)
+        starts = len(count.read_text(encoding="utf-8").splitlines()) if count.exists() else 0
+        return out, starts
+
+    def test_one_process_per_batch(self, tmp_path):
+        out, starts = self.run(tmp_path)
+        assert out == ["a cat sat", "the dog ran", "a bird flew"]
+        assert starts == 1
+
+    def test_empty_line_fails_only_its_request(self, tmp_path):
+        out, starts = self.run(tmp_path, "--empty-on", "dog")
+        assert out[0] == "a cat sat" and out[2] == "a bird flew"
+        assert isinstance(out[1], ProtocolError) and out[1].line == 2
+        assert starts == 1
+
+    def test_nonzero_exit_fails_whole_batch(self, tmp_path):
+        out, starts = self.run(tmp_path, "--exit-on", "dog")
+        assert all(isinstance(e, ProtocolError) and "status 1" in str(e) for e in out)
+        assert starts == 1
+
+    def test_wrong_line_count_fails_whole_batch(self, tmp_path):
+        cmd = _gen_stub(tmp_path, "import sys\nsys.stdin.read()\nprint('just one')\n")
+        out = ExternalCommandGenerator(cmd).generate_batch(self.REQUESTS)
+        assert all(isinstance(e, ProtocolError) for e in out)
+
+    def test_spawn_failure_fails_whole_batch(self, tmp_path):
+        out = ExternalCommandGenerator(str(tmp_path / "no-such-program")).generate_batch(self.REQUESTS)
+        assert len(out) == 3 and all(isinstance(e, SpawnFailure) for e in out)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -10,8 +11,11 @@ from qcpg_kit import (
     GridResult,
     Offset,
     OperationPoint,
+    QualityComputer,
     QualityVector,
     SelectionConstraint,
+    apply_offset,
+    build_generator,
     default_grid,
     dev_items,
     diversity_of,
@@ -20,16 +24,38 @@ from qcpg_kit import (
     fit,
     grid_search,
     paraphrase_corpus,
+    predict,
     quality_samples,
     read_heatmap_csv,
     responsiveness,
     select_operation_point,
 )
-from qcpg_kit.errors import AllGenerationsFailed, MissingZeroPoint, NoFeasibleOffset
-from qcpg_kit.selection import _GridEvaluator
-from qcpg_kit.semantic import DEFAULT_SCORER
+from qcpg_kit.errors import AllGenerationsFailed, MissingZeroPoint, NoFeasibleOffset, QcpgError
 
 IDENTITY_SEM = 100.0 / (1.0 + math.exp(-2.0))
+SPECS = (
+    GeneratorSpec(kind="identity"),
+    GeneratorSpec(kind="retrieval_oracle"),
+    GeneratorSpec(kind="noisy_oracle", noise_std=5.0),
+)
+
+
+def per_request_grid(spec, qp_model, items, offsets):
+    """(mean quality or None, n) per offset, from one generate call per (item, offset)."""
+    computer = QualityComputer()
+    generator = build_generator(spec, quality=computer)
+    out = []
+    for o in offsets:
+        rows = []
+        for s, cluster, tree_s in items:
+            try:
+                t = generator.generate(s, apply_offset(predict(qp_model, s), o), cluster)
+            except QcpgError:
+                continue
+            tree_t = tree_s if t == s else cluster.trees[cluster.sentences.index(t)]
+            rows.append(computer.pair_quality(s, t, tree_s, tree_t).as_tuple())
+        out.append((QualityVector(*np.array(rows).mean(axis=0)), len(rows)) if rows else (None, 0))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -54,15 +80,6 @@ class TestExpectedQuality:
         assert q.sem == pytest.approx(IDENTITY_SEM)
         assert q.syn == 0.0 and q.lex == 0.0
 
-    def test_single_sentence_dev(self, corpus, qp_model):
-        items = dev_items(corpus, per_cluster=1, limit=1)
-        spec = GeneratorSpec(kind="retrieval_oracle")
-        q, n = expected_quality(spec, qp_model, items, Offset(0, 0, 0))
-        assert n == 1
-        ev = _GridEvaluator(spec, qp_model, items, DEFAULT_SCORER)
-        ev.use_fast = False
-        assert ev.evaluate(Offset(0, 0, 0))[0] == q
-
     def test_all_failures_raise(self, qp_model):
         singleton = Cluster("solo", ["only sentence"], trees=["(A)"])
         items = [("only sentence", singleton, "(A)")]
@@ -72,6 +89,13 @@ class TestExpectedQuality:
     def test_empty_dev_rejected(self, qp_model):
         with pytest.raises(ValueError):
             expected_quality(GeneratorSpec(kind="identity"), qp_model, [], Offset(0, 0, 0))
+
+    def test_single_sentence_dev(self, corpus, qp_model):
+        items = dev_items(corpus, per_cluster=1, limit=1)
+        spec = GeneratorSpec(kind="retrieval_oracle")
+        q, n = expected_quality(spec, qp_model, items, Offset(0, 0, 0))
+        assert n == 1
+        assert per_request_grid(spec, qp_model, items, [Offset(0, 0, 0)]) == [(q, n)]
 
 
 class TestGridSearch:
@@ -95,16 +119,27 @@ class TestGridSearch:
         assert all(n == len(dev) for n in result.n)
 
     def test_fast_and_generic_paths_agree_exactly(self, qp_model, dev):
+        # the batched grid path and one generate call per (item, offset)
+        # agree to the last bit
         spec = GeneratorSpec(kind="retrieval_oracle")
-        fast_ev = _GridEvaluator(spec, qp_model, dev, DEFAULT_SCORER)
-        slow_ev = _GridEvaluator(spec, qp_model, dev, DEFAULT_SCORER)
-        slow_ev.use_fast = False
-        for t in itertools.product((0.0, 5.0, 25.0, 50.0), repeat=3):
-            o = Offset(*t)
-            fast = fast_ev.evaluate(o)
-            slow = slow_ev.evaluate(o)
-            assert fast[0] == slow[0]
-            assert fast[1] == slow[1]
+        offsets = [Offset(*t) for t in itertools.product((0.0, 5.0, 25.0, 50.0), repeat=3)]
+        expected = per_request_grid(spec, qp_model, dev, offsets)
+        result = grid_search(spec, qp_model, dev, grid=offsets)
+        assert result.q_tilde == [q for q, _ in expected]
+        assert result.n == [n for _, n in expected]
+
+    def test_matches_per_request_reference(self, qp_model, dev):
+        # one batch per dev item must give what one generate call per
+        # (item, offset) gives, to the last bit, also where an item fails
+        offsets = [Offset(*t) for t in itertools.product((0.0, 5.0, 25.0, 50.0), repeat=3)]
+        singleton = Cluster("solo", ["lonely sentence"], trees=["(A)"])
+        items = dev + [("lonely sentence", singleton, "(A)")]
+        for spec in SPECS:
+            expected = per_request_grid(spec, qp_model, items, offsets)
+            result = grid_search(spec, qp_model, items, grid=offsets)
+            assert result.offsets == offsets
+            assert result.q_tilde == [q for q, _ in expected]
+            assert result.n == [n for _, n in expected]
 
     def test_deterministic_reruns_byte_identical(self, qp_model, dev, tmp_path):
         spec = GeneratorSpec(kind="retrieval_oracle")
@@ -323,18 +358,18 @@ class TestDefaultGrid:
         assert len(grid) == 27
 
 
-class TestThreadCap:
-    def test_env_var_caps_and_results_match_serial(self, qp_model, dev, monkeypatch):
-        from qcpg_kit.util import thread_budget
+class TestHeatmapPins:
+    # SHA-256 of each built-in generator's heatmap CSV, taken before the
+    # grid evaluator was merged into one batched path: the CSV bytes must
+    # not change with how generations are batched
+    PINS = {
+        "identity": "5d79320ed9ea1e6ddb12b8cfeb3ebf7ef502370ff411c3d1f6efd57bb8032e1a",
+        "retrieval_oracle": "3ebdbba3e37aaf9ab0b4a37b85f5a3fbd592d2678d47be12da1b7ec0e9275772",
+        "noisy_oracle": "78c950fc3ce19b434b68cf2186d6738c973a139f34ca982e89c4bfd68421cf13",
+    }
 
-        monkeypatch.setenv("QCPG_KIT_THREADS", "2")
-        assert thread_budget(8) == 2
-        assert thread_budget(None) == 2
-        spec = GeneratorSpec(kind="identity")
-        parallel = grid_search(spec, qp_model, dev, grid=default_grid(0, 10, 20), threads=4)
-        monkeypatch.delenv("QCPG_KIT_THREADS")
-        assert thread_budget(None) == 1
-        serial = grid_search(spec, qp_model, dev, grid=default_grid(0, 10, 20), threads=1)
-        assert parallel.q_tilde == serial.q_tilde
-        assert parallel.responsiveness == serial.responsiveness
-        assert parallel.n == serial.n
+    def test_builtin_heatmaps_byte_identical(self, qp_model, dev, tmp_path):
+        for spec in SPECS:
+            path = tmp_path / f"{spec.kind}.csv"
+            export_heatmap_csv(grid_search(spec, qp_model, dev, grid=default_grid(0, 10, 50)), path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINS[spec.kind], spec.kind

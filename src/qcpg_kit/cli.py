@@ -47,6 +47,7 @@ from .errors import (
     SpawnFailure,
     TreeLengthMismatch,
     TreeSyntaxError,
+    raise_first_failure,
 )
 from .generators import GENERATOR_KINDS, GeneratorSpec, build_generator
 from .quality import Offset, QualityComputer, QualityVector, apply_offset
@@ -182,13 +183,14 @@ def cmd_score(args, config) -> int:
     pairs = read_pairs_tsv(args.pairs)
     computer = QualityComputer(_scorer_from(args, config))
     out_path = _resolve(args, config, "out")
-    rows = []
+    parsed = []
     for pair, tree_s, tree_t in _pair_trees(pairs, args):
         if tree_s is None or tree_t is None:
             log.warning("skipping pair %r: missing parse", pair.source[:40])
             continue
-        q = computer.pair_quality(pair.source, pair.target, tree_s, tree_t)
-        rows.append((pair, tree_s, tree_t, q))
+        parsed.append((pair, tree_s, tree_t))
+    qualities = computer.pair_qualities([(pair.source, pair.target, ts, tt) for pair, ts, tt in parsed])
+    rows = [(*row, q) for row, q in zip(parsed, raise_first_failure(qualities))]
     has_trees = any(p.source_tree for p, _, _, _ in rows) or args.source_trees
     header = ["source", "target", "cluster_id"]
     if has_trees:
@@ -226,27 +228,25 @@ def cmd_split(args, config) -> int:
 
 
 def _read_scored_tsv(path) -> list[tuple[str, QualityVector]]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
+    lines = read_lines(path)
+    header = lines[0].split("\t") if lines else []
+    try:
+        col = [header.index(name) for name in ("source", "q_sem", "q_syn", "q_lex")]
+    except ValueError:
+        raise MalformedRecord("scored TSV lacks source/q_sem/q_syn/q_lex columns", line=1) from None
+    samples = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) <= max(col):
+            raise MalformedRecord(f"expected {len(header)} tab-separated fields, got {len(fields)}", line=lineno)
+        source, *scores = (fields[i] for i in col)
         try:
-            col = {name: header.index(name) for name in ("source", "q_sem", "q_syn", "q_lex")}
+            scores = [float(v) for v in scores]
         except ValueError:
-            raise MalformedRecord("scored TSV lacks source/q_sem/q_syn/q_lex columns", line=1) from None
-        samples = []
-        for line in fh:
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            samples.append(
-                (
-                    fields[col["source"]],
-                    QualityVector(
-                        float(fields[col["q_sem"]]),
-                        float(fields[col["q_syn"]]),
-                        float(fields[col["q_lex"]]),
-                    ),
-                )
-            )
+            raise MalformedRecord(f"non-numeric q_sem/q_syn/q_lex in {scores!r}", line=lineno) from None
+        samples.append((source, QualityVector(*scores)))
     return samples
 
 

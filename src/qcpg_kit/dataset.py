@@ -232,21 +232,20 @@ def write_pairs_tsv(pairs: list[SentencePair], path) -> None:
 
 
 def read_pairs_tsv(path) -> list[SentencePair]:
+    """Pairs from :func:`write_pairs_tsv` lines, split as :func:`~qcpg_kit.util.read_lines` does."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) == 3:
-                pairs.append(SentencePair(*fields))
-            elif len(fields) == 5:
-                pairs.append(SentencePair(*fields[:3], fields[3] or None, fields[4] or None))
-            else:
-                raise MalformedRecord(
-                    f"expected 3 or 5 tab-separated fields, got {len(fields)}", line=lineno
-                )
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) == 3:
+            pairs.append(SentencePair(*fields))
+        elif len(fields) == 5:
+            pairs.append(SentencePair(*fields[:3], fields[3] or None, fields[4] or None))
+        else:
+            raise MalformedRecord(
+                f"expected 3 or 5 tab-separated fields, got {len(fields)}", line=lineno
+            )
     return pairs
 
 

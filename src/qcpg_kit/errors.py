@@ -12,6 +12,14 @@ class QcpgError(Exception):
     """Base class for all toolkit errors."""
 
 
+def raise_first_failure(results: list) -> list:
+    """The results of a batch that fails per item; its first failure is raised."""
+    for item in results:
+        if isinstance(item, QcpgError):
+            raise item
+    return results
+
+
 # --- bracketed-tree parsing ------------------------------------------------
 
 class TreeSyntaxError(QcpgError):

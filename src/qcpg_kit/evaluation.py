@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllTied, LengthMismatch, MissingTree
+from .errors import AllTied, LengthMismatch, MissingTree, raise_first_failure
 from .quality import QualityComputer, QualityVector
 from .semantic import DEFAULT_SCORER, SemanticScorer
 
@@ -140,6 +140,8 @@ def evaluate_systems(
     ``(name, outputs, output_trees)`` tuples; all lists are aligned with
     ``sources``. When a system omits its output trees, each output must
     equal its source (identity systems), whose tree is then reused.
+    Every system's pairs are measured in one batch; its first failure is
+    raised.
     """
     if len(sources) != len(source_trees):
         raise LengthMismatch(
@@ -149,8 +151,7 @@ def evaluate_systems(
         raise LengthMismatch(
             f"{len(sources)} sources but {len(references)} references"
         )
-    computer = QualityComputer(scorer)
-    rows = []
+    named, keys = [], []
     for entry in systems:
         name, outputs = entry[0], list(entry[1])
         output_trees = list(entry[2]) if len(entry) > 2 and entry[2] is not None else None
@@ -162,7 +163,6 @@ def evaluate_systems(
             raise LengthMismatch(
                 f"system {name!r} has {len(output_trees)} trees for {len(sources)} sources"
             )
-        qualities, self_bleus, bleus = [], [], []
         for i, (src, out) in enumerate(zip(sources, outputs)):
             if output_trees is not None:
                 tree_out = output_trees[i]
@@ -172,22 +172,24 @@ def evaluate_systems(
                 raise MissingTree(
                     f"system {name!r} output {i} differs from its source but has no tree"
                 )
-            qualities.append(
-                computer.pair_quality(src, out, source_trees[i], tree_out).as_tuple()
-            )
-            self_bleus.append(self_bleu(out, src))
-            if references is not None:
-                bleus.append(bleu(out, [references[i]]))
-        if not qualities:
+            keys.append((src, out, source_trees[i], tree_out))
+        if not sources:
             raise ValueError(f"system {name!r} has no outputs to evaluate")
-        mean_q = np.array(qualities, dtype=np.float64).mean(axis=0)
+        named.append((name, outputs))
+    qualities = raise_first_failure(QualityComputer(scorer).pair_qualities(keys))
+    n = len(sources)
+    rows = []
+    for k, (name, outputs) in enumerate(named):
+        mean_q = np.array([q.as_tuple() for q in qualities[k * n:(k + 1) * n]], dtype=np.float64).mean(axis=0)
+        self_bleus = [self_bleu(out, src) for src, out in zip(sources, outputs)]
+        bleus = [bleu(out, [ref]) for out, ref in zip(outputs, references)] if references is not None else None
         rows.append(
             EvalRow(
                 name=name,
                 quality=QualityVector(*mean_q),
                 self_bleu=float(np.mean(self_bleus)),
-                bleu=float(np.mean(bleus)) if references is not None else None,
-                n=len(qualities),
+                bleu=float(np.mean(bleus)) if bleus is not None else None,
+                n=n,
             )
         )
     return EvalReport(rows=rows)

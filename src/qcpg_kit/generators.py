@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Cluster
-from .errors import EmptyContext, ProtocolError, QcpgError
+from .errors import EmptyContext, ProtocolError, QcpgError, raise_first_failure
 from .quality import ControlVector, QualityComputer, prepend_control
 from .semantic import DEFAULT_SCORER, SemanticScorer, run_line_protocol, sanitize_line_field
 from .util import rng_for
@@ -51,17 +51,9 @@ class GeneratorSpec:
             raise ValueError("external_command generator requires a command string")
 
 
-def _strict(results: list) -> list[str]:
-    """The outputs of a batch; its first failure is raised."""
-    for out in results:
-        if isinstance(out, QcpgError):
-            raise out
-    return results
-
-
 class IdentityGenerator:
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return _strict(self.generate_batch([(s, c, context)]))[0]
+        return raise_first_failure(self.generate_batch([(s, c, context)]))[0]
 
     def generate_batch(self, requests: list[Request]) -> list[str | QcpgError]:
         return [s for s, _, _ in requests]
@@ -78,7 +70,10 @@ class RetrievalOracleGenerator:
         self.quality = quality or QualityComputer()
 
     def candidate_qualities(self, s: str, context: Cluster | None):
-        """(index, sentence, tree, QualityVector) for every member != s."""
+        """(index, sentence, tree, QualityVector) for every member != s.
+
+        The members are measured in one batch; its first failure is raised.
+        """
         if context is None:
             raise EmptyContext("retrieval oracle requires a cluster context")
         if context.trees is None:
@@ -92,21 +87,18 @@ class RetrievalOracleGenerator:
                 f"sentence is not a member of cluster {context.cluster_id!r}"
             ) from None
         tree_s = context.trees[s_idx]
-        out = []
-        for i, t in enumerate(context.sentences):
-            if t == s:
-                continue
-            out.append((i, t, context.trees[i], self.quality.pair_quality(s, t, tree_s, context.trees[i])))
-        if not out:
+        members = [(i, t, context.trees[i]) for i, t in enumerate(context.sentences) if t != s]
+        if not members:
             raise EmptyContext(f"cluster {context.cluster_id!r} has no candidate other than the input")
-        return out
+        qualities = self.quality.pair_qualities([(s, t, tree_s, tree_t) for _, t, tree_t in members])
+        return [(*member, q) for member, q in zip(members, raise_first_failure(qualities))]
 
     def _noise(self, s: str, controls: list[ControlVector], k: int):
         """Perturbation of the k candidate qualities, per control; none here."""
         return 0.0
 
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return _strict(self.generate_batch([(s, c, context)]))[0]
+        return raise_first_failure(self.generate_batch([(s, c, context)]))[0]
 
     def generate_batch(self, requests: list[Request]) -> list[str | QcpgError]:
         """One candidate table per (sentence, context), one argmin over its controls."""
@@ -145,7 +137,7 @@ class NoisyOracleGenerator(RetrievalOracleGenerator):
         ])
 
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return _strict(self.generate_batch([(s, c, context)]))[0]
+        return raise_first_failure(self.generate_batch([(s, c, context)]))[0]
 
 
 class ExternalCommandGenerator:
@@ -159,7 +151,7 @@ class ExternalCommandGenerator:
         self.command = command
 
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return _strict(self.generate_batch([(s, c, context)]))[0]
+        return raise_first_failure(self.generate_batch([(s, c, context)]))[0]
 
     def generate_batch(self, requests: list[Request]) -> list[str | QcpgError]:
         if not requests:
@@ -181,7 +173,7 @@ def external_generate(command: str, batch: list[tuple[str, ControlVector]]) -> l
     Protocol: each stdin line is the three control tokens followed by the
     sentence; stdout returns exactly one paraphrase per line.
     """
-    return _strict(ExternalCommandGenerator(command).generate_batch([(s, c, None) for s, c in batch]))
+    return raise_first_failure(ExternalCommandGenerator(command).generate_batch([(s, c, None) for s, c in batch]))
 
 
 def build_generator(spec: GeneratorSpec, scorer: SemanticScorer = DEFAULT_SCORER, quality: QualityComputer | None = None):

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import MalformedControlPrefix, NonFiniteValue
+from .errors import MalformedControlPrefix, NonFiniteValue, QcpgError, raise_first_failure
 from .semantic import DEFAULT_SCORER, SemanticScorer, semantic_similarity
 from .trees import FlatTree, ParseTree, parse_bracketed, syntactic_distance, syntactic_form
 from .lexical import lexical_distance
@@ -135,34 +135,41 @@ def quality_vector(
     tree_s: ParseTree | FlatTree,
     tree_t: ParseTree | FlatTree,
     scorer: SemanticScorer = DEFAULT_SCORER,
+    raw: float | None = None,
 ) -> QualityVector:
     """Measure the full 3-D quality of ``t`` as a paraphrase of ``s``.
 
     A tree may also be given as its :func:`~qcpg_kit.trees.syntactic_form`.
+    ``raw``, when given, is the pair's raw semantic score, already
+    computed, and ``scorer`` is not asked.
     """
     return QualityVector(
-        semantic_similarity(scorer.raw(s, t)),
+        semantic_similarity(scorer.raw(s, t) if raw is None else raw),
         syntactic_distance(tree_s, tree_t),
         lexical_distance(s, t),
     )
 
 
+# (source, target, source tree, target tree); trees are bracketed strings
+PairKey = tuple[str, str, str, str]
+
+
 class QualityComputer:
-    """Memoizing front end for pair qualities.
+    """Memoizing, batching front end for pair qualities.
 
     Grid search evaluates the same (sentence, candidate) pairs at every
     offset; caching by the pair's text makes those lookups free. Tree
     arguments are bracketed strings so the cache key is hashable and the
     parse, and the syntactic form derived from it, are computed once per
-    tree string. Safe for concurrent readers; duplicated computation
-    under races is idempotent.
+    tree string. The pairs a batch misses share one scorer call, so an
+    external scorer starts one process per batch, not per pair.
     """
 
     def __init__(self, scorer: SemanticScorer = DEFAULT_SCORER):
         self.scorer = scorer
         self._trees: dict[str, ParseTree] = {}
         self._forms: dict[str, FlatTree] = {}
-        self._pairs: dict[tuple[str, str, str, str], QualityVector] = {}
+        self._pairs: dict[PairKey, QualityVector] = {}
 
     def tree(self, text: str) -> ParseTree:
         cached = self._trees.get(text)
@@ -177,10 +184,42 @@ class QualityComputer:
         return cached
 
     def pair_quality(self, s: str, t: str, tree_s: str, tree_t: str) -> QualityVector:
-        key = (s, t, tree_s, tree_t)
-        cached = self._pairs.get(key)
-        if cached is None:
-            cached = self._pairs[key] = quality_vector(
-                s, t, self._form(tree_s), self._form(tree_t), self.scorer
-            )
-        return cached
+        """One pair's quality: a batch of one, whose failure is raised."""
+        return raise_first_failure(self.pair_qualities([(s, t, tree_s, tree_t)]))[0]
+
+    def pair_qualities(self, keys: list[PairKey]) -> list[QualityVector | QcpgError]:
+        """One quality, or the failure it met, per ``(s, t, tree_s, tree_t)`` key, in order.
+
+        The distinct keys that miss the cache are scored with one
+        ``scorer.raw_batch`` call; none is made when every key hits. A
+        failure of that call (a spawn failure, a non-zero exit, a wrong
+        line count, invalid UTF-8, a non-numeric line) fails every
+        scored key; a malformed tree or a non-finite score fails only
+        its own key. Failures are not cached.
+        """
+        results: dict[PairKey, QualityVector | QcpgError] = {}
+        forms: dict[PairKey, tuple[FlatTree, FlatTree]] = {}
+        for key in keys:
+            if key in results or key in forms:
+                continue
+            cached = self._pairs.get(key)
+            if cached is not None:
+                results[key] = cached
+                continue
+            try:
+                forms[key] = (self._form(key[2]), self._form(key[3]))
+            except QcpgError as exc:
+                results[key] = exc
+        if forms:
+            try:
+                raws = self.scorer.raw_batch([key[:2] for key in forms])
+            except QcpgError as exc:
+                results.update(dict.fromkeys(forms, exc))
+            else:
+                for (key, (form_s, form_t)), raw in zip(forms.items(), raws):
+                    try:
+                        q = quality_vector(key[0], key[1], form_s, form_t, raw=raw)
+                        results[key] = self._pairs[key] = q
+                    except QcpgError as exc:
+                        results[key] = exc
+        return [results[key] for key in keys]

@@ -24,6 +24,7 @@ from .errors import (
     MissingZeroPoint,
     NoFeasibleOffset,
     QcpgError,
+    raise_first_failure,
 )
 from .generators import GeneratorSpec, build_generator
 from .quality import ControlVector, Offset, QualityComputer, QualityVector, quantize
@@ -102,23 +103,29 @@ class _GridEvaluator:
         self.generator = build_generator(gen, scorer, quality=self.computer)
         self.refs = [predict(qp_model, s).as_tuple() for s, _, _ in self.dev]
 
-    def _measure(self, s: str, t, cluster: Cluster | None, tree_s: str):
-        """Quality tuple of output ``t`` (or the failure it is, or leads to)."""
-        if isinstance(t, QcpgError):
-            return t
-        tree_t = resolve_target_tree(t, s, cluster, tree_s)
-        if tree_t is None:
-            return MissingTree(f"no parse available for generated sentence {t[:60]!r}")
-        try:
-            return self.computer.pair_quality(s, t, tree_s, tree_t).as_tuple()
-        except QcpgError as exc:
-            return exc
+    def _measure(self, s: str, cluster: Cluster | None, tree_s: str, outputs: list) -> list:
+        """Quality tuple of each output (or the failure it is, or leads to).
+
+        The distinct outputs with a known tree are measured in one batch.
+        """
+        measured, keys = {}, {}
+        for t in dict.fromkeys(outputs):  # a batch-wide failure is one object
+            if isinstance(t, QcpgError):
+                measured[t] = t
+            elif (tree_t := resolve_target_tree(t, s, cluster, tree_s)) is None:
+                measured[t] = MissingTree(f"no parse available for generated sentence {t[:60]!r}")
+            else:
+                keys[t] = (s, t, tree_s, tree_t)
+        for t, q in zip(keys, self.computer.pair_qualities(list(keys.values()))):
+            measured[t] = q if isinstance(q, QcpgError) else q.as_tuple()
+        return [measured[t] for t in outputs]
 
     def evaluate(self, offsets: list[Offset]):
         """Per offset, the mean quality and success count; None where all fail.
 
         Each dev item is one generator batch holding its distinct
-        controls; its qualities are added to per-offset sums in dev order.
+        controls and one scoring batch holding its distinct outputs; its
+        qualities are added to per-offset sums in dev order.
         """
         grid = [o.as_tuple() for o in offsets]
         values = [{t[d] for t in grid} for d in range(3)]
@@ -129,7 +136,7 @@ class _GridEvaluator:
             index: dict[tuple[int, int, int], int] = {}
             slots = [index.setdefault((levels[0][a], levels[1][b], levels[2][c]), len(index)) for a, b, c in grid]
             outputs = self.generator.generate_batch([(s, ControlVector(*key), cluster) for key in index])
-            measured = [self._measure(s, t, cluster, tree_s) for t in outputs]
+            measured = self._measure(s, cluster, tree_s, outputs)
             failed = np.array([isinstance(q, QcpgError) for q in measured])
             table = np.array([(0.0, 0.0, 0.0) if bad else q for q, bad in zip(measured, failed)])
             # a failed slot adds exactly 0.0, so each sum runs over the successes in dev order
@@ -142,19 +149,20 @@ class _GridEvaluator:
         return [(QualityVector(*(total / n)), int(n)) if n else None for total, n in zip(sums, counts)]
 
     def dim_std(self) -> tuple[float, float, float]:
-        """Population std, per dimension, of the dev set's own pair qualities."""
-        rows = []
+        """Population std, per dimension, of the dev set's own pair qualities.
+
+        The pairs are measured in one batch; its first failure is raised.
+        """
+        keys = []
         for s, cluster, _ in self.dev:
             if cluster is None or cluster.trees is None or s not in cluster.sentences:
                 continue
             tree_s = cluster.trees[cluster.sentences.index(s)]
-            for i, t in enumerate(cluster.sentences):
-                if t == s:
-                    continue
-                rows.append(self.computer.pair_quality(s, t, tree_s, cluster.trees[i]).as_tuple())
-        if not rows:
+            keys += [(s, t, tree_s, tree_t) for t, tree_t in zip(cluster.sentences, cluster.trees) if t != s]
+        if not keys:
             log.warning("dev set has no ground-truth pairs; std units default to 1.0")
             return (1.0, 1.0, 1.0)
+        rows = [q.as_tuple() for q in raise_first_failure(self.computer.pair_qualities(keys))]
         std = np.array(rows, dtype=np.float64).std(axis=0)
         return tuple(float(v) if v > 0 else 1.0 for v in std)
 

@@ -12,6 +12,7 @@ originals.
 from __future__ import annotations
 
 from .dataset import ALL_ORDERED, Cluster, extract_pairs
+from .errors import raise_first_failure
 from .quality import QualityComputer, QualityVector
 from .semantic import DEFAULT_SCORER, SemanticScorer
 from .trees import ParseTree
@@ -108,12 +109,11 @@ def quality_samples(
     scorer: SemanticScorer = DEFAULT_SCORER,
     mode: str = ALL_ORDERED,
 ) -> list[tuple[str, QualityVector]]:
-    """(source sentence, measured pair quality) samples for predictor training."""
-    computer = QualityComputer(scorer)
-    samples = []
-    for pair in extract_pairs(clusters, mode):
-        if pair.source_tree is None or pair.target_tree is None:
-            continue
-        q = computer.pair_quality(pair.source, pair.target, pair.source_tree, pair.target_tree)
-        samples.append((pair.source, q))
-    return samples
+    """(source sentence, measured pair quality) samples for predictor training.
+
+    The pairs are measured in one batch; its first failure is raised.
+    """
+    pairs = [p for p in extract_pairs(clusters, mode) if p.source_tree is not None and p.target_tree is not None]
+    keys = [(p.source, p.target, p.source_tree, p.target_tree) for p in pairs]
+    qualities = raise_first_failure(QualityComputer(scorer).pair_qualities(keys))
+    return [(p.source, q) for p, q in zip(pairs, qualities)]

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from qcpg_kit import (
+    Cluster,
     GeneratorSpec,
     SelectionConstraint,
     apply_offset,
@@ -17,8 +18,10 @@ from qcpg_kit import (
     grid_search,
     load_model,
     paraphrase_corpus,
+    parse_bracketed,
     predict,
     quality_samples,
+    quality_vector,
     read_heatmap_csv,
     read_pairs_tsv,
     save_clusters,
@@ -26,6 +29,8 @@ from qcpg_kit import (
     write_pairs_tsv,
 )
 from qcpg_kit.cli import main
+
+from stub_counting_scorer import raw_score as stub_raw
 
 IDENTITY_SEM = 100.0 / (1.0 + math.exp(-2.0))
 
@@ -166,6 +171,21 @@ class TestQpCommands:
         assert run(["predict-qp", "--model", model_file, "--sentences", sentences, "--out", out]) == 0
         rows = out.read_text(encoding="utf-8").split("\n")[1:-1]
         assert [row.split("\t")[0] for row in rows] == ["the first\u2028sentence", "the second"]
+
+    def test_short_scored_row_exit_4(self, scored_file, tmp_path):
+        bad = tmp_path / "short.tsv"
+        lines = scored_file.read_text(encoding="utf-8").split("\n")
+        bad.write_text("\n".join([*lines[:2], "a\tb\tc0\t1.0", *lines[2:]]), encoding="utf-8")
+        assert run(["train-qp", "--pairs", bad, "--out", tmp_path / "model.json"]) == 4
+
+    def test_non_numeric_quality_exit_4(self, scored_file, tmp_path):
+        bad = tmp_path / "nan.tsv"
+        header, first, *rest = scored_file.read_text(encoding="utf-8").split("\n")
+        q_sem = header.split("\t").index("q_sem")
+        fields = first.split("\t")
+        fields[q_sem] = "x"
+        bad.write_text("\n".join([header, "\t".join(fields), *rest]), encoding="utf-8")
+        assert run(["train-qp", "--pairs", bad, "--out", tmp_path / "model.json"]) == 4
 
     def test_malformed_model_exit_4(self, tmp_path):
         bad = tmp_path / "model.json"
@@ -355,6 +375,125 @@ class TestExternalBatching:
         survivors = sum(word not in s.split() for s, _, _ in dev_items(corpus))
         assert 0 < survivors < len(dev_items(corpus))
         assert all(n == survivors for n in result.n)
+
+
+COUNTING_SCORER = Path(__file__).with_name("stub_counting_scorer.py")
+
+
+class TestExternalScorerBatching:
+    def scorer(self, tmp_path, *options, name="scorer_starts"):
+        count = tmp_path / name
+        command = " ".join([sys.executable, str(COUNTING_SCORER), str(count), *options])
+        return count, ["--scorer", "external", "--scorer-command", command]
+
+    @staticmethod
+    def starts(count):
+        return len(count.read_text(encoding="utf-8").splitlines()) if count.exists() else 0
+
+    def test_score_starts_one_process(self, corpus, tmp_path):
+        pairs = extract_pairs(corpus)
+        path = tmp_path / "pairs.tsv"
+        write_pairs_tsv(pairs, path)
+        count, scorer = self.scorer(tmp_path)
+        out = tmp_path / "scored.tsv"
+        assert run(["score", "--pairs", path, *scorer, "--out", out]) == 0
+        assert self.starts(count) == 1
+        rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [row[:2] for row in rows] == [[p.source, p.target] for p in pairs]
+        for row, p in zip(rows, pairs):
+            q = quality_vector(
+                p.source, p.target, parse_bracketed(p.source_tree), parse_bracketed(p.target_tree),
+                raw=stub_raw(p.source, p.target),
+            )
+            assert row[-3:] == [f"{q.sem:.2f}", f"{q.syn:.2f}", f"{q.lex:.2f}"]
+
+    def test_score_without_parses_starts_none(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("a b\tb a\tc0\nx y\ty x\tc1\n", encoding="utf-8")
+        count, scorer = self.scorer(tmp_path)
+        out = tmp_path / "scored.tsv"
+        assert run(["score", "--pairs", path, *scorer, "--out", out]) == 0
+        assert self.starts(count) == 0
+        assert out.read_text(encoding="utf-8") == "source\ttarget\tcluster_id\tq_sem\tq_syn\tq_lex\n"
+
+    def test_score_nan_exit_5_and_crash_exit_4(self, corpus, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        write_pairs_tsv(extract_pairs(corpus), path)
+        word = corpus[0].sentences[0].split()[-1]  # shared by several members of the cluster
+        count, scorer = self.scorer(tmp_path, "--nan-on", word)
+        assert run(["score", "--pairs", path, *scorer, "--out", tmp_path / "nan.tsv"]) == 5
+        assert self.starts(count) == 1
+        count, scorer = self.scorer(tmp_path, "--exit-on", word, name="exit_starts")
+        assert run(["score", "--pairs", path, *scorer, "--out", tmp_path / "exit.tsv"]) == 4
+        assert self.starts(count) == 1
+
+    def test_eval_starts_one_process(self, corpus, corpus_file, model_file, tmp_path):
+        systems = []
+        for kind in ("identity", "retrieval_oracle"):
+            out = tmp_path / f"{kind}.tsv"
+            assert run(
+                [
+                    "generate", "--clusters", corpus_file, "--model", model_file,
+                    "--generator", kind, "--offset", "0,10,10", "--out", out,
+                ]
+            ) == 0
+            systems += ["--system", f"{kind}={out}"]
+        count, scorer = self.scorer(tmp_path)
+        assert run(["eval", *systems, *scorer, "--out", tmp_path / "report.tsv"]) == 0
+        assert self.starts(count) == 1
+
+    def grid(self, corpus_file, model_file, tmp_path, generator, scorer, *extra):
+        heat = tmp_path / f"heat_{generator}_{len(extra)}.csv"
+        code = run(
+            [
+                "grid", "--clusters", corpus_file, "--model", model_file, "--grid", "0:25:50",
+                "--generator", generator, *scorer, *extra, "--out", heat,
+            ]
+        )
+        return code, heat
+
+    @pytest.mark.parametrize("generator", ["identity", "retrieval_oracle"])
+    def test_grid_starts_at_most_one_process_plus_one_per_dev_item(
+        self, corpus, corpus_file, model_file, tmp_path, generator
+    ):
+        count, scorer = self.scorer(tmp_path)
+        code, heat = self.grid(corpus_file, model_file, tmp_path, generator, scorer)
+        assert code == 0
+        assert 1 <= self.starts(count) <= 1 + len(dev_items(corpus))
+        assert read_heatmap_csv(heat).n == [len(dev_items(corpus))] * 27
+
+    def test_grid_nan_lowers_n_only_for_its_pair(self, corpus, corpus_file, model_file, tmp_path):
+        # the last dev sentence has only words of its own, so only its identity pair scores nan
+        items = dev_items(corpus)
+        word = items[-1][0].split()[0]
+        assert [word in s.split() for c in corpus for s in c.sentences].count(True) == 1
+        _, scorer = self.scorer(tmp_path, "--nan-on", word)
+        code, heat = self.grid(corpus_file, model_file, tmp_path, "identity", scorer)
+        assert code == 0
+        assert read_heatmap_csv(heat).n == [len(items) - 1] * 27
+        _, scorer = self.scorer(tmp_path)
+        code, without = self.grid(
+            corpus_file, model_file, tmp_path, "identity", scorer, "--max-dev-items", len(items) - 1
+        )
+        assert code == 0
+        assert heat.read_bytes() == without.read_bytes()
+
+    def test_grid_crash_drops_its_item_at_every_offset(self, corpus, model_file, tmp_path):
+        # a singleton cluster has no ground-truth pair, so its word reaches the
+        # scorer only in its own dev item's batch, which the crash fails whole
+        lone = Cluster("lone", ["zebra quartz"], trees=["(S (NN zebra) (NN quartz))"])
+        clusters = tmp_path / "with_lone.jsonl"
+        save_clusters([*corpus, lone], clusters)
+        n_dev = len(dev_items([*corpus, lone]))
+        _, scorer = self.scorer(tmp_path)
+        code, heat = self.grid(clusters, model_file, tmp_path, "identity", scorer)
+        assert code == 0
+        assert read_heatmap_csv(heat).n == [n_dev] * 27
+        count, scorer = self.scorer(tmp_path, "--exit-on", "zebra", name="exit_starts")
+        code, heat = self.grid(clusters, model_file, tmp_path, "identity", scorer)
+        assert code == 0
+        assert read_heatmap_csv(heat).n == [n_dev - 1] * 27
+        assert self.starts(count) <= 1 + n_dev
 
 
 class TestConfig:

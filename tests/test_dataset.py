@@ -192,6 +192,14 @@ class TestPairsTsv:
         write_pairs_tsv(pairs, path)
         assert read_pairs_tsv(path) == pairs
 
+    def test_line_breaks_inside_sentences_round_trip(self, tmp_path):
+        # only \n ends a line: a lone \r, U+2028 and U+0085 are data
+        cluster = Cluster("c1", ["a\rb c", "d\u2028e f", "g\x85h"], trees=["(A (a))", "(B (b))", "(C (c))"])
+        pairs = extract_pairs([cluster], ALL_ORDERED)
+        path = tmp_path / "pairs.tsv"
+        write_pairs_tsv(pairs, path)
+        assert read_pairs_tsv(path) == pairs
+
     def test_bad_column_count(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("only\ttwo\n", encoding="utf-8")

@@ -1,7 +1,9 @@
 import itertools
 import math
+import sys
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,9 +38,12 @@ from qcpg_kit import (
     tokenize,
     tree_edit_distance,
 )
-from qcpg_kit.errors import MalformedControlPrefix, NonFiniteValue
+from qcpg_kit.errors import MalformedControlPrefix, NonFiniteValue, ProtocolError, TreeSyntaxError
 
 from helpers import levenshtein_oracle
+from stub_counting_scorer import raw_score as stub_raw
+
+COUNTING_SCORER = Path(__file__).with_name("stub_counting_scorer.py")
 
 
 class TestTypes:
@@ -186,6 +191,84 @@ class TestQualityComputer:
     def test_tree_cache_shares_objects(self):
         computer = QualityComputer()
         assert computer.tree("(A (B))") is computer.tree("(A (B))")
+
+
+def _keys(pairs):
+    return [(p.source, p.target, p.source_tree, p.target_tree) for p in pairs]
+
+
+def _starts(count: Path) -> int:
+    return len(count.read_text(encoding="utf-8").splitlines()) if count.exists() else 0
+
+
+class TestPairQualities:
+    KEYS = _keys(extract_pairs(paraphrase_corpus(3, 4, seed=5), ALL_ORDERED))
+
+    def counting(self, tmp_path, *options):
+        count = tmp_path / "starts"
+        command = " ".join([sys.executable, str(COUNTING_SCORER), str(count), *options])
+        return count, QualityComputer(SemanticScorer(kind="external_command", command=command))
+
+    def test_equals_per_pair_quality_vector(self):
+        computer = QualityComputer()
+        for key in self.KEYS[:5]:
+            computer.pair_quality(*key)  # prior cache hits
+        keys = self.KEYS + self.KEYS[::-3]  # duplicates, hits and misses interleaved
+        expected = [
+            quality_vector(s, t, parse_bracketed(ts), parse_bracketed(tt)) for s, t, ts, tt in keys
+        ]
+        assert computer.pair_qualities(keys) == expected
+        assert computer.pair_qualities([]) == []
+
+    def test_one_scorer_process_per_batch_of_misses(self, tmp_path):
+        count, computer = self.counting(tmp_path)
+        computer.pair_quality(*self.KEYS[0])
+        assert _starts(count) == 1
+        keys = self.KEYS + self.KEYS
+        qualities = computer.pair_qualities(keys)
+        assert _starts(count) == 2
+        expected = [
+            quality_vector(s, t, parse_bracketed(ts), parse_bracketed(tt), raw=stub_raw(s, t))
+            for s, t, ts, tt in keys
+        ]
+        assert qualities == expected
+        computer.pair_qualities(keys)  # every key hits: no process
+        assert _starts(count) == 2
+
+    def test_non_finite_score_fails_only_its_key_and_is_not_cached(self, tmp_path):
+        word = self.KEYS[0][0].split()[-1]
+        bad = [key for key in self.KEYS if word in key[0].split() and word in key[1].split()]
+        count, computer = self.counting(tmp_path, "--nan-on", word)
+        qualities = computer.pair_qualities(self.KEYS)
+        assert _starts(count) == 1
+        assert 0 < len(bad) < len(self.KEYS)
+        assert [isinstance(q, NonFiniteValue) for q in qualities] == [key in bad for key in self.KEYS]
+        retried = computer.pair_qualities(self.KEYS)
+        assert _starts(count) == 2  # the failed keys are scored again
+        assert [isinstance(q, NonFiniteValue) for q in retried] == [key in bad for key in self.KEYS]
+        with pytest.raises(NonFiniteValue):
+            computer.pair_quality(*bad[0])
+
+    def test_process_failure_fails_every_miss(self, tmp_path):
+        word = self.KEYS[-1][0].split()[0]
+        count, computer = self.counting(tmp_path, "--exit-on", word)
+        hit = next(key for key in self.KEYS if word not in key[0].split() + key[1].split())
+        computer.pair_quality(*hit)
+        qualities = computer.pair_qualities(self.KEYS)
+        assert _starts(count) == 2
+        assert [isinstance(q, ProtocolError) for q in qualities] == [key != hit for key in self.KEYS]
+        assert len({id(q) for q in qualities if isinstance(q, ProtocolError)}) == 1
+
+    def test_malformed_tree_fails_its_key_before_scoring(self, tmp_path):
+        count, computer = self.counting(tmp_path)
+        s, t, ts, tt = self.KEYS[0]
+        bad = (s, t, ts, "(S (T a")
+        assert isinstance(computer.pair_qualities([bad])[0], TreeSyntaxError)
+        assert _starts(count) == 0
+        qualities = computer.pair_qualities([bad, self.KEYS[0]])
+        assert isinstance(qualities[0], TreeSyntaxError)
+        assert qualities[1] == quality_vector(s, t, parse_bracketed(ts), parse_bracketed(tt), raw=stub_raw(s, t))
+        assert _starts(count) == 1
 
 
 _levenshtein = lru_cache(maxsize=None)(levenshtein_oracle)

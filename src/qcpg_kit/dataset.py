@@ -62,11 +62,14 @@ def load_clusters(path) -> list[Cluster]:
     """Read a JSON-lines cluster file, preserving record order.
 
     Each line is ``{"cluster_id": str, "sentences": [...], "trees": [...]?}``;
-    blank lines are skipped.
+    blank lines are skipped. Only ``\n`` ends a line (one ``\r`` before it
+    is dropped), so a lone ``\r``, which JSON reads as whitespace, stays
+    inside its record.
     """
     clusters = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
+            line = line.removesuffix("\n").removesuffix("\r")
             if not line.strip():
                 continue
             try:

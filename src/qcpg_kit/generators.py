@@ -70,10 +70,12 @@ class RetrievalOracleGenerator:
         self.quality = quality or QualityComputer()
 
     def candidate_qualities(self, s: str, context: Cluster | None):
-        """(index, sentence, tree, QualityVector) for every member != s.
+        """(index, sentence, tree, QualityVector) for every member != s; a table of one."""
+        return raise_first_failure(self.candidate_tables([(s, context)]))[0]
 
-        The members are measured in one batch; its first failure is raised.
-        """
+    @staticmethod
+    def _members(s: str, context: Cluster | None):
+        """(source tree, [(index, sentence, tree)] for every member != s)."""
         if context is None:
             raise EmptyContext("retrieval oracle requires a cluster context")
         if context.trees is None:
@@ -86,12 +88,39 @@ class RetrievalOracleGenerator:
             raise EmptyContext(
                 f"sentence is not a member of cluster {context.cluster_id!r}"
             ) from None
-        tree_s = context.trees[s_idx]
         members = [(i, t, context.trees[i]) for i, t in enumerate(context.sentences) if t != s]
         if not members:
             raise EmptyContext(f"cluster {context.cluster_id!r} has no candidate other than the input")
-        qualities = self.quality.pair_qualities([(s, t, tree_s, tree_t) for _, t, tree_t in members])
-        return [(*member, q) for member, q in zip(members, raise_first_failure(qualities))]
+        return context.trees[s_idx], members
+
+    def candidate_tables(self, groups: list[tuple[str, Cluster | None]]) -> list[list | QcpgError]:
+        """One candidate table, or the failure it met, per (sentence, context), in order.
+
+        The members of every valid group are measured in one batch, so an
+        external scorer starts one process for all of them. A group fails
+        with its own EmptyContext or with the first failure among its
+        members' qualities; a scorer process failure fails every group
+        that reached the batch.
+        """
+        tables: list = [None] * len(groups)
+        keys, spans = [], []
+        for g, (s, context) in enumerate(groups):
+            try:
+                tree_s, members = self._members(s, context)
+            except QcpgError as exc:
+                tables[g] = exc
+                continue
+            spans.append((g, members, len(keys)))
+            keys += [(s, t, tree_s, tree_t) for _, t, tree_t in members]
+        qualities = self.quality.pair_qualities(keys)
+        for g, members, start in spans:
+            try:
+                group = raise_first_failure(qualities[start:start + len(members)])
+            except QcpgError as exc:
+                tables[g] = exc
+                continue
+            tables[g] = [(*member, q) for member, q in zip(members, group)]
+        return tables
 
     def _noise(self, s: str, controls: list[ControlVector], k: int):
         """Perturbation of the k candidate qualities, per control; none here."""
@@ -101,17 +130,19 @@ class RetrievalOracleGenerator:
         return raise_first_failure(self.generate_batch([(s, c, context)]))[0]
 
     def generate_batch(self, requests: list[Request]) -> list[str | QcpgError]:
-        """One candidate table per (sentence, context), one argmin over its controls."""
+        """One candidate table per (sentence, context), one argmin over its controls.
+
+        The tables of the whole batch are measured in one scorer batch.
+        """
         out: list = [None] * len(requests)
         groups: dict[tuple[str, int], list[int]] = {}
         for i, (s, _, context) in enumerate(requests):
             groups.setdefault((s, id(context)), []).append(i)
-        for (s, _), members in groups.items():
-            try:
-                candidates = self.candidate_qualities(s, requests[members[0]][2])
-            except QcpgError as exc:
+        tables = self.candidate_tables([(s, requests[members[0]][2]) for (s, _), members in groups.items()])
+        for ((s, _), members), candidates in zip(groups.items(), tables):
+            if isinstance(candidates, QcpgError):
                 for i in members:
-                    out[i] = exc
+                    out[i] = candidates
                 continue
             controls = [requests[i][1] for i in members]
             q = np.array([cand[3].as_tuple() for cand in candidates], dtype=np.float64)

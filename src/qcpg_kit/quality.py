@@ -136,16 +136,18 @@ def quality_vector(
     tree_t: ParseTree | FlatTree,
     scorer: SemanticScorer = DEFAULT_SCORER,
     raw: float | None = None,
+    syn: float | None = None,
 ) -> QualityVector:
     """Measure the full 3-D quality of ``t`` as a paraphrase of ``s``.
 
     A tree may also be given as its :func:`~qcpg_kit.trees.syntactic_form`.
     ``raw``, when given, is the pair's raw semantic score, already
-    computed, and ``scorer`` is not asked.
+    computed, and ``scorer`` is not asked; ``syn``, when given, is the
+    trees' syntactic distance, already computed.
     """
     return QualityVector(
         semantic_similarity(scorer.raw(s, t) if raw is None else raw),
-        syntactic_distance(tree_s, tree_t),
+        syntactic_distance(tree_s, tree_t) if syn is None else syn,
         lexical_distance(s, t),
     )
 
@@ -161,14 +163,20 @@ class QualityComputer:
     offset; caching by the pair's text makes those lookups free. Tree
     arguments are bracketed strings so the cache key is hashable and the
     parse, and the syntactic form derived from it, are computed once per
-    tree string. The pairs a batch misses share one scorer call, so an
-    external scorer starts one process per batch, not per pair.
+    tree string. Equal forms are interned to one object, and the
+    syntactic distance is computed once per distinct (form, form) pair:
+    pruned and token-stripped, many sentences share one template. The
+    pairs a batch misses share one scorer call, so an external scorer
+    starts one process per batch, not per pair.
     """
 
     def __init__(self, scorer: SemanticScorer = DEFAULT_SCORER):
         self.scorer = scorer
         self._trees: dict[str, ParseTree] = {}
         self._forms: dict[str, FlatTree] = {}
+        # postorder labels and leftmost leaves fix a form exactly
+        self._interned: dict[tuple[tuple[str, ...], tuple[int, ...]], FlatTree] = {}
+        self._syn: dict[tuple[FlatTree, FlatTree], float] = {}
         self._pairs: dict[PairKey, QualityVector] = {}
 
     def tree(self, text: str) -> ParseTree:
@@ -178,9 +186,12 @@ class QualityComputer:
         return cached
 
     def _form(self, text: str) -> FlatTree:
+        """The tree's syntactic form, the same object for every tree of that form."""
         cached = self._forms.get(text)
         if cached is None:
-            cached = self._forms[text] = syntactic_form(self.tree(text))
+            form = syntactic_form(self.tree(text))
+            cached = self._interned.setdefault((tuple(form.labels), tuple(form.lml)), form)
+            self._forms[text] = cached
         return cached
 
     def pair_quality(self, s: str, t: str, tree_s: str, tree_t: str) -> QualityVector:
@@ -218,7 +229,10 @@ class QualityComputer:
             else:
                 for (key, (form_s, form_t)), raw in zip(forms.items(), raws):
                     try:
-                        q = quality_vector(key[0], key[1], form_s, form_t, raw=raw)
+                        syn = self._syn.get((form_s, form_t))
+                        if syn is None:
+                            syn = self._syn[form_s, form_t] = syntactic_distance(form_s, form_t)
+                        q = quality_vector(key[0], key[1], form_s, form_t, raw=raw, syn=syn)
                         results[key] = self._pairs[key] = q
                     except QcpgError as exc:
                         results[key] = exc

@@ -8,7 +8,10 @@ import pytest
 from qcpg_kit import (
     Cluster,
     GeneratorSpec,
+    Offset,
+    QualityComputer,
     SelectionConstraint,
+    SemanticScorer,
     apply_offset,
     default_grid,
     dev_items,
@@ -29,6 +32,7 @@ from qcpg_kit import (
     write_pairs_tsv,
 )
 from qcpg_kit.cli import main
+from qcpg_kit.generators import build_generator
 
 from stub_counting_scorer import raw_score as stub_raw
 
@@ -441,6 +445,28 @@ class TestExternalScorerBatching:
         count, scorer = self.scorer(tmp_path)
         assert run(["eval", *systems, *scorer, "--out", tmp_path / "report.tsv"]) == 0
         assert self.starts(count) == 1
+
+    @pytest.mark.parametrize("generator", ["retrieval_oracle", "noisy_oracle"])
+    def test_oracle_generate_starts_one_process(self, corpus, corpus_file, model_file, tmp_path, generator):
+        count, scorer = self.scorer(tmp_path)
+        out = tmp_path / "generated.tsv"
+        assert run(
+            [
+                "generate", "--clusters", corpus_file, "--model", model_file, "--generator", generator,
+                "--noise-std", "10", "--offset", "0,10,10", *scorer, "--out", out,
+            ]
+        ) == 0
+        assert self.starts(count) == 1
+        # the same outputs as one generation (and one scorer batch) per sentence
+        command = scorer[-1].replace(str(count), str(tmp_path / "per_sentence_starts"))
+        spec = GeneratorSpec(kind=generator, noise_std=10.0)
+        gen = build_generator(spec, quality=QualityComputer(SemanticScorer(kind="external_command", command=command)))
+        model = load_model(model_file)
+        expected = [
+            gen.generate(s, apply_offset(predict(model, s), Offset(0, 10, 10)), cluster)
+            for cluster in corpus for s in cluster.sentences
+        ]
+        assert [p.target for p in read_pairs_tsv(out)] == expected
 
     def grid(self, corpus_file, model_file, tmp_path, generator, scorer, *extra):
         heat = tmp_path / f"heat_{generator}_{len(extra)}.csv"

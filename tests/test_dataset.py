@@ -66,6 +66,22 @@ class TestLoadClusters:
         path.write_text('\n{"cluster_id": "a", "sentences": ["x"]}\n\n', encoding="utf-8")
         assert len(load_clusters(path)) == 1
 
+    def test_only_newline_ends_a_record(self, tmp_path):
+        # a lone \r is JSON whitespace inside a record; \r\n ends one
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(
+            b'{"cluster_id": "a",\r"sentences": ["x"]}\r\n'
+            b'\r\n'
+            b'{"cluster_id": "b", "sentences": ["y\xe2\x80\xa8z"]}\n'
+            b'{"cluster_id": "c",\r"sentences": [1]}\n'
+        )
+        with pytest.raises(MalformedRecord) as exc:
+            load_clusters(path)
+        assert exc.value.line == 4
+        path.write_bytes(path.read_bytes().rsplit(b"\n", 2)[0] + b"\n")
+        clusters = load_clusters(path)
+        assert [(c.cluster_id, c.sentences) for c in clusters] == [("a", ["x"]), ("b", ["y\u2028z"])]
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"cluster_id": "a"\n', encoding="utf-8")

@@ -9,12 +9,13 @@ from qcpg_kit import (
     ControlVector,
     GeneratorSpec,
     QualityComputer,
+    SemanticScorer,
     decode_control,
     external_generate,
     generate,
     paraphrase_corpus,
 )
-from qcpg_kit.errors import EmptyContext, ProtocolError, QcpgError, SpawnFailure
+from qcpg_kit.errors import EmptyContext, NonFiniteValue, ProtocolError, QcpgError, SpawnFailure
 from qcpg_kit.generators import (
     ExternalCommandGenerator,
     IdentityGenerator,
@@ -25,6 +26,7 @@ from qcpg_kit.generators import (
 
 
 COUNTING_STUB = Path(__file__).with_name("stub_counting_generator.py")
+COUNTING_SCORER = Path(__file__).with_name("stub_counting_scorer.py")
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +280,41 @@ class TestGenerateBatch:
         assert gen.generate_batch(requests) == expected
         order = np.random.default_rng(139).permutation(len(requests))
         assert gen.generate_batch([requests[k] for k in order]) == [expected[k] for k in order]
+
+    def oracle_with_counting_scorer(self, tmp_path, *options, name="scorer_starts"):
+        count = tmp_path / name
+        command = " ".join([sys.executable, str(COUNTING_SCORER), str(count), *options])
+        return count, RetrievalOracleGenerator(QualityComputer(SemanticScorer(kind="external_command", command=command)))
+
+    def test_one_scorer_batch_for_every_group(self, tmp_path):
+        a, b = paraphrase_corpus(n_clusters=2, cluster_size=4, seed=27)
+        singleton = Cluster("s", ["only one"], trees=["(A)"])
+        requests = random_requests(a, 6, seed=149) + [("only one", ControlVector(0, 0, 0), singleton)]
+        requests += random_requests(b, 6, seed=151)
+        count, gen = self.oracle_with_counting_scorer(tmp_path)
+        batch = gen.generate_batch(requests)
+        assert len(count.read_text(encoding="utf-8").splitlines()) == 1
+        _, per_request = self.oracle_with_counting_scorer(tmp_path, name="per_request_starts")
+        for (s, c, context), out in zip(requests, batch):
+            try:
+                expected = per_request.generate(s, c, context)
+            except EmptyContext as exc:
+                assert type(out) is EmptyContext and str(out) == str(exc)
+            else:
+                assert out == expected
+
+    def test_scorer_failure_fails_every_group_nan_only_its_own(self, tmp_path):
+        a, b = paraphrase_corpus(n_clusters=2, cluster_size=4, seed=27)
+        word = a.sentences[0].split()[-1]  # in members 0-2 of a, nowhere in b
+        assert [word in t.split() for t in a.sentences + b.sentences] == [True] * 3 + [False] * 5
+        c = ControlVector(50, 50, 50)
+        requests = [(a.sentences[0], c, a), (a.sentences[3], c, a), (b.sentences[0], c, b)]
+        _, gen = self.oracle_with_counting_scorer(tmp_path, "--exit-on", word)
+        assert all(isinstance(out, ProtocolError) for out in gen.generate_batch(requests))
+        _, gen = self.oracle_with_counting_scorer(tmp_path, "--nan-on", word)
+        out = gen.generate_batch(requests)
+        assert isinstance(out[0], NonFiniteValue)
+        assert isinstance(out[1], str) and isinstance(out[2], str)
 
     def test_empty_batch(self, tmp_path):
         count = tmp_path / "starts"

@@ -193,6 +193,58 @@ class TestQualityComputer:
         assert computer.tree("(A (B))") is computer.tree("(A (B))")
 
 
+class TestSyntacticMemo:
+    PAIRS = extract_pairs(paraphrase_corpus(20, 6, seed=3, length_jitter=8), ALL_ORDERED)
+
+    @staticmethod
+    def counting_distance(monkeypatch):
+        syntactic_distance = qcpg_kit.quality.syntactic_distance
+        calls = Counter()
+
+        def counting(a, b, *args):
+            calls[a, b] += 1
+            return syntactic_distance(a, b, *args)
+
+        monkeypatch.setattr(qcpg_kit.quality, "syntactic_distance", counting)
+        return calls
+
+    def test_equal_forms_are_one_object(self):
+        computer = QualityComputer()
+        cat = computer._form("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
+        dog = computer._form("(S (NP (DT a) (NN dog)) (VP (VBD ran)))")
+        assert cat is dog
+        assert computer._form("(S (NP (DT a) (NN dog)) (VP (VBD ran) (RB away)))") is not cat
+
+    def test_forms_are_interned_by_pruned_stripped_tree(self):
+        computer = QualityComputer()
+        trees = sorted({p.source_tree for p in self.PAIRS})
+        shapes = {tree: strip_tokens(prune_to_level(parse_bracketed(tree), 3)) for tree in trees}
+        for a, b in itertools.combinations(trees, 2):
+            assert (computer._form(a) is computer._form(b)) == (shapes[a] == shapes[b])
+        assert len({id(computer._form(tree)) for tree in trees}) == len(set(shapes.values())) < len(trees)
+
+    def test_one_distance_per_distinct_form_pair(self, monkeypatch):
+        calls = self.counting_distance(monkeypatch)
+        computer = QualityComputer()
+        keys = _keys(self.PAIRS)
+        qualities = computer.pair_qualities(keys)
+        form_pairs = {(computer._form(ts), computer._form(tt)) for _, _, ts, tt in keys}
+        assert set(calls) == form_pairs
+        assert list(calls.values()) == [1] * len(form_pairs)
+        assert len(form_pairs) < len(keys)
+        assert qualities == [reference_quality(*key) for key in keys]
+
+    def test_computers_share_no_memo(self, monkeypatch):
+        calls = self.counting_distance(monkeypatch)
+        keys = _keys(self.PAIRS[:40])
+        first, second = QualityComputer(), QualityComputer()
+        first.pair_qualities(keys)
+        n = sum(calls.values())
+        assert second.pair_qualities(keys) == first.pair_qualities(keys)
+        assert sum(calls.values()) == 2 * n
+        assert first._form(keys[0][2]) is not second._form(keys[0][2])
+
+
 def _keys(pairs):
     return [(p.source, p.target, p.source_tree, p.target_tree) for p in pairs]
 

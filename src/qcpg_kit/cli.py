@@ -179,10 +179,19 @@ def _pair_trees(pairs, args):
         yield pair, src, tgt
 
 
+def _write_output(args, config, text: str) -> int:
+    """Write a command's text output to --out, or to stdout without one."""
+    out_path = _resolve(args, config, "out")
+    if out_path:
+        Path(out_path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def cmd_score(args, config) -> int:
     pairs = read_pairs_tsv(args.pairs)
     computer = QualityComputer(_scorer_from(args, config))
-    out_path = _resolve(args, config, "out")
     parsed = []
     for pair, tree_s, tree_t in _pair_trees(pairs, args):
         if tree_s is None or tree_t is None:
@@ -204,11 +213,7 @@ def cmd_score(args, config) -> int:
         fields += [f"{q.sem:.2f}", f"{q.syn:.2f}", f"{q.lex:.2f}"]
         lines.append("\t".join(fields))
     text = "\n".join(lines) + "\n"
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(args, config, text)
 
 
 def cmd_split(args, config) -> int:
@@ -270,12 +275,7 @@ def cmd_predict_qp(args, config) -> int:
         r = predict(model, s)
         lines.append(f"{s}\t{r.sem:.4f}\t{r.syn:.4f}\t{r.lex:.4f}")
     text = "\n".join(lines) + "\n"
-    out_path = _resolve(args, config, "out")
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(args, config, text)
 
 
 def _grid_dev_items(args, config):
@@ -313,12 +313,7 @@ def cmd_select(args, config) -> int:
         "diversity": point.diversity,
     }
     text = json.dumps(payload, indent=2) + "\n"
-    out_path = _resolve(args, config, "out")
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(args, config, text)
 
 
 def cmd_generate(args, config) -> int:
@@ -369,12 +364,7 @@ def cmd_eval(args, config) -> int:
         references = read_lines(args.references)
     report = evaluate_systems(systems, sources, source_trees, references, _scorer_from(args, config))
     text = report.to_tsv()
-    out_path = _resolve(args, config, "out")
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(args, config, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

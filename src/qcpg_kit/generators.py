@@ -24,7 +24,8 @@ from .dataset import Cluster
 from .errors import EmptyContext, ProtocolError, QcpgError, raise_first_failure
 from .quality import ControlVector, QualityComputer, prepend_control
 from .semantic import DEFAULT_SCORER, SemanticScorer, run_line_protocol, sanitize_line_field
-from .util import rng_for
+# rng_for is no longer called here, but bench/tracing.py spans this binding.
+from .util import as_entropy, keyed_generators, philox_keys, rng_for  # noqa: F401
 
 IDENTITY = "identity"
 RETRIEVAL_ORACLE = "retrieval_oracle"
@@ -122,9 +123,9 @@ class RetrievalOracleGenerator:
             tables[g] = [(*member, q) for member, q in zip(members, group)]
         return tables
 
-    def _noise(self, s: str, controls: list[ControlVector], k: int):
-        """Perturbation of the k candidate qualities, per control; none here."""
-        return 0.0
+    def _noise(self, groups: list[tuple[str, list[ControlVector], int]]) -> list:
+        """Perturbation of the k candidate qualities per control, for each (s, controls, k) group; none here."""
+        return [0.0] * len(groups)
 
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
         return raise_first_failure(self.generate_batch([(s, c, context)]))[0]
@@ -132,22 +133,26 @@ class RetrievalOracleGenerator:
     def generate_batch(self, requests: list[Request]) -> list[str | QcpgError]:
         """One candidate table per (sentence, context), one argmin over its controls.
 
-        The tables of the whole batch are measured in one scorer batch.
+        The tables of the whole batch are measured in one scorer batch,
+        and the noise of the whole batch is drawn in one ``_noise`` call.
         """
         out: list = [None] * len(requests)
         groups: dict[tuple[str, int], list[int]] = {}
         for i, (s, _, context) in enumerate(requests):
             groups.setdefault((s, id(context)), []).append(i)
         tables = self.candidate_tables([(s, requests[members[0]][2]) for (s, _), members in groups.items()])
+        live = []
         for ((s, _), members), candidates in zip(groups.items(), tables):
             if isinstance(candidates, QcpgError):
                 for i in members:
                     out[i] = candidates
-                continue
-            controls = [requests[i][1] for i in members]
+            else:
+                live.append((s, [requests[i][1] for i in members], members, candidates))
+        noises = self._noise([(s, controls, len(candidates)) for s, controls, _, candidates in live])
+        for (_, controls, members, candidates), noise in zip(live, noises):
             q = np.array([cand[3].as_tuple() for cand in candidates], dtype=np.float64)
             c = np.array([ctl.as_tuple() for ctl in controls], dtype=np.float64)
-            dist = ((q + self._noise(s, controls, len(q)) - c[:, None, :]) ** 2).sum(axis=2)
+            dist = ((q + noise - c[:, None, :]) ** 2).sum(axis=2)
             for i, k in zip(members, dist.argmin(axis=1)):
                 out[i] = candidates[k][1]
         return out
@@ -161,11 +166,22 @@ class NoisyOracleGenerator(RetrievalOracleGenerator):
         self.noise_std = noise_std
         self.seed = seed
 
-    def _noise(self, s: str, controls: list[ControlVector], k: int):
-        return np.array([
-            rng_for(self.seed, "noisy_oracle", s, c.sem, c.syn, c.lex).normal(0.0, self.noise_std, size=(k, 3))
-            for c in controls
-        ])
+    def _noise(self, groups: list[tuple[str, list[ControlVector], int]]) -> list:
+        """Per control, ``rng_for(seed, "noisy_oracle", s, sem, syn, lex).normal(0, std, (k, 3))``.
+
+        The Philox keys of the whole batch come from one ``philox_keys``
+        pass, and each sentence is hashed once.
+        """
+        if not groups:
+            return []
+        seed, tag = as_entropy(self.seed), as_entropy("noisy_oracle")
+        digests = {s: as_entropy(s) for s, _, _ in groups}
+        parts = [(seed, tag, digests[s], *c.as_tuple()) for s, controls, _ in groups for c in controls]
+        streams = keyed_generators(philox_keys(parts))
+        return [
+            np.array([next(streams).normal(0.0, self.noise_std, size=(k, 3)) for _ in controls])
+            for _, controls, k in groups
+        ]
 
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
         return raise_first_failure(self.generate_batch([(s, c, context)]))[0]

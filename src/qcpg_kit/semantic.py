@@ -126,9 +126,7 @@ class SemanticScorer:
             raise ValueError("external_command scorer requires a command string")
 
     def raw(self, s1: str, s2: str) -> float:
-        if self.kind == BUILTIN_TRIGRAM:
-            return builtin_trigram_raw(s1, s2)
-        return external_raw(self.command, [(s1, s2)])[0]
+        return self.raw_batch([(s1, s2)])[0]
 
     def raw_batch(self, pairs: list[tuple[str, str]]) -> list[float]:
         if self.kind == BUILTIN_TRIGRAM:

@@ -15,6 +15,7 @@ from qcpg_kit import (
     generate,
     paraphrase_corpus,
 )
+from qcpg_kit import util
 from qcpg_kit.errors import EmptyContext, NonFiniteValue, ProtocolError, QcpgError, SpawnFailure
 from qcpg_kit.generators import (
     ExternalCommandGenerator,
@@ -23,6 +24,7 @@ from qcpg_kit.generators import (
     RetrievalOracleGenerator,
     build_generator,
 )
+from qcpg_kit.util import rng_for
 
 
 COUNTING_STUB = Path(__file__).with_name("stub_counting_generator.py")
@@ -281,6 +283,25 @@ class TestGenerateBatch:
         order = np.random.default_rng(139).permutation(len(requests))
         assert gen.generate_batch([requests[k] for k in order]) == [expected[k] for k in order]
 
+    def test_noisy_derives_the_keys_of_a_batch_once(self, monkeypatch):
+        a, b = paraphrase_corpus(n_clusters=2, cluster_size=4, seed=27)
+        requests = random_requests(a, 10, seed=157) + random_requests(b, 10, seed=163)
+        assert len({s for s, _, _ in requests}) > 2
+        gen = NoisyOracleGenerator(noise_std=20.0, seed=2**40 + 3)
+        expected = [gen.generate(s, c, context) for s, c, context in requests]
+        passes = []
+        derive = util.seed_sequence_keys
+        monkeypatch.setattr(util, "seed_sequence_keys", lambda words: passes.append(len(words)) or derive(words))
+        assert gen.generate_batch(requests) == expected
+        assert passes == [len(requests)]
+
+    def test_noisy_noise_is_rng_for_per_control(self, cluster):
+        gen = NoisyOracleGenerator(noise_std=7.5, seed=2**40 + 3)
+        groups = [(s, [ControlVector(5, 10, 15), ControlVector(95, 0, 50)], k) for k, s in enumerate(cluster.sentences)]
+        for (s, controls, k), noise in zip(groups, gen._noise(groups)):
+            expected = [rng_for(gen.seed, "noisy_oracle", s, *c.as_tuple()).normal(0.0, 7.5, size=(k, 3)) for c in controls]
+            assert (noise == np.array(expected)).all()
+
     def oracle_with_counting_scorer(self, tmp_path, *options, name="scorer_starts"):
         count = tmp_path / name
         command = " ".join([sys.executable, str(COUNTING_SCORER), str(count), *options])
@@ -321,6 +342,7 @@ class TestGenerateBatch:
         for gen in (
             IdentityGenerator(),
             RetrievalOracleGenerator(),
+            NoisyOracleGenerator(noise_std=1.0),
             ExternalCommandGenerator(f"{sys.executable} {COUNTING_STUB} {count}"),
         ):
             assert gen.generate_batch([]) == []

@@ -27,28 +27,7 @@ from .dataset import (
     split_clusters,
     write_pairs_tsv,
 )
-from .errors import (
-    AllGenerationsFailed,
-    AllTied,
-    DegenerateDesign,
-    EmptyContext,
-    EmptyEvalSet,
-    InsufficientData,
-    LengthMismatch,
-    MalformedControlPrefix,
-    MalformedRecord,
-    MissingTree,
-    MissingZeroPoint,
-    ModelFormatError,
-    NoFeasibleOffset,
-    NonFiniteValue,
-    ProtocolError,
-    QcpgError,
-    SpawnFailure,
-    TreeLengthMismatch,
-    TreeSyntaxError,
-    raise_first_failure,
-)
+from .errors import LengthMismatch, MalformedRecord, MissingTree, QcpgError, raise_first_failure
 from .generators import GENERATOR_KINDS, GeneratorSpec, build_generator
 from .quality import Offset, QualityComputer, QualityVector, apply_offset
 from .reference import evaluate_mse, fit, load_model, predict, save_model
@@ -67,47 +46,16 @@ from .evaluation import evaluate_systems
 
 log = logging.getLogger("qcpg_kit")
 
-_EXIT_CODES = (
-    (NoFeasibleOffset, 6),
-    (
-        (
-            InsufficientData,
-            LengthMismatch,
-            MissingTree,
-            MissingZeroPoint,
-            EmptyContext,
-            EmptyEvalSet,
-            DegenerateDesign,
-            NonFiniteValue,
-            AllTied,
-            AllGenerationsFailed,
-        ),
-        5,
-    ),
-    (
-        (
-            TreeSyntaxError,
-            MalformedRecord,
-            TreeLengthMismatch,
-            ProtocolError,
-            MalformedControlPrefix,
-            ModelFormatError,
-        ),
-        4,
-    ),
-    ((SpawnFailure, OSError), 3),
-)
-
-
 def _exit_code_for(exc: BaseException) -> int:
-    for classes, code in _EXIT_CODES:
-        if isinstance(exc, classes):
-            return code
-    return 5 if isinstance(exc, (QcpgError, ValueError)) else 1
+    if isinstance(exc, QcpgError):
+        return exc.exit_code
+    if isinstance(exc, OSError):
+        return 3
+    return 5 if isinstance(exc, ValueError) else 1
 
 
 def _load_config(path: str | None) -> dict[str, str]:
-    """key=value lines; '#' starts a comment; flags override these values."""
+    """key=value lines keyed by option dest; '#' starts a comment; flags override these values."""
     if not path:
         return {}
     config = {}
@@ -122,35 +70,18 @@ def _load_config(path: str | None) -> dict[str, str]:
     return config
 
 
-def _resolve(args, config: dict[str, str], key: str, default=None, cast=str):
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return cast(config[key])
-    return default
-
-
-def _scorer_from(args, config) -> SemanticScorer:
-    kind = _resolve(args, config, "scorer", BUILTIN_TRIGRAM)
-    command = _resolve(args, config, "scorer_command")
+def _scorer_from(args) -> SemanticScorer:
+    kind = args.scorer
     if kind == "builtin":
         kind = BUILTIN_TRIGRAM
     if kind == "external":
         kind = EXTERNAL_COMMAND
-    return SemanticScorer(kind=kind, command=command)
+    return SemanticScorer(kind=kind, command=args.scorer_command)
 
 
-def _generator_from(args, config, seed: int) -> GeneratorSpec:
-    kind = _resolve(args, config, "generator", "identity")
-    if kind == "external":
-        kind = EXTERNAL_COMMAND
-    return GeneratorSpec(
-        kind=kind,
-        noise_std=_resolve(args, config, "noise_std", cast=float),
-        command=_resolve(args, config, "generator_command"),
-        seed=seed,
-    )
+def _generator_from(args) -> GeneratorSpec:
+    kind = EXTERNAL_COMMAND if args.generator == "external" else args.generator
+    return GeneratorSpec(kind=kind, noise_std=args.noise_std, command=args.generator_command, seed=args.seed)
 
 
 def _parse_grid_spec(text: str) -> list[Offset]:
@@ -169,6 +100,22 @@ def _parse_offset(text: str) -> Offset:
     return Offset(sem, syn, lex)
 
 
+def _read_operation_point(path) -> Offset:
+    """The offset of a `select` JSON file: ``{"offset": {"sem": x, "syn": y, "lex": z}, ...}``."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(f"operation point is not JSON: {exc.msg}", line=exc.lineno) from None
+    offset = payload.get("offset") if isinstance(payload, dict) else None
+    if not (
+        isinstance(offset, dict)
+        and sorted(offset) == ["lex", "sem", "syn"]
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in offset.values())
+    ):
+        raise MalformedRecord('operation point needs "offset" with numeric "sem", "syn" and "lex" only', line=1)
+    return Offset(**offset)
+
+
 def _pair_trees(pairs, args):
     """Yield (pair, source_tree, target_tree); None where no parse exists."""
     side_src = read_tree_sidecar(args.source_trees) if args.source_trees else None
@@ -179,19 +126,18 @@ def _pair_trees(pairs, args):
         yield pair, src, tgt
 
 
-def _write_output(args, config, text: str) -> int:
+def _write_output(args, text: str) -> int:
     """Write a command's text output to --out, or to stdout without one."""
-    out_path = _resolve(args, config, "out")
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0
 
 
-def cmd_score(args, config) -> int:
+def cmd_score(args) -> int:
     pairs = read_pairs_tsv(args.pairs)
-    computer = QualityComputer(_scorer_from(args, config))
+    computer = QualityComputer(_scorer_from(args))
     parsed = []
     for pair, tree_s, tree_t in _pair_trees(pairs, args):
         if tree_s is None or tree_t is None:
@@ -213,18 +159,16 @@ def cmd_score(args, config) -> int:
         fields += [f"{q.sem:.2f}", f"{q.syn:.2f}", f"{q.lex:.2f}"]
         lines.append("\t".join(fields))
     text = "\n".join(lines) + "\n"
-    return _write_output(args, config, text)
+    return _write_output(args, text)
 
 
-def cmd_split(args, config) -> int:
-    clusters = load_clusters(_resolve(args, config, "clusters"))
-    sizes = tuple(int(v) for v in _resolve(args, config, "sizes").split(","))
+def cmd_split(args) -> int:
+    clusters = load_clusters(args.clusters)
+    sizes = tuple(int(v) for v in args.sizes.split(","))
     if len(sizes) != 3:
         raise ValueError("--sizes must be train,dev,test pair counts")
-    seed = _resolve(args, config, "seed", 42, cast=int)
-    mode = _resolve(args, config, "mode", ALL_UNORDERED)
-    split = split_clusters(clusters, sizes, seed=seed, mode=mode)
-    out_dir = Path(_resolve(args, config, "out", "."))
+    split = split_clusters(clusters, sizes, seed=args.seed, mode=args.mode)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, pairs in (("train", split.train), ("dev", split.dev), ("test", split.test)):
         write_pairs_tsv(pairs, out_dir / f"{name}.tsv")
@@ -255,11 +199,10 @@ def _read_scored_tsv(path) -> list[tuple[str, QualityVector]]:
     return samples
 
 
-def cmd_train_qp(args, config) -> int:
+def cmd_train_qp(args) -> int:
     samples = _read_scored_tsv(args.pairs)
-    lam = _resolve(args, config, "lam", 1.0, cast=float)
-    model = fit(samples, lam=lam)
-    save_model(model, _resolve(args, config, "out", "qp-model.json"))
+    model = fit(samples, lam=args.lam)
+    save_model(model, args.out)
     eval_samples = _read_scored_tsv(args.dev) if args.dev else samples
     which = "dev" if args.dev else "train"
     mse = evaluate_mse(model, eval_samples)
@@ -267,45 +210,34 @@ def cmd_train_qp(args, config) -> int:
     return 0
 
 
-def cmd_predict_qp(args, config) -> int:
-    model = load_model(_resolve(args, config, "model"))
+def cmd_predict_qp(args) -> int:
+    model = load_model(args.model)
     sentences = read_lines(args.sentences)
     lines = ["sentence\tr_sem\tr_syn\tr_lex"]
     for s in sentences:
         r = predict(model, s)
         lines.append(f"{s}\t{r.sem:.4f}\t{r.syn:.4f}\t{r.lex:.4f}")
     text = "\n".join(lines) + "\n"
-    return _write_output(args, config, text)
+    return _write_output(args, text)
 
 
-def _grid_dev_items(args, config):
-    clusters = load_clusters(_resolve(args, config, "clusters"))
-    from .synthetic import dev_items as flatten
+def cmd_grid(args) -> int:
+    from .synthetic import dev_items
 
-    per_cluster = _resolve(args, config, "per_cluster", cast=int)
-    limit = _resolve(args, config, "max_dev_items", cast=int)
-    return flatten(clusters, per_cluster=per_cluster, limit=limit)
-
-
-def cmd_grid(args, config) -> int:
-    seed = _resolve(args, config, "seed", 42, cast=int)
-    scorer = _scorer_from(args, config)
-    gen = _generator_from(args, config, seed)
-    model = load_model(_resolve(args, config, "model"))
-    grid = _parse_grid_spec(_resolve(args, config, "grid", "0:5:50"))
-    dev = _grid_dev_items(args, config)
+    scorer = _scorer_from(args)
+    gen = _generator_from(args)
+    model = load_model(args.model)
+    grid = _parse_grid_spec(args.grid)
+    dev = dev_items(load_clusters(args.clusters), per_cluster=args.per_cluster, limit=args.max_dev_items)
     result = grid_search(gen, model, dev, grid=grid, scorer=scorer)
-    export_heatmap_csv(result, _resolve(args, config, "out", "heatmap.csv"))
+    export_heatmap_csv(result, args.out)
     log.info("evaluated %d offsets over %d dev sentences", len(result.offsets), len(dev))
     return 0
 
 
-def cmd_select(args, config) -> int:
-    result = read_heatmap_csv(_resolve(args, config, "heatmap"))
-    constraint = SelectionConstraint(
-        baseline_sem=_resolve(args, config, "baseline_sem", cast=float),
-        min_sem_advantage=_resolve(args, config, "margin", 5.0, cast=float),
-    )
+def cmd_select(args) -> int:
+    result = read_heatmap_csv(args.heatmap)
+    constraint = SelectionConstraint(baseline_sem=args.baseline_sem, min_sem_advantage=args.margin)
     point = select_operation_point(result, constraint)
     payload = {
         "offset": dict(zip(("sem", "syn", "lex"), point.offset.as_tuple())),
@@ -313,20 +245,15 @@ def cmd_select(args, config) -> int:
         "diversity": point.diversity,
     }
     text = json.dumps(payload, indent=2) + "\n"
-    return _write_output(args, config, text)
+    return _write_output(args, text)
 
 
-def cmd_generate(args, config) -> int:
-    seed = _resolve(args, config, "seed", 42, cast=int)
-    scorer = _scorer_from(args, config)
-    spec = _generator_from(args, config, seed)
-    model = load_model(_resolve(args, config, "model"))
-    if args.operation_point:
-        payload = json.loads(Path(args.operation_point).read_text(encoding="utf-8"))
-        o = Offset(**payload["offset"])
-    else:
-        o = _parse_offset(_resolve(args, config, "offset", "0,0,0"))
-    clusters = load_clusters(_resolve(args, config, "clusters"))
+def cmd_generate(args) -> int:
+    scorer = _scorer_from(args)
+    spec = _generator_from(args)
+    model = load_model(args.model)
+    o = _read_operation_point(args.operation_point) if args.operation_point else _parse_offset(args.offset)
+    clusters = load_clusters(args.clusters)
     generator = build_generator(spec, scorer, quality=QualityComputer(scorer))
     items = [(s, cluster, cluster.trees[i] if cluster.trees else None)
              for cluster in clusters for i, s in enumerate(cluster.sentences)]
@@ -337,12 +264,12 @@ def cmd_generate(args, config) -> int:
             log.warning("generation failed for %r: %s", s[:40], t)
             continue
         rows.append(SentencePair(s, t, cluster.cluster_id, tree_s, resolve_target_tree(t, s, cluster, tree_s)))
-    write_pairs_tsv(rows, _resolve(args, config, "out", "generated.tsv"))
+    write_pairs_tsv(rows, args.out)
     log.info("generated %d paraphrases at offset %s", len(rows), o.as_tuple())
     return 0
 
 
-def cmd_eval(args, config) -> int:
+def cmd_eval(args) -> int:
     systems = []
     sources = source_trees = None
     for item in args.system:
@@ -362,95 +289,94 @@ def cmd_eval(args, config) -> int:
     references = None
     if args.references:
         references = read_lines(args.references)
-    report = evaluate_systems(systems, sources, source_trees, references, _scorer_from(args, config))
+    report = evaluate_systems(systems, sources, source_trees, references, _scorer_from(args))
     text = report.to_tsv()
-    return _write_output(args, config, text)
+    return _write_output(args, text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcpg-kit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qcpg-kit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key=value config file; flags win")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--scorer", choices=["builtin", "external", BUILTIN_TRIGRAM, EXTERNAL_COMMAND])
-        p.add_argument("--scorer-command", dest="scorer_command")
-        p.add_argument("--out")
+    def option(p, *flags, **kwargs) -> argparse.Action:
+        """Add an option; a config value under its dest becomes its default, converted by its type."""
+        action = p.add_argument(*flags, **kwargs)
+        if action.dest in config:
+            value = config[action.dest]
+            action.default = action.type(value) if action.type else value
+            action.required = False
+        return action
 
-    p = sub.add_parser("score", help="append quality columns to a pairs TSV")
-    common(p)
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--source-trees", dest="source_trees", help="tree sidecar for sources")
-    p.add_argument("--target-trees", dest="target_trees", help="tree sidecar for targets")
-    p.set_defaults(func=cmd_score)
+    def command(name, func, out, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="key=value file of option defaults, keyed by dest; flags win")
+        option(p, "--seed", type=int, default=42)
+        scorers = ["builtin", "external", BUILTIN_TRIGRAM, EXTERNAL_COMMAND]
+        option(p, "--scorer", choices=scorers, default=BUILTIN_TRIGRAM)
+        option(p, "--scorer-command")
+        option(p, "--out", default=out)
+        return p
 
-    p = sub.add_parser("split", help="leak-free train/dev/test split of a cluster file")
-    common(p)
-    p.add_argument("--clusters")
-    p.add_argument("--sizes", help="train,dev,test pair quotas")
-    p.add_argument("--mode", choices=PAIR_MODES)
-    p.set_defaults(func=cmd_split)
+    def generation(p):
+        option(p, "--clusters", required=True, help="clusters JSONL (with trees)")
+        option(p, "--model", required=True, help="reference predictor JSON")
+        option(p, "--generator", choices=["external", *GENERATOR_KINDS], default="identity")
+        option(p, "--generator-command")
+        option(p, "--noise-std", type=float)
 
-    p = sub.add_parser("train-qp", help="fit the reference predictor on scored pairs")
-    common(p)
-    p.add_argument("--pairs", required=True, help="scored TSV from `score`")
-    p.add_argument("--dev", help="scored TSV for held-out MSE reporting")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.set_defaults(func=cmd_train_qp)
+    p = command("score", cmd_score, None, "append quality columns to a pairs TSV")
+    option(p, "--pairs", required=True)
+    option(p, "--source-trees", help="tree sidecar for sources")
+    option(p, "--target-trees", help="tree sidecar for targets")
 
-    p = sub.add_parser("predict-qp", help="predict reference quality for sentences")
-    common(p)
-    p.add_argument("--model")
-    p.add_argument("--sentences", required=True, help="one sentence per line")
-    p.set_defaults(func=cmd_predict_qp)
+    p = command("split", cmd_split, ".", "leak-free train/dev/test split of a cluster file")
+    option(p, "--clusters", required=True)
+    option(p, "--sizes", required=True, help="train,dev,test pair quotas")
+    option(p, "--mode", choices=PAIR_MODES, default=ALL_UNORDERED)
 
-    p = sub.add_parser("grid", help="run the offset grid search, export heatmap CSV")
-    common(p)
-    p.add_argument("--clusters", help="dev clusters JSONL (with trees)")
-    p.add_argument("--model", help="reference predictor JSON")
-    p.add_argument("--generator", choices=["external", *GENERATOR_KINDS])
-    p.add_argument("--generator-command", dest="generator_command")
-    p.add_argument("--noise-std", dest="noise_std", type=float)
-    p.add_argument("--grid", help="lo:step:hi per dimension (default 0:5:50)")
-    p.add_argument("--per-cluster", dest="per_cluster", type=int, help="dev sentences per cluster")
-    p.add_argument("--max-dev-items", dest="max_dev_items", type=int)
-    p.set_defaults(func=cmd_grid)
+    p = command("train-qp", cmd_train_qp, "qp-model.json", "fit the reference predictor on scored pairs")
+    option(p, "--pairs", required=True, help="scored TSV from `score`")
+    option(p, "--dev", help="scored TSV for held-out MSE reporting")
+    option(p, "--lambda", dest="lam", type=float, default=1.0)
 
-    p = sub.add_parser("select", help="pick the operation point from a heatmap CSV")
-    common(p)
-    p.add_argument("--heatmap", required=True)
-    p.add_argument("--baseline-sem", dest="baseline_sem", type=float)
-    p.add_argument("--margin", type=float, help="required semantic advantage (default 5)")
-    p.set_defaults(func=cmd_select)
+    p = command("predict-qp", cmd_predict_qp, None, "predict reference quality for sentences")
+    option(p, "--model", required=True)
+    option(p, "--sentences", required=True, help="one sentence per line")
 
-    p = sub.add_parser("generate", help="paraphrase cluster sentences at an offset")
-    common(p)
-    p.add_argument("--clusters")
-    p.add_argument("--model")
-    p.add_argument("--generator", choices=["external", *GENERATOR_KINDS])
-    p.add_argument("--generator-command", dest="generator_command")
-    p.add_argument("--noise-std", dest="noise_std", type=float)
-    p.add_argument("--offset", help="sem,syn,lex")
-    p.add_argument("--operation-point", dest="operation_point", help="JSON from `select`")
-    p.set_defaults(func=cmd_generate)
+    p = command("grid", cmd_grid, "heatmap.csv", "run the offset grid search, export heatmap CSV")
+    generation(p)
+    option(p, "--grid", default="0:5:50", help="lo:step:hi per dimension (default %(default)s)")
+    option(p, "--per-cluster", type=int, help="dev sentences per cluster")
+    option(p, "--max-dev-items", type=int)
 
-    p = sub.add_parser("eval", help="compare systems: quality, Self-BLEU, BLEU")
-    common(p)
+    p = command("select", cmd_select, None, "pick the operation point from a heatmap CSV")
+    option(p, "--heatmap", required=True)
+    option(p, "--baseline-sem", type=float, required=True)
+    option(p, "--margin", type=float, default=5.0, help="required semantic advantage (default %(default)s)")
+
+    p = command("generate", cmd_generate, "generated.tsv", "paraphrase cluster sentences at an offset")
+    generation(p)
+    option(p, "--offset", default="0,0,0", help="sem,syn,lex")
+    option(p, "--operation-point", help="JSON from `select`")
+
+    p = command("eval", cmd_eval, None, "compare systems: quality, Self-BLEU, BLEU")
     p.add_argument("--system", action="append", required=True, help="name=pairs.tsv (with trees)")
-    p.add_argument("--references", help="one reference per line, aligned with sources")
-    p.set_defaults(func=cmd_eval)
+    option(p, "--references", help="one reference per line, aligned with sources")
 
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    args = _build_parser().parse_args(argv)
+    # --config is read first: its values become the option defaults of the one real parse
+    pre = argparse.ArgumentParser(prog="qcpg-kit", add_help=False)
+    pre.add_argument("--config")
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
+        config = _load_config(pre.parse_known_args(argv)[0].config)
+        args = _build_parser(config).parse_args(argv)
+        return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single boundary mapping errors to exit codes
         log.error("%s: %s", type(exc).__name__, exc)
         return _exit_code_for(exc)

@@ -67,36 +67,34 @@ def load_clusters(path) -> list[Cluster]:
     inside its record.
     """
     clusters = []
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.removesuffix("\n").removesuffix("\r")
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"invalid JSON: {exc.msg}", line=lineno) from None
-            if not isinstance(rec, dict):
-                raise MalformedRecord("record is not a JSON object", line=lineno)
-            cid = rec.get("cluster_id")
-            sentences = rec.get("sentences")
-            if not isinstance(cid, str) or not cid:
-                raise MalformedRecord("missing or invalid 'cluster_id'", line=lineno)
-            if (
-                not isinstance(sentences, list)
-                or not sentences
-                or not all(isinstance(s, str) for s in sentences)
-            ):
-                raise MalformedRecord("missing or invalid 'sentences'", line=lineno)
-            trees = rec.get("trees")
-            if trees is not None:
-                if not isinstance(trees, list) or not all(isinstance(t, str) for t in trees):
-                    raise MalformedRecord("'trees' must be a list of strings", line=lineno)
-                if len(trees) != len(sentences):
-                    raise TreeLengthMismatch(
-                        f"{len(trees)} trees for {len(sentences)} sentences", line=lineno
-                    )
-            clusters.append(Cluster(cid, list(sentences), list(trees) if trees else None))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(f"invalid JSON: {exc.msg}", line=lineno) from None
+        if not isinstance(rec, dict):
+            raise MalformedRecord("record is not a JSON object", line=lineno)
+        cid = rec.get("cluster_id")
+        sentences = rec.get("sentences")
+        if not isinstance(cid, str) or not cid:
+            raise MalformedRecord("missing or invalid 'cluster_id'", line=lineno)
+        if (
+            not isinstance(sentences, list)
+            or not sentences
+            or not all(isinstance(s, str) for s in sentences)
+        ):
+            raise MalformedRecord("missing or invalid 'sentences'", line=lineno)
+        trees = rec.get("trees")
+        if trees is not None:
+            if not isinstance(trees, list) or not all(isinstance(t, str) for t in trees):
+                raise MalformedRecord("'trees' must be a list of strings", line=lineno)
+            if len(trees) != len(sentences):
+                raise TreeLengthMismatch(
+                    f"{len(trees)} trees for {len(sentences)} sentences", line=lineno
+                )
+        clusters.append(Cluster(cid, list(sentences), list(trees) if trees else None))
     return clusters
 
 

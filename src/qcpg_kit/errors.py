@@ -1,8 +1,10 @@
 """Exception hierarchy shared by all qcpg_kit modules.
 
 Every error raised on a documented failure path derives from
-:class:`QcpgError`, so callers (and the CLI) can map error classes to
-exit codes without matching on message strings.
+:class:`QcpgError`. Each class declares the CLI's exit code for it as
+``exit_code``: 5 (unsatisfiable data constraint) unless it overrides it
+with 3 (spawn failure), 4 (malformed input or protocol violation) or 6
+(no feasible offset).
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 class QcpgError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 5
 
 
 def raise_first_failure(results: list) -> list:
@@ -24,6 +28,8 @@ def raise_first_failure(results: list) -> list:
 
 class TreeSyntaxError(QcpgError):
     """Malformed bracketed tree text; ``offset`` is a UTF-8 byte offset."""
+
+    exit_code = 4
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
@@ -47,9 +53,13 @@ class TrailingInput(TreeSyntaxError):
 class SpawnFailure(QcpgError):
     """The external command could not be started."""
 
+    exit_code = 3
+
 
 class ProtocolError(QcpgError):
     """An external process violated the line protocol."""
+
+    exit_code = 4
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -67,16 +77,22 @@ class NonFiniteValue(QcpgError):
 class MalformedControlPrefix(QcpgError):
     """Text does not begin with three well-formed control tokens."""
 
+    exit_code = 4
+
 
 # --- dataset ingestion ------------------------------------------------------
 
 class MalformedRecord(QcpgError):
+    exit_code = 4
+
     def __init__(self, message: str, line: int):
         super().__init__(f"{message} (line {line})")
         self.line = line
 
 
 class TreeLengthMismatch(QcpgError):
+    exit_code = 4
+
     def __init__(self, message: str, line: int):
         super().__init__(f"{message} (line {line})")
         self.line = line
@@ -103,6 +119,8 @@ class EmptyEvalSet(QcpgError):
 class ModelFormatError(QcpgError):
     """A model file is missing the expected format tag or fields."""
 
+    exit_code = 4
+
 
 # --- generation and selection -----------------------------------------------
 
@@ -124,6 +142,8 @@ class MissingZeroPoint(QcpgError):
 
 class NoFeasibleOffset(QcpgError):
     """No grid offset satisfies the semantic-similarity constraint."""
+
+    exit_code = 6
 
     def __init__(self, message: str, max_sem: float):
         super().__init__(f"{message}; maximum attainable semantic score: {max_sem:.4f}")

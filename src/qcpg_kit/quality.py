@@ -172,7 +172,6 @@ class QualityComputer:
 
     def __init__(self, scorer: SemanticScorer = DEFAULT_SCORER):
         self.scorer = scorer
-        self._trees: dict[str, ParseTree] = {}
         self._forms: dict[str, FlatTree] = {}
         # postorder labels and leftmost leaves fix a form exactly
         self._interned: dict[tuple[tuple[str, ...], tuple[int, ...]], FlatTree] = {}
@@ -180,10 +179,8 @@ class QualityComputer:
         self._pairs: dict[PairKey, QualityVector] = {}
 
     def tree(self, text: str) -> ParseTree:
-        cached = self._trees.get(text)
-        if cached is None:
-            cached = self._trees[text] = parse_bracketed(text)
-        return cached
+        """Parse a tree string; ``_form`` reaches it once per distinct string."""
+        return parse_bracketed(text)
 
     def _form(self, text: str) -> FlatTree:
         """The tree's syntactic form, the same object for every tree of that form."""

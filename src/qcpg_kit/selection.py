@@ -20,6 +20,7 @@ import numpy as np
 from .dataset import Cluster
 from .errors import (
     AllGenerationsFailed,
+    MalformedRecord,
     MissingTree,
     MissingZeroPoint,
     NoFeasibleOffset,
@@ -30,6 +31,7 @@ from .generators import GeneratorSpec, build_generator
 from .quality import ControlVector, Offset, QualityComputer, QualityVector, quantize
 from .reference import ReferenceModel, predict
 from .semantic import DEFAULT_SCORER, SemanticScorer
+from .util import read_lines
 
 log = logging.getLogger(__name__)
 
@@ -299,17 +301,22 @@ def export_heatmap_csv(result: GridResult, path) -> None:
 def read_heatmap_csv(path) -> GridResult:
     """Load an exported heatmap back into a GridResult (std units are not stored)."""
     result = GridResult(offsets=[], q_tilde=[], responsiveness=[], n=[])
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header.split(",") != list(HEATMAP_COLUMNS):
-            raise ValueError(f"unexpected heatmap header: {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split(",")
-            values = [float(v) for v in fields[:10]]
-            result.offsets.append(Offset(*values[0:3]))
-            result.q_tilde.append(QualityVector(*values[3:6]))
-            result.responsiveness.append(tuple(values[6:9]))
-            result.n.append(int(fields[10]))
+    lines = read_lines(path) or [""]
+    if lines[0].split(",") != list(HEATMAP_COLUMNS):
+        raise MalformedRecord(f"unexpected heatmap header: {lines[0]!r}", line=1)
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != len(HEATMAP_COLUMNS):
+            raise MalformedRecord(f"expected {len(HEATMAP_COLUMNS)} fields, got {len(fields)}", line=lineno)
+        try:
+            values = [float(v) for v in fields[:-1]]
+            n = int(fields[-1])
+        except ValueError:
+            raise MalformedRecord(f"non-numeric field in {line!r}", line=lineno) from None
+        result.offsets.append(Offset(*values[0:3]))
+        result.q_tilde.append(QualityVector(*values[3:6]))
+        result.responsiveness.append(tuple(values[6:9]))
+        result.n.append(n)
     return result

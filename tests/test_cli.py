@@ -31,7 +31,8 @@ from qcpg_kit import (
     select_operation_point,
     write_pairs_tsv,
 )
-from qcpg_kit.cli import main
+from qcpg_kit import errors
+from qcpg_kit.cli import _exit_code_for, main
 from qcpg_kit.generators import build_generator
 
 from stub_counting_scorer import raw_score as stub_raw
@@ -539,3 +540,171 @@ class TestConfig:
         config = tmp_path / "bad.cfg"
         config.write_text("no equals sign here\n", encoding="utf-8")
         assert run(["split", "--config", config, "--sizes", "1,1,1"]) == 4
+
+    def test_config_supplies_required_options(self, corpus_file, model_file, tmp_path):
+        by_flags = tmp_path / "flags.tsv"
+        assert run(
+            [
+                "generate", "--clusters", corpus_file, "--model", model_file,
+                "--generator", "retrieval_oracle", "--offset", "0,10,10", "--out", by_flags,
+            ]
+        ) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"clusters={corpus_file}\nmodel={model_file}\ngenerator=retrieval_oracle\noffset=0,10,10\n",
+            encoding="utf-8",
+        )
+        by_config = tmp_path / "config.tsv"
+        assert run(["generate", "--config", config, "--out", by_config]) == 0
+        assert by_config.read_bytes() == by_flags.read_bytes()
+
+    def test_config_keys_are_dests_converted_by_type(self, scored_file, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("lam=2.5\n", encoding="utf-8")
+        assert run(["train-qp", "--config", config, "--pairs", scored_file, "--out", tmp_path / "m.json"]) == 0
+        assert load_model(tmp_path / "m.json").lam == 2.5
+        assert run(
+            ["train-qp", "--config", config, "--pairs", scored_file, "--lambda", "4", "--out", tmp_path / "f.json"]
+        ) == 0
+        assert load_model(tmp_path / "f.json").lam == 4.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["split", "--clusters", "c.jsonl"],
+            ["split", "--sizes", "1,1,1"],
+            ["grid", "--clusters", "c.jsonl"],
+            ["generate", "--model", "m.json"],
+            ["predict-qp", "--sentences", "s.txt"],
+            ["select", "--heatmap", "h.csv"],
+        ],
+    )
+    def test_missing_required_option_exit_2(self, argv):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+
+    def test_unconvertible_config_value_exit_5(self, corpus_file, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("seed=abc\n", encoding="utf-8")
+        argv = ["split", "--config", config, "--clusters", corpus_file, "--sizes", "1,1,1", "--out", tmp_path / "z"]
+        assert run(argv) == 5
+
+    def test_system_stays_flag_only(self, corpus_file, model_file, tmp_path):
+        gen_id = tmp_path / "identity.tsv"
+        assert run(["generate", "--clusters", corpus_file, "--model", model_file, "--out", gen_id]) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text(f"system=other={gen_id}\n", encoding="utf-8")
+        report = tmp_path / "report.tsv"
+        assert run(["eval", "--config", config, "--system", f"copy={gen_id}", "--out", report]) == 0
+        assert [line.split("\t")[0] for line in report.read_text(encoding="utf-8").splitlines()] == ["system", "copy"]
+        with pytest.raises(SystemExit) as info:
+            run(["eval", "--config", config, "--out", report])
+        assert info.value.code == 2
+
+
+EXIT_CODES = {
+    "QcpgError": 5,
+    "TreeSyntaxError": 4,
+    "UnbalancedParens": 4,
+    "EmptyLabel": 4,
+    "TrailingInput": 4,
+    "SpawnFailure": 3,
+    "ProtocolError": 4,
+    "NonFiniteValue": 5,
+    "MalformedControlPrefix": 4,
+    "MalformedRecord": 4,
+    "TreeLengthMismatch": 4,
+    "InsufficientData": 5,
+    "DegenerateDesign": 5,
+    "EmptyEvalSet": 5,
+    "ModelFormatError": 4,
+    "EmptyContext": 5,
+    "MissingTree": 5,
+    "AllGenerationsFailed": 5,
+    "MissingZeroPoint": 5,
+    "NoFeasibleOffset": 6,
+    "LengthMismatch": 5,
+    "AllTied": 5,
+}
+
+
+class TestExitCodes:
+    @staticmethod
+    def error_classes(cls=errors.QcpgError):
+        yield cls
+        for sub in cls.__subclasses__():
+            yield from TestExitCodes.error_classes(sub)
+
+    def test_every_error_class_declares_its_exit_code(self):
+        found = [cls for cls in self.error_classes() if cls.__module__ == errors.__name__]
+        assert {cls.__name__: cls.exit_code for cls in found} == EXIT_CODES
+        for cls in found:
+            assert _exit_code_for(cls.__new__(cls)) == EXIT_CODES[cls.__name__]
+
+    def test_exceptions_outside_the_hierarchy(self):
+        assert _exit_code_for(FileNotFoundError("x")) == 3
+        assert _exit_code_for(UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad")) == 5
+        assert _exit_code_for(KeyError("x")) == 1
+
+
+HEATMAP_HEADER = "o_sem,o_syn,o_lex,q_sem,q_syn,q_lex,r_sem,r_syn,r_lex,diversity,n\n"
+ZERO_ROW = "0.0000,0.0000,0.0000,50.0000,10.0000,10.0000,0.0000,0.0000,0.0000,10.0000,4\n"
+
+
+class TestMalformedInputs:
+    def select(self, tmp_path, text):
+        heat = tmp_path / "heat.csv"
+        heat.write_text(text, encoding="utf-8")
+        return run(["select", "--heatmap", heat, "--baseline-sem", "20"])
+
+    def test_heatmap_is_well_formed(self, tmp_path):
+        assert self.select(tmp_path, HEATMAP_HEADER + ZERO_ROW) == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b,c\n" + ZERO_ROW,
+            HEATMAP_HEADER + ZERO_ROW.rsplit(",", 1)[0] + "\n",
+            HEATMAP_HEADER + ZERO_ROW.replace("50.0000", "high"),
+            HEATMAP_HEADER + ZERO_ROW.replace(",4\n", ",four\n"),
+        ],
+        ids=["bad_header", "row_without_n", "non_numeric_quality", "non_numeric_n"],
+    )
+    def test_malformed_heatmap_exit_4(self, tmp_path, text):
+        assert self.select(tmp_path, text) == 4
+
+    def test_malformed_heatmap_names_its_line(self, tmp_path):
+        heat = tmp_path / "heat.csv"
+        heat.write_text(HEATMAP_HEADER + ZERO_ROW + "\n" + ZERO_ROW.replace("0.0000,", "x,", 1), encoding="utf-8")
+        with pytest.raises(errors.MalformedRecord) as info:
+            read_heatmap_csv(heat)
+        assert info.value.line == 4
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json",
+            '{"expected": {"sem": 0, "syn": 0, "lex": 0}}',
+            '{"offset": {"sem": 0, "syn": 0, "lex": 0, "extra": 1}}',
+            '{"offset": {"sem": 0, "syn": 0}}',
+            '{"offset": {"sem": "0", "syn": 0, "lex": 0}}',
+            '[{"offset": {"sem": 0, "syn": 0, "lex": 0}}]',
+        ],
+        ids=["not_json", "no_offset", "unknown_key", "missing_lex", "string_value", "not_an_object"],
+    )
+    def test_malformed_operation_point_exit_4(self, corpus_file, model_file, tmp_path, text):
+        point = tmp_path / "op.json"
+        point.write_text(text, encoding="utf-8")
+        argv = ["generate", "--clusters", corpus_file, "--model", model_file, "--operation-point", point]
+        assert run([*argv, "--out", tmp_path / "generated.tsv"]) == 4
+        assert not (tmp_path / "generated.tsv").exists()
+
+    def test_operation_point_from_select(self, corpus_file, model_file, tmp_path):
+        point = tmp_path / "op.json"
+        point.write_text('{"offset": {"sem": 0.0, "syn": 10.0, "lex": 10}, "diversity": 1}', encoding="utf-8")
+        by_point, by_offset = tmp_path / "point.tsv", tmp_path / "offset.tsv"
+        argv = ["generate", "--clusters", corpus_file, "--model", model_file, "--generator", "retrieval_oracle"]
+        assert run([*argv, "--operation-point", point, "--out", by_point]) == 0
+        assert run([*argv, "--offset", "0,10,10", "--out", by_offset]) == 0
+        assert by_point.read_bytes() == by_offset.read_bytes()

@@ -188,10 +188,6 @@ class TestQualityComputer:
         )
         assert q1 == direct
 
-    def test_tree_cache_shares_objects(self):
-        computer = QualityComputer()
-        assert computer.tree("(A (B))") is computer.tree("(A (B))")
-
 
 class TestSyntacticMemo:
     PAIRS = extract_pairs(paraphrase_corpus(20, 6, seed=3, length_jitter=8), ALL_ORDERED)

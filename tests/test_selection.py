@@ -30,7 +30,7 @@ from qcpg_kit import (
     responsiveness,
     select_operation_point,
 )
-from qcpg_kit.errors import AllGenerationsFailed, MissingZeroPoint, NoFeasibleOffset, QcpgError
+from qcpg_kit.errors import AllGenerationsFailed, MalformedRecord, MissingZeroPoint, NoFeasibleOffset, QcpgError
 
 IDENTITY_SEM = 100.0 / (1.0 + math.exp(-2.0))
 SPECS = (
@@ -342,8 +342,9 @@ class TestHeatmapCsv:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "heat.csv"
         path.write_text("a,b,c\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedRecord) as info:
             read_heatmap_csv(path)
+        assert info.value.line == 1
 
 
 class TestDefaultGrid:

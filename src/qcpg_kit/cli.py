@@ -116,14 +116,22 @@ def _read_operation_point(path) -> Offset:
     return Offset(**offset)
 
 
+def _sidecar(path, n: int) -> list[str | None]:
+    """The trees of a sidecar aligned with ``n`` pairs; all None without one."""
+    if not path:
+        return [None] * n
+    trees = read_tree_sidecar(path)
+    if len(trees) != n:
+        raise LengthMismatch(f"tree sidecar {path} has {len(trees)} lines for {n} pairs")
+    return trees
+
+
 def _pair_trees(pairs, args):
     """Yield (pair, source_tree, target_tree); None where no parse exists."""
-    side_src = read_tree_sidecar(args.source_trees) if args.source_trees else None
-    side_tgt = read_tree_sidecar(args.target_trees) if args.target_trees else None
-    for i, pair in enumerate(pairs):
-        src = pair.source_tree or (side_src[i] if side_src and i < len(side_src) else None)
-        tgt = pair.target_tree or (side_tgt[i] if side_tgt and i < len(side_tgt) else None)
-        yield pair, src, tgt
+    side_src = _sidecar(args.source_trees, len(pairs))
+    side_tgt = _sidecar(args.target_trees, len(pairs))
+    for pair, src, tgt in zip(pairs, side_src, side_tgt):
+        yield pair, pair.source_tree or src, pair.target_tree or tgt
 
 
 def _write_output(args, text: str) -> int:
@@ -224,12 +232,11 @@ def cmd_predict_qp(args) -> int:
 def cmd_grid(args) -> int:
     from .synthetic import dev_items
 
-    scorer = _scorer_from(args)
     gen = _generator_from(args)
     model = load_model(args.model)
     grid = _parse_grid_spec(args.grid)
     dev = dev_items(load_clusters(args.clusters), per_cluster=args.per_cluster, limit=args.max_dev_items)
-    result = grid_search(gen, model, dev, grid=grid, scorer=scorer)
+    result = grid_search(gen, model, dev, grid=grid, scorer=_scorer_from(args))
     export_heatmap_csv(result, args.out)
     log.info("evaluated %d offsets over %d dev sentences", len(result.offsets), len(dev))
     return 0
@@ -249,12 +256,11 @@ def cmd_select(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    scorer = _scorer_from(args)
     spec = _generator_from(args)
     model = load_model(args.model)
     o = _read_operation_point(args.operation_point) if args.operation_point else _parse_offset(args.offset)
     clusters = load_clusters(args.clusters)
-    generator = build_generator(spec, scorer, quality=QualityComputer(scorer))
+    generator = build_generator(spec, QualityComputer(_scorer_from(args)))
     items = [(s, cluster, cluster.trees[i] if cluster.trees else None)
              for cluster in clusters for i, s in enumerate(cluster.sentences)]
     outputs = generator.generate_batch([(s, apply_offset(predict(model, s), o), cluster) for s, cluster, _ in items])
@@ -272,10 +278,7 @@ def cmd_generate(args) -> int:
 def cmd_eval(args) -> int:
     systems = []
     sources = source_trees = None
-    for item in args.system:
-        if "=" not in item:
-            raise ValueError(f"--system expects name=path, got {item!r}")
-        name, path = item.split("=", 1)
+    for name, path in args.system:
         pairs = read_pairs_tsv(path)
         if any(p.source_tree is None or p.target_tree is None for p in pairs):
             raise MissingTree(f"system file {path!r} must carry source and target trees")
@@ -294,32 +297,55 @@ def cmd_eval(args) -> int:
     return _write_output(args, text)
 
 
-def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
+def _system(text: str) -> tuple[str, str]:
+    """An ``eval --system`` value: ``name=path``."""
+    name, sep, path = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected name=path, got {text!r}")
+    return name, path
+
+
+def _build_parser(config_path: str | None = None, chosen: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; the config file's values become defaults of the ``chosen`` command's options."""
+    config = _load_config(config_path)
     parser = argparse.ArgumentParser(prog="qcpg-kit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qcpg-kit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def option(p, *flags, **kwargs) -> argparse.Action:
-        """Add an option; a config value under its dest becomes its default, converted by its type."""
+        """Add an option; a config value under its dest becomes its default, checked like a flag value."""
         action = p.add_argument(*flags, **kwargs)
-        if action.dest in config:
-            value = config[action.dest]
+        if p is not sub.choices.get(chosen) or action.dest not in config:
+            return action
+        value = config[action.dest]
+        where = f"config {config_path}: {action.dest}={value!r}"
+        try:
             action.default = action.type(value) if action.type else value
-            action.required = False
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            raise ValueError(f"{where} is not a valid {action.type.__name__}") from None
+        if action.choices is not None and action.default not in action.choices:
+            raise ValueError(f"{where} is not one of {', '.join(map(str, action.choices))}")
+        action.required = False
         return action
 
     def command(name, func, out, help):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--config", help="key=value file of option defaults, keyed by dest; flags win")
-        option(p, "--seed", type=int, default=42)
-        scorers = ["builtin", "external", BUILTIN_TRIGRAM, EXTERNAL_COMMAND]
-        option(p, "--scorer", choices=scorers, default=BUILTIN_TRIGRAM)
-        option(p, "--scorer-command")
         option(p, "--out", default=out)
         return p
 
+    def seeded(p):
+        option(p, "--seed", type=int, default=42)
+
+    def scored(p):
+        scorers = ["builtin", "external", BUILTIN_TRIGRAM, EXTERNAL_COMMAND]
+        option(p, "--scorer", choices=scorers, default=BUILTIN_TRIGRAM)
+        option(p, "--scorer-command")
+
     def generation(p):
+        seeded(p)
+        scored(p)
         option(p, "--clusters", required=True, help="clusters JSONL (with trees)")
         option(p, "--model", required=True, help="reference predictor JSON")
         option(p, "--generator", choices=["external", *GENERATOR_KINDS], default="identity")
@@ -327,11 +353,13 @@ def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
         option(p, "--noise-std", type=float)
 
     p = command("score", cmd_score, None, "append quality columns to a pairs TSV")
+    scored(p)
     option(p, "--pairs", required=True)
     option(p, "--source-trees", help="tree sidecar for sources")
     option(p, "--target-trees", help="tree sidecar for targets")
 
     p = command("split", cmd_split, ".", "leak-free train/dev/test split of a cluster file")
+    seeded(p)
     option(p, "--clusters", required=True)
     option(p, "--sizes", required=True, help="train,dev,test pair quotas")
     option(p, "--mode", choices=PAIR_MODES, default=ALL_UNORDERED)
@@ -362,7 +390,8 @@ def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
     option(p, "--operation-point", help="JSON from `select`")
 
     p = command("eval", cmd_eval, None, "compare systems: quality, Self-BLEU, BLEU")
-    p.add_argument("--system", action="append", required=True, help="name=pairs.tsv (with trees)")
+    scored(p)
+    p.add_argument("--system", action="append", type=_system, required=True, help="name=pairs.tsv (with trees)")
     option(p, "--references", help="one reference per line, aligned with sources")
 
     return parser
@@ -370,12 +399,14 @@ def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    # --config is read first: its values become the option defaults of the one real parse
+    # the command and --config are read first: the config's values become
+    # the defaults of that command's options in the one real parse
     pre = argparse.ArgumentParser(prog="qcpg-kit", add_help=False)
+    pre.add_argument("command", nargs="?")
     pre.add_argument("--config")
     try:
-        config = _load_config(pre.parse_known_args(argv)[0].config)
-        args = _build_parser(config).parse_args(argv)
+        known = pre.parse_known_args(argv)[0]
+        args = _build_parser(known.config, known.command).parse_args(argv)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single boundary mapping errors to exit codes
         log.error("%s: %s", type(exc).__name__, exc)

@@ -64,7 +64,8 @@ def load_clusters(path) -> list[Cluster]:
     Each line is ``{"cluster_id": str, "sentences": [...], "trees": [...]?}``;
     blank lines are skipped. Only ``\n`` ends a line (one ``\r`` before it
     is dropped), so a lone ``\r``, which JSON reads as whitespace, stays
-    inside its record.
+    inside its record. No string may hold a tab or newline: each becomes
+    one field of a pairs TSV line.
     """
     clusters = []
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -94,6 +95,8 @@ def load_clusters(path) -> list[Cluster]:
                 raise TreeLengthMismatch(
                     f"{len(trees)} trees for {len(sentences)} sentences", line=lineno
                 )
+        if any("\t" in text or "\n" in text for text in [cid, *sentences, *(trees or ())]):
+            raise MalformedRecord("a tab or newline inside a cluster id, sentence or tree", line=lineno)
         clusters.append(Cluster(cid, list(sentences), list(trees) if trees else None))
     return clusters
 
@@ -107,29 +110,24 @@ def save_clusters(clusters: list[Cluster], path) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def pair_count(cluster: Cluster, mode: str = ALL_UNORDERED) -> int:
-    n = len(cluster.sentences)
+def _index_pairs(n: int, mode: str) -> list[tuple[int, int]]:
+    """The (source, target) member indices that ``mode`` pairs in a cluster of ``n``."""
     if mode == ALL_ORDERED:
-        return n * (n - 1)
+        return [(i, j) for i in range(n) for j in range(n) if i != j]
     if mode == ALL_UNORDERED:
-        return n * (n - 1) // 2
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
     if mode == STAR_FIRST:
-        return n - 1
+        return [(0, j) for j in range(1, n)]
     raise ValueError(f"unknown pair mode {mode!r}")
 
 
+def pair_count(cluster: Cluster, mode: str = ALL_UNORDERED) -> int:
+    return len(_index_pairs(len(cluster.sentences), mode))
+
+
 def _cluster_pairs(cluster: Cluster, mode: str):
-    n = len(cluster.sentences)
-    if mode == ALL_ORDERED:
-        index_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    elif mode == ALL_UNORDERED:
-        index_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    elif mode == STAR_FIRST:
-        index_pairs = [(0, j) for j in range(1, n)]
-    else:
-        raise ValueError(f"unknown pair mode {mode!r}")
     trees = cluster.trees
-    for i, j in index_pairs:
+    for i, j in _index_pairs(len(cluster.sentences), mode):
         yield SentencePair(
             source=cluster.sentences[i],
             target=cluster.sentences[j],

@@ -191,7 +191,7 @@ class ExternalCommandGenerator:
     """Bridge to an external generator speaking the control-token protocol.
 
     One process per batch; a failure of the process fails every request,
-    an empty output line only its own.
+    an empty output line or one holding a tab only its own.
     """
 
     def __init__(self, command: str):
@@ -208,10 +208,14 @@ class ExternalCommandGenerator:
             out = run_line_protocol(self.command, lines, "generator")
         except QcpgError as exc:
             return [exc] * len(requests)
-        return [
-            ProtocolError("generator returned an empty paraphrase", line=lineno) if not text and s else text
-            for lineno, (text, (s, _, _)) in enumerate(zip(out, requests), start=1)
-        ]
+        results: list = []
+        for lineno, (text, (s, _, _)) in enumerate(zip(out, requests), start=1):
+            if not text and s:
+                text = ProtocolError("generator returned an empty paraphrase", line=lineno)
+            elif "\t" in text:
+                text = ProtocolError("generator returned a tab, which no TSV field may hold", line=lineno)
+            results.append(text)
+        return results
 
 
 def external_generate(command: str, batch: list[tuple[str, ControlVector]]) -> list[str]:
@@ -223,18 +227,18 @@ def external_generate(command: str, batch: list[tuple[str, ControlVector]]) -> l
     return raise_first_failure(ExternalCommandGenerator(command).generate_batch([(s, c, None) for s, c in batch]))
 
 
-def build_generator(spec: GeneratorSpec, scorer: SemanticScorer = DEFAULT_SCORER, quality: QualityComputer | None = None):
+def build_generator(spec: GeneratorSpec, quality: QualityComputer | None = None):
     """Instantiate the generator described by ``spec``.
 
-    Oracle generators measure candidate quality with ``scorer`` (through
-    a shared :class:`QualityComputer` when one is supplied).
+    Oracle generators measure candidate quality through ``quality``
+    (by default a fresh :class:`QualityComputer` with the built-in scorer).
     """
     if spec.kind == IDENTITY:
         return IdentityGenerator()
     if spec.kind == RETRIEVAL_ORACLE:
-        return RetrievalOracleGenerator(quality or QualityComputer(scorer))
+        return RetrievalOracleGenerator(quality)
     if spec.kind == NOISY_ORACLE:
-        return NoisyOracleGenerator(spec.noise_std, spec.seed, quality or QualityComputer(scorer))
+        return NoisyOracleGenerator(spec.noise_std, spec.seed, quality)
     return ExternalCommandGenerator(spec.command)
 
 
@@ -246,4 +250,4 @@ def generate(
     scorer: SemanticScorer = DEFAULT_SCORER,
 ) -> str:
     """One-shot functional form of the generator interface."""
-    return build_generator(spec, scorer).generate(s, c, context)
+    return build_generator(spec, QualityComputer(scorer)).generate(s, c, context)

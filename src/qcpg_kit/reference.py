@@ -172,6 +172,11 @@ def load_model(path) -> ReferenceModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model file is missing or corrupts a field: {exc}") from exc
+    if model.feature_names != FEATURE_NAMES:
+        raise ModelFormatError(f"feature_names must be {list(FEATURE_NAMES)}, got {list(model.feature_names)}")
+    d = len(FEATURE_NAMES)
+    if [a.shape for a in (model.mean, model.scale, model.weights, model.bias)] != [(d,), (d,), (3, d), (3,)]:
+        raise ModelFormatError(f"mean and scale need {d} values, weights 3x{d}, bias 3")
     if not math.isfinite(model.lam):
         raise ModelFormatError("lambda must be finite")
     return model

@@ -102,7 +102,7 @@ class _GridEvaluator:
         if not self.dev:
             raise ValueError("dev set must be non-empty")
         self.computer = QualityComputer(scorer)
-        self.generator = build_generator(gen, scorer, quality=self.computer)
+        self.generator = build_generator(gen, self.computer)
         self.refs = [predict(qp_model, s).as_tuple() for s, _, _ in self.dev]
 
     def _measure(self, s: str, cluster: Cluster | None, tree_s: str, outputs: list) -> list:

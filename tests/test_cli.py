@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ from qcpg_kit import (
     write_pairs_tsv,
 )
 from qcpg_kit import errors
-from qcpg_kit.cli import _exit_code_for, main
+from qcpg_kit.cli import _build_parser, _exit_code_for, main
 from qcpg_kit.generators import build_generator
 
 from stub_counting_scorer import raw_score as stub_raw
@@ -92,6 +93,16 @@ class TestScore:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2  # header + first pair; second skipped
 
+    @pytest.mark.parametrize("trees", ["(S (T a) (T b))\n", "(S (T a) (T b))\n\n(S (T z))\n"], ids=["short", "long"])
+    def test_misaligned_sidecar_exit_5(self, tmp_path, trees):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("a b\tb a\tc0\nx y\ty x\tc1\n", encoding="utf-8")
+        (tmp_path / "src.trees").write_text(trees, encoding="utf-8")
+        (tmp_path / "tgt.trees").write_text("(S (T b) (T a))\n(S (T y) (T x))\n", encoding="utf-8")
+        argv = ["score", "--pairs", pairs, "--source-trees", tmp_path / "src.trees"]
+        assert run([*argv, "--target-trees", tmp_path / "tgt.trees", "--out", tmp_path / "scored.tsv"]) == 5
+        assert not (tmp_path / "scored.tsv").exists()
+
     def test_deterministic_rerun(self, corpus, tmp_path):
         # the README promises byte-identical reruns: score every ordered pair twice
         pairs = tmp_path / "pairs.tsv"
@@ -134,6 +145,12 @@ class TestSplit:
         assert run(
             ["split", "--clusters", corpus_file, "--sizes", "100000,1,1", "--out", tmp_path / "x"]
         ) == 5
+
+    def test_tab_in_a_sentence_exit_4(self, tmp_path):
+        clusters = tmp_path / "tab.jsonl"
+        save_clusters([Cluster("c0", ["x\ty z", "y z x"]), Cluster("c1", ["a b", "b a"])], clusters)
+        assert run(["split", "--clusters", clusters, "--sizes", "1,1,0", "--out", tmp_path / "y"]) == 4
+        assert not (tmp_path / "y").exists()
 
     def test_malformed_clusters_exit_4(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -191,6 +208,18 @@ class TestQpCommands:
         fields[q_sem] = "x"
         bad.write_text("\n".join([header, "\t".join(fields), *rest]), encoding="utf-8")
         assert run(["train-qp", "--pairs", bad, "--out", tmp_path / "model.json"]) == 4
+
+    @pytest.mark.parametrize("keep", [slice(None, None, -1), slice(0, 7)], ids=["reversed", "seven_features"])
+    def test_model_with_other_features_exit_4(self, model_file, tmp_path, keep):
+        payload = json.loads(model_file.read_text(encoding="utf-8"))
+        for key in ("feature_names", "mean", "scale"):
+            payload[key] = payload[key][keep]
+        payload["weights"] = [row[keep] for row in payload["weights"]]
+        bad = tmp_path / "other.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("hello there\n", encoding="utf-8")
+        assert run(["predict-qp", "--model", bad, "--sentences", sentences, "--out", tmp_path / "p.tsv"]) == 4
 
     def test_malformed_model_exit_4(self, tmp_path):
         bad = tmp_path / "model.json"
@@ -371,6 +400,28 @@ class TestExternalBatching:
         assert result.n == expected
         assert min(expected) < len(items) == max(expected)
         assert len(count.read_text(encoding="utf-8").splitlines()) == len(items)
+
+    def test_tab_fails_only_its_sentence(self, corpus, corpus_file, model_file, tmp_path):
+        word = corpus[0].sentences[0].split()[0]
+        script = tmp_path / "tab_stub.py"
+        script.write_text(
+            "import sys\n"
+            "for line in sys.stdin.read().split('\\n')[:-1]:\n"
+            "    s = line.split(' ', 3)[3]\n"
+            f"    print(s.replace(' ', '\\t', 1) if {word!r} in s.split() else s)\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "generated.tsv"
+        assert run(
+            [
+                "generate", "--clusters", corpus_file, "--model", model_file,
+                "--generator", "external", "--generator-command", f"{sys.executable} {script}", "--out", out,
+            ]
+        ) == 0
+        kept = [s for c in corpus for s in c.sentences if word not in s.split()]
+        assert 0 < len(kept) < sum(len(c.sentences) for c in corpus)
+        assert [p.target for p in read_pairs_tsv(out)] == kept
+        assert run(["eval", "--system", f"stub={out}", "--out", tmp_path / "report.tsv"]) == 0
 
     def test_nonzero_exit_fails_the_items_batch(self, corpus, corpus_file, model_file, tmp_path):
         word = corpus[0].sentences[0].split()[0]
@@ -584,11 +635,31 @@ class TestConfig:
             run(argv)
         assert info.value.code == 2
 
-    def test_unconvertible_config_value_exit_5(self, corpus_file, tmp_path):
+    def test_unconvertible_config_value_exit_5(self, corpus_file, tmp_path, caplog):
         config = tmp_path / "bad.cfg"
         config.write_text("seed=abc\n", encoding="utf-8")
         argv = ["split", "--config", config, "--clusters", corpus_file, "--sizes", "1,1,1", "--out", tmp_path / "z"]
         assert run(argv) == 5
+        assert "seed='abc'" in caplog.text and str(config) in caplog.text
+
+    @pytest.mark.parametrize("sizes", ["0,0,0", "1,1,1"])
+    def test_config_value_outside_choices_exit_5(self, corpus_file, tmp_path, caplog, sizes):
+        config = tmp_path / "bad.cfg"
+        config.write_text("mode=bogus\n", encoding="utf-8")
+        argv = ["split", "--config", config, "--clusters", corpus_file, "--sizes", sizes, "--out", tmp_path / "z"]
+        assert run(argv) == 5
+        assert not (tmp_path / "z").exists()
+        assert "mode='bogus'" in caplog.text and str(config) in caplog.text
+        assert all(mode in caplog.text for mode in ("all_ordered", "all_unordered", "star_first"))
+
+    def test_keys_of_options_a_command_lacks_are_ignored(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=\nscorer=bogus\nmode=bogus\ngenerator=bogus\n", encoding="utf-8")
+        heat = tmp_path / "heat.csv"
+        heat.write_text(HEATMAP_HEADER + ZERO_ROW, encoding="utf-8")
+        argv = ["select", "--config", config, "--heatmap", heat, "--baseline-sem", "20"]
+        assert run([*argv, "--out", tmp_path / "op.json"]) == 0
+        assert json.loads((tmp_path / "op.json").read_text(encoding="utf-8"))["offset"] == {"sem": 0, "syn": 0, "lex": 0}
 
     def test_system_stays_flag_only(self, corpus_file, model_file, tmp_path):
         gen_id = tmp_path / "identity.tsv"
@@ -600,6 +671,57 @@ class TestConfig:
         assert [line.split("\t")[0] for line in report.read_text(encoding="utf-8").splitlines()] == ["system", "copy"]
         with pytest.raises(SystemExit) as info:
             run(["eval", "--config", config, "--out", report])
+        assert info.value.code == 2
+
+
+OPTION_DESTS = {
+    "score": {"config", "out", "scorer", "scorer_command", "pairs", "source_trees", "target_trees"},
+    "split": {"config", "out", "seed", "clusters", "sizes", "mode"},
+    "train-qp": {"config", "out", "pairs", "dev", "lam"},
+    "predict-qp": {"config", "out", "model", "sentences"},
+    "grid": {
+        "config", "out", "seed", "scorer", "scorer_command", "clusters", "model", "generator",
+        "generator_command", "noise_std", "grid", "per_cluster", "max_dev_items",
+    },
+    "select": {"config", "out", "heatmap", "baseline_sem", "margin"},
+    "generate": {
+        "config", "out", "seed", "scorer", "scorer_command", "clusters", "model", "generator",
+        "generator_command", "noise_std", "offset", "operation_point",
+    },
+    "eval": {"config", "out", "scorer", "scorer_command", "system", "references"},
+}
+
+
+class TestOptions:
+    def test_each_command_declares_only_the_options_it_reads(self):
+        [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {
+            name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+            for name, p in sub.choices.items()
+        }
+        assert dests == OPTION_DESTS
+        assert sum(map(len, OPTION_DESTS.values())) == 58
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--heatmap", "h.csv", "--baseline-sem", "20", "--seed", "1"],
+            ["select", "--heatmap", "h.csv", "--baseline-sem", "20", "--scorer", "external"],
+            ["score", "--pairs", "p.tsv", "--seed", "1"],
+            ["split", "--clusters", "c.jsonl", "--sizes", "1,1,1", "--scorer-command", "x"],
+            ["train-qp", "--pairs", "s.tsv", "--seed", "1"],
+            ["predict-qp", "--model", "m.json", "--sentences", "s.txt", "--scorer", "builtin"],
+            ["eval", "--system", "a=b.tsv", "--seed", "1"],
+        ],
+    )
+    def test_an_option_a_command_does_not_read_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+
+    def test_system_without_a_name_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            run(["eval", "--system", "foo", "--out", tmp_path / "report.tsv"])
         assert info.value.code == 2
 
 

@@ -82,6 +82,25 @@ class TestLoadClusters:
         clusters = load_clusters(path)
         assert [(c.cluster_id, c.sentences) for c in clusters] == [("a", ["x"]), ("b", ["y\u2028z"])]
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"cluster_id": "b", "sentences": ["x\ty z", "y z x"]},
+            {"cluster_id": "b", "sentences": ["x y", "y\nx"]},
+            {"cluster_id": "b", "sentences": ["x y", "y x"], "trees": ["(S (A x) (B y))", "(S\t(B y) (A x))"]},
+            {"cluster_id": "b\tc", "sentences": ["x y"]},
+        ],
+        ids=["tab_in_sentence", "newline_in_sentence", "tab_in_tree", "tab_in_cluster_id"],
+    )
+    def test_tab_or_newline_in_a_field_reports_line(self, tmp_path, record):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"cluster_id": "a", "sentences": ["a\rb", "c\u2028d"]}, record])
+        with pytest.raises(MalformedRecord) as exc:
+            load_clusters(path)
+        assert exc.value.line == 2
+        write_jsonl(path, [{"cluster_id": "a", "sentences": ["a\rb", "c\u2028d"]}])
+        assert load_clusters(path)[0].sentences == ["a\rb", "c\u2028d"]
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"cluster_id": "a"\n', encoding="utf-8")

@@ -374,6 +374,17 @@ class TestExternalBatch:
         assert isinstance(out[1], ProtocolError) and out[1].line == 2
         assert starts == 1
 
+    def test_tab_fails_only_its_request(self, tmp_path):
+        cmd = _gen_stub(
+            tmp_path,
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    print(line.rstrip('\\n').split(' ', 3)[3].replace(' dog ', '\\tdog '))\n",
+        )
+        out = ExternalCommandGenerator(cmd).generate_batch(self.REQUESTS)
+        assert out[0] == "a cat sat" and out[2] == "a bird flew"
+        assert isinstance(out[1], ProtocolError) and out[1].line == 2
+
     def test_nonzero_exit_fails_whole_batch(self, tmp_path):
         out, starts = self.run(tmp_path, "--exit-on", "dog")
         assert all(isinstance(e, ProtocolError) and "status 1" in str(e) for e in out)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,27 @@ class TestModelIo:
     def test_not_json(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("not json at all", encoding="utf-8")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "keys, keep",
+        [
+            (("feature_names", "mean", "scale", "weights"), slice(None, None, -1)),
+            (("feature_names", "mean", "scale", "weights"), slice(0, 7)),
+            (("mean",), slice(0, 7)),
+        ],
+        ids=["reversed_names", "seven_features", "seven_means"],
+    )
+    def test_other_features_rejected(self, tmp_path, keys, keep):
+        rng = np.random.default_rng(102)
+        samples, _, _ = synthetic_linear_samples(rng, 30, noise=1.0)
+        path = tmp_path / "model.json"
+        save_model(fit(samples), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        for key in keys:
+            payload[key] = [row[keep] for row in payload[key]] if key == "weights" else payload[key][keep]
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
 

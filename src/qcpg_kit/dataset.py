@@ -59,13 +59,14 @@ class DatasetSplit:
 
 
 def load_clusters(path) -> list[Cluster]:
-    """Read a JSON-lines cluster file, preserving record order.
+    r"""Read a JSON-lines cluster file, preserving record order.
 
     Each line is ``{"cluster_id": str, "sentences": [...], "trees": [...]?}``;
     blank lines are skipped. Only ``\n`` ends a line (one ``\r`` before it
     is dropped), so a lone ``\r``, which JSON reads as whitespace, stays
-    inside its record. No string may hold a tab or newline: each becomes
-    one field of a pairs TSV line.
+    inside its record. No string may hold a tab or newline, and no cluster
+    id or tree may end in ``\r``: each becomes one field of a pairs TSV
+    line, and an id or tree can be its last.
     """
     clusters = []
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -97,6 +98,8 @@ def load_clusters(path) -> list[Cluster]:
                 )
         if any("\t" in text or "\n" in text for text in [cid, *sentences, *(trees or ())]):
             raise MalformedRecord("a tab or newline inside a cluster id, sentence or tree", line=lineno)
+        if any(text.endswith("\r") for text in [cid, *(trees or ())]):
+            raise MalformedRecord("a cluster id or tree ends in \\r, which a pairs TSV line drops", line=lineno)
         clusters.append(Cluster(cid, list(sentences), list(trees) if trees else None))
     return clusters
 
@@ -220,14 +223,25 @@ def subsample(
 
 # --- pair TSV and tree sidecar files -----------------------------------------
 
+def _pair_fields(p: SentencePair) -> list[str]:
+    fields = [p.source, p.target, p.cluster_id]
+    if p.source_tree is not None and p.target_tree is not None:
+        fields += [p.source_tree, p.target_tree]
+    if any("\t" in f or "\n" in f for f in fields) or fields[-1].endswith("\r"):
+        raise ValueError(f"pair {fields[:2]!r} has a field that a pairs TSV line cannot hold")
+    return fields
+
+
 def write_pairs_tsv(pairs: list[SentencePair], path) -> None:
-    """`source<TAB>target<TAB>cluster_id[<TAB>source_tree<TAB>target_tree]` lines."""
+    r"""`source<TAB>target<TAB>cluster_id[<TAB>source_tree<TAB>target_tree]` lines.
+
+    Raises ValueError, before writing, for a pair that would not read
+    back: a field holding a tab or newline, or a last field ending in
+    ``\r`` (reading drops one ``\r`` before each newline).
+    """
+    lines = ["\t".join(_pair_fields(p)) + "\n" for p in pairs]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for p in pairs:
-            fields = [p.source, p.target, p.cluster_id]
-            if p.source_tree is not None and p.target_tree is not None:
-                fields += [p.source_tree, p.target_tree]
-            fh.write("\t".join(fields) + "\n")
+        fh.writelines(lines)
 
 
 def read_pairs_tsv(path) -> list[SentencePair]:

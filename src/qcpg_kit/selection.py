@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,8 @@ class SelectionConstraint:
 
 def default_grid(lo: float = 0.0, step: float = 5.0, hi: float = 50.0) -> list[Offset]:
     """The standard search grid: {lo, lo+step, ..., hi} in all three dimensions."""
+    if not all(math.isfinite(v) for v in (lo, step, hi)):
+        raise ValueError(f"grid bounds and step must be finite, got {lo}:{step}:{hi}")
     if step <= 0:
         raise ValueError("step must be positive")
     values = []
@@ -94,6 +97,34 @@ def resolve_target_tree(t: str, s: str, cluster: Cluster | None, tree_s: str | N
     return None
 
 
+def plan_controls(refs, offsets: list[Offset], interned: dict[int, ControlVector]):
+    """Yield, per reference point, its distinct controls and each offset's slot among them.
+
+    The controls are those of ``apply_offset(r, o)`` over ``offsets``, in
+    order of first occurrence. The offsets are split once into
+    per-dimension columns; per reference, each distinct column value is
+    quantized once with the scalar ``quantize(r[d] + v)``, so the levels
+    are exact, and each offset's three levels are packed into one code
+    ``sem*10000 + syn*100 + lex``. ``interned`` maps a code to its one
+    ``ControlVector``, so each distinct control is built once.
+    """
+    grid = np.array([o.as_tuple() for o in offsets], dtype=np.float64).reshape(-1, 3)
+    columns = [np.unique(grid[:, d], return_inverse=True) for d in range(3)]
+    for r in refs:
+        codes = np.zeros(len(grid), dtype=np.int64)
+        for d, (values, inverse) in enumerate(columns):
+            levels = np.array([quantize(r[d] + v) for v in values.tolist()], dtype=np.int64)
+            codes = codes * 100 + levels[inverse]
+        distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        controls = []
+        for code in distinct[order].tolist():
+            if (c := interned.get(code)) is None:
+                c = interned[code] = ControlVector(code // 10000, code // 100 % 100, code % 100)
+            controls.append(c)
+        yield controls, np.argsort(order)[inverse]
+
+
 class _GridEvaluator:
     """Shared state for evaluating many offsets over one dev set."""
 
@@ -104,6 +135,7 @@ class _GridEvaluator:
         self.computer = QualityComputer(scorer)
         self.generator = build_generator(gen, self.computer)
         self.refs = [predict(qp_model, s).as_tuple() for s, _, _ in self.dev]
+        self.controls: dict[int, ControlVector] = {}
 
     def _measure(self, s: str, cluster: Cluster | None, tree_s: str, outputs: list) -> list:
         """Quality tuple of each output (or the failure it is, or leads to).
@@ -129,25 +161,20 @@ class _GridEvaluator:
         controls and one scoring batch holding its distinct outputs; its
         qualities are added to per-offset sums in dev order.
         """
-        grid = [o.as_tuple() for o in offsets]
-        values = [{t[d] for t in grid} for d in range(3)]
-        sums = np.zeros((len(grid), 3), dtype=np.float64)
-        counts = np.zeros(len(grid), dtype=np.int64)
-        for (s, cluster, tree_s), r in zip(self.dev, self.refs):
-            levels = [{v: quantize(r[d] + v) for v in values[d]} for d in range(3)]
-            index: dict[tuple[int, int, int], int] = {}
-            slots = [index.setdefault((levels[0][a], levels[1][b], levels[2][c]), len(index)) for a, b, c in grid]
-            outputs = self.generator.generate_batch([(s, ControlVector(*key), cluster) for key in index])
+        sums = np.zeros((len(offsets), 3), dtype=np.float64)
+        counts = np.zeros(len(offsets), dtype=np.int64)
+        plans = plan_controls(self.refs, offsets, self.controls)
+        for (s, cluster, tree_s), (controls, slots) in zip(self.dev, plans):
+            outputs = self.generator.generate_batch([(s, c, cluster) for c in controls])
             measured = self._measure(s, cluster, tree_s, outputs)
             failed = np.array([isinstance(q, QcpgError) for q in measured])
             table = np.array([(0.0, 0.0, 0.0) if bad else q for q, bad in zip(measured, failed)])
             # a failed slot adds exactly 0.0, so each sum runs over the successes in dev order
             sums += table[slots]
             counts += ~failed[slots]
-            if failed.any():
-                for o, slot in zip(grid, slots):
-                    if failed[slot]:
-                        log.warning("generation failed for %r at offset %s: %s", s[:40], o, measured[slot])
+            for i in np.flatnonzero(failed[slots]):
+                o = offsets[i].as_tuple()
+                log.warning("generation failed for %r at offset %s: %s", s[:40], o, measured[slots[i]])
         return [(QualityVector(*(total / n)), int(n)) if n else None for total, n in zip(sums, counts)]
 
     def dim_std(self) -> tuple[float, float, float]:

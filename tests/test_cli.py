@@ -822,6 +822,13 @@ class TestMalformedInputs:
         assert run([*argv, "--out", tmp_path / "generated.tsv"]) == 4
         assert not (tmp_path / "generated.tsv").exists()
 
+    @pytest.mark.parametrize("spec", ["0:5:inf", "nan:5:50", "0:inf:50"])
+    def test_non_finite_grid_spec_exit_5(self, corpus_file, model_file, tmp_path, spec):
+        heat = tmp_path / "heat.csv"
+        argv = ["grid", "--clusters", corpus_file, "--model", model_file, "--grid", spec, "--out", heat]
+        assert run(argv) == 5
+        assert not heat.exists()
+
     def test_operation_point_from_select(self, corpus_file, model_file, tmp_path):
         point = tmp_path / "op.json"
         point.write_text('{"offset": {"sem": 0.0, "syn": 10.0, "lex": 10}, "diversity": 1}', encoding="utf-8")

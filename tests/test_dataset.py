@@ -7,6 +7,7 @@ from qcpg_kit import (
     ALL_UNORDERED,
     STAR_FIRST,
     Cluster,
+    SentencePair,
     extract_pairs,
     load_clusters,
     pair_count,
@@ -100,6 +101,27 @@ class TestLoadClusters:
         assert exc.value.line == 2
         write_jsonl(path, [{"cluster_id": "a", "sentences": ["a\rb", "c\u2028d"]}])
         assert load_clusters(path)[0].sentences == ["a\rb", "c\u2028d"]
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"cluster_id": "b\r", "sentences": ["x y"]},
+            {"cluster_id": "b", "sentences": ["x y", "y x"], "trees": ["(S (A x) (B y))", "(S (B y) (A x))\r"]},
+            {"cluster_id": "b", "sentences": ["x y", "y x"], "trees": ["(S (A x) (B y))\r", "(S (B y) (A x))"]},
+        ],
+        ids=["cluster_id", "last_tree", "first_tree"],
+    )
+    def test_id_or_tree_ending_in_carriage_return_reports_line(self, tmp_path, record):
+        # a pairs TSV line can end in a cluster id or a tree, and reading drops its \r
+        path = tmp_path / "c.jsonl"
+        ok = {"cluster_id": "a\rb", "sentences": ["x\r", "y\r"], "trees": ["(A\r(x))", "(B (y))"]}
+        write_jsonl(path, [ok, record])
+        with pytest.raises(MalformedRecord) as exc:
+            load_clusters(path)
+        assert exc.value.line == 2 and exc.value.exit_code == 4
+        write_jsonl(path, [ok])
+        [cluster] = load_clusters(path)
+        assert (cluster.cluster_id, cluster.sentences, cluster.trees) == ("a\rb", ok["sentences"], ok["trees"])
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -234,6 +256,30 @@ class TestPairsTsv:
         path = tmp_path / "pairs.tsv"
         write_pairs_tsv(pairs, path)
         assert read_pairs_tsv(path) == pairs
+
+    def test_carriage_return_before_the_last_field_round_trips(self, tmp_path):
+        pairs = [SentencePair("a\r", "b\r", "c\r", "(A)\r", "(B)"), SentencePair("a\r", "\rb", "c")]
+        path = tmp_path / "pairs.tsv"
+        write_pairs_tsv(pairs, path)
+        assert read_pairs_tsv(path) == pairs
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            SentencePair("a", "b", "c\r", "(A)", "(B)\r"),
+            SentencePair("a", "b", "c\r"),
+            SentencePair("a\tb", "c", "k"),
+            SentencePair("a", "b\nc", "k"),
+            SentencePair("a", "b", "k", "(A\t(a))", "(B)"),
+            SentencePair("a", "b", "k", "(A)", "(B\n(b))"),
+        ],
+        ids=["cr_ends_target_tree", "cr_ends_cluster_id", "tab", "newline", "tab_in_tree", "newline_in_tree"],
+    )
+    def test_field_that_would_not_read_back_rejected(self, tmp_path, pair):
+        path = tmp_path / "pairs.tsv"
+        with pytest.raises(ValueError):
+            write_pairs_tsv([SentencePair("x", "y", "k"), pair], path)
+        assert not path.exists()
 
     def test_bad_column_count(self, tmp_path):
         path = tmp_path / "pairs.tsv"

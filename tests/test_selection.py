@@ -1,12 +1,16 @@
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcpg_kit import (
     Cluster,
+    ControlVector,
     GeneratorSpec,
     GridResult,
     Offset,
@@ -25,12 +29,15 @@ from qcpg_kit import (
     grid_search,
     paraphrase_corpus,
     predict,
+    prepend_control,
     quality_samples,
+    quantize,
     read_heatmap_csv,
     responsiveness,
     select_operation_point,
 )
 from qcpg_kit.errors import AllGenerationsFailed, MalformedRecord, MissingZeroPoint, NoFeasibleOffset, QcpgError
+from qcpg_kit.selection import plan_controls
 
 IDENTITY_SEM = 100.0 / (1.0 + math.exp(-2.0))
 SPECS = (
@@ -174,6 +181,72 @@ class TestGridSearch:
                     )
         expected = np.array(rows).std(axis=0)
         assert result.dim_std == pytest.approx(tuple(expected))
+
+
+# Offsets off the multiples of 5 and outside any product grid; the large
+# ones clamp r + o below 0 and above 100.
+OFF_GRID = [
+    Offset(*t)
+    for t in [
+        (0.0, 0.0, 0.0), (2.5, -7.49, 7.49), (7.49, 2.5, -2.5), (-7.49, 12.5, 2.5),
+        (-150.0, 0.0, 250.0), (250.0, -150.0, 7.49), (0.0, 2.5, -150.0), (-2.5, 250.0, 0.0),
+    ]
+]
+# Answers each control-token line with its sentence and appends the line to the file argv[1].
+ECHO_STUB = (
+    "import sys\n"
+    "lines = sys.stdin.read().split('\\n')[:-1]\n"
+    "with open(sys.argv[1], 'a', encoding='utf-8') as fh:\n"
+    "    fh.writelines(line + '\\n' for line in lines)\n"
+    "sys.stdout.write(''.join(line.split(' ', 3)[3] + '\\n' for line in lines))\n"
+)
+AXIS = st.one_of(
+    st.sampled_from([-150.0, -7.49, -2.5, -0.0, 0.0, 2.5, 7.49, 12.5, 97.5, 250.0]),
+    st.floats(-200.0, 200.0),
+)
+
+
+class TestControlPlan:
+    def test_off_grid_offsets_match_per_request_reference(self, qp_model, dev, tmp_path):
+        singleton = Cluster("solo", ["lonely sentence"], trees=["(A)"])
+        items = dev[:4] + [("lonely sentence", singleton, "(A)")]
+        offsets = sorted(OFF_GRID, key=Offset.as_tuple)
+        script = tmp_path / "echo.py"
+        script.write_text(ECHO_STUB, encoding="utf-8")
+
+        def echo(log):
+            return GeneratorSpec(kind="external_command", command=f"{sys.executable} -S {script} {tmp_path / log}")
+
+        for reference_spec, spec in [*((s, s) for s in SPECS), (echo("reference.log"), echo("grid.log"))]:
+            expected = per_request_grid(reference_spec, qp_model, items, offsets)
+            result = grid_search(spec, qp_model, items, grid=OFF_GRID)
+            assert result.offsets == offsets and not result.dropped
+            assert result.q_tilde == [q for q, _ in expected]
+            assert result.n == [n for _, n in expected]
+        # one process per item reads the item's distinct controls in order of first occurrence
+        lines = [
+            prepend_control(s, c)
+            for s, _, _ in items
+            for c in dict.fromkeys(apply_offset(predict(qp_model, s), o) for o in offsets)
+        ]
+        assert (tmp_path / "grid.log").read_text(encoding="utf-8").splitlines() == lines
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        refs=st.lists(st.tuples(*[st.floats(0.0, 100.0)] * 3), min_size=1, max_size=3),
+        offsets=st.lists(st.tuples(AXIS, AXIS, AXIS), min_size=1, max_size=30),
+    )
+    def test_planned_controls_are_the_quantized_offsets(self, refs, offsets):
+        offsets = [Offset(*o) for o in offsets]
+        interned = {}
+        plans = list(plan_controls(refs, offsets, interned))
+        assert len(plans) == len(refs)
+        for r, (controls, slots) in zip(refs, plans):
+            expected = [ControlVector(*(quantize(r[d] + o.as_tuple()[d]) for d in range(3))) for o in offsets]
+            assert [controls[k] for k in slots] == expected
+            assert controls == list(dict.fromkeys(expected))
+        planned = [c for controls, _ in plans for c in controls]
+        assert len({id(c) for c in planned}) == len(set(planned)) == len(interned)
 
 
 class TestResponsiveness:
@@ -357,6 +430,14 @@ class TestDefaultGrid:
     def test_custom_range(self):
         grid = default_grid(0, 25, 50)
         assert len(grid) == 27
+
+    @pytest.mark.parametrize(
+        "lo, step, hi",
+        [(0, 5, math.inf), (-math.inf, 5, 50), (0, math.inf, 50), (math.nan, 5, 50), (0, 5, math.nan), (0, math.nan, 50)],
+    )
+    def test_non_finite_bounds_rejected(self, lo, step, hi):
+        with pytest.raises(ValueError, match="finite"):
+            default_grid(lo, step, hi)
 
 
 class TestHeatmapPins:

@@ -27,7 +27,7 @@ from .dataset import (
     split_clusters,
     write_pairs_tsv,
 )
-from .errors import LengthMismatch, MalformedRecord, MissingTree, QcpgError, raise_first_failure
+from .errors import LengthMismatch, MalformedRecord, MissingTree, NonFiniteValue, QcpgError, raise_first_failure
 from .generators import GENERATOR_KINDS, GeneratorSpec, build_generator
 from .quality import Offset, QualityComputer, QualityVector, apply_offset
 from .reference import evaluate_mse, fit, load_model, predict, save_model
@@ -113,7 +113,10 @@ def _read_operation_point(path) -> Offset:
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in offset.values())
     ):
         raise MalformedRecord('operation point needs "offset" with numeric "sem", "syn" and "lex" only', line=1)
-    return Offset(**offset)
+    try:
+        return Offset(**offset)
+    except (OverflowError, NonFiniteValue) as exc:
+        raise MalformedRecord(f"operation point {exc}", line=1) from None
 
 
 def _sidecar(path, n: int) -> list[str | None]:
@@ -200,10 +203,9 @@ def _read_scored_tsv(path) -> list[tuple[str, QualityVector]]:
             raise MalformedRecord(f"expected {len(header)} tab-separated fields, got {len(fields)}", line=lineno)
         source, *scores = (fields[i] for i in col)
         try:
-            scores = [float(v) for v in scores]
-        except ValueError:
-            raise MalformedRecord(f"non-numeric q_sem/q_syn/q_lex in {scores!r}", line=lineno) from None
-        samples.append((source, QualityVector(*scores)))
+            samples.append((source, QualityVector(*map(float, scores))))
+        except (ValueError, NonFiniteValue) as exc:
+            raise MalformedRecord(f"bad q_sem/q_syn/q_lex {scores!r}: {exc}", line=lineno) from None
     return samples
 
 

@@ -40,6 +40,19 @@ class Cluster:
                 f"for {len(self.sentences)} sentences"
             )
 
+    def tree_of(self, sentence: str) -> str | None:
+        """The tree of the first member equal to ``sentence``; None without trees or such a member."""
+        if self.trees is None or sentence not in self.sentences:
+            return None
+        return self.trees[self.sentences.index(sentence)]
+
+    def pair_keys(self, s: str) -> list[tuple[str, str, str, str]]:
+        """``(s, t, tree_s, tree_t)`` for each member ``t != s``, in member order; [] if ``s`` has no tree here."""
+        tree_s = self.tree_of(s)
+        if tree_s is None:
+            return []
+        return [(s, t, tree_s, tree_t) for t, tree_t in zip(self.sentences, self.trees) if t != s]
+
 
 @dataclass(frozen=True)
 class SentencePair:
@@ -159,11 +172,17 @@ def split_clusters(
     Whole clusters are assigned greedily until each split's pair count
     reaches its quota, so a split may overshoot by at most one cluster's
     pairs and no cluster ever straddles two splits. Deterministic for a
-    fixed seed; leftover clusters are unused.
+    fixed seed; leftover clusters are unused. A repeated cluster id
+    raises ValueError, since two clusters of one id could straddle.
     """
     n_train, n_dev, n_test = sizes
     if min(sizes) < 0:
         raise ValueError("split sizes must be non-negative")
+    seen = set()
+    for cluster in clusters:
+        if cluster.cluster_id in seen:
+            raise ValueError(f"cluster id {cluster.cluster_id!r} is repeated; a split needs distinct ids")
+        seen.add(cluster.cluster_id)
     order = rng_for(seed, "split_clusters").permutation(len(clusters))
     shuffled = [clusters[i] for i in order]
 
@@ -263,5 +282,13 @@ def read_pairs_tsv(path) -> list[SentencePair]:
 
 
 def read_tree_sidecar(path) -> list[str | None]:
-    """One bracketed tree per line, aligned with a sentence file; blank = missing."""
-    return [line.strip() or None for line in read_lines(path)]
+    """One bracketed tree per line, aligned with a sentence file; blank = missing.
+
+    A line may not hold a tab: its tree becomes one field of a TSV line.
+    """
+    trees = []
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if "\t" in line:
+            raise MalformedRecord("a tab inside a tree", line=lineno)
+        trees.append(line.strip() or None)
+    return trees

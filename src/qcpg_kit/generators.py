@@ -71,33 +71,14 @@ class RetrievalOracleGenerator:
         self.quality = quality or QualityComputer()
 
     def candidate_qualities(self, s: str, context: Cluster | None):
-        """(index, sentence, tree, QualityVector) for every member != s; a table of one."""
+        """(member, QualityVector) for every member != s, in member order; a table of one."""
         return raise_first_failure(self.candidate_tables([(s, context)]))[0]
-
-    @staticmethod
-    def _members(s: str, context: Cluster | None):
-        """(source tree, [(index, sentence, tree)] for every member != s)."""
-        if context is None:
-            raise EmptyContext("retrieval oracle requires a cluster context")
-        if context.trees is None:
-            raise EmptyContext(
-                f"cluster {context.cluster_id!r} has no trees; the oracle needs parses"
-            )
-        try:
-            s_idx = context.sentences.index(s)
-        except ValueError:
-            raise EmptyContext(
-                f"sentence is not a member of cluster {context.cluster_id!r}"
-            ) from None
-        members = [(i, t, context.trees[i]) for i, t in enumerate(context.sentences) if t != s]
-        if not members:
-            raise EmptyContext(f"cluster {context.cluster_id!r} has no candidate other than the input")
-        return context.trees[s_idx], members
 
     def candidate_tables(self, groups: list[tuple[str, Cluster | None]]) -> list[list | QcpgError]:
         """One candidate table, or the failure it met, per (sentence, context), in order.
 
-        The members of every valid group are measured in one batch, so an
+        A table's rows are ``(member, quality)`` over ``context.pair_keys(s)``.
+        The keys of every valid group are measured in one batch, so an
         external scorer starts one process for all of them. A group fails
         with its own EmptyContext or with the first failure among its
         members' qualities; a scorer process failure fails every group
@@ -106,21 +87,25 @@ class RetrievalOracleGenerator:
         tables: list = [None] * len(groups)
         keys, spans = [], []
         for g, (s, context) in enumerate(groups):
-            try:
-                tree_s, members = self._members(s, context)
-            except QcpgError as exc:
-                tables[g] = exc
-                continue
-            spans.append((g, members, len(keys)))
-            keys += [(s, t, tree_s, tree_t) for _, t, tree_t in members]
+            if context is None:
+                tables[g] = EmptyContext("retrieval oracle requires a cluster context")
+            elif context.trees is None:
+                tables[g] = EmptyContext(f"cluster {context.cluster_id!r} has no trees; the oracle needs parses")
+            elif s not in context.sentences:
+                tables[g] = EmptyContext(f"sentence is not a member of cluster {context.cluster_id!r}")
+            elif not (group := context.pair_keys(s)):
+                tables[g] = EmptyContext(f"cluster {context.cluster_id!r} has no candidate other than the input")
+            else:
+                spans.append((g, len(keys), len(keys) + len(group)))
+                keys += group
         qualities = self.quality.pair_qualities(keys)
-        for g, members, start in spans:
+        for g, start, stop in spans:
             try:
-                group = raise_first_failure(qualities[start:start + len(members)])
+                group = raise_first_failure(qualities[start:stop])
             except QcpgError as exc:
                 tables[g] = exc
                 continue
-            tables[g] = [(*member, q) for member, q in zip(members, group)]
+            tables[g] = [(key[1], q) for key, q in zip(keys[start:stop], group)]
         return tables
 
     def _noise(self, groups: list[tuple[str, list[ControlVector], int]]) -> list:
@@ -150,11 +135,11 @@ class RetrievalOracleGenerator:
                 live.append((s, [requests[i][1] for i in members], members, candidates))
         noises = self._noise([(s, controls, len(candidates)) for s, controls, _, candidates in live])
         for (_, controls, members, candidates), noise in zip(live, noises):
-            q = np.array([cand[3].as_tuple() for cand in candidates], dtype=np.float64)
+            q = np.array([cand[1].as_tuple() for cand in candidates], dtype=np.float64)
             c = np.array([ctl.as_tuple() for ctl in controls], dtype=np.float64)
             dist = ((q + noise - c[:, None, :]) ** 2).sum(axis=2)
             for i, k in zip(members, dist.argmin(axis=1)):
-                out[i] = candidates[k][1]
+                out[i] = candidates[k][0]
         return out
 
 

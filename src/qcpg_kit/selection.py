@@ -89,12 +89,7 @@ def resolve_target_tree(t: str, s: str, cluster: Cluster | None, tree_s: str | N
     """Tree of generated ``t``: the source's if ``t == s``, else a cluster member's, else None."""
     if t == s:
         return tree_s
-    if cluster is not None and cluster.trees is not None:
-        try:
-            return cluster.trees[cluster.sentences.index(t)]
-        except ValueError:
-            pass
-    return None
+    return cluster.tree_of(t) if cluster is not None else None
 
 
 def plan_controls(refs, offsets: list[Offset], interned: dict[int, ControlVector]):
@@ -180,14 +175,10 @@ class _GridEvaluator:
     def dim_std(self) -> tuple[float, float, float]:
         """Population std, per dimension, of the dev set's own pair qualities.
 
-        The pairs are measured in one batch; its first failure is raised.
+        The pairs are each item's ``cluster.pair_keys(s)``, the oracles'
+        candidates, measured in one batch; its first failure is raised.
         """
-        keys = []
-        for s, cluster, _ in self.dev:
-            if cluster is None or cluster.trees is None or s not in cluster.sentences:
-                continue
-            tree_s = cluster.trees[cluster.sentences.index(s)]
-            keys += [(s, t, tree_s, tree_t) for t, tree_t in zip(cluster.sentences, cluster.trees) if t != s]
+        keys = [key for s, cluster, _ in self.dev if cluster is not None for key in cluster.pair_keys(s)]
         if not keys:
             log.warning("dev set has no ground-truth pairs; std units default to 1.0")
             return (1.0, 1.0, 1.0)
@@ -326,7 +317,11 @@ def export_heatmap_csv(result: GridResult, path) -> None:
 
 
 def read_heatmap_csv(path) -> GridResult:
-    """Load an exported heatmap back into a GridResult (std units are not stored)."""
+    """Load an exported heatmap back into a GridResult (std units are not stored).
+
+    Every value must be finite and each quality in [0, 100]; a row that
+    breaks this raises MalformedRecord naming its line.
+    """
     result = GridResult(offsets=[], q_tilde=[], responsiveness=[], n=[])
     lines = read_lines(path) or [""]
     if lines[0].split(",") != list(HEATMAP_COLUMNS):
@@ -340,10 +335,13 @@ def read_heatmap_csv(path) -> GridResult:
         try:
             values = [float(v) for v in fields[:-1]]
             n = int(fields[-1])
-        except ValueError:
-            raise MalformedRecord(f"non-numeric field in {line!r}", line=lineno) from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError("a value is not finite")
+            q = QualityVector(*values[3:6])
+        except ValueError as exc:
+            raise MalformedRecord(f"{exc} in {line!r}", line=lineno) from None
         result.offsets.append(Offset(*values[0:3]))
-        result.q_tilde.append(QualityVector(*values[3:6]))
+        result.q_tilde.append(q)
         result.responsiveness.append(tuple(values[6:9]))
         result.n.append(n)
     return result

@@ -33,7 +33,7 @@ from qcpg_kit import (
     write_pairs_tsv,
 )
 from qcpg_kit import errors
-from qcpg_kit.cli import _build_parser, _exit_code_for, main
+from qcpg_kit.cli import _build_parser, _exit_code_for, _read_scored_tsv, main
 from qcpg_kit.generators import build_generator
 
 from stub_counting_scorer import raw_score as stub_raw
@@ -103,6 +103,16 @@ class TestScore:
         assert run([*argv, "--target-trees", tmp_path / "tgt.trees", "--out", tmp_path / "scored.tsv"]) == 5
         assert not (tmp_path / "scored.tsv").exists()
 
+    def test_tab_in_a_sidecar_tree_exit_4(self, tmp_path):
+        # the tree would become two fields of the scored row
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("a b\tb a\tc0\n", encoding="utf-8")
+        (tmp_path / "src.trees").write_text("(S\t(A a) (B b))\n", encoding="utf-8")
+        (tmp_path / "tgt.trees").write_text("(S (B b) (A a))\n", encoding="utf-8")
+        argv = ["score", "--pairs", pairs, "--source-trees", tmp_path / "src.trees"]
+        assert run([*argv, "--target-trees", tmp_path / "tgt.trees", "--out", tmp_path / "scored.tsv"]) == 4
+        assert not (tmp_path / "scored.tsv").exists()
+
     def test_deterministic_rerun(self, corpus, tmp_path):
         # the README promises byte-identical reruns: score every ordered pair twice
         pairs = tmp_path / "pairs.tsv"
@@ -151,6 +161,15 @@ class TestSplit:
         save_clusters([Cluster("c0", ["x\ty z", "y z x"]), Cluster("c1", ["a b", "b a"])], clusters)
         assert run(["split", "--clusters", clusters, "--sizes", "1,1,0", "--out", tmp_path / "y"]) == 4
         assert not (tmp_path / "y").exists()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_repeated_cluster_id_exit_5(self, corpus, tmp_path, seed):
+        clusters = tmp_path / "dup.jsonl"
+        renamed = [Cluster("dup" if i < 4 else c.cluster_id, c.sentences, c.trees) for i, c in enumerate(corpus)]
+        save_clusters(renamed, clusters)
+        out = tmp_path / "y"
+        assert run(["split", "--clusters", clusters, "--sizes", "6,6,6", "--seed", seed, "--out", out]) == 5
+        assert not out.exists()
 
     def test_malformed_clusters_exit_4(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -208,6 +227,18 @@ class TestQpCommands:
         fields[q_sem] = "x"
         bad.write_text("\n".join([header, "\t".join(fields), *rest]), encoding="utf-8")
         assert run(["train-qp", "--pairs", bad, "--out", tmp_path / "model.json"]) == 4
+
+    @pytest.mark.parametrize("value", ["150", "inf", "nan", "-1"])
+    def test_out_of_range_quality_exit_4(self, scored_file, tmp_path, value):
+        bad = tmp_path / "range.tsv"
+        header, first, *rest = scored_file.read_text(encoding="utf-8").split("\n")
+        fields = first.split("\t")
+        fields[header.split("\t").index("q_sem")] = value
+        bad.write_text("\n".join([header, "\t".join(fields), *rest]), encoding="utf-8")
+        assert run(["train-qp", "--pairs", bad, "--out", tmp_path / "model.json"]) == 4
+        with pytest.raises(errors.MalformedRecord) as info:
+            _read_scored_tsv(bad)
+        assert info.value.line == 2
 
     @pytest.mark.parametrize("keep", [slice(None, None, -1), slice(0, 7)], ids=["reversed", "seven_features"])
     def test_model_with_other_features_exit_4(self, model_file, tmp_path, keep):
@@ -530,14 +561,16 @@ class TestExternalScorerBatching:
         )
         return code, heat
 
-    @pytest.mark.parametrize("generator", ["identity", "retrieval_oracle"])
+    @pytest.mark.parametrize("generator", ["identity", "retrieval_oracle", "noisy_oracle"])
     def test_grid_starts_at_most_one_process_plus_one_per_dev_item(
         self, corpus, corpus_file, model_file, tmp_path, generator
     ):
+        # the std-unit batch holds every oracle candidate, so an oracle's
+        # batches all hit the pair cache; identity outputs are scored per item
         count, scorer = self.scorer(tmp_path)
-        code, heat = self.grid(corpus_file, model_file, tmp_path, generator, scorer)
+        code, heat = self.grid(corpus_file, model_file, tmp_path, generator, scorer, "--noise-std", "10")
         assert code == 0
-        assert 1 <= self.starts(count) <= 1 + len(dev_items(corpus))
+        assert self.starts(count) == (1 + len(dev_items(corpus)) if generator == "identity" else 1)
         assert read_heatmap_csv(heat).n == [len(dev_items(corpus))] * 27
 
     def test_grid_nan_lowers_n_only_for_its_pair(self, corpus, corpus_file, model_file, tmp_path):
@@ -772,6 +805,13 @@ class TestExitCodes:
 
 HEATMAP_HEADER = "o_sem,o_syn,o_lex,q_sem,q_syn,q_lex,r_sem,r_syn,r_lex,diversity,n\n"
 ZERO_ROW = "0.0000,0.0000,0.0000,50.0000,10.0000,10.0000,0.0000,0.0000,0.0000,10.0000,4\n"
+OUT_OF_RANGE_HEATMAPS = [
+    HEATMAP_HEADER + ZERO_ROW.replace("50.0000", "150.0000"),
+    HEATMAP_HEADER + ZERO_ROW.replace("50.0000", "nan"),
+    HEATMAP_HEADER + ZERO_ROW.replace("0.0000", "inf", 1),
+    HEATMAP_HEADER + ZERO_ROW.replace(",10.0000,4", ",nan,4"),
+]
+OUT_OF_RANGE_IDS = ["quality_above_100", "nan_quality", "inf_offset", "nan_diversity"]
 
 
 class TestMalformedInputs:
@@ -790,11 +830,20 @@ class TestMalformedInputs:
             HEATMAP_HEADER + ZERO_ROW.rsplit(",", 1)[0] + "\n",
             HEATMAP_HEADER + ZERO_ROW.replace("50.0000", "high"),
             HEATMAP_HEADER + ZERO_ROW.replace(",4\n", ",four\n"),
+            *OUT_OF_RANGE_HEATMAPS,
         ],
-        ids=["bad_header", "row_without_n", "non_numeric_quality", "non_numeric_n"],
+        ids=["bad_header", "row_without_n", "non_numeric_quality", "non_numeric_n", *OUT_OF_RANGE_IDS],
     )
     def test_malformed_heatmap_exit_4(self, tmp_path, text):
         assert self.select(tmp_path, text) == 4
+
+    @pytest.mark.parametrize("text", OUT_OF_RANGE_HEATMAPS, ids=OUT_OF_RANGE_IDS)
+    def test_out_of_range_heatmap_value_names_its_line(self, tmp_path, text):
+        heat = tmp_path / "heat.csv"
+        heat.write_text(text, encoding="utf-8")
+        with pytest.raises(errors.MalformedRecord) as info:
+            read_heatmap_csv(heat)
+        assert info.value.line == 2
 
     def test_malformed_heatmap_names_its_line(self, tmp_path):
         heat = tmp_path / "heat.csv"
@@ -812,8 +861,14 @@ class TestMalformedInputs:
             '{"offset": {"sem": 0, "syn": 0}}',
             '{"offset": {"sem": "0", "syn": 0, "lex": 0}}',
             '[{"offset": {"sem": 0, "syn": 0, "lex": 0}}]',
+            '{"offset": {"sem": NaN, "syn": 0, "lex": 0}}',
+            '{"offset": {"sem": 0, "syn": Infinity, "lex": 0}}',
+            '{"offset": {"sem": 0, "syn": 0, "lex": 1%s}}' % ("0" * 400),
         ],
-        ids=["not_json", "no_offset", "unknown_key", "missing_lex", "string_value", "not_an_object"],
+        ids=[
+            "not_json", "no_offset", "unknown_key", "missing_lex", "string_value", "not_an_object",
+            "nan_value", "infinite_value", "overflowing_value",
+        ],
     )
     def test_malformed_operation_point_exit_4(self, corpus_file, model_file, tmp_path, text):
         point = tmp_path / "op.json"

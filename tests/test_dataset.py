@@ -141,6 +141,29 @@ class TestLoadClusters:
             load_clusters(tmp_path / "nope.jsonl")
 
 
+class TestClusterLookups:
+    # "b" appears twice: lookups take the first member's tree
+    cluster = Cluster("c", ["a", "b", "c", "b"], trees=["(A)", "(B1)", "(C)", "(B2)"])
+
+    def test_tree_of_first_equal_member(self):
+        assert [self.cluster.tree_of(s) for s in ("a", "b", "c")] == ["(A)", "(B1)", "(C)"]
+
+    def test_tree_of_without_trees_or_membership(self):
+        assert self.cluster.tree_of("z") is None
+        assert Cluster("bare", ["a", "b"]).tree_of("a") is None
+
+    def test_pair_keys_in_member_order(self):
+        assert self.cluster.pair_keys("b") == [("b", "a", "(B1)", "(A)"), ("b", "c", "(B1)", "(C)")]
+        assert self.cluster.pair_keys("c") == [
+            ("c", "a", "(C)", "(A)"), ("c", "b", "(C)", "(B1)"), ("c", "b", "(C)", "(B2)"),
+        ]
+
+    def test_pair_keys_empty_without_a_source_tree(self):
+        assert self.cluster.pair_keys("z") == []
+        assert Cluster("bare", ["a", "b"]).pair_keys("a") == []
+        assert Cluster("solo", ["a"], trees=["(A)"]).pair_keys("a") == []
+
+
 class TestExtractPairs:
     def test_ordered_counts(self):
         cluster = Cluster("c", ["a", "b", "c"])
@@ -208,6 +231,14 @@ class TestSplitClusters:
         with pytest.raises(InsufficientData) as exc:
             split_clusters(make_clusters(2, size=2), (5, 1, 1), seed=1)
         assert len(exc.value.achievable) == 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeated_cluster_id_raises_before_drawing(self, seed):
+        clusters = make_clusters(6)
+        for i in range(4):
+            clusters[i].cluster_id = "dup"
+        with pytest.raises(ValueError, match="'dup'"):
+            split_clusters(clusters, (3, 3, 3), seed=seed)
 
     def test_ordered_mode_quotas(self):
         clusters = make_clusters(6, size=3)  # 6 ordered pairs each
@@ -300,3 +331,10 @@ class TestTreeSidecar:
         path = tmp_path / "trees.txt"
         path.write_bytes("(A a\u2028b)\r\n(B c\x85d\x0b\x0c\x1c\x1d\x1ee)\n".encode("utf-8"))
         assert read_tree_sidecar(path) == ["(A a\u2028b)", "(B c\x85d\x0b\x0c\x1c\x1d\x1ee)"]
+
+    def test_tab_in_a_line_names_it(self, tmp_path):
+        path = tmp_path / "trees.txt"
+        path.write_text("(A)\n(S\t(A a) (B b))\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as info:
+            read_tree_sidecar(path)
+        assert info.value.line == 2

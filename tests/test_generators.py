@@ -100,13 +100,13 @@ class TestRetrievalOracle:
                 s = ctx.sentences[int(rng.integers(0, len(ctx.sentences)))]
                 c = ControlVector(*(int(v) for v in rng.choice(range(0, 100, 5), size=3)))
                 candidates = gen.candidate_qualities(s, ctx)
-                best = min(
+                best, _ = min(
                     candidates,
-                    key=lambda item: sum(
-                        (q - cc) ** 2 for q, cc in zip(item[3].as_tuple(), c.as_tuple())
+                    key=lambda row: sum(
+                        (q - cc) ** 2 for q, cc in zip(row[1].as_tuple(), c.as_tuple())
                     ),
                 )
-                assert gen.generate(s, c, ctx) == best[1]
+                assert gen.generate(s, c, ctx) == best
 
     def test_tie_breaks_to_lowest_index(self):
         # members 1 and 2 permute the same words, share a tree string, and

@@ -263,8 +263,7 @@ def cmd_generate(args) -> int:
     o = _read_operation_point(args.operation_point) if args.operation_point else _parse_offset(args.offset)
     clusters = load_clusters(args.clusters)
     generator = build_generator(spec, QualityComputer(_scorer_from(args)))
-    items = [(s, cluster, cluster.trees[i] if cluster.trees else None)
-             for cluster in clusters for i, s in enumerate(cluster.sentences)]
+    items = [(s, cluster, cluster.tree_of(s)) for cluster in clusters for s in cluster.sentences]
     outputs = generator.generate_batch([(s, apply_offset(predict(model, s), o), cluster) for s, cluster, _ in items])
     rows = []
     for (s, cluster, tree_s), t in zip(items, outputs):

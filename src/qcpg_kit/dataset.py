@@ -47,11 +47,11 @@ class Cluster:
         return self.trees[self.sentences.index(sentence)]
 
     def pair_keys(self, s: str) -> list[tuple[str, str, str, str]]:
-        """``(s, t, tree_s, tree_t)`` for each member ``t != s``, in member order; [] if ``s`` has no tree here."""
+        """``(s, t, tree_of(s), tree_of(t))`` for each member ``t != s``, in member order; [] if ``s`` has no tree here."""
         tree_s = self.tree_of(s)
         if tree_s is None:
             return []
-        return [(s, t, tree_s, tree_t) for t, tree_t in zip(self.sentences, self.trees) if t != s]
+        return [(s, t, tree_s, self.tree_of(t)) for t in self.sentences if t != s]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedControlPrefix, NonFiniteValue, QcpgError, raise_first_failure
 from .semantic import DEFAULT_SCORER, SemanticScorer, semantic_similarity
-from .trees import FlatTree, ParseTree, parse_bracketed, syntactic_distance, syntactic_form
+from .trees import FlatTree, ParseTree, parse_bracketed, parse_syntactic_form, syntactic_distance
 from .lexical import lexical_distance
 
 QUANT_STEP = 5
@@ -162,8 +162,8 @@ class QualityComputer:
     Grid search evaluates the same (sentence, candidate) pairs at every
     offset; caching by the pair's text makes those lookups free. Tree
     arguments are bracketed strings so the cache key is hashable and the
-    parse, and the syntactic form derived from it, are computed once per
-    tree string. Equal forms are interned to one object, and the
+    syntactic form is built from the text once per tree string, with no
+    parse tree in between. Equal forms are interned to one object, and the
     syntactic distance is computed once per distinct (form, form) pair:
     pruned and token-stripped, many sentences share one template. The
     pairs a batch misses share one scorer call, so an external scorer
@@ -179,14 +179,14 @@ class QualityComputer:
         self._pairs: dict[PairKey, QualityVector] = {}
 
     def tree(self, text: str) -> ParseTree:
-        """Parse a tree string; ``_form`` reaches it once per distinct string."""
+        """Parse a tree string; the qualities are computed without it, from ``_form``."""
         return parse_bracketed(text)
 
     def _form(self, text: str) -> FlatTree:
         """The tree's syntactic form, the same object for every tree of that form."""
         cached = self._forms.get(text)
         if cached is None:
-            form = syntactic_form(self.tree(text))
+            form = parse_syntactic_form(text)
             cached = self._interned.setdefault((tuple(form.labels), tuple(form.lml)), form)
             self._forms[text] = cached
         return cached

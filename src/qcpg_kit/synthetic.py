@@ -98,9 +98,8 @@ def dev_items(clusters: list[Cluster], per_cluster: int | None = None, limit: in
     for cluster in clusters:
         if cluster.trees is None:
             raise ValueError(f"cluster {cluster.cluster_id!r} has no trees")
-        take = len(cluster.sentences) if per_cluster is None else min(per_cluster, len(cluster.sentences))
-        for i in range(take):
-            items.append((cluster.sentences[i], cluster, cluster.trees[i]))
+        take = len(cluster.sentences) if per_cluster is None else max(per_cluster, 0)
+        items += [(s, cluster, cluster.tree_of(s)) for s in cluster.sentences[:take]]
     return items[:limit] if limit is not None else items
 
 

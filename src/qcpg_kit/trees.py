@@ -8,14 +8,22 @@ The syntactic distance between two parses is the tree edit distance
 (Zhang-Shasha) between the trees after truncating them to their top
 levels and removing surface tokens, normalized by the larger tree size
 and scaled to [0, 100].
+
+One tokenizer serves both readers of the text: :func:`parse_bracketed`
+builds a :class:`ParseTree`, and :func:`parse_syntactic_form` builds the
+pruned, token-stripped postorder form the distance compares in a single
+pass, with no tree in between. :func:`prune_to_level`,
+:func:`strip_tokens` and :func:`syntactic_form` give the same form from
+a :class:`ParseTree`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
-from .errors import EmptyLabel, TrailingInput, UnbalancedParens
+from .errors import EmptyLabel, TrailingInput, TreeSyntaxError, UnbalancedParens
 
 DEFAULT_PRUNE_LEVEL = 3
 
@@ -73,8 +81,37 @@ class EditCost:
 _UNIT_COSTS = EditCost()
 
 
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
+# The one tokenizer of the bracket grammar: parentheses and words; whitespace separates.
+_TOKEN = re.compile(r"\(|\)|[^\s()]+")
+_PARENS = ("(", ")")
+
+
+def _syntax_error(text: str, tokens: list[str], k: int) -> TreeSyntaxError:
+    """The error for a token list whose first token breaking the grammar is ``tokens[k]``.
+
+    Its offset is the UTF-8 byte offset of that token, or of the end of
+    ``text`` when ``k == len(tokens)``.
+    """
+    if k == len(tokens):
+        index = len(text)
+    else:
+        index = next(islice(_TOKEN.finditer(text), k, None)).start()
+    offset = len(text[:index].encode("utf-8"))
+    if k == 0:
+        return UnbalancedParens("expected '(' at start of tree", offset)
+    if tokens[k - 1] == "(":
+        return EmptyLabel("expected a node label after '('", offset)
+    if k == len(tokens):
+        return UnbalancedParens("unexpected end of input; missing ')'", offset)
+    return TrailingInput("unexpected text after complete tree", offset)
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of one tree's text, which must open with '('."""
+    tokens = _TOKEN.findall(text)
+    if not tokens or tokens[0] != "(":
+        raise _syntax_error(text, tokens, 0)
+    return tokens
 
 
 def parse_bracketed(text: str) -> ParseTree:
@@ -83,48 +120,30 @@ def parse_bracketed(text: str) -> ParseTree:
     Bare words inside a node, such as ``the`` in ``(DT the)``, become
     leaf children; ``(A)`` is a childless root.
     """
-    i, n = 0, len(text)
-
-    def skip_ws(i):
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def read_word(i):
-        start = i
-        while i < n and not text[i].isspace() and text[i] not in "()":
-            i += 1
-        return text[start:i], i
-
-    def parse_node(i):
-        # caller guarantees text[i] == "("
-        i = skip_ws(i + 1)
-        label, i = read_word(i)
-        if not label:
-            raise EmptyLabel("expected a node label after '('", _byte_offset(text, i))
-        children = []
-        while True:
-            i = skip_ws(i)
-            if i >= n:
-                raise UnbalancedParens("unexpected end of input; missing ')'", _byte_offset(text, i))
-            ch = text[i]
-            if ch == ")":
-                return ParseTree(label, tuple(children)), i + 1
-            if ch == "(":
-                child, i = parse_node(i)
-                children.append(child)
-            else:
-                word, i = read_word(i)
-                children.append(ParseTree(word))
-
-    i = skip_ws(i)
-    if i >= n or text[i] != "(":
-        raise UnbalancedParens("expected '(' at start of tree", _byte_offset(text, i))
-    tree, i = parse_node(i)
-    i = skip_ws(i)
-    if i < n:
-        raise TrailingInput("unexpected text after complete tree", _byte_offset(text, i))
-    return tree
+    tokens = _tokens(text)
+    m = len(tokens)
+    # one [label, children] per open node
+    stack: list[list] = []
+    k = 0
+    while k < m:
+        tok = tokens[k]
+        if tok == "(":
+            k += 1
+            if k == m or tokens[k] in _PARENS:
+                raise _syntax_error(text, tokens, k)
+            stack.append([tokens[k], []])
+        elif tok == ")":
+            label, children = stack.pop()
+            node = ParseTree(label, tuple(children))
+            if not stack:
+                if k + 1 < m:
+                    raise _syntax_error(text, tokens, k + 1)
+                return node
+            stack[-1][1].append(node)
+        else:
+            stack[-1][1].append(ParseTree(tok))
+        k += 1
+    raise _syntax_error(text, tokens, m)
 
 
 def prune_to_level(tree: ParseTree, level: int = DEFAULT_PRUNE_LEVEL) -> ParseTree:
@@ -167,39 +186,36 @@ def strip_tokens(tree: ParseTree) -> ParseTree:
 class FlatTree:
     """Postorder arrays used by the Zhang-Shasha recurrence.
 
-    ``level`` is the level the tree was pruned to, or None when it was
-    flattened as given.
+    ``labels[i]`` is the label of the i-th node in postorder and
+    ``lml[i]`` the postorder index of its leftmost leaf. ``level`` is the
+    level the tree was pruned to, or None when it was flattened as given.
     """
 
     __slots__ = ("labels", "lml", "keyroots", "n", "level")
 
-    def __init__(self, root: ParseTree, level: int | None = None):
-        labels: list[str] = []
-        lml: list[int] = []
-
-        def walk(node: ParseTree) -> int:
-            if node.children:
-                first = walk(node.children[0])
-                for child in node.children[1:]:
-                    walk(child)
-                idx = len(labels)
-                labels.append(node.label)
-                lml.append(lml[first])
-            else:
-                idx = len(labels)
-                labels.append(node.label)
-                lml.append(idx)
-            return idx
-
-        walk(root)
+    def __init__(self, labels: list[str], lml: list[int], level: int | None = None):
         self.labels = labels
         self.lml = lml
         self.n = len(labels)
-        last_for_lml: dict[int, int] = {}
-        for i, l in enumerate(lml):
-            last_for_lml[l] = i
-        self.keyroots = sorted(last_for_lml.values())
+        # per leftmost leaf, the last node above it: the root and every node with a left sibling
+        self.keyroots = sorted({l: i for i, l in enumerate(lml)}.values())
         self.level = level
+
+    @classmethod
+    def of(cls, root: ParseTree, level: int | None = None) -> "FlatTree":
+        """``root`` flattened as given."""
+        labels: list[str] = []
+        lml: list[int] = []
+
+        def walk(node: ParseTree) -> None:
+            first = len(labels)
+            for child in node.children:
+                walk(child)
+            labels.append(node.label)
+            lml.append(first)
+
+        walk(root)
+        return cls(labels, lml, level)
 
 
 def syntactic_form(tree: ParseTree, level: int = DEFAULT_PRUNE_LEVEL) -> FlatTree:
@@ -208,8 +224,62 @@ def syntactic_form(tree: ParseTree, level: int = DEFAULT_PRUNE_LEVEL) -> FlatTre
     Computing it once per tree and passing it to
     :func:`syntactic_distance` in place of the tree saves the pruning,
     stripping and flattening on every later pair.
+    :func:`parse_syntactic_form` builds the same form from the tree's text.
     """
-    return FlatTree(strip_tokens(prune_to_level(tree, level)), level)
+    return FlatTree.of(strip_tokens(prune_to_level(tree, level)), level)
+
+
+def parse_syntactic_form(text: str, level: int = DEFAULT_PRUNE_LEVEL) -> FlatTree:
+    """``syntactic_form(parse_bracketed(text), level)`` in one pass over the tokens.
+
+    Only the nodes at depth <= ``level`` are emitted, in postorder. As a
+    node closes, its only child is dropped when that child is a leaf of
+    the pruned tree with a label that is not structural: the rule of
+    :func:`strip_tokens`, applied to the pruned tree. Malformed text
+    raises the error :func:`parse_bracketed` raises, at the same offset.
+    """
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    tokens = _tokens(text)
+    m = len(tokens)
+    labels: list[str] = []
+    lml: list[int] = []
+    # one [label, first postorder index, only child] per open node at depth <= level;
+    # only child: None while it has no child in the pruned tree (always, at depth == level),
+    # the label of a sole child that is a leaf of the pruned tree, else False
+    stack: list[list] = []
+    depth = k = 0
+    while k < m:
+        tok = tokens[k]
+        if tok == "(":
+            k += 1
+            if k == m or tokens[k] in _PARENS:
+                raise _syntax_error(text, tokens, k)
+            depth += 1
+            if depth <= level:
+                stack.append([tokens[k], len(labels), None])
+        elif tok == ")":
+            if depth <= level:
+                label, first, only = stack.pop()
+                if only and not _STRUCTURAL_LABEL.match(only):
+                    del labels[-1], lml[-1]  # a surface token under its preterminal
+                labels.append(label)
+                lml.append(first)
+                if stack:
+                    parent = stack[-1]
+                    parent[2] = label if parent[2] is None and only is None else False
+            depth -= 1
+            if not depth:
+                if k + 1 < m:
+                    raise _syntax_error(text, tokens, k + 1)
+                return FlatTree(labels, lml, level)
+        elif depth < level:
+            parent = stack[-1]
+            parent[2] = tok if parent[2] is None else False
+            lml.append(len(labels))
+            labels.append(tok)
+        k += 1
+    raise _syntax_error(text, tokens, m)
 
 
 def tree_edit_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree, costs: EditCost = _UNIT_COSTS):
@@ -220,8 +290,8 @@ def tree_edit_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree, costs: 
     integer unit costs the result is an exact integer. Either tree may
     also be given in the flattened form :func:`syntactic_form` returns.
     """
-    A = a if isinstance(a, FlatTree) else FlatTree(a)
-    B = b if isinstance(b, FlatTree) else FlatTree(b)
+    A = a if isinstance(a, FlatTree) else FlatTree.of(a)
+    B = b if isinstance(b, FlatTree) else FlatTree.of(b)
     la, lb = A.lml, B.lml
     aL, bL = A.labels, B.labels
     cd, ci, cr = costs.delete, costs.insert, costs.relabel

@@ -4,6 +4,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcpg_kit import (
@@ -353,6 +354,35 @@ class TestGridSelectGenerateEval:
         assert copy_row[4] == "100.00"
         oracle_row = lines[2].split("\t")
         assert float(oracle_row[4]) < 100.0
+
+    def test_repeated_sentence_is_measured_with_its_first_tree(self, corpus, model_file, tmp_path):
+        # the first member recurs as the last one, under the second member's tree
+        base = corpus[0]
+        assert base.trees[0] != base.trees[1]
+        cluster = Cluster("repeat", [*base.sentences, base.sentences[0]], [*base.trees, base.trees[1]])
+        clusters, out, report = tmp_path / "repeat.jsonl", tmp_path / "oracle.tsv", tmp_path / "report.tsv"
+        save_clusters([cluster], clusters)
+        assert run(
+            [
+                "generate", "--clusters", clusters, "--model", model_file,
+                "--generator", "retrieval_oracle", "--offset", "0,10,10", "--out", out,
+            ]
+        ) == 0
+        assert run(["eval", "--system", f"oracle={out}", "--out", report]) == 0
+        pairs = read_pairs_tsv(out)
+        assert [p.source for p in pairs] == cluster.sentences
+        oracle, computer = build_generator(GeneratorSpec(kind="retrieval_oracle")), QualityComputer()
+        own = []
+        for p in pairs:
+            assert (p.source_tree, p.target_tree) == (cluster.tree_of(p.source), cluster.tree_of(p.target))
+            # each candidate carries the quality eval would measure were the oracle to return it
+            table = oracle.candidate_qualities(p.source, cluster)
+            assert [q for _, q in table] == [
+                computer.pair_quality(p.source, t, p.source_tree, cluster.tree_of(t)) for t, _ in table
+            ]
+            own.append(dict(table)[p.target].as_tuple())
+        row = report.read_text(encoding="utf-8").splitlines()[1].split("\t")
+        assert row[1:4] == [f"{v:.2f}" for v in np.array(own).mean(axis=0)]
 
     def test_eval_matches_library(self, corpus, corpus_file, model_file, tmp_path):
         gen_id = tmp_path / "identity.tsv"

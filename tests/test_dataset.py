@@ -8,6 +8,7 @@ from qcpg_kit import (
     STAR_FIRST,
     Cluster,
     SentencePair,
+    dev_items,
     extract_pairs,
     load_clusters,
     pair_count,
@@ -155,7 +156,12 @@ class TestClusterLookups:
     def test_pair_keys_in_member_order(self):
         assert self.cluster.pair_keys("b") == [("b", "a", "(B1)", "(A)"), ("b", "c", "(B1)", "(C)")]
         assert self.cluster.pair_keys("c") == [
-            ("c", "a", "(C)", "(A)"), ("c", "b", "(C)", "(B1)"), ("c", "b", "(C)", "(B2)"),
+            ("c", "a", "(C)", "(A)"), ("c", "b", "(C)", "(B1)"), ("c", "b", "(C)", "(B1)"),
+        ]
+
+    def test_dev_items_take_the_first_tree(self):
+        assert [(s, tree) for s, _, tree in dev_items([self.cluster])] == [
+            ("a", "(A)"), ("b", "(B1)"), ("c", "(C)"), ("b", "(B1)"),
         ]
 
     def test_pair_keys_empty_without_a_source_tree(self):

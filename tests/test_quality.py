@@ -347,14 +347,14 @@ def reference_quality(s: str, t: str, tree_s: str, tree_t: str) -> QualityVector
 
 class TestQualityComputerRegression:
     def test_every_corpus_pair_matches_textbook_kernels(self, monkeypatch):
-        syntactic_form = qcpg_kit.quality.syntactic_form
+        parse_syntactic_form = qcpg_kit.quality.parse_syntactic_form
         built = Counter()
 
-        def counting_form(tree, *args):
-            built[tree.render()] += 1
-            return syntactic_form(tree, *args)
+        def counting_form(text, *args):
+            built[text] += 1
+            return parse_syntactic_form(text, *args)
 
-        monkeypatch.setattr(qcpg_kit.quality, "syntactic_form", counting_form)
+        monkeypatch.setattr(qcpg_kit.quality, "parse_syntactic_form", counting_form)
         computer = QualityComputer()
         pairs = extract_pairs(paraphrase_corpus(20, 6, seed=3, length_jitter=8), ALL_ORDERED)
         assert len(pairs) == 600

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcpg_kit import (
     EditCost,
     ParseTree,
+    QualityComputer,
     parse_bracketed,
     prune_to_level,
     strip_tokens,
@@ -11,7 +14,7 @@ from qcpg_kit import (
     tree_edit_distance,
 )
 from qcpg_kit.errors import EmptyLabel, TrailingInput, UnbalancedParens
-from qcpg_kit.trees import syntactic_form
+from qcpg_kit.trees import FlatTree, parse_syntactic_form, syntactic_form
 
 from helpers import random_ordered_tree, random_parse_tree, ted_bruteforce
 
@@ -231,3 +234,84 @@ class TestSyntacticDistance:
         t = parse_bracketed("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
         with pytest.raises(ValueError):
             syntactic_distance(syntactic_form(t, 3), t, level=2)
+
+
+def _composed_form(text: str, level: int) -> FlatTree:
+    """The form by the three passes: parse, prune then strip, flatten."""
+    return FlatTree.of(strip_tokens(prune_to_level(parse_bracketed(text), level)), level)
+
+
+def _arrays(form: FlatTree):
+    return form.labels, form.lml, form.keyroots, form.n, form.level
+
+
+_WORDS = st.sampled_from(["S", "NP", "DT", "X1", "-LRB-", "$", "the", "a", "x1", "é", "ü字", "NÉ"])
+_SPACES = st.sampled_from([" ", "  ", "\t", "\n ", "\u3000"])
+
+
+def _node(children):
+    """A bracketed node; its children are bare words or nodes, spaced by one whitespace run."""
+    return st.builds(
+        lambda label, kids, space: f"({space}{label}" + "".join(space + kid for kid in kids) + ")",
+        _WORDS, st.lists(children, max_size=3), _SPACES,
+    )
+
+
+_BRACKETED = _node(st.recursive(_WORDS, _node, max_leaves=14))
+_MALFORMED = [
+    ("", UnbalancedParens, 0),
+    (" \t\n", UnbalancedParens, 3),
+    (")", UnbalancedParens, 0),
+    ("(", EmptyLabel, 1),
+    ("(A", UnbalancedParens, 2),
+    ("(A ()", EmptyLabel, 4),
+    ("( (A))", EmptyLabel, 2),
+    ("(A) (B)", TrailingInput, 4),
+    ("(A))", TrailingInput, 3),
+    ("(é (ü", UnbalancedParens, 7),
+]
+
+
+class TestSyntacticFormFromText:
+    @given(_BRACKETED)
+    @settings(max_examples=300, deadline=None)
+    @example("(NP (x (y z)))")  # x: at the prune level 2, children pruned away, not structural
+    @example("(NP (X (y z)))")
+    def test_matches_the_three_passes_on_bracket_strings(self, text):
+        for level in (1, 2, 3, 4):
+            assert _arrays(parse_syntactic_form(text, level)) == _arrays(_composed_form(text, level))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_three_passes_on_parse_trees(self, seed, max_depth):
+        text = random_parse_tree(np.random.default_rng(seed), max_depth).render()
+        for level in (1, 2, 3, 4):
+            assert _arrays(parse_syntactic_form(text, level)) == _arrays(_composed_form(text, level))
+
+    def test_strip_rule_reads_the_pruned_tree(self):
+        # at level 2, x keeps no child: it is a leaf token of NP and goes; X is structure and stays
+        assert _arrays(parse_syntactic_form("(NP (x (y z)))", 2)) == (["NP"], [0], [0], 1, 2)
+        assert _arrays(parse_syntactic_form("(NP (X (y z)))", 2)) == (["X", "NP"], [0, 0], [1], 2, 2)
+        # at level 3, x has the child y in the pruned tree, so y goes as its token and x stays
+        assert parse_syntactic_form("(NP (x (y z)))", 3).labels == ["x", "NP"]
+
+    def test_invalid_level(self):
+        with pytest.raises(ValueError):
+            parse_syntactic_form("(A)", 0)
+
+    @pytest.mark.parametrize("text, error, offset", _MALFORMED)
+    def test_malformed_text_raises_what_the_parser_raises(self, text, error, offset):
+        for parse in (parse_bracketed, parse_syntactic_form):
+            with pytest.raises(error) as exc:
+                parse(text)
+            assert type(exc.value) is error
+            assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("text, error, offset", _MALFORMED)
+    def test_malformed_tree_fails_only_its_key(self, text, error, offset):
+        good = "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"
+        keys = [("the cat sat", "a cat sat", good, good), ("the cat sat", "a cat sat", good, text)]
+        ok, failed = QualityComputer().pair_qualities(keys)
+        assert ok == QualityComputer().pair_quality(*keys[0])
+        assert type(failed) is error
+        assert failed.offset == offset

@@ -15,6 +15,7 @@ from .dataset import (
     Cluster,
     DatasetSplit,
     SentencePair,
+    dev_items,
     extract_pairs,
     load_clusters,
     pair_count,
@@ -77,7 +78,7 @@ from .semantic import (
     external_raw,
     semantic_similarity,
 )
-from .synthetic import dev_items, paraphrase_corpus, quality_samples
+from .synthetic import paraphrase_corpus, quality_samples
 from .trees import (
     EditCost,
     ParseTree,

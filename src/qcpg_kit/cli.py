@@ -21,9 +21,11 @@ from .dataset import (
     PAIR_MODES,
     ALL_UNORDERED,
     SentencePair,
+    dev_items,
     load_clusters,
     read_pairs_tsv,
     read_tree_sidecar,
+    resolve_target_tree,
     split_clusters,
     write_pairs_tsv,
 )
@@ -37,7 +39,6 @@ from .selection import (
     grid_search,
     export_heatmap_csv,
     read_heatmap_csv,
-    resolve_target_tree,
     select_operation_point,
 )
 from .semantic import BUILTIN_TRIGRAM, EXTERNAL_COMMAND, SemanticScorer
@@ -70,17 +71,16 @@ def _load_config(path: str | None) -> dict[str, str]:
     return config
 
 
+# the short names --scorer and --generator accept besides the full kind names
+_KIND_ALIASES = {"builtin": BUILTIN_TRIGRAM, "external": EXTERNAL_COMMAND}
+
+
 def _scorer_from(args) -> SemanticScorer:
-    kind = args.scorer
-    if kind == "builtin":
-        kind = BUILTIN_TRIGRAM
-    if kind == "external":
-        kind = EXTERNAL_COMMAND
-    return SemanticScorer(kind=kind, command=args.scorer_command)
+    return SemanticScorer(kind=_KIND_ALIASES.get(args.scorer, args.scorer), command=args.scorer_command)
 
 
 def _generator_from(args) -> GeneratorSpec:
-    kind = EXTERNAL_COMMAND if args.generator == "external" else args.generator
+    kind = _KIND_ALIASES.get(args.generator, args.generator)
     return GeneratorSpec(kind=kind, noise_std=args.noise_std, command=args.generator_command, seed=args.seed)
 
 
@@ -232,8 +232,6 @@ def cmd_predict_qp(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    from .synthetic import dev_items
-
     gen = _generator_from(args)
     model = load_model(args.model)
     grid = _parse_grid_spec(args.grid)
@@ -287,8 +285,8 @@ def cmd_eval(args) -> int:
         sys_trees = [p.source_tree for p in pairs]
         if sources is None:
             sources, source_trees = sys_sources, sys_trees
-        elif sys_sources != sources:
-            raise LengthMismatch(f"system {name!r} disagrees with the first system's sources")
+        elif (sys_sources, sys_trees) != (sources, source_trees):
+            raise LengthMismatch(f"system {name!r} disagrees with the first system's sources or source trees")
         systems.append((name, [p.target for p in pairs], [p.target_tree for p in pairs]))
     references = None
     if args.references:
@@ -340,8 +338,7 @@ def _build_parser(config_path: str | None = None, chosen: str | None = None) -> 
         option(p, "--seed", type=int, default=42)
 
     def scored(p):
-        scorers = ["builtin", "external", BUILTIN_TRIGRAM, EXTERNAL_COMMAND]
-        option(p, "--scorer", choices=scorers, default=BUILTIN_TRIGRAM)
+        option(p, "--scorer", choices=[*_KIND_ALIASES, BUILTIN_TRIGRAM, EXTERNAL_COMMAND], default=BUILTIN_TRIGRAM)
         option(p, "--scorer-command")
 
     def generation(p):

@@ -3,7 +3,8 @@
 A corpus is a list of clusters, each holding mutually-paraphrastic
 sentences (optionally with aligned bracketed parses). Splits assign
 whole clusters to test, then dev, then train, so no cluster ever
-contributes pairs to two splits.
+contributes pairs to two splits. Every sentence takes its tree here,
+by ``Cluster.tree_of``: in pairs, dev items and generated pairs alike.
 """
 
 from __future__ import annotations
@@ -142,15 +143,11 @@ def pair_count(cluster: Cluster, mode: str = ALL_UNORDERED) -> int:
 
 
 def _cluster_pairs(cluster: Cluster, mode: str):
-    trees = cluster.trees
-    for i, j in _index_pairs(len(cluster.sentences), mode):
-        yield SentencePair(
-            source=cluster.sentences[i],
-            target=cluster.sentences[j],
-            cluster_id=cluster.cluster_id,
-            source_tree=trees[i] if trees else None,
-            target_tree=trees[j] if trees else None,
-        )
+    """The pairs ``mode`` makes of ``cluster``; each end takes its ``tree_of`` tree."""
+    sentences = cluster.sentences
+    trees = [cluster.tree_of(s) for s in sentences]
+    for i, j in _index_pairs(len(sentences), mode):
+        yield SentencePair(sentences[i], sentences[j], cluster.cluster_id, trees[i], trees[j])
 
 
 def extract_pairs(clusters: list[Cluster], mode: str = ALL_ORDERED) -> list[SentencePair]:
@@ -159,6 +156,24 @@ def extract_pairs(clusters: list[Cluster], mode: str = ALL_ORDERED) -> list[Sent
     for cluster in clusters:
         pairs.extend(_cluster_pairs(cluster, mode))
     return pairs
+
+
+def dev_items(clusters: list[Cluster], per_cluster: int | None = None, limit: int | None = None):
+    """Flatten clusters into (sentence, cluster, tree) dev items."""
+    items = []
+    for cluster in clusters:
+        if cluster.trees is None:
+            raise ValueError(f"cluster {cluster.cluster_id!r} has no trees")
+        take = len(cluster.sentences) if per_cluster is None else max(per_cluster, 0)
+        items += [(s, cluster, cluster.tree_of(s)) for s in cluster.sentences[:take]]
+    return items[:limit] if limit is not None else items
+
+
+def resolve_target_tree(t: str, s: str, cluster: Cluster | None, tree_s: str | None) -> str | None:
+    """Tree of generated ``t``: the source's if ``t == s``, else a cluster member's, else None."""
+    if t == s:
+        return tree_s
+    return cluster.tree_of(t) if cluster is not None else None
 
 
 def split_clusters(
@@ -183,23 +198,14 @@ def split_clusters(
         if cluster.cluster_id in seen:
             raise ValueError(f"cluster id {cluster.cluster_id!r} is repeated; a split needs distinct ids")
         seen.add(cluster.cluster_id)
-    order = rng_for(seed, "split_clusters").permutation(len(clusters))
-    shuffled = [clusters[i] for i in order]
-
-    quotas = [("test", n_test), ("dev", n_dev), ("train", n_train)]
-    assigned: dict[str, list[Cluster]] = {"train": [], "dev": [], "test": []}
-    counts = {"train": 0, "dev": 0, "test": 0}
-    it = iter(shuffled)
-    for name, quota in quotas:
-        while counts[name] < quota:
-            cluster = next(it, None)
-            if cluster is None:
-                achieved = tuple(counts[k] for k in ("train", "dev", "test"))
-                raise InsufficientData(
-                    f"corpus exhausted while filling the {name} split", achievable=achieved
-                )
-            assigned[name].append(cluster)
-            counts[name] += pair_count(cluster, mode)
+    shuffled = (clusters[i] for i in rng_for(seed, "split_clusters").permutation(len(clusters)))
+    assigned: dict[str, list[Cluster]] = {}
+    counts: dict[str, int] = {}
+    for name, quota in (("test", n_test), ("dev", n_dev), ("train", n_train)):
+        assigned[name], counts[name] = _take_until(shuffled, quota, mode)
+        if counts[name] < quota:
+            achieved = tuple(counts.get(k, 0) for k in ("train", "dev", "test"))
+            raise InsufficientData(f"corpus exhausted while filling the {name} split", achievable=achieved)
 
     split = DatasetSplit(seed=seed)
     split.test = extract_pairs(assigned["test"], mode)
@@ -226,18 +232,24 @@ def subsample(
     """Seeded shuffle, then take whole clusters until >= n_pairs pairs."""
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")
-    if n_pairs == 0:
-        return []
-    order = rng_for(seed, "subsample").permutation(len(clusters))
-    taken, total = [], 0
-    for i in order:
-        if total >= n_pairs:
-            break
-        taken.append(clusters[i])
-        total += pair_count(clusters[i], mode)
+    shuffled = (clusters[i] for i in rng_for(seed, "subsample").permutation(len(clusters)))
+    taken, total = _take_until(shuffled, n_pairs, mode)
     if total < n_pairs:
         log.warning("corpus has only %d pairs; %d requested", total, n_pairs)
     return taken
+
+
+def _take_until(shuffled, quota: int, mode: str) -> tuple[list[Cluster], int]:
+    """Whole clusters from ``shuffled`` until their pairs reach ``quota``, and that pair count.
+
+    The count falls short only when ``shuffled`` runs out; no cluster past the
+    quota is drawn from it.
+    """
+    taken, total = [], 0
+    while total < quota and (cluster := next(shuffled, None)) is not None:
+        taken.append(cluster)
+        total += pair_count(cluster, mode)
+    return taken, total
 
 
 # --- pair TSV and tree sidecar files -----------------------------------------

@@ -90,12 +90,8 @@ class MalformedRecord(QcpgError):
         self.line = line
 
 
-class TreeLengthMismatch(QcpgError):
-    exit_code = 4
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
-        self.line = line
+class TreeLengthMismatch(MalformedRecord):
+    """A record's tree list and sentence list differ in length."""
 
 
 class InsufficientData(QcpgError):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import resolve_target_tree
 from .errors import AllTied, LengthMismatch, MissingTree, raise_first_failure
 from .quality import QualityComputer, QualityVector
 from .semantic import DEFAULT_SCORER, SemanticScorer
@@ -138,8 +139,10 @@ def evaluate_systems(
 
     ``systems`` is a list of ``(name, outputs)`` or
     ``(name, outputs, output_trees)`` tuples; all lists are aligned with
-    ``sources``. When a system omits its output trees, each output must
-    equal its source (identity systems), whose tree is then reused.
+    ``sources``. When a system omits its output trees, each output takes
+    its tree by ``resolve_target_tree`` with no cluster: an output must
+    equal its source (identity systems), whose tree is then reused. A
+    pair without a source or output tree raises MissingTree.
     Every system's pairs are measured in one batch; its first failure is
     raised.
     """
@@ -163,16 +166,11 @@ def evaluate_systems(
             raise LengthMismatch(
                 f"system {name!r} has {len(output_trees)} trees for {len(sources)} sources"
             )
-        for i, (src, out) in enumerate(zip(sources, outputs)):
-            if output_trees is not None:
-                tree_out = output_trees[i]
-            elif out == src:
-                tree_out = source_trees[i]
-            else:
-                raise MissingTree(
-                    f"system {name!r} output {i} differs from its source but has no tree"
-                )
-            keys.append((src, out, source_trees[i], tree_out))
+        for i, (src, out, tree_src) in enumerate(zip(sources, outputs, source_trees)):
+            tree_out = output_trees[i] if output_trees is not None else resolve_target_tree(out, src, None, tree_src)
+            if tree_src is None or tree_out is None:
+                raise MissingTree(f"system {name!r} pair {i} lacks a source or output tree")
+            keys.append((src, out, tree_src, tree_out))
         if not sources:
             raise ValueError(f"system {name!r} has no outputs to evaluate")
         named.append((name, outputs))

@@ -16,6 +16,7 @@ testable end to end without any training:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +24,13 @@ import numpy as np
 from .dataset import Cluster
 from .errors import EmptyContext, ProtocolError, QcpgError, raise_first_failure
 from .quality import ControlVector, QualityComputer, prepend_control
-from .semantic import DEFAULT_SCORER, SemanticScorer, run_line_protocol, sanitize_line_field
+from .semantic import DEFAULT_SCORER, EXTERNAL_COMMAND, SemanticScorer, run_line_protocol, sanitize_line_field
 # rng_for is no longer called here, but bench/tracing.py spans this binding.
 from .util import as_entropy, keyed_generators, philox_keys, rng_for  # noqa: F401
 
 IDENTITY = "identity"
 RETRIEVAL_ORACLE = "retrieval_oracle"
 NOISY_ORACLE = "noisy_oracle"
-EXTERNAL_COMMAND = "external_command"
 GENERATOR_KINDS = (IDENTITY, RETRIEVAL_ORACLE, NOISY_ORACLE, EXTERNAL_COMMAND)
 
 Request = tuple[str, ControlVector, "Cluster | None"]
@@ -46,6 +46,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.noise_std is not None and not math.isfinite(self.noise_std):
+            raise ValueError(f"noise_std must be finite, got {self.noise_std}")
         if self.kind == NOISY_ORACLE and (self.noise_std is None or self.noise_std < 0):
             raise ValueError("noisy_oracle requires a non-negative noise_std")
         if self.kind == EXTERNAL_COMMAND and not self.command:

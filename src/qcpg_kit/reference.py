@@ -79,8 +79,8 @@ def fit(samples: list[tuple[str, QualityVector]], lam: float = 1.0) -> Reference
     Minimizes ||Y - Zw - b||^2 + lam * ||w||^2 per output dimension,
     with Z the z-scored design matrix. Deterministic; no RNG.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     if len(samples) < 2:
         raise DegenerateDesign(f"need at least 2 samples, got {len(samples)}")
     X = np.stack([featurize(s) for s, _ in samples])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Cluster
+from .dataset import Cluster, resolve_target_tree
 from .errors import (
     AllGenerationsFailed,
     MalformedRecord,
@@ -66,6 +66,12 @@ class SelectionConstraint:
     baseline_sem: float
     min_sem_advantage: float = 5.0
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.baseline_sem, self.min_sem_advantage))):
+            raise ValueError(
+                f"baseline and margin must be finite, got {self.baseline_sem} and {self.min_sem_advantage}"
+            )
+
 
 def default_grid(lo: float = 0.0, step: float = 5.0, hi: float = 50.0) -> list[Offset]:
     """The standard search grid: {lo, lo+step, ..., hi} in all three dimensions."""
@@ -85,14 +91,7 @@ def diversity_of(q: QualityVector) -> float:
     return (q.syn + q.lex) / 2.0
 
 
-def resolve_target_tree(t: str, s: str, cluster: Cluster | None, tree_s: str | None) -> str | None:
-    """Tree of generated ``t``: the source's if ``t == s``, else a cluster member's, else None."""
-    if t == s:
-        return tree_s
-    return cluster.tree_of(t) if cluster is not None else None
-
-
-def plan_controls(refs, offsets: list[Offset], interned: dict[int, ControlVector]):
+def plan_controls(refs, offsets: list[Offset]):
     """Yield, per reference point, its distinct controls and each offset's slot among them.
 
     The controls are those of ``apply_offset(r, o)`` over ``offsets``, in
@@ -100,9 +99,10 @@ def plan_controls(refs, offsets: list[Offset], interned: dict[int, ControlVector
     per-dimension columns; per reference, each distinct column value is
     quantized once with the scalar ``quantize(r[d] + v)``, so the levels
     are exact, and each offset's three levels are packed into one code
-    ``sem*10000 + syn*100 + lex``. ``interned`` maps a code to its one
-    ``ControlVector``, so each distinct control is built once.
+    ``sem*10000 + syn*100 + lex``. Each distinct control is built once,
+    as one ``ControlVector`` shared by every reference.
     """
+    interned: dict[int, ControlVector] = {}
     grid = np.array([o.as_tuple() for o in offsets], dtype=np.float64).reshape(-1, 3)
     columns = [np.unique(grid[:, d], return_inverse=True) for d in range(3)]
     for r in refs:
@@ -130,7 +130,6 @@ class _GridEvaluator:
         self.computer = QualityComputer(scorer)
         self.generator = build_generator(gen, self.computer)
         self.refs = [predict(qp_model, s).as_tuple() for s, _, _ in self.dev]
-        self.controls: dict[int, ControlVector] = {}
 
     def _measure(self, s: str, cluster: Cluster | None, tree_s: str, outputs: list) -> list:
         """Quality tuple of each output (or the failure it is, or leads to).
@@ -158,7 +157,7 @@ class _GridEvaluator:
         """
         sums = np.zeros((len(offsets), 3), dtype=np.float64)
         counts = np.zeros(len(offsets), dtype=np.int64)
-        plans = plan_controls(self.refs, offsets, self.controls)
+        plans = plan_controls(self.refs, offsets)
         for (s, cluster, tree_s), (controls, slots) in zip(self.dev, plans):
             outputs = self.generator.generate_batch([(s, c, cluster) for c in controls])
             measured = self._measure(s, cluster, tree_s, outputs)

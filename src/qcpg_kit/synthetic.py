@@ -92,17 +92,6 @@ def paraphrase_corpus(
     return clusters
 
 
-def dev_items(clusters: list[Cluster], per_cluster: int | None = None, limit: int | None = None):
-    """Flatten clusters into (sentence, cluster, tree) dev items."""
-    items = []
-    for cluster in clusters:
-        if cluster.trees is None:
-            raise ValueError(f"cluster {cluster.cluster_id!r} has no trees")
-        take = len(cluster.sentences) if per_cluster is None else max(per_cluster, 0)
-        items += [(s, cluster, cluster.tree_of(s)) for s in cluster.sentences[:take]]
-    return items[:limit] if limit is not None else items
-
-
 def quality_samples(
     clusters: list[Cluster],
     scorer: SemanticScorer = DEFAULT_SCORER,

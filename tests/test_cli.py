@@ -14,6 +14,7 @@ from qcpg_kit import (
     QualityComputer,
     SelectionConstraint,
     SemanticScorer,
+    SentencePair,
     apply_offset,
     default_grid,
     dev_items,
@@ -34,7 +35,7 @@ from qcpg_kit import (
     write_pairs_tsv,
 )
 from qcpg_kit import errors
-from qcpg_kit.cli import _build_parser, _exit_code_for, _read_scored_tsv, main
+from qcpg_kit.cli import _build_parser, _exit_code_for, _generator_from, _read_scored_tsv, _scorer_from, main
 from qcpg_kit.generators import build_generator
 
 from stub_counting_scorer import raw_score as stub_raw
@@ -404,6 +405,20 @@ class TestGridSelectGenerateEval:
         )
         assert report.read_text(encoding="utf-8") == lib.to_tsv()
 
+    def test_eval_refuses_systems_whose_source_trees_differ(self, tmp_path, caplog):
+        tree = "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"
+        files = {name: tmp_path / f"{name}.tsv" for name in ("a", "b")}
+        for name, source_tree in (("a", tree), ("b", "(S (X y))")):
+            write_pairs_tsv([SentencePair("the cat sat", "the cat sat", "c0", source_tree, tree)], files[name])
+        # alone, b's identity output is measured against b's own source tree
+        alone = tmp_path / "b-report.tsv"
+        assert run(["eval", "--system", f"b={files['b']}", "--out", alone]) == 0
+        assert float(alone.read_text(encoding="utf-8").splitlines()[1].split("\t")[2]) > 0
+        report = tmp_path / "report.tsv"
+        assert run(["eval", "--system", f"a={files['a']}", "--system", f"b={files['b']}", "--out", report]) == 5
+        assert not report.exists()
+        assert "LengthMismatch" in caplog.text and "system 'b'" in caplog.text
+
 
 COUNTING_STUB = Path(__file__).with_name("stub_counting_generator.py")
 
@@ -715,6 +730,34 @@ class TestConfig:
         assert "mode='bogus'" in caplog.text and str(config) in caplog.text
         assert all(mode in caplog.text for mode in ("all_ordered", "all_unordered", "star_first"))
 
+    @pytest.mark.parametrize(
+        "name, kind",
+        [
+            ("builtin", "builtin_trigram"),
+            ("builtin_trigram", "builtin_trigram"),
+            ("external", "external_command"),
+            ("external_command", "external_command"),
+        ],
+    )
+    def test_scorer_spellings(self, name, kind):
+        args = _build_parser().parse_args(["score", "--pairs", "p.tsv", "--scorer", name, "--scorer-command", "x"])
+        assert _scorer_from(args).kind == kind
+
+    @pytest.mark.parametrize(
+        "name, kind",
+        [
+            ("external", "external_command"),
+            ("external_command", "external_command"),
+            ("identity", "identity"),
+            ("retrieval_oracle", "retrieval_oracle"),
+            ("noisy_oracle", "noisy_oracle"),
+        ],
+    )
+    def test_generator_spellings(self, name, kind):
+        argv = ["grid", "--clusters", "c.jsonl", "--model", "m.json", "--generator", name]
+        args = _build_parser().parse_args([*argv, "--generator-command", "x", "--noise-std", "1"])
+        assert _generator_from(args).kind == kind
+
     def test_keys_of_options_a_command_lacks_are_ignored(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("seed=\nscorer=bogus\nmode=bogus\ngenerator=bogus\n", encoding="utf-8")
@@ -922,3 +965,43 @@ class TestMalformedInputs:
         assert run([*argv, "--operation-point", point, "--out", by_point]) == 0
         assert run([*argv, "--offset", "0,10,10", "--out", by_offset]) == 0
         assert by_point.read_bytes() == by_offset.read_bytes()
+
+
+class TestNonFiniteOptionValues:
+    """A NaN or infinite option value exits 5 before any output is written."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--baseline-sem", "nan"],
+            ["--baseline-sem=-inf"],
+            ["--baseline-sem", "20", "--margin", "nan"],
+            ["--baseline-sem", "99", "--margin", "nan"],
+            ["--baseline-sem", "20", "--margin", "inf"],
+        ],
+    )
+    def test_select(self, tmp_path, flags):
+        heat, out = tmp_path / "heat.csv", tmp_path / "op.json"
+        heat.write_text(HEATMAP_HEADER + ZERO_ROW, encoding="utf-8")
+        assert run(["select", "--heatmap", heat, *flags, "--out", out]) == 5
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_grid_noise_std(self, corpus_file, model_file, tmp_path, value):
+        heat = tmp_path / "heat.csv"
+        argv = ["grid", "--clusters", corpus_file, "--model", model_file, "--generator", "noisy_oracle"]
+        assert run([*argv, "--noise-std", value, "--grid", "0:50:50", "--out", heat]) == 5
+        assert not heat.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_train_qp_lambda(self, scored_file, tmp_path, value):
+        model = tmp_path / "model.json"
+        assert run(["train-qp", "--pairs", scored_file, "--lambda", value, "--out", model]) == 5
+        assert not model.exists()
+
+    def test_config_value(self, tmp_path, caplog):
+        heat, config, out = tmp_path / "heat.csv", tmp_path / "run.cfg", tmp_path / "op.json"
+        heat.write_text(HEATMAP_HEADER + ZERO_ROW, encoding="utf-8")
+        config.write_text("margin=nan\n", encoding="utf-8")
+        assert run(["select", "--config", config, "--heatmap", heat, "--baseline-sem", "20", "--out", out]) == 5
+        assert not out.exists() and "finite" in caplog.text

@@ -18,6 +18,7 @@ from qcpg_kit import (
     subsample,
     write_pairs_tsv,
 )
+from qcpg_kit.dataset import PAIR_MODES, resolve_target_tree
 from qcpg_kit.errors import InsufficientData, MalformedRecord, TreeLengthMismatch
 
 
@@ -57,6 +58,13 @@ class TestLoadClusters:
         with pytest.raises(TreeLengthMismatch) as exc:
             load_clusters(path)
         assert exc.value.line == 2
+
+    def test_tree_length_mismatch_is_a_malformed_record(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"cluster_id": "a", "sentences": ["x", "y"], "trees": ["(S x)"]}])
+        with pytest.raises(MalformedRecord) as exc:
+            load_clusters(path)
+        assert type(exc.value) is TreeLengthMismatch and exc.value.exit_code == 4
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -163,6 +171,22 @@ class TestClusterLookups:
         assert [(s, tree) for s, _, tree in dev_items([self.cluster])] == [
             ("a", "(A)"), ("b", "(B1)"), ("c", "(C)"), ("b", "(B1)"),
         ]
+
+    @pytest.mark.parametrize("mode", PAIR_MODES)
+    def test_extract_pairs_and_split_take_the_first_tree(self, mode):
+        # every mode pairs the repeated member "b" (index 3), as a source or a target
+        tree_of = self.cluster.tree_of
+        split = split_clusters([self.cluster], (pair_count(self.cluster, mode), 0, 0), seed=0, mode=mode)
+        for pairs in (extract_pairs([self.cluster], mode), split.train):
+            assert [(p.source_tree, p.target_tree) for p in pairs] == [
+                (tree_of(p.source), tree_of(p.target)) for p in pairs
+            ]
+
+    def test_resolve_target_tree(self):
+        assert resolve_target_tree("b", "b", self.cluster, "(own)") == "(own)"
+        assert resolve_target_tree("b", "a", self.cluster, "(A)") == "(B1)"
+        assert resolve_target_tree("z", "a", self.cluster, "(A)") is None
+        assert resolve_target_tree("b", "a", None, "(A)") is None
 
     def test_pair_keys_empty_without_a_source_tree(self):
         assert self.cluster.pair_keys("z") == []

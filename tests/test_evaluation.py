@@ -218,6 +218,19 @@ class TestEvaluateSystems:
         with pytest.raises(MissingTree):
             evaluate_systems([("x", ["changed text"])], ["the cat sat"], [TREE_A])
 
+    @pytest.mark.parametrize(
+        "system, source_tree",
+        [
+            (("x", ["the cat sat"], [None]), TREE_A),
+            (("x", ["the cat sat"]), None),
+            (("x", ["the cat sat"], [TREE_A]), None),
+        ],
+        ids=["output_tree", "identity_source_tree", "source_tree"],
+    )
+    def test_a_missing_tree_is_missing_tree(self, system, source_tree):
+        with pytest.raises(MissingTree):
+            evaluate_systems([system], ["the cat sat"], [source_tree])
+
     def test_tsv_format(self):
         sources = ["the cat sat"]
         report = evaluate_systems([("copy", list(sources))], sources, [TREE_A])

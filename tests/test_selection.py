@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcpg_kit import (
+    ALL_ORDERED,
     Cluster,
     ControlVector,
     GeneratorSpec,
@@ -25,6 +26,7 @@ from qcpg_kit import (
     diversity_of,
     expected_quality,
     export_heatmap_csv,
+    extract_pairs,
     fit,
     grid_search,
     paraphrase_corpus,
@@ -182,6 +184,29 @@ class TestGridSearch:
         expected = np.array(rows).std(axis=0)
         assert result.dim_std == pytest.approx(tuple(expected))
 
+    def test_quality_samples_measure_the_std_unit_pairs(self, qp_model):
+        # the first sentence recurs as the last member under another tree
+        cluster = Cluster(
+            "repeat",
+            ["the cat sat", "a dog ran", "cats sit", "the cat sat"],
+            trees=[
+                "(S (NP (DT the) (NN cat)) (VP (VBD sat)))",
+                "(S (NP (DT a) (NN dog)) (VP (VBD ran)))",
+                "(S (NP (NNS cats)) (VP (VBP sit)))",
+                "(S (X the) (Y cat) (Z sat))",
+            ],
+        )
+        items = dev_items([cluster])
+        keys = [key for s, c, _ in items for key in c.pair_keys(s)]
+        std_unit_rows = sorted(q.as_tuple() for q in QualityComputer().pair_qualities(keys))
+        # quality_samples pairs every two members; the std units skip a sentence's pair with its copy
+        pairs = extract_pairs([cluster], ALL_ORDERED)
+        samples = quality_samples([cluster], mode=ALL_ORDERED)
+        rows = sorted(q.as_tuple() for p, (_, q) in zip(pairs, samples) if p.source != p.target)
+        assert rows == std_unit_rows
+        result = grid_search(GeneratorSpec(kind="identity"), qp_model, items, grid=[Offset(0.0, 0.0, 0.0)])
+        assert result.dim_std == pytest.approx(tuple(np.array(rows).std(axis=0)), rel=1e-12)
+
 
 # Offsets off the multiples of 5 and outside any product grid; the large
 # ones clamp r + o below 0 and above 100.
@@ -238,15 +263,14 @@ class TestControlPlan:
     )
     def test_planned_controls_are_the_quantized_offsets(self, refs, offsets):
         offsets = [Offset(*o) for o in offsets]
-        interned = {}
-        plans = list(plan_controls(refs, offsets, interned))
+        plans = list(plan_controls(refs, offsets))
         assert len(plans) == len(refs)
         for r, (controls, slots) in zip(refs, plans):
             expected = [ControlVector(*(quantize(r[d] + o.as_tuple()[d]) for d in range(3))) for o in offsets]
             assert [controls[k] for k in slots] == expected
             assert controls == list(dict.fromkeys(expected))
         planned = [c for controls, _ in plans for c in controls]
-        assert len({id(c) for c in planned}) == len(set(planned)) == len(interned)
+        assert len({id(c) for c in planned}) == len(set(planned))
 
 
 class TestResponsiveness:

@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -224,7 +225,9 @@ def cmd_predict_qp(args) -> int:
     model = load_model(args.model)
     sentences = read_lines(args.sentences)
     lines = ["sentence\tr_sem\tr_syn\tr_lex"]
-    for s in sentences:
+    for lineno, s in enumerate(sentences, start=1):
+        if "\t" in s:
+            raise MalformedRecord("a tab inside a sentence", line=lineno)
         r = predict(model, s)
         lines.append(f"{s}\t{r.sem:.4f}\t{r.syn:.4f}\t{r.lex:.4f}")
     text = "\n".join(lines) + "\n"
@@ -247,8 +250,8 @@ def cmd_select(args) -> int:
     constraint = SelectionConstraint(baseline_sem=args.baseline_sem, min_sem_advantage=args.margin)
     point = select_operation_point(result, constraint)
     payload = {
-        "offset": dict(zip(("sem", "syn", "lex"), point.offset.as_tuple())),
-        "expected": dict(zip(("sem", "syn", "lex"), point.expected.as_tuple())),
+        "offset": asdict(point.offset),
+        "expected": asdict(point.expected),
         "diversity": point.diversity,
     }
     text = json.dumps(payload, indent=2) + "\n"

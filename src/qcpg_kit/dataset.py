@@ -159,13 +159,15 @@ def extract_pairs(clusters: list[Cluster], mode: str = ALL_ORDERED) -> list[Sent
 
 
 def dev_items(clusters: list[Cluster], per_cluster: int | None = None, limit: int | None = None):
-    """Flatten clusters into (sentence, cluster, tree) dev items."""
+    """Flatten clusters into (sentence, cluster, tree) dev items; a bound may be 0 but not negative."""
+    for name, bound in (("per_cluster", per_cluster), ("limit", limit)):
+        if bound is not None and bound < 0:
+            raise ValueError(f"{name} must not be negative, got {bound}")
     items = []
     for cluster in clusters:
         if cluster.trees is None:
             raise ValueError(f"cluster {cluster.cluster_id!r} has no trees")
-        take = len(cluster.sentences) if per_cluster is None else max(per_cluster, 0)
-        items += [(s, cluster, cluster.tree_of(s)) for s in cluster.sentences[:take]]
+        items += [(s, cluster, cluster.tree_of(s)) for s in cluster.sentences[:per_cluster]]
     return items[:limit] if limit is not None else items
 
 

@@ -33,57 +33,53 @@ def _check_score(name: str, value: float) -> float:
 
 
 @dataclass(frozen=True)
-class QualityVector:
-    """(semantic, syntactic, lexical) scores, each in [0, 100]."""
+class _Triple:
+    """A point of the (sem, syn, lex) space; each value is admitted by the subclass's ``_check``."""
 
     sem: float
     syn: float
     lex: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sem", _check_score("sem", self.sem))
-        object.__setattr__(self, "syn", _check_score("syn", self.syn))
-        object.__setattr__(self, "lex", _check_score("lex", self.lex))
+        for name in ("sem", "syn", "lex"):
+            object.__setattr__(self, name, self._check(name, getattr(self, name)))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.sem, self.syn, self.lex)
 
 
 @dataclass(frozen=True)
-class ControlVector:
-    """Quantized control target; every component is in {0, 5, ..., 95}."""
+class QualityVector(_Triple):
+    """(semantic, syntactic, lexical) scores, each in [0, 100]."""
 
-    sem: int
-    syn: int
-    lex: int
-
-    def __post_init__(self):
-        for name in ("sem", "syn", "lex"):
-            v = getattr(self, name)
-            if v not in QUANT_VALUES:
-                raise ValueError(f"{name}={v!r} is not an admissible quantized value")
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.sem, self.syn, self.lex)
+    _check = staticmethod(_check_score)
 
 
 @dataclass(frozen=True)
-class Offset:
+class ControlVector(_Triple):
+    """Quantized control target; every component is in {0, 5, ..., 95}."""
+
+    @staticmethod
+    def _check(name: str, value: int) -> int:
+        if value not in QUANT_VALUES:
+            raise ValueError(f"{name}={value!r} is not an admissible quantized value")
+        return value
+
+
+@dataclass(frozen=True)
+class Offset(_Triple):
     """Displacement added to a reference point to form a control vector."""
 
     sem: float = 0.0
     syn: float = 0.0
     lex: float = 0.0
 
-    def __post_init__(self):
-        for name in ("sem", "syn", "lex"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise NonFiniteValue(f"offset {name} must be finite")
-            object.__setattr__(self, name, v)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.sem, self.syn, self.lex)
+    @staticmethod
+    def _check(name: str, value: float) -> float:
+        value = float(value)
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"offset {name} must be finite")
+        return value
 
 
 ZERO_OFFSET = Offset(0.0, 0.0, 0.0)

@@ -32,8 +32,6 @@ FEATURE_NAMES = (
 
 MODEL_FORMAT = "qcpg-kit.reference-model.v1"
 
-_OUTPUT_DIMS = ("sem", "syn", "lex")
-
 
 def featurize(s: str) -> np.ndarray:
     """Fixed-order surface features of a sentence (see FEATURE_NAMES)."""
@@ -66,11 +64,18 @@ class ReferenceModel:
     lam: float
 
     def __post_init__(self):
-        d = len(self.feature_names)
-        if self.weights.shape != (3, d) or self.bias.shape != (3,):
-            raise ValueError("weight shapes inconsistent with feature names")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if self.feature_names != FEATURE_NAMES:
+            raise ValueError(f"feature_names must be {list(FEATURE_NAMES)}, got {list(self.feature_names)}")
+        d = len(FEATURE_NAMES)
+        arrays = (self.mean, self.scale, self.weights, self.bias)
+        if [a.shape for a in arrays] != [(d,), (d,), (3, d), (3,)]:
+            raise ValueError(f"mean and scale need {d} values, weights 3x{d}, bias 3")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError("mean, scale, weights and bias must be finite")
+        if not (self.scale > 0).all():
+            raise ValueError("every scale value must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
 
 
 def fit(samples: list[tuple[str, QualityVector]], lam: float = 1.0) -> ReferenceModel:
@@ -162,7 +167,7 @@ def load_model(path) -> ReferenceModel:
             else "model file is not a JSON object"
         )
     try:
-        model = ReferenceModel(
+        return ReferenceModel(
             feature_names=tuple(payload["feature_names"]),
             mean=np.array(payload["mean"], dtype=np.float64),
             scale=np.array(payload["scale"], dtype=np.float64),
@@ -172,11 +177,3 @@ def load_model(path) -> ReferenceModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model file is missing or corrupts a field: {exc}") from exc
-    if model.feature_names != FEATURE_NAMES:
-        raise ModelFormatError(f"feature_names must be {list(FEATURE_NAMES)}, got {list(model.feature_names)}")
-    d = len(FEATURE_NAMES)
-    if [a.shape for a in (model.mean, model.scale, model.weights, model.bias)] != [(d,), (d,), (3, d), (3,)]:
-        raise ModelFormatError(f"mean and scale need {d} values, weights 3x{d}, bias 3")
-    if not math.isfinite(model.lam):
-        raise ModelFormatError("lambda must be finite")
-    return model

@@ -29,7 +29,7 @@ from .errors import (
     raise_first_failure,
 )
 from .generators import GeneratorSpec, build_generator
-from .quality import ControlVector, Offset, QualityComputer, QualityVector, quantize
+from .quality import ZERO_OFFSET, ControlVector, Offset, QualityComputer, QualityVector, quantize
 from .reference import ReferenceModel, predict
 from .semantic import DEFAULT_SCORER, SemanticScorer
 from .util import read_lines
@@ -215,17 +215,16 @@ def grid_search(
     lexicographic order; offsets where every generation fails are dropped
     with a warning and listed in ``dropped``.
     """
-    offsets = sorted({o.as_tuple() for o in (grid if grid is not None else default_grid())})
-    if (0.0, 0.0, 0.0) not in offsets:
+    offsets = sorted(set(grid if grid is not None else default_grid()), key=Offset.as_tuple)
+    if ZERO_OFFSET not in offsets:
         raise MissingZeroPoint("the offset grid must include (0, 0, 0)")
-    offsets = [Offset(*t) for t in offsets]
 
     ev = _GridEvaluator(gen, qp_model, dev, scorer)
     dim_std = ev.dim_std()
 
     evaluated = ev.evaluate(offsets)
 
-    zero_idx = offsets.index(Offset(0.0, 0.0, 0.0))
+    zero_idx = offsets.index(ZERO_OFFSET)
     if evaluated[zero_idx] is None:
         raise AllGenerationsFailed("every generation failed at the zero offset")
     q0 = evaluated[zero_idx][0]
@@ -246,11 +245,10 @@ def grid_search(
 
 def responsiveness(result: GridResult, o: Offset, std_units: bool = False) -> tuple[float, float, float]:
     """R(o) = Q~(o) - Q~(0,0,0), optionally in per-dimension std units."""
-    tuples = [x.as_tuple() for x in result.offsets]
-    if (0.0, 0.0, 0.0) not in tuples:
+    if ZERO_OFFSET not in result.offsets:
         raise MissingZeroPoint("grid result does not contain the zero offset")
     try:
-        idx = tuples.index(o.as_tuple())
+        idx = result.offsets.index(o)
     except ValueError:
         raise ValueError(f"offset {o.as_tuple()} was not evaluated") from None
     r = result.responsiveness[idx]

@@ -50,19 +50,12 @@ class ParseTree:
         return 1 + max(child.depth() for child in self.children)
 
     def render(self) -> str:
-        """Serialize back to bracketed text; inverse of :func:`parse_bracketed`."""
-        if not self.children:
-            return f"({self.label})"
-        return f"({self.label} {self._render_inner()})"
+        """Serialize back to bracketed text; inverse of :func:`parse_bracketed`.
 
-    def _render_inner(self) -> str:
-        parts = []
-        for child in self.children:
-            if child.children:
-                parts.append(f"({child.label} {child._render_inner()})")
-            else:
-                parts.append(child.label)
-        return " ".join(parts)
+        Leaf children print bare; a childless root prints ``(A)``.
+        """
+        parts = [child.render() if child.children else child.label for child in self.children]
+        return f"({' '.join([self.label, *parts])})"
 
 
 @dataclass(frozen=True)
@@ -161,14 +154,6 @@ def prune_to_level(tree: ParseTree, level: int = DEFAULT_PRUNE_LEVEL) -> ParseTr
 _STRUCTURAL_LABEL = re.compile(r"^[A-Z0-9$#_.,:`'-]*[A-Z][A-Z0-9$#_.,:`'-]*$")
 
 
-def _is_token_leaf(parent: ParseTree, child: ParseTree) -> bool:
-    return (
-        len(parent.children) == 1
-        and not child.children
-        and not _STRUCTURAL_LABEL.match(child.label)
-    )
-
-
 def strip_tokens(tree: ParseTree) -> ParseTree:
     """Remove surface-token leaves, keeping preterminal (POS) labels.
 
@@ -178,8 +163,10 @@ def strip_tokens(tree: ParseTree) -> ParseTree:
     and leaf phrases survive, so the operation is idempotent on trees in
     treebank form.
     """
-    if len(tree.children) == 1 and _is_token_leaf(tree, tree.children[0]):
-        return ParseTree(tree.label)
+    if len(tree.children) == 1:
+        [only] = tree.children
+        if not only.children and not _STRUCTURAL_LABEL.match(only.label):
+            return ParseTree(tree.label)
     return ParseTree(tree.label, tuple(strip_tokens(c) for c in tree.children))
 
 

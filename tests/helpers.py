@@ -232,3 +232,28 @@ def random_parse_tree(rng, max_depth: int = 4) -> ParseTree:
         return ParseTree(label, tuple(kids))
 
     return phrase(1)
+
+
+# --- model files holding one bad number ----------------------------------------
+
+# id -> (payload key, value put in its first number); each breaks a ReferenceModel invariant
+BAD_MODEL_NUMBERS = {
+    "bias_inf": ("bias", float("inf")),
+    "mean_nan": ("mean", float("nan")),
+    "scale_zero": ("scale", 0.0),
+    "scale_negative": ("scale", -1.0),
+    "weights_neg_inf": ("weights", float("-inf")),
+    "lambda_inf": ("lambda", float("inf")),
+    "lambda_nan": ("lambda", float("nan")),
+}
+
+
+def with_bad_number(payload: dict, key: str, value: float) -> dict:
+    """Put ``value`` as the first number of ``key`` in a model-file payload."""
+    if key == "lambda":
+        payload[key] = value
+    elif key == "weights":
+        payload[key][0][0] = value
+    else:
+        payload[key][0] = value
+    return payload

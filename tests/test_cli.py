@@ -38,6 +38,7 @@ from qcpg_kit import errors
 from qcpg_kit.cli import _build_parser, _exit_code_for, _generator_from, _read_scored_tsv, _scorer_from, main
 from qcpg_kit.generators import build_generator
 
+from helpers import BAD_MODEL_NUMBERS, with_bad_number
 from stub_counting_scorer import raw_score as stub_raw
 
 IDENTITY_SEM = 100.0 / (1.0 + math.exp(-2.0))
@@ -253,6 +254,22 @@ class TestQpCommands:
         sentences = tmp_path / "s.txt"
         sentences.write_text("hello there\n", encoding="utf-8")
         assert run(["predict-qp", "--model", bad, "--sentences", sentences, "--out", tmp_path / "p.tsv"]) == 4
+
+    @pytest.mark.parametrize("key, value", BAD_MODEL_NUMBERS.values(), ids=BAD_MODEL_NUMBERS.keys())
+    def test_model_with_a_bad_number_exit_4(self, model_file, tmp_path, key, value):
+        bad = tmp_path / "bad.json"
+        payload = with_bad_number(json.loads(model_file.read_text(encoding="utf-8")), key, value)
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        sentences, out = tmp_path / "s.txt", tmp_path / "p.tsv"
+        sentences.write_text("hello there\n", encoding="utf-8")
+        assert run(["predict-qp", "--model", bad, "--sentences", sentences, "--out", out]) == 4
+        assert not out.exists()
+
+    def test_tab_in_a_sentence_exit_4(self, model_file, tmp_path, caplog):
+        sentences, out = tmp_path / "s.txt", tmp_path / "p.tsv"
+        sentences.write_text("fine\na\tb c\n", encoding="utf-8")
+        assert run(["predict-qp", "--model", model_file, "--sentences", sentences, "--out", out]) == 4
+        assert not out.exists() and "line 2" in caplog.text
 
     def test_malformed_model_exit_4(self, tmp_path):
         bad = tmp_path / "model.json"
@@ -949,6 +966,13 @@ class TestMalformedInputs:
         argv = ["generate", "--clusters", corpus_file, "--model", model_file, "--operation-point", point]
         assert run([*argv, "--out", tmp_path / "generated.tsv"]) == 4
         assert not (tmp_path / "generated.tsv").exists()
+
+    @pytest.mark.parametrize("flag", ["--per-cluster", "--max-dev-items"])
+    def test_negative_dev_bound_exit_5(self, corpus_file, model_file, tmp_path, caplog, flag):
+        heat = tmp_path / "heat.csv"
+        argv = ["grid", "--clusters", corpus_file, "--model", model_file, "--grid", "0:50:50", flag, "-1"]
+        assert run([*argv, "--out", heat]) == 5
+        assert not heat.exists() and "-1" in caplog.text
 
     @pytest.mark.parametrize("spec", ["0:5:inf", "nan:5:50", "0:inf:50"])
     def test_non_finite_grid_spec_exit_5(self, corpus_file, model_file, tmp_path, spec):

@@ -172,6 +172,16 @@ class TestClusterLookups:
             ("a", "(A)"), ("b", "(B1)"), ("c", "(C)"), ("b", "(B1)"),
         ]
 
+    def test_dev_items_bounds_may_be_zero(self):
+        assert dev_items([self.cluster], per_cluster=0) == []
+        assert dev_items([self.cluster], limit=0) == []
+        assert [s for s, _, _ in dev_items([self.cluster, self.cluster], per_cluster=1, limit=1)] == ["a"]
+
+    @pytest.mark.parametrize("bound", ["per_cluster", "limit"])
+    def test_dev_items_refuse_a_negative_bound(self, bound):
+        with pytest.raises(ValueError, match=f"{bound} .*-1"):
+            dev_items([self.cluster], **{bound: -1})
+
     @pytest.mark.parametrize("mode", PAIR_MODES)
     def test_extract_pairs_and_split_take_the_first_tree(self, mode):
         # every mode pairs the repeated member "b" (index 3), as a source or a target

@@ -66,6 +66,16 @@ class TestTypes:
         with pytest.raises(NonFiniteValue):
             Offset(float("inf"), 0, 0)
 
+    def test_triples_stay_distinct_types(self):
+        triples = [QualityVector(5, 5, 5), ControlVector(5, 5, 5), Offset(5, 5, 5)]
+        for a, b in itertools.combinations(triples, 2):
+            assert a != b and a.as_tuple() == b.as_tuple()
+        assert len(set(triples)) == 3
+        for t in triples:
+            assert t == type(t)(5, 5, 5)
+            assert repr(t).startswith(f"{type(t).__name__}(sem=5")
+        assert Offset() == Offset(0, 0, 0)
+
 
 class TestQuantize:
     def test_examples(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,8 @@ from qcpg_kit import (
 )
 from qcpg_kit.errors import DegenerateDesign, EmptyEvalSet, ModelFormatError
 from qcpg_kit.reference import ReferenceModel
+
+from helpers import BAD_MODEL_NUMBERS, with_bad_number
 
 
 def ridge_oracle(X, Y, lam):
@@ -232,6 +235,21 @@ class TestModelIo:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("key, value", BAD_MODEL_NUMBERS.values(), ids=BAD_MODEL_NUMBERS.keys())
+    def test_bad_number_rejected(self, tmp_path, key, value):
+        samples = [("a", QualityVector(1, 2, 3)), ("b c", QualityVector(4, 5, 6))]
+        model = fit(samples)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = with_bad_number(json.loads(path.read_text(encoding="utf-8")), key, value)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+        field = "lam" if key == "lambda" else key
+        changed = value if key == "lambda" else np.array(payload[key], dtype=np.float64)
+        with pytest.raises(ValueError):
+            dataclasses.replace(model, **{field: changed})
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "model.json"

@@ -80,7 +80,6 @@ from .semantic import (
 )
 from .synthetic import paraphrase_corpus, quality_samples
 from .trees import (
-    EditCost,
     ParseTree,
     parse_bracketed,
     prune_to_level,

@@ -32,7 +32,7 @@ from .dataset import (
 )
 from .errors import LengthMismatch, MalformedRecord, MissingTree, NonFiniteValue, QcpgError, raise_first_failure
 from .generators import GENERATOR_KINDS, GeneratorSpec, build_generator
-from .quality import Offset, QualityComputer, QualityVector, apply_offset
+from .quality import ZERO_OFFSET, Offset, QualityComputer, QualityVector, apply_offset
 from .reference import evaluate_mse, fit, load_model, predict, save_model
 from .selection import (
     SelectionConstraint,
@@ -259,9 +259,14 @@ def cmd_select(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.operation_point is not None and args.offset is not None:
+        raise ValueError("--offset and --operation-point are both set; give one")
     spec = _generator_from(args)
     model = load_model(args.model)
-    o = _read_operation_point(args.operation_point) if args.operation_point else _parse_offset(args.offset)
+    if args.operation_point:
+        o = _read_operation_point(args.operation_point)
+    else:
+        o = ZERO_OFFSET if args.offset is None else _parse_offset(args.offset)
     clusters = load_clusters(args.clusters)
     generator = build_generator(spec, QualityComputer(_scorer_from(args)))
     items = [(s, cluster, cluster.tree_of(s)) for cluster in clusters for s in cluster.sentences]
@@ -294,6 +299,9 @@ def cmd_eval(args) -> int:
     references = None
     if args.references:
         references = read_lines(args.references)
+        for lineno, ref in enumerate(references, start=1):
+            if not ref.split():
+                raise MalformedRecord("a blank reference", line=lineno)
     report = evaluate_systems(systems, sources, source_trees, references, _scorer_from(args))
     text = report.to_tsv()
     return _write_output(args, text)
@@ -387,7 +395,7 @@ def _build_parser(config_path: str | None = None, chosen: str | None = None) -> 
 
     p = command("generate", cmd_generate, "generated.tsv", "paraphrase cluster sentences at an offset")
     generation(p)
-    option(p, "--offset", default="0,0,0", help="sem,syn,lex")
+    option(p, "--offset", help="sem,syn,lex (default 0,0,0); excludes --operation-point")
     option(p, "--operation-point", help="JSON from `select`")
 
     p = command("eval", cmd_eval, None, "compare systems: quality, Self-BLEU, BLEU")

@@ -4,10 +4,10 @@ Trees arrive as Penn-Treebank-style bracketed text, e.g.::
 
     (S (NP (DT the) (NN cat)) (VP (VBD sat)))
 
-The syntactic distance between two parses is the tree edit distance
-(Zhang-Shasha) between the trees after truncating them to their top
-levels and removing surface tokens, normalized by the larger tree size
-and scaled to [0, 100].
+The syntactic distance between two parses is the unit-cost tree edit
+distance (Zhang-Shasha) between the trees after truncating them to their
+top three levels and removing surface tokens, normalized by the larger
+tree size and scaled to [0, 100].
 
 One tokenizer serves both readers of the text: :func:`parse_bracketed`
 builds a :class:`ParseTree`, and :func:`parse_syntactic_form` builds the
@@ -56,22 +56,6 @@ class ParseTree:
         """
         parts = [child.render() if child.children else child.label for child in self.children]
         return f"({' '.join([self.label, *parts])})"
-
-
-@dataclass(frozen=True)
-class EditCost:
-    """Costs of the three edit operations; relabel(a, a) is always 0."""
-
-    insert: float = 1
-    delete: float = 1
-    relabel: float = 1
-
-    def __post_init__(self):
-        if min(self.insert, self.delete, self.relabel) < 0:
-            raise ValueError("edit costs must be non-negative")
-
-
-_UNIT_COSTS = EditCost()
 
 
 # The one tokenizer of the bracket grammar: parentheses and words; whitespace separates.
@@ -174,22 +158,20 @@ class FlatTree:
     """Postorder arrays used by the Zhang-Shasha recurrence.
 
     ``labels[i]`` is the label of the i-th node in postorder and
-    ``lml[i]`` the postorder index of its leftmost leaf. ``level`` is the
-    level the tree was pruned to, or None when it was flattened as given.
+    ``lml[i]`` the postorder index of its leftmost leaf.
     """
 
-    __slots__ = ("labels", "lml", "keyroots", "n", "level")
+    __slots__ = ("labels", "lml", "keyroots", "n")
 
-    def __init__(self, labels: list[str], lml: list[int], level: int | None = None):
+    def __init__(self, labels: list[str], lml: list[int]):
         self.labels = labels
         self.lml = lml
         self.n = len(labels)
         # per leftmost leaf, the last node above it: the root and every node with a left sibling
         self.keyroots = sorted({l: i for i, l in enumerate(lml)}.values())
-        self.level = level
 
     @classmethod
-    def of(cls, root: ParseTree, level: int | None = None) -> "FlatTree":
+    def of(cls, root: ParseTree) -> "FlatTree":
         """``root`` flattened as given."""
         labels: list[str] = []
         lml: list[int] = []
@@ -202,10 +184,10 @@ class FlatTree:
             lml.append(first)
 
         walk(root)
-        return cls(labels, lml, level)
+        return cls(labels, lml)
 
 
-def syntactic_form(tree: ParseTree, level: int = DEFAULT_PRUNE_LEVEL) -> FlatTree:
+def syntactic_form(tree: ParseTree) -> FlatTree:
     """The form :func:`syntactic_distance` compares: pruned, token-stripped, flattened.
 
     Computing it once per tree and passing it to
@@ -213,20 +195,20 @@ def syntactic_form(tree: ParseTree, level: int = DEFAULT_PRUNE_LEVEL) -> FlatTre
     stripping and flattening on every later pair.
     :func:`parse_syntactic_form` builds the same form from the tree's text.
     """
-    return FlatTree.of(strip_tokens(prune_to_level(tree, level)), level)
+    return FlatTree.of(strip_tokens(prune_to_level(tree)))
 
 
-def parse_syntactic_form(text: str, level: int = DEFAULT_PRUNE_LEVEL) -> FlatTree:
-    """``syntactic_form(parse_bracketed(text), level)`` in one pass over the tokens.
+def parse_syntactic_form(text: str) -> FlatTree:
+    """``syntactic_form(parse_bracketed(text))`` in one pass over the tokens.
 
-    Only the nodes at depth <= ``level`` are emitted, in postorder. As a
-    node closes, its only child is dropped when that child is a leaf of
-    the pruned tree with a label that is not structural: the rule of
-    :func:`strip_tokens`, applied to the pruned tree. Malformed text
-    raises the error :func:`parse_bracketed` raises, at the same offset.
+    Only the nodes at depth <= ``DEFAULT_PRUNE_LEVEL`` are emitted, in
+    postorder. As a node closes, its only child is dropped when that
+    child is a leaf of the pruned tree with a label that is not
+    structural: the rule of :func:`strip_tokens`, applied to the pruned
+    tree. Malformed text raises the error :func:`parse_bracketed`
+    raises, at the same offset.
     """
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    level = DEFAULT_PRUNE_LEVEL
     tokens = _tokens(text)
     m = len(tokens)
     labels: list[str] = []
@@ -259,7 +241,7 @@ def parse_syntactic_form(text: str, level: int = DEFAULT_PRUNE_LEVEL) -> FlatTre
             if not depth:
                 if k + 1 < m:
                     raise _syntax_error(text, tokens, k + 1)
-                return FlatTree(labels, lml, level)
+                return FlatTree(labels, lml)
         elif depth < level:
             parent = stack[-1]
             parent[2] = tok if parent[2] is None else False
@@ -269,23 +251,19 @@ def parse_syntactic_form(text: str, level: int = DEFAULT_PRUNE_LEVEL) -> FlatTre
     raise _syntax_error(text, tokens, m)
 
 
-def tree_edit_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree, costs: EditCost = _UNIT_COSTS):
-    """Minimal edit cost transforming ``a`` into ``b`` (Zhang-Shasha).
+def tree_edit_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree) -> int:
+    """The fewest node edits transforming ``a`` into ``b`` (Zhang-Shasha).
 
-    Edits are node insertion, deletion, and relabeling on ordered trees;
-    ancestor and left-to-right relations are preserved. With the default
-    integer unit costs the result is an exact integer. Either tree may
-    also be given in the flattened form :func:`syntactic_form` returns.
+    Edits are node insertion, deletion, and relabeling on ordered trees,
+    each costing 1; ancestor and left-to-right relations are preserved.
+    The result is an exact ``int``. Either tree may also be given in the
+    flattened form :func:`syntactic_form` returns.
     """
     A = a if isinstance(a, FlatTree) else FlatTree.of(a)
     B = b if isinstance(b, FlatTree) else FlatTree.of(b)
     la, lb = A.lml, B.lml
     aL, bL = A.labels, B.labels
-    cd, ci, cr = costs.delete, costs.insert, costs.relabel
-    zero = cd - cd  # 0 of the cost type, keeps int costs exact
-    # distance between two single leaves: min(delete + insert, relabel)
-    leaf_swap, leaf_relabel = zero + ci + cd, zero + cr
-    td = [[zero] * B.n for _ in range(A.n)]
+    td = [[0] * B.n for _ in range(A.n)]
 
     # What every forest table against B's keyroot j shares: its first
     # row, and for each column y the node by, the column of by's leftmost
@@ -294,9 +272,7 @@ def tree_edit_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree, costs: 
     b_keyroots = []
     for j in B.keyroots:
         lj = lb[j]
-        row0 = [zero]
-        for _ in range(lj, j + 1):
-            row0.append(row0[-1] + ci)
+        row0 = list(range(j - lj + 2))
         cols = [
             (y, by, lb[by] - lj, bL[by] if lb[by] == lj else None)
             for y, by in enumerate(range(lj, j + 1), start=1)
@@ -309,9 +285,8 @@ def tree_edit_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree, costs: 
         tdi, ai_label = td[i], aL[i]
         for lj, j, row0, cols in b_keyroots:
             if a_leaf and lj == j:
-                v = leaf_swap
-                w = zero if ai_label == bL[j] else leaf_relabel
-                tdi[j] = w if w < v else v
+                # two single leaves: relabel, or keep the label
+                tdi[j] = 0 if ai_label == bL[j] else 1
                 continue
             # forest distance table: one row per node ax of A's forest li..i
             fd = [row0]
@@ -319,15 +294,15 @@ def tree_edit_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree, costs: 
                 lax = la[ax]
                 a_label = aL[ax] if lax == li else None
                 tdax, fd_lax, prev = td[ax], fd[lax - li], fd[-1]
-                left = prev[0] + cd
+                left = prev[0] + 1
                 row = [left]
                 for y, by, b_col, b_label in cols:
-                    v = prev[y] + cd
-                    w = left + ci
+                    v = prev[y] + 1
+                    w = left + 1
                     if w < v:
                         v = w
                     if a_label is not None and b_label is not None:
-                        w = prev[y - 1] + (zero if a_label == b_label else cr)
+                        w = prev[y - 1] + (a_label != b_label)
                         if w < v:
                             v = w
                         tdax[by] = v
@@ -341,26 +316,15 @@ def tree_edit_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree, costs: 
     return td[A.n - 1][B.n - 1]
 
 
-def _form_at(tree: ParseTree | FlatTree, level: int) -> FlatTree:
-    if not isinstance(tree, FlatTree):
-        return syntactic_form(tree, level)
-    if tree.level != level:
-        raise ValueError(f"syntactic form pruned at level {tree.level}, expected level {level}")
-    return tree
-
-
-def syntactic_distance(
-    a: ParseTree | FlatTree, b: ParseTree | FlatTree, level: int = DEFAULT_PRUNE_LEVEL
-) -> float:
+def syntactic_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree) -> float:
     """Normalized structural distance between two raw parses, in [0, 100].
 
-    Both trees are pruned to the top ``level`` levels and token-stripped,
+    Both trees are pruned to their top three levels and token-stripped,
     then compared with unit-cost tree edit distance normalized by the
-    larger pruned tree size. Either argument may instead be the result
-    of :func:`syntactic_form` at the same ``level``; a form pruned at
-    another level raises ValueError.
+    larger pruned tree size. Either argument may instead be its
+    :func:`syntactic_form`, which is used as given.
     """
-    fa, fb = _form_at(a, level), _form_at(b, level)
+    fa, fb = (t if isinstance(t, FlatTree) else syntactic_form(t) for t in (a, b))
     ted = tree_edit_distance(fa, fb)
     denom = max(fa.n, fb.n)
     return 100.0 * min(max(ted / denom, 0.0), 1.0)

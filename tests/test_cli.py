@@ -990,6 +990,31 @@ class TestMalformedInputs:
         assert run([*argv, "--offset", "0,10,10", "--out", by_offset]) == 0
         assert by_point.read_bytes() == by_offset.read_bytes()
 
+    @pytest.mark.parametrize(
+        "by_config", [(), ("operation_point",), ("offset",)], ids=["flags", "point_in_config", "offset_in_config"]
+    )
+    def test_offset_and_operation_point_exclude_each_other(self, corpus_file, model_file, tmp_path, caplog, by_config):
+        # a run at the zero operation point must not silently drop the offset
+        point, config, out = tmp_path / "op.json", tmp_path / "run.cfg", tmp_path / "generated.tsv"
+        point.write_text('{"offset": {"sem": 0, "syn": 0, "lex": 0}}', encoding="utf-8")
+        values = {"offset": "50,50,50", "operation_point": str(point)}
+        config.write_text("".join(f"{k}={values[k]}\n" for k in by_config), encoding="utf-8")
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in values.items() if k not in by_config]
+        argv = ["generate", "--config", config, "--clusters", corpus_file, "--model", model_file, *flags]
+        assert run([*argv, "--out", out]) == 5
+        assert not out.exists()
+        assert "--offset" in caplog.text and "--operation-point" in caplog.text
+
+    @pytest.mark.parametrize("blank", ["", " \t"], ids=["empty", "whitespace"])
+    def test_blank_reference_line_names_its_line(self, corpus_file, model_file, tmp_path, caplog, blank):
+        gen_id, refs, report = tmp_path / "identity.tsv", tmp_path / "refs.txt", tmp_path / "report.tsv"
+        assert run(["generate", "--clusters", corpus_file, "--model", model_file, "--out", gen_id]) == 0
+        n = len(read_pairs_tsv(gen_id))
+        refs.write_text("a reference\n" * (n - 1) + blank + "\n", encoding="utf-8")
+        assert run(["eval", "--system", f"copy={gen_id}", "--references", refs, "--out", report]) == 4
+        assert not report.exists()
+        assert "MalformedRecord" in caplog.text and f"(line {n})" in caplog.text
+
 
 class TestNonFiniteOptionValues:
     """A NaN or infinite option value exits 5 before any output is written."""

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcpg_kit import (
-    EditCost,
     ParseTree,
     QualityComputer,
     parse_bracketed,
@@ -181,15 +180,15 @@ class TestTreeEditDistance:
             b = random_ordered_tree(rng, int(rng.integers(1, 6)), "AB")
             assert (tree_edit_distance(a, b) == 0) == (a == b)
 
-    def test_custom_costs(self):
-        a, b = ParseTree("A"), ParseTree("B")
-        # relabeling dearer than delete+insert is never chosen
-        assert tree_edit_distance(a, b, EditCost(insert=1, delete=1, relabel=5)) == 2
-        assert tree_edit_distance(a, b, EditCost(insert=1, delete=1, relabel=0.5)) == 0.5
-
-    def test_negative_costs_rejected(self):
-        with pytest.raises(ValueError):
-            EditCost(insert=-1)
+    def test_result_is_an_int_never_a_bool(self):
+        # == cannot tell True from 1, so the type is checked
+        for a, b in (("A", "A"), ("A", "B")):
+            assert type(tree_edit_distance(ParseTree(a), ParseTree(b))) is int
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            a = random_ordered_tree(rng, int(rng.integers(1, 9)), "AB")
+            b = random_ordered_tree(rng, int(rng.integers(1, 9)), "AB")
+            assert type(tree_edit_distance(a, b)) is int
 
 
 class TestSyntacticDistance:
@@ -225,24 +224,18 @@ class TestSyntacticDistance:
         for _ in range(50):
             a = random_parse_tree(rng)
             b = random_parse_tree(rng)
-            for level in (2, 3):
-                fa, fb = syntactic_form(a, level), syntactic_form(b, level)
-                assert syntactic_distance(fa, fb, level) == syntactic_distance(a, b, level)
-                assert syntactic_distance(fa, b, level) == syntactic_distance(a, b, level)
-
-    def test_syntactic_form_level_mismatch_rejected(self):
-        t = parse_bracketed("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
-        with pytest.raises(ValueError):
-            syntactic_distance(syntactic_form(t, 3), t, level=2)
+            fa, fb = syntactic_form(a), syntactic_form(b)
+            assert syntactic_distance(fa, fb) == syntactic_distance(a, b)
+            assert syntactic_distance(fa, b) == syntactic_distance(a, b)
 
 
-def _composed_form(text: str, level: int) -> FlatTree:
-    """The form by the three passes: parse, prune then strip, flatten."""
-    return FlatTree.of(strip_tokens(prune_to_level(parse_bracketed(text), level)), level)
+def _composed_form(text: str) -> FlatTree:
+    """The form by the three passes: parse, prune to level 3 then strip, flatten."""
+    return FlatTree.of(strip_tokens(prune_to_level(parse_bracketed(text), 3)))
 
 
 def _arrays(form: FlatTree):
-    return form.labels, form.lml, form.keyroots, form.n, form.level
+    return form.labels, form.lml, form.keyroots, form.n
 
 
 _WORDS = st.sampled_from(["S", "NP", "DT", "X1", "-LRB-", "$", "the", "a", "x1", "é", "ü字", "NÉ"])
@@ -275,29 +268,23 @@ _MALFORMED = [
 class TestSyntacticFormFromText:
     @given(_BRACKETED)
     @settings(max_examples=300, deadline=None)
-    @example("(NP (x (y z)))")  # x: at the prune level 2, children pruned away, not structural
-    @example("(NP (X (y z)))")
+    @example("(S (NP (x (y z))))")  # x: at the prune level 3, children pruned away, not structural
+    @example("(S (NP (X (y z))))")
     def test_matches_the_three_passes_on_bracket_strings(self, text):
-        for level in (1, 2, 3, 4):
-            assert _arrays(parse_syntactic_form(text, level)) == _arrays(_composed_form(text, level))
+        assert _arrays(parse_syntactic_form(text)) == _arrays(_composed_form(text))
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
     def test_matches_the_three_passes_on_parse_trees(self, seed, max_depth):
         text = random_parse_tree(np.random.default_rng(seed), max_depth).render()
-        for level in (1, 2, 3, 4):
-            assert _arrays(parse_syntactic_form(text, level)) == _arrays(_composed_form(text, level))
+        assert _arrays(parse_syntactic_form(text)) == _arrays(_composed_form(text))
 
     def test_strip_rule_reads_the_pruned_tree(self):
-        # at level 2, x keeps no child: it is a leaf token of NP and goes; X is structure and stays
-        assert _arrays(parse_syntactic_form("(NP (x (y z)))", 2)) == (["NP"], [0], [0], 1, 2)
-        assert _arrays(parse_syntactic_form("(NP (X (y z)))", 2)) == (["X", "NP"], [0, 0], [1], 2, 2)
-        # at level 3, x has the child y in the pruned tree, so y goes as its token and x stays
-        assert parse_syntactic_form("(NP (x (y z)))", 3).labels == ["x", "NP"]
-
-    def test_invalid_level(self):
-        with pytest.raises(ValueError):
-            parse_syntactic_form("(A)", 0)
+        # at level 3, x keeps no child: it is a leaf token of NP and goes; X is structure and stays
+        assert _arrays(parse_syntactic_form("(S (NP (x (y z))))")) == (["NP", "S"], [0, 0], [1], 2)
+        assert _arrays(parse_syntactic_form("(S (NP (X (y z))))")) == (["X", "NP", "S"], [0, 0, 0], [2], 3)
+        # one level higher, x has the child y in the pruned tree, so y goes as its token and x stays
+        assert parse_syntactic_form("(NP (x (y z)))").labels == ["x", "NP"]
 
     @pytest.mark.parametrize("text, error, offset", _MALFORMED)
     def test_malformed_text_raises_what_the_parser_raises(self, text, error, offset):

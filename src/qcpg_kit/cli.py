@@ -14,7 +14,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -24,6 +24,7 @@ from .dataset import (
     SentencePair,
     dev_items,
     load_clusters,
+    pair_fields,
     read_pairs_tsv,
     read_tree_sidecar,
     resolve_target_tree,
@@ -43,7 +44,7 @@ from .selection import (
     select_operation_point,
 )
 from .semantic import BUILTIN_TRIGRAM, EXTERNAL_COMMAND, SemanticScorer
-from .util import read_lines
+from .util import read_lines, tsv_row
 from .evaluation import evaluate_systems
 
 log = logging.getLogger("qcpg_kit")
@@ -130,12 +131,18 @@ def _sidecar(path, n: int) -> list[str | None]:
     return trees
 
 
-def _pair_trees(pairs, args):
-    """Yield (pair, source_tree, target_tree); None where no parse exists."""
+def _pair_trees(pairs, args) -> list[SentencePair]:
+    """The pairs, each tree it lacks taken from the sidecars; a pair still lacking one is skipped."""
     side_src = _sidecar(args.source_trees, len(pairs))
     side_tgt = _sidecar(args.target_trees, len(pairs))
+    parsed = []
     for pair, src, tgt in zip(pairs, side_src, side_tgt):
-        yield pair, pair.source_tree or src, pair.target_tree or tgt
+        pair = replace(pair, source_tree=pair.source_tree or src, target_tree=pair.target_tree or tgt)
+        if pair.source_tree is None or pair.target_tree is None:
+            log.warning("skipping pair %r: missing parse", pair.source[:40])
+            continue
+        parsed.append(pair)
+    return parsed
 
 
 def _write_output(args, text: str) -> int:
@@ -148,30 +155,13 @@ def _write_output(args, text: str) -> int:
 
 
 def cmd_score(args) -> int:
-    pairs = read_pairs_tsv(args.pairs)
+    pairs = _pair_trees(read_pairs_tsv(args.pairs), args)
     computer = QualityComputer(_scorer_from(args))
-    parsed = []
-    for pair, tree_s, tree_t in _pair_trees(pairs, args):
-        if tree_s is None or tree_t is None:
-            log.warning("skipping pair %r: missing parse", pair.source[:40])
-            continue
-        parsed.append((pair, tree_s, tree_t))
-    qualities = computer.pair_qualities([(pair.source, pair.target, ts, tt) for pair, ts, tt in parsed])
-    rows = [(*row, q) for row, q in zip(parsed, raise_first_failure(qualities))]
-    has_trees = any(p.source_tree for p, _, _, _ in rows) or args.source_trees
-    header = ["source", "target", "cluster_id"]
-    if has_trees:
-        header += ["source_tree", "target_tree"]
-    header += ["q_sem", "q_syn", "q_lex"]
-    lines = ["\t".join(header)]
-    for pair, tree_s, tree_t, q in rows:
-        fields = [pair.source, pair.target, pair.cluster_id]
-        if has_trees:
-            fields += [tree_s, tree_t]
-        fields += [f"{q.sem:.2f}", f"{q.syn:.2f}", f"{q.lex:.2f}"]
-        lines.append("\t".join(fields))
-    text = "\n".join(lines) + "\n"
-    return _write_output(args, text)
+    qualities = computer.pair_qualities([(p.source, p.target, p.source_tree, p.target_tree) for p in pairs])
+    lines = [tsv_row("source target cluster_id source_tree target_tree q_sem q_syn q_lex".split())]
+    for pair, q in zip(pairs, raise_first_failure(qualities)):
+        lines.append(tsv_row([*pair_fields(pair), *(f"{v:.2f}" for v in q.as_tuple())]))
+    return _write_output(args, "".join(lines))
 
 
 def cmd_split(args) -> int:
@@ -224,14 +214,12 @@ def cmd_train_qp(args) -> int:
 def cmd_predict_qp(args) -> int:
     model = load_model(args.model)
     sentences = read_lines(args.sentences)
-    lines = ["sentence\tr_sem\tr_syn\tr_lex"]
+    lines = [tsv_row("sentence r_sem r_syn r_lex".split())]
     for lineno, s in enumerate(sentences, start=1):
         if "\t" in s:
             raise MalformedRecord("a tab inside a sentence", line=lineno)
-        r = predict(model, s)
-        lines.append(f"{s}\t{r.sem:.4f}\t{r.syn:.4f}\t{r.lex:.4f}")
-    text = "\n".join(lines) + "\n"
-    return _write_output(args, text)
+        lines.append(tsv_row([s, *(f"{v:.4f}" for v in predict(model, s).as_tuple())]))
+    return _write_output(args, "".join(lines))
 
 
 def cmd_grid(args) -> int:
@@ -303,8 +291,7 @@ def cmd_eval(args) -> int:
             if not ref.split():
                 raise MalformedRecord("a blank reference", line=lineno)
     report = evaluate_systems(systems, sources, source_trees, references, _scorer_from(args))
-    text = report.to_tsv()
-    return _write_output(args, text)
+    return _write_output(args, report.to_tsv())
 
 
 def _system(text: str) -> tuple[str, str]:

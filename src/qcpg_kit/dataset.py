@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .errors import InsufficientData, MalformedRecord, TreeLengthMismatch
-from .util import read_lines, rng_for
+from .util import read_lines, rng_for, tsv_row
 
 log = logging.getLogger(__name__)
 
@@ -256,23 +256,21 @@ def _take_until(shuffled, quota: int, mode: str) -> tuple[list[Cluster], int]:
 
 # --- pair TSV and tree sidecar files -----------------------------------------
 
-def _pair_fields(p: SentencePair) -> list[str]:
+def pair_fields(p: SentencePair) -> list[str]:
+    """The columns of a pair: source, target, cluster id, and both trees when it has both."""
     fields = [p.source, p.target, p.cluster_id]
     if p.source_tree is not None and p.target_tree is not None:
         fields += [p.source_tree, p.target_tree]
-    if any("\t" in f or "\n" in f for f in fields) or fields[-1].endswith("\r"):
-        raise ValueError(f"pair {fields[:2]!r} has a field that a pairs TSV line cannot hold")
     return fields
 
 
 def write_pairs_tsv(pairs: list[SentencePair], path) -> None:
-    r"""`source<TAB>target<TAB>cluster_id[<TAB>source_tree<TAB>target_tree]` lines.
+    """`source<TAB>target<TAB>cluster_id[<TAB>source_tree<TAB>target_tree]` lines.
 
     Raises ValueError, before writing, for a pair that would not read
-    back: a field holding a tab or newline, or a last field ending in
-    ``\r`` (reading drops one ``\r`` before each newline).
+    back (see :func:`~qcpg_kit.util.tsv_row`).
     """
-    lines = ["\t".join(_pair_fields(p)) + "\n" for p in pairs]
+    lines = [tsv_row(pair_fields(p)) for p in pairs]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
 

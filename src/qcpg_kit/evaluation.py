@@ -19,6 +19,7 @@ from .dataset import resolve_target_tree
 from .errors import AllTied, LengthMismatch, MissingTree, raise_first_failure
 from .quality import QualityComputer, QualityVector
 from .semantic import DEFAULT_SCORER, SemanticScorer
+from .util import tsv_row
 
 MAX_BLEU_ORDER = 4
 
@@ -118,14 +119,13 @@ class EvalReport:
     rows: list[EvalRow]
 
     def to_tsv(self) -> str:
-        lines = ["system\tsem\tsyn\tlex\tself_bleu\tbleu\tn"]
+        """A header and one row per system; ValueError for a name that cannot be one TSV field."""
+        lines = [tsv_row("system sem syn lex self_bleu bleu n".split())]
         for row in self.rows:
             b = f"{row.bleu:.2f}" if row.bleu is not None else "-"
-            lines.append(
-                f"{row.name}\t{row.quality.sem:.2f}\t{row.quality.syn:.2f}"
-                f"\t{row.quality.lex:.2f}\t{row.self_bleu:.2f}\t{b}\t{row.n}"
-            )
-        return "\n".join(lines) + "\n"
+            scores = [f"{v:.2f}" for v in (*row.quality.as_tuple(), row.self_bleu)]
+            lines.append(tsv_row([row.name, *scores, b, str(row.n)]))
+        return "".join(lines)
 
 
 def evaluate_systems(

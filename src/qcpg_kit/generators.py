@@ -188,8 +188,6 @@ class ExternalCommandGenerator:
         return raise_first_failure(self.generate_batch([(s, c, context)]))[0]
 
     def generate_batch(self, requests: list[Request]) -> list[str | QcpgError]:
-        if not requests:
-            return []
         lines = [prepend_control(sanitize_line_field(s), c) for s, c, _ in requests]
         try:
             out = run_line_protocol(self.command, lines, "generator")

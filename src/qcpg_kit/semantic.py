@@ -68,8 +68,10 @@ def run_line_protocol(command: str, lines: list[str], what: str) -> list[str]:
 
     Both directions are UTF-8. Output lines end at ``\n`` only, with one
     trailing ``\r`` dropped, so other Unicode line breaks (U+2028, U+0085,
-    form feed, ...) are data inside a line.
+    form feed, ...) are data inside a line. Empty ``lines`` start no process.
     """
+    if not lines:
+        return []
     try:
         proc = subprocess.run(
             shlex.split(command),
@@ -131,8 +133,6 @@ class SemanticScorer:
     def raw_batch(self, pairs: list[tuple[str, str]]) -> list[float]:
         if self.kind == BUILTIN_TRIGRAM:
             return [builtin_trigram_raw(s1, s2) for s1, s2 in pairs]
-        if not pairs:
-            return []
         return external_raw(self.command, pairs)
 
     def similarity(self, s1: str, s2: str) -> float:

@@ -1,4 +1,4 @@
-"""Small shared helpers: deterministic RNG derivation and line splitting."""
+"""Small shared helpers: deterministic RNG derivation, and the line format read and written."""
 
 from __future__ import annotations
 
@@ -140,6 +140,18 @@ def split_lines(text: str) -> list[str]:
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, split as :func:`split_lines` does."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    """The lines of a UTF-8 text file, one leading BOM dropped, split as :func:`split_lines` does."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         return split_lines(fh.read())
+
+
+def tsv_row(fields: list[str]) -> str:
+    r"""``fields`` joined by tabs and ended by ``\n``: one line that reads back as ``fields``.
+
+    Raises ValueError for a field holding a tab or newline, or a last
+    field ending in ``\r`` (:func:`split_lines` drops one ``\r`` before
+    each newline).
+    """
+    if any("\t" in f or "\n" in f for f in fields) or fields[-1].endswith("\r"):
+        raise ValueError(f"row {fields[:2]!r} has a field that a TSV line cannot hold")
+    return "\t".join(fields) + "\n"

@@ -42,6 +42,7 @@ from helpers import BAD_MODEL_NUMBERS, with_bad_number
 from stub_counting_scorer import raw_score as stub_raw
 
 IDENTITY_SEM = 100.0 / (1.0 + math.exp(-2.0))
+SCORED_HEADER = "source\ttarget\tcluster_id\tsource_tree\ttarget_tree\tq_sem\tq_syn\tq_lex\n"
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,7 @@ class TestScore:
         pairs.write_text("", encoding="utf-8")
         out = tmp_path / "scored.tsv"
         assert run(["score", "--pairs", pairs, "--out", out]) == 0
-        assert out.read_text(encoding="utf-8") == "source\ttarget\tcluster_id\tq_sem\tq_syn\tq_lex\n"
+        assert out.read_text(encoding="utf-8") == SCORED_HEADER
 
     def test_sidecars_with_blank_line_skip(self, tmp_path):
         pairs = tmp_path / "pairs.tsv"
@@ -436,6 +437,15 @@ class TestGridSelectGenerateEval:
         assert not report.exists()
         assert "LengthMismatch" in caplog.text and "system 'b'" in caplog.text
 
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb"], ids=["tab", "newline"])
+    def test_system_name_that_is_not_one_field_exit_5(self, tmp_path, name):
+        tree = "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"
+        system = tmp_path / "system.tsv"
+        write_pairs_tsv([SentencePair("the cat sat", "the cat sat", "c0", tree, tree)], system)
+        report = tmp_path / "report.tsv"
+        assert run(["eval", "--system", f"{name}={system}", "--out", report]) == 5
+        assert not report.exists()
+
 
 COUNTING_STUB = Path(__file__).with_name("stub_counting_generator.py")
 
@@ -563,7 +573,7 @@ class TestExternalScorerBatching:
         out = tmp_path / "scored.tsv"
         assert run(["score", "--pairs", path, *scorer, "--out", out]) == 0
         assert self.starts(count) == 0
-        assert out.read_text(encoding="utf-8") == "source\ttarget\tcluster_id\tq_sem\tq_syn\tq_lex\n"
+        assert out.read_text(encoding="utf-8") == SCORED_HEADER
 
     def test_score_nan_exit_5_and_crash_exit_4(self, corpus, tmp_path):
         path = tmp_path / "pairs.tsv"
@@ -681,6 +691,19 @@ class TestConfig:
         # flag overrides the config's out directory
         assert run(["split", "--config", config, "--out", tmp_path / "flag_out"]) == 0
         assert (tmp_path / "flag_out" / "train.tsv").exists()
+
+    def test_leading_bom_dropped(self, corpus_file, tmp_path):
+        # the first key, required or not, survives a BOM
+        by_flags = tmp_path / "flags"
+        assert run(["split", "--clusters", corpus_file, "--sizes", "6,6,6", "--seed", "3", "--out", by_flags]) == 0
+        config = tmp_path / "bom.cfg"
+        config.write_text(f"\ufeffseed=3\nclusters={corpus_file}\n", encoding="utf-8")
+        by_config = tmp_path / "config"
+        assert run(["split", "--config", config, "--sizes", "6,6,6", "--out", by_config]) == 0
+        for name in ("train", "dev", "test"):
+            assert (by_config / f"{name}.tsv").read_bytes() == (by_flags / f"{name}.tsv").read_bytes()
+        config.write_text(f"\ufeffsizes=6,6,6\nclusters={corpus_file}\n", encoding="utf-8")
+        assert run(["split", "--config", config, "--out", tmp_path / "sizes"]) == 0
 
     def test_malformed_config_line(self, corpus_file, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -71,6 +71,11 @@ class TestLoadClusters:
         path.write_text("", encoding="utf-8")
         assert load_clusters(path) == []
 
+    def test_leading_bom_dropped(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('\ufeff{"cluster_id": "a", "sentences": ["x"]}\n', encoding="utf-8")
+        assert [(c.cluster_id, c.sentences) for c in load_clusters(path)] == [("a", ["x"])]
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('\n{"cluster_id": "a", "sentences": ["x"]}\n\n', encoding="utf-8")

@@ -167,6 +167,9 @@ class TestRunLineProtocol:
         with pytest.raises(ProtocolError, match="invalid UTF-8"):
             run_line_protocol(cmd, ["a", "b"], "scorer")
 
+    def test_no_lines_start_no_process(self):
+        assert run_line_protocol("/nonexistent/cmd", [], "scorer") == []
+
 
 class TestSemanticScorer:
     def test_builtin_roundtrip(self):

@@ -1,4 +1,4 @@
-"""The batch Philox key derivation, pinned to numpy's own SeedSequence."""
+"""The batch Philox key derivation, pinned to numpy's own SeedSequence, and the line format."""
 
 import hashlib
 
@@ -7,7 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcpg_kit.util import MAX_ENTROPY_WORDS, as_entropy, keyed_generators, philox_keys, seed_sequence_keys
+from qcpg_kit.util import (
+    MAX_ENTROPY_WORDS,
+    as_entropy,
+    keyed_generators,
+    philox_keys,
+    read_lines,
+    seed_sequence_keys,
+    split_lines,
+    tsv_row,
+)
 
 
 def reference_rng(seed, *parts):
@@ -63,3 +72,21 @@ class TestBatchKeys:
         seed_sequence_keys(np.zeros((2, MAX_ENTROPY_WORDS), dtype=np.uint32))
         with pytest.raises(ValueError):
             seed_sequence_keys(np.zeros((2, MAX_ENTROPY_WORDS + 1), dtype=np.uint32))
+
+
+class TestLineFormat:
+    @pytest.mark.parametrize(
+        "fields",
+        [["a", "b c", ""], ["a\rb", "c"], ["a\r", "c"], ["\r", "\rc"], ["a", "b\x85\u2028c"]],
+        ids=["empty_last", "cr_inside", "cr_ends_first", "cr_only_first", "other_breaks"],
+    )
+    def test_tsv_row_reads_back(self, fields):
+        # a \r inside the row, or ending any field but the last, is kept
+        row = tsv_row(fields)
+        assert row == "\t".join(fields) + "\n"
+        assert [line.split("\t") for line in split_lines(row)] == [fields]
+
+    def test_read_lines_drops_one_leading_bom(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes("\ufeff\ufeffa\r\nb\n".encode("utf-8"))
+        assert read_lines(path) == ["\ufeffa", "b"]

@@ -44,7 +44,7 @@ from .selection import (
     select_operation_point,
 )
 from .semantic import BUILTIN_TRIGRAM, EXTERNAL_COMMAND, SemanticScorer
-from .util import read_lines, tsv_row
+from .util import read_lines, read_text, tsv_row
 from .evaluation import evaluate_systems
 
 log = logging.getLogger("qcpg_kit")
@@ -105,7 +105,7 @@ def _parse_offset(text: str) -> Offset:
 def _read_operation_point(path) -> Offset:
     """The offset of a `select` JSON file: ``{"offset": {"sem": x, "syn": y, "lex": z}, ...}``."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise MalformedRecord(f"operation point is not JSON: {exc.msg}", line=exc.lineno) from None
     offset = payload.get("offset") if isinstance(payload, dict) else None
@@ -274,6 +274,7 @@ def cmd_eval(args) -> int:
     systems = []
     sources = source_trees = None
     for name, path in args.system:
+        tsv_row([name, ""])  # the report's first field: a bad name fails before any scorer starts
         pairs = read_pairs_tsv(path)
         if any(p.source_tree is None or p.target_tree is None for p in pairs):
             raise MissingTree(f"system file {path!r} must carry source and target trees")

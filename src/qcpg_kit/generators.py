@@ -2,9 +2,10 @@
 
 A generator maps a batch of (sentence, control vector, cluster) requests
 to one paraphrase or one QcpgError each, in order (``generate_batch``);
-``generate`` is a batch of one. Besides the external-command bridge for
-real trained models, the built-ins make the selection machinery
-testable end to end without any training:
+``generate`` is a batch of one. Grid search sends its requests in
+batches of at most ``MAX_BATCH_REQUESTS``. Besides the external-command
+bridge for real trained models, the built-ins make the selection
+machinery testable end to end without any training:
 
 * identity        -- returns the input unchanged (control-blind baseline);
 * retrieval_oracle -- returns the cluster member whose measured quality
@@ -34,6 +35,11 @@ NOISY_ORACLE = "noisy_oracle"
 GENERATOR_KINDS = (IDENTITY, RETRIEVAL_ORACLE, NOISY_ORACLE, EXTERNAL_COMMAND)
 
 Request = tuple[str, ControlVector, "Cluster | None"]
+
+# The most requests grid search puts in one generate_batch call, unless
+# one dev item alone holds more. A batch is one external process; the
+# bound keeps a batch's memory small.
+MAX_BATCH_REQUESTS = 4096
 
 
 @dataclass(frozen=True)

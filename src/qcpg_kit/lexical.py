@@ -22,7 +22,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass(frozen=True)
@@ -115,6 +114,14 @@ class _PackedWords:
 def char_edit_distance(w1: str, w2: str) -> int:
     """Levenshtein distance over Unicode scalar values."""
     return _PackedWords((w2,)).distances(w1)[0]
+
+
+def linear_sum_assignment(cost: np.ndarray):
+    """scipy's optimal assignment of ``cost``; scipy is imported on the first call,
+    so a command that measures no lexical distance never loads it."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def bag_assignment_cost(a: WordBag, b: WordBag) -> int:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DegenerateDesign, EmptyEvalSet, ModelFormatError
 from .quality import QualityVector
+from .util import read_text
 
 FEATURE_NAMES = (
     "token_count",
@@ -155,11 +156,10 @@ def save_model(model: ReferenceModel, path) -> None:
 
 
 def load_model(path) -> ReferenceModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"model file is not valid JSON: {exc.msg}") from None
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"model file is not valid JSON: {exc.msg}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFormatError(
             f"expected format tag {MODEL_FORMAT!r}, got {payload.get('format')!r}"

@@ -28,7 +28,7 @@ from .errors import (
     QcpgError,
     raise_first_failure,
 )
-from .generators import GeneratorSpec, build_generator
+from .generators import MAX_BATCH_REQUESTS, GeneratorSpec, build_generator
 from .quality import ZERO_OFFSET, ControlVector, Offset, QualityComputer, QualityVector, quantize
 from .reference import ReferenceModel, predict
 from .semantic import DEFAULT_SCORER, SemanticScorer
@@ -120,6 +120,21 @@ def plan_controls(refs, offsets: list[Offset]):
         yield controls, np.argsort(order)[inverse]
 
 
+def _chunks(plans, bound: int):
+    """Consecutive runs of ``(dev item, (controls, slots))``, each holding at most
+    ``bound`` controls unless one item alone holds more."""
+    chunk, size = [], 0
+    for plan in plans:
+        n = len(plan[1][0])
+        if chunk and size + n > bound:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(plan)
+        size += n
+    if chunk:
+        yield chunk
+
+
 class _GridEvaluator:
     """Shared state for evaluating many offsets over one dev set."""
 
@@ -131,44 +146,63 @@ class _GridEvaluator:
         self.generator = build_generator(gen, self.computer)
         self.refs = [predict(qp_model, s).as_tuple() for s, _, _ in self.dev]
 
-    def _measure(self, s: str, cluster: Cluster | None, tree_s: str, outputs: list) -> list:
-        """Quality tuple of each output (or the failure it is, or leads to).
-
-        The distinct outputs with a known tree are measured in one batch.
-        """
-        measured, keys = {}, {}
+    @staticmethod
+    def _pair_keys(s: str, cluster: Cluster | None, tree_s: str, outputs: list) -> dict:
+        """Each distinct output's pair key, or the failure it is or leads to."""
+        keys = {}
         for t in dict.fromkeys(outputs):  # a batch-wide failure is one object
             if isinstance(t, QcpgError):
-                measured[t] = t
+                keys[t] = t
             elif (tree_t := resolve_target_tree(t, s, cluster, tree_s)) is None:
-                measured[t] = MissingTree(f"no parse available for generated sentence {t[:60]!r}")
+                keys[t] = MissingTree(f"no parse available for generated sentence {t[:60]!r}")
             else:
                 keys[t] = (s, t, tree_s, tree_t)
-        for t, q in zip(keys, self.computer.pair_qualities(list(keys.values()))):
-            measured[t] = q if isinstance(q, QcpgError) else q.as_tuple()
-        return [measured[t] for t in outputs]
+        return keys
+
+    def _measure(self, chunk: list) -> list[list]:
+        """Per dev item of the chunk, the quality tuple of each control's output, or the failure it met.
+
+        The chunk's requests are one generator batch, and the distinct
+        pair keys of all its outputs one scoring batch.
+        """
+        requests = [(s, c, cluster) for (s, cluster, _), (controls, _) in chunk for c in controls]
+        outputs = iter(self.generator.generate_batch(requests))
+        items = []
+        for (s, cluster, tree_s), (controls, _) in chunk:
+            item = list(itertools.islice(outputs, len(controls)))
+            items.append((item, self._pair_keys(s, cluster, tree_s, item)))
+        distinct = list(dict.fromkeys(k for _, keys in items for k in keys.values() if isinstance(k, tuple)))
+        quality = {
+            key: q if isinstance(q, QcpgError) else q.as_tuple()
+            for key, q in zip(distinct, self.computer.pair_qualities(distinct))
+        }
+        measured = []
+        for item, keys in items:
+            by_output = {t: quality[k] if isinstance(k, tuple) else k for t, k in keys.items()}
+            measured.append([by_output[t] for t in item])
+        return measured
 
     def evaluate(self, offsets: list[Offset]):
         """Per offset, the mean quality and success count; None where all fail.
 
-        Each dev item is one generator batch holding its distinct
-        controls and one scoring batch holding its distinct outputs; its
+        Whole dev items, in dev order, form chunks of at most
+        ``MAX_BATCH_REQUESTS`` distinct controls (one item alone may hold
+        more), each measured in one generator and one scoring batch, so
+        a batch failure fails every item of its chunk. Each item's
         qualities are added to per-offset sums in dev order.
         """
         sums = np.zeros((len(offsets), 3), dtype=np.float64)
         counts = np.zeros(len(offsets), dtype=np.int64)
-        plans = plan_controls(self.refs, offsets)
-        for (s, cluster, tree_s), (controls, slots) in zip(self.dev, plans):
-            outputs = self.generator.generate_batch([(s, c, cluster) for c in controls])
-            measured = self._measure(s, cluster, tree_s, outputs)
-            failed = np.array([isinstance(q, QcpgError) for q in measured])
-            table = np.array([(0.0, 0.0, 0.0) if bad else q for q, bad in zip(measured, failed)])
-            # a failed slot adds exactly 0.0, so each sum runs over the successes in dev order
-            sums += table[slots]
-            counts += ~failed[slots]
-            for i in np.flatnonzero(failed[slots]):
-                o = offsets[i].as_tuple()
-                log.warning("generation failed for %r at offset %s: %s", s[:40], o, measured[slots[i]])
+        for chunk in _chunks(zip(self.dev, plan_controls(self.refs, offsets)), MAX_BATCH_REQUESTS):
+            for ((s, _, _), (_, slots)), measured in zip(chunk, self._measure(chunk)):
+                failed = np.array([isinstance(q, QcpgError) for q in measured])
+                table = np.array([(0.0, 0.0, 0.0) if bad else q for q, bad in zip(measured, failed)])
+                # a failed slot adds exactly 0.0, so each sum runs over the successes in dev order
+                sums += table[slots]
+                counts += ~failed[slots]
+                for i in np.flatnonzero(failed[slots]):
+                    o = offsets[i].as_tuple()
+                    log.warning("generation failed for %r at offset %s: %s", s[:40], o, measured[slots[i]])
         return [(QualityVector(*(total / n)), int(n)) if n else None for total, n in zip(sums, counts)]
 
     def dim_std(self) -> tuple[float, float, float]:

@@ -139,10 +139,15 @@ def split_lines(text: str) -> list[str]:
     return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, one leading BOM dropped, split as :func:`split_lines` does."""
+def read_text(path) -> str:
+    """The text of a UTF-8 file, one leading BOM dropped, line ends as written."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        return split_lines(fh.read())
+        return fh.read()
+
+
+def read_lines(path) -> list[str]:
+    """The lines of :func:`read_text`, split as :func:`split_lines` does."""
+    return split_lines(read_text(path))
 
 
 def tsv_row(fields: list[str]) -> str:

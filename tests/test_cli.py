@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from qcpg_kit import (
     select_operation_point,
     write_pairs_tsv,
 )
-from qcpg_kit import errors
+from qcpg_kit import errors, selection
 from qcpg_kit.cli import _build_parser, _exit_code_for, _generator_from, _read_scored_tsv, _scorer_from, main
 from qcpg_kit.generators import build_generator
 
@@ -443,8 +445,11 @@ class TestGridSelectGenerateEval:
         system = tmp_path / "system.tsv"
         write_pairs_tsv([SentencePair("the cat sat", "the cat sat", "c0", tree, tree)], system)
         report = tmp_path / "report.tsv"
-        assert run(["eval", "--system", f"{name}={system}", "--out", report]) == 5
+        starts = tmp_path / "scorer_starts"
+        scorer = ["--scorer", "external", "--scorer-command", f"{sys.executable} {COUNTING_SCORER} {starts}"]
+        assert run(["eval", "--system", f"ok={system}", *scorer, "--system", f"{name}={system}", "--out", report]) == 5
         assert not report.exists()
+        assert not starts.exists()  # the name is checked before any scoring
 
 
 COUNTING_STUB = Path(__file__).with_name("stub_counting_generator.py")
@@ -467,11 +472,13 @@ class TestExternalBatching:
         )
         return code, read_heatmap_csv(heat) if code == 0 else None
 
-    def test_grid_spawns_one_process_per_dev_item(self, corpus, corpus_file, model_file, tmp_path):
+    def test_grid_spawns_one_process(self, corpus, corpus_file, model_file, tmp_path):
+        # every dev item's distinct controls fit in one chunk
+        assert len(dev_items(corpus)) * 27 <= selection.MAX_BATCH_REQUESTS
         count, command = self.stub(tmp_path)
         code, result = self.grid(corpus_file, model_file, tmp_path, command)
         assert code == 0
-        assert len(count.read_text(encoding="utf-8").splitlines()) == len(dev_items(corpus))
+        assert len(count.read_text(encoding="utf-8").splitlines()) == 1
         assert all(n == len(dev_items(corpus)) for n in result.n)
 
     def test_generate_spawns_one_process(self, corpus, corpus_file, model_file, tmp_path):
@@ -502,7 +509,7 @@ class TestExternalBatching:
         ]
         assert result.n == expected
         assert min(expected) < len(items) == max(expected)
-        assert len(count.read_text(encoding="utf-8").splitlines()) == len(items)
+        assert len(count.read_text(encoding="utf-8").splitlines()) == 1
 
     def test_tab_fails_only_its_sentence(self, corpus, corpus_file, model_file, tmp_path):
         word = corpus[0].sentences[0].split()[0]
@@ -526,7 +533,9 @@ class TestExternalBatching:
         assert [p.target for p in read_pairs_tsv(out)] == kept
         assert run(["eval", "--system", f"stub={out}", "--out", tmp_path / "report.tsv"]) == 0
 
-    def test_nonzero_exit_fails_the_items_batch(self, corpus, corpus_file, model_file, tmp_path):
+    def test_nonzero_exit_fails_the_items_batch(self, corpus, corpus_file, model_file, tmp_path, monkeypatch):
+        # a bound of one request makes each dev item its own chunk
+        monkeypatch.setattr(selection, "MAX_BATCH_REQUESTS", 1)
         word = corpus[0].sentences[0].split()[0]
         count, command = self.stub(tmp_path, "--exit-on", word)
         code, result = self.grid(corpus_file, model_file, tmp_path, command)
@@ -534,6 +543,16 @@ class TestExternalBatching:
         survivors = sum(word not in s.split() for s, _, _ in dev_items(corpus))
         assert 0 < survivors < len(dev_items(corpus))
         assert all(n == survivors for n in result.n)
+        assert len(count.read_text(encoding="utf-8").splitlines()) == len(dev_items(corpus))
+
+    def test_nonzero_exit_fails_its_whole_chunk(self, corpus, corpus_file, model_file, tmp_path, caplog):
+        # under the default bound every dev item is in the crashing chunk
+        word = corpus[0].sentences[0].split()[0]
+        count, command = self.stub(tmp_path, "--exit-on", word)
+        code, _ = self.grid(corpus_file, model_file, tmp_path, command)
+        assert code == 5
+        assert "AllGenerationsFailed" in caplog.text
+        assert len(count.read_text(encoding="utf-8").splitlines()) == 1
 
 
 COUNTING_SCORER = Path(__file__).with_name("stub_counting_scorer.py")
@@ -638,11 +657,13 @@ class TestExternalScorerBatching:
         self, corpus, corpus_file, model_file, tmp_path, generator
     ):
         # the std-unit batch holds every oracle candidate, so an oracle's
-        # batches all hit the pair cache; identity outputs are scored per item
+        # batches all hit the pair cache; identity outputs are scored per
+        # chunk, and every dev item fits in one
+        assert len(dev_items(corpus)) * 27 <= selection.MAX_BATCH_REQUESTS
         count, scorer = self.scorer(tmp_path)
         code, heat = self.grid(corpus_file, model_file, tmp_path, generator, scorer, "--noise-std", "10")
         assert code == 0
-        assert self.starts(count) == (1 + len(dev_items(corpus)) if generator == "identity" else 1)
+        assert self.starts(count) == (1 + 1 if generator == "identity" else 1)
         assert read_heatmap_csv(heat).n == [len(dev_items(corpus))] * 27
 
     def test_grid_nan_lowers_n_only_for_its_pair(self, corpus, corpus_file, model_file, tmp_path):
@@ -661,13 +682,19 @@ class TestExternalScorerBatching:
         assert code == 0
         assert heat.read_bytes() == without.read_bytes()
 
-    def test_grid_crash_drops_its_item_at_every_offset(self, corpus, model_file, tmp_path):
-        # a singleton cluster has no ground-truth pair, so its word reaches the
-        # scorer only in its own dev item's batch, which the crash fails whole
+    @pytest.fixture()
+    def with_lone(self, corpus, tmp_path):
+        """The corpus plus a singleton cluster, which has no ground-truth pair: its
+        word reaches the scorer only in the batch of its own dev item's chunk."""
         lone = Cluster("lone", ["zebra quartz"], trees=["(S (NN zebra) (NN quartz))"])
         clusters = tmp_path / "with_lone.jsonl"
         save_clusters([*corpus, lone], clusters)
-        n_dev = len(dev_items([*corpus, lone]))
+        return clusters, len(dev_items([*corpus, lone]))
+
+    def test_grid_crash_drops_its_item_at_every_offset(self, with_lone, model_file, tmp_path, monkeypatch):
+        # a bound of one request makes each dev item its own chunk
+        monkeypatch.setattr(selection, "MAX_BATCH_REQUESTS", 1)
+        clusters, n_dev = with_lone
         _, scorer = self.scorer(tmp_path)
         code, heat = self.grid(clusters, model_file, tmp_path, "identity", scorer)
         assert code == 0
@@ -676,7 +703,16 @@ class TestExternalScorerBatching:
         code, heat = self.grid(clusters, model_file, tmp_path, "identity", scorer)
         assert code == 0
         assert read_heatmap_csv(heat).n == [n_dev - 1] * 27
-        assert self.starts(count) <= 1 + n_dev
+        assert self.starts(count) == 1 + n_dev
+
+    def test_grid_crash_fails_its_whole_chunk(self, with_lone, model_file, tmp_path, caplog):
+        # under the default bound every dev item is in the crashing chunk
+        clusters, _ = with_lone
+        count, scorer = self.scorer(tmp_path, "--exit-on", "zebra")
+        code, _ = self.grid(clusters, model_file, tmp_path, "identity", scorer)
+        assert code == 5
+        assert "AllGenerationsFailed" in caplog.text
+        assert self.starts(count) == 1 + 1
 
 
 class TestConfig:
@@ -897,6 +933,27 @@ EXIT_CODES = {
 }
 
 
+class TestProcessStart:
+    def test_import_and_select_leave_scipy_unloaded(self, corpus, model_file, tmp_path):
+        # scipy is only for lexical distances; measuring one loads it
+        heat = tmp_path / "heat.csv"
+        result = grid_search(GeneratorSpec(kind="identity"), load_model(model_file), dev_items(corpus), grid=[Offset()])
+        export_heatmap_csv(result, heat)
+        probe = (
+            "import sys\n"
+            "import qcpg_kit.cli\n"
+            "print('scipy' in sys.modules)\n"
+            "print(qcpg_kit.cli.main(sys.argv[1:]), 'scipy' in sys.modules)\n"
+            "qcpg_kit.lexical.lexical_distance('a cat', 'the cats')\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        package_root = str(Path(errors.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        argv = ["select", "--heatmap", str(heat), "--baseline-sem", "0", "--out", str(tmp_path / "op.json")]
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env)
+        assert proc.stdout.splitlines() == ["False", "0 False", "True"], proc.stderr
+
+
 class TestExitCodes:
     @staticmethod
     def error_classes(cls=errors.QcpgError):
@@ -1012,6 +1069,16 @@ class TestMalformedInputs:
         assert run([*argv, "--operation-point", point, "--out", by_point]) == 0
         assert run([*argv, "--offset", "0,10,10", "--out", by_offset]) == 0
         assert by_point.read_bytes() == by_offset.read_bytes()
+
+    def test_json_inputs_drop_a_leading_bom(self, corpus_file, model_file, tmp_path):
+        point, model = tmp_path / "op.json", tmp_path / "qp.json"
+        point.write_text('{"offset": {"sem": 0.0, "syn": 10.0, "lex": 10}}', encoding="utf-8-sig")
+        model.write_bytes(b"\xef\xbb\xbf" + Path(model_file).read_bytes())
+        by_bom, plain = tmp_path / "bom.tsv", tmp_path / "plain.tsv"
+        argv = ["generate", "--clusters", corpus_file, "--generator", "retrieval_oracle"]
+        assert run([*argv, "--model", model, "--operation-point", point, "--out", by_bom]) == 0
+        assert run([*argv, "--model", model_file, "--offset", "0,10,10", "--out", plain]) == 0
+        assert by_bom.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize(
         "by_config", [(), ("operation_point",), ("offset",)], ids=["flags", "point_in_config", "offset_in_config"]

@@ -68,6 +68,18 @@ class TestBleu:
         # closest reference length is 3 -> no penalty even though another is 6
         assert bleu(cand, ["a b c", "a b c d e f"]) == 100.0
 
+    def test_brevity_penalty_reference_closest_not_shortest(self):
+        # lengths 2 and 5 for 4 candidate tokens: 5 is closer, so BP = exp(1 - 5/4);
+        # every n-gram of the candidate is in the longer reference
+        assert bleu("a b c d", ["a b", "a b c d e"]) == pytest.approx(100.0 * math.exp(1.0 - 5.0 / 4.0))
+
+    def test_all_four_orders_count(self):
+        # p1..p4 = 4/5, 2/4, 1/3 and the smoothed 1/(2+1); a fifth order would add p5 = 1/2
+        for n, (matched, total) in enumerate([(4, 5), (2, 4), (1, 3), (0, 2), (0, 1)], start=1):
+            assert manual_precisions("a b c d e", "a b c x e", n) == (matched, total)
+        expected = 100.0 * (4 / 5 * 2 / 4 * 1 / 3 * 1 / 3) ** 0.25
+        assert bleu("a b c d e", ["a b c x e"]) == pytest.approx(expected)
+
     def test_shuffled_candidate_scores_strictly_less(self):
         source = "a b c d"
         shuffled = "b a d c"  # same unigrams, no shared bigram

@@ -203,6 +203,15 @@ class TestModelIo:
         for s, _ in samples:
             assert predict(model, s) == predict(loaded, s)
 
+    def test_leading_bom_dropped(self, tmp_path):
+        samples, _, _ = synthetic_linear_samples(np.random.default_rng(7), 20, noise=1.0)
+        model = fit(samples)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded = load_model(path)
+        assert [predict(loaded, s) for s, _ in samples] == [predict(model, s) for s, _ in samples]
+
     def test_wrong_format_tag(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"format": "something-else", "weights": []}', encoding="utf-8")

@@ -38,6 +38,7 @@ from qcpg_kit import (
     responsiveness,
     select_operation_point,
 )
+from qcpg_kit import selection
 from qcpg_kit.errors import AllGenerationsFailed, MalformedRecord, MissingZeroPoint, NoFeasibleOffset, QcpgError
 from qcpg_kit.selection import plan_controls
 
@@ -138,7 +139,7 @@ class TestGridSearch:
         assert result.n == [n for _, n in expected]
 
     def test_matches_per_request_reference(self, qp_model, dev):
-        # one batch per dev item must give what one generate call per
+        # one batch per chunk of dev items must give what one generate call per
         # (item, offset) gives, to the last bit, also where an item fails
         offsets = [Offset(*t) for t in itertools.product((0.0, 5.0, 25.0, 50.0), repeat=3)]
         singleton = Cluster("solo", ["lonely sentence"], trees=["(A)"])
@@ -157,6 +158,23 @@ class TestGridSearch:
             result = grid_search(spec, qp_model, dev, grid=default_grid(0, 10, 30))
             export_heatmap_csv(result, path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_heatmap_bytes_do_not_depend_on_the_batch_bound(self, spec, tmp_path, monkeypatch):
+        # chunks of one item, of a few and of most items; jittered lengths give
+        # the items distinct reference points, and the lone item fails at
+        # every offset in whichever chunk it lands
+        corpus = paraphrase_corpus(n_clusters=6, cluster_size=5, seed=8, length_jitter=6)
+        model = fit(quality_samples(corpus))
+        singleton = Cluster("solo", ["lonely sentence"], trees=["(A)"])
+        items = dev_items(corpus)[:9] + [("lonely sentence", singleton, "(A)")] + dev_items(corpus)[9:]
+        assert len({predict(model, s) for s, _, _ in items}) > 1
+        paths = []
+        for bound in (1, 400, selection.MAX_BATCH_REQUESTS):
+            monkeypatch.setattr(selection, "MAX_BATCH_REQUESTS", bound)
+            paths.append(tmp_path / f"heat_{bound}.csv")
+            export_heatmap_csv(grid_search(spec, model, items, grid=default_grid(0, 10, 50)), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
     def test_failed_items_excluded_but_grid_survives(self, corpus, qp_model):
         items = dev_items(corpus, per_cluster=1, limit=4)
@@ -183,6 +201,18 @@ class TestGridSearch:
                     )
         expected = np.array(rows).std(axis=0)
         assert result.dim_std == pytest.approx(tuple(expected))
+
+    def test_dim_std_of_a_constant_dimension_is_one(self, qp_model):
+        # one tree shape for every member: every pair's syn is 0, so its std falls back to 1.0
+        sentences = ["the cat sat", "the cat ran", "a dog ran"]
+        trees = [f"(S (NP (DT {d}) (NN {n})) (VP (VBD {v})))" for d, n, v in map(str.split, sentences)]
+        items = dev_items([Cluster("same", sentences, trees=trees)])
+        keys = [key for s, c, _ in items for key in c.pair_keys(s)]
+        rows = np.array([q.as_tuple() for q in QualityComputer().pair_qualities(keys)])
+        sem_std, syn_std, lex_std = rows.std(axis=0)
+        assert syn_std == 0.0 and sem_std > 0 and lex_std > 0
+        result = grid_search(GeneratorSpec(kind="identity"), qp_model, items, grid=[Offset(0, 0, 0)])
+        assert result.dim_std == (sem_std, 1.0, lex_std)
 
     def test_quality_samples_measure_the_std_unit_pairs(self, qp_model):
         # the first sentence recurs as the last member under another tree

@@ -13,6 +13,7 @@ from qcpg_kit.util import (
     keyed_generators,
     philox_keys,
     read_lines,
+    read_text,
     seed_sequence_keys,
     split_lines,
     tsv_row,
@@ -85,6 +86,11 @@ class TestLineFormat:
         row = tsv_row(fields)
         assert row == "\t".join(fields) + "\n"
         assert [line.split("\t") for line in split_lines(row)] == [fields]
+
+    def test_read_text_drops_one_leading_bom_and_keeps_line_ends(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes("\ufeff\ufeffa\r\nb\rc\n".encode("utf-8"))
+        assert read_text(path) == "\ufeffa\r\nb\rc\n"
 
     def test_read_lines_drops_one_leading_bom(self, tmp_path):
         path = tmp_path / "bom.txt"

@@ -15,6 +15,7 @@ from qcpg_kit import (
     SelectionConstraint,
     default_grid,
     dev_items,
+    dev_quality_std,
     diversity_of,
     export_heatmap_csv,
     fit,
@@ -33,7 +34,7 @@ oracle = GeneratorSpec(kind="retrieval_oracle")
 print("== responsiveness along one controlled dimension ==")
 sweep = [Offset(0, 0, v) for v in (0, 10, 20, 30, 40, 50)]
 result = grid_search(oracle, qp, dev, grid=sweep)
-print("dev-set quality std per dimension:", tuple(round(v, 1) for v in result.dim_std))
+print("dev-set quality std per dimension:", tuple(round(v, 1) for v in dev_quality_std(dev)))
 print(" o_lex   R_sem   R_syn   R_lex")
 for o in sweep:
     r = responsiveness(result, o)

@@ -64,6 +64,7 @@ from .selection import (
     OperationPoint,
     SelectionConstraint,
     default_grid,
+    dev_quality_std,
     diversity_of,
     expected_quality,
     export_heatmap_csv,

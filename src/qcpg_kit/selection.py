@@ -48,7 +48,6 @@ class GridResult:
     q_tilde: list[QualityVector]
     responsiveness: list[tuple[float, float, float]]
     n: list[int]
-    dim_std: tuple[float, float, float] | None = None
     dropped: list[Offset] = field(default_factory=list)
 
 
@@ -135,89 +134,88 @@ def _chunks(plans, bound: int):
         yield chunk
 
 
-class _GridEvaluator:
-    """Shared state for evaluating many offsets over one dev set."""
+def _pair_keys(s: str, cluster: Cluster | None, tree_s: str, outputs: list) -> dict:
+    """Each distinct output's pair key, or the failure it is or leads to."""
+    keys = {}
+    for t in dict.fromkeys(outputs):  # a batch-wide failure is one object
+        if isinstance(t, QcpgError):
+            keys[t] = t
+        elif (tree_t := resolve_target_tree(t, s, cluster, tree_s)) is None:
+            keys[t] = MissingTree(f"no parse available for generated sentence {t[:60]!r}")
+        else:
+            keys[t] = (s, t, tree_s, tree_t)
+    return keys
 
-    def __init__(self, gen: GeneratorSpec, qp_model: ReferenceModel, dev, scorer: SemanticScorer):
-        self.dev: list[DevItem] = list(dev)
-        if not self.dev:
-            raise ValueError("dev set must be non-empty")
-        self.computer = QualityComputer(scorer)
-        self.generator = build_generator(gen, self.computer)
-        self.refs = [predict(qp_model, s).as_tuple() for s, _, _ in self.dev]
 
-    @staticmethod
-    def _pair_keys(s: str, cluster: Cluster | None, tree_s: str, outputs: list) -> dict:
-        """Each distinct output's pair key, or the failure it is or leads to."""
-        keys = {}
-        for t in dict.fromkeys(outputs):  # a batch-wide failure is one object
-            if isinstance(t, QcpgError):
-                keys[t] = t
-            elif (tree_t := resolve_target_tree(t, s, cluster, tree_s)) is None:
-                keys[t] = MissingTree(f"no parse available for generated sentence {t[:60]!r}")
-            else:
-                keys[t] = (s, t, tree_s, tree_t)
-        return keys
+def _measure(generator, computer: QualityComputer, chunk: list) -> list[list]:
+    """Per dev item of the chunk, the quality tuple of each control's output, or the failure it met.
 
-    def _measure(self, chunk: list) -> list[list]:
-        """Per dev item of the chunk, the quality tuple of each control's output, or the failure it met.
+    The chunk's requests are one generator batch, and the pair keys of
+    all its outputs one scoring batch.
+    """
+    requests = [(s, c, cluster) for (s, cluster, _), (controls, _) in chunk for c in controls]
+    outputs = iter(generator.generate_batch(requests))
+    items = []
+    for (s, cluster, tree_s), (controls, _) in chunk:
+        item = list(itertools.islice(outputs, len(controls)))
+        items.append((item, _pair_keys(s, cluster, tree_s, item)))
+    pairs = [k for _, keys in items for k in keys.values() if isinstance(k, tuple)]
+    quality = {
+        key: q if isinstance(q, QcpgError) else q.as_tuple()
+        for key, q in zip(pairs, computer.pair_qualities(pairs))
+    }
+    measured = []
+    for item, keys in items:
+        by_output = {t: quality[k] if isinstance(k, tuple) else k for t, k in keys.items()}
+        measured.append([by_output[t] for t in item])
+    return measured
 
-        The chunk's requests are one generator batch, and the distinct
-        pair keys of all its outputs one scoring batch.
-        """
-        requests = [(s, c, cluster) for (s, cluster, _), (controls, _) in chunk for c in controls]
-        outputs = iter(self.generator.generate_batch(requests))
-        items = []
-        for (s, cluster, tree_s), (controls, _) in chunk:
-            item = list(itertools.islice(outputs, len(controls)))
-            items.append((item, self._pair_keys(s, cluster, tree_s, item)))
-        distinct = list(dict.fromkeys(k for _, keys in items for k in keys.values() if isinstance(k, tuple)))
-        quality = {
-            key: q if isinstance(q, QcpgError) else q.as_tuple()
-            for key, q in zip(distinct, self.computer.pair_qualities(distinct))
-        }
-        measured = []
-        for item, keys in items:
-            by_output = {t: quality[k] if isinstance(k, tuple) else k for t, k in keys.items()}
-            measured.append([by_output[t] for t in item])
-        return measured
 
-    def evaluate(self, offsets: list[Offset]):
-        """Per offset, the mean quality and success count; None where all fail.
+def _evaluate(gen: GeneratorSpec, qp_model: ReferenceModel, dev, offsets: list[Offset], scorer: SemanticScorer):
+    """Per offset, the mean quality and success count over the dev set; None where all fail.
 
-        Whole dev items, in dev order, form chunks of at most
-        ``MAX_BATCH_REQUESTS`` distinct controls (one item alone may hold
-        more), each measured in one generator and one scoring batch, so
-        a batch failure fails every item of its chunk. Each item's
-        qualities are added to per-offset sums in dev order.
-        """
-        sums = np.zeros((len(offsets), 3), dtype=np.float64)
-        counts = np.zeros(len(offsets), dtype=np.int64)
-        for chunk in _chunks(zip(self.dev, plan_controls(self.refs, offsets)), MAX_BATCH_REQUESTS):
-            for ((s, _, _), (_, slots)), measured in zip(chunk, self._measure(chunk)):
-                failed = np.array([isinstance(q, QcpgError) for q in measured])
-                table = np.array([(0.0, 0.0, 0.0) if bad else q for q, bad in zip(measured, failed)])
-                # a failed slot adds exactly 0.0, so each sum runs over the successes in dev order
-                sums += table[slots]
-                counts += ~failed[slots]
-                for i in np.flatnonzero(failed[slots]):
-                    o = offsets[i].as_tuple()
-                    log.warning("generation failed for %r at offset %s: %s", s[:40], o, measured[slots[i]])
-        return [(QualityVector(*(total / n)), int(n)) if n else None for total, n in zip(sums, counts)]
+    Whole dev items, in dev order, form chunks of at most
+    ``MAX_BATCH_REQUESTS`` distinct controls (one item alone may hold
+    more), each measured in one generator and one scoring batch, so
+    a batch failure fails every item of its chunk. Each item's
+    qualities are added to per-offset sums in dev order.
+    """
+    dev: list[DevItem] = list(dev)
+    if not dev:
+        raise ValueError("dev set must be non-empty")
+    computer = QualityComputer(scorer)
+    generator = build_generator(gen, computer)
+    refs = [predict(qp_model, s).as_tuple() for s, _, _ in dev]
+    sums = np.zeros((len(offsets), 3), dtype=np.float64)
+    counts = np.zeros(len(offsets), dtype=np.int64)
+    for chunk in _chunks(zip(dev, plan_controls(refs, offsets)), MAX_BATCH_REQUESTS):
+        for ((s, _, _), (_, slots)), measured in zip(chunk, _measure(generator, computer, chunk)):
+            failed = np.array([isinstance(q, QcpgError) for q in measured])
+            table = np.array([(0.0, 0.0, 0.0) if bad else q for q, bad in zip(measured, failed)])
+            # a failed slot adds exactly 0.0, so each sum runs over the successes in dev order
+            sums += table[slots]
+            counts += ~failed[slots]
+            for i in np.flatnonzero(failed[slots]):
+                o = offsets[i].as_tuple()
+                log.warning("generation failed for %r at offset %s: %s", s[:40], o, measured[slots[i]])
+    return [(QualityVector(*(total / n)), int(n)) if n else None for total, n in zip(sums, counts)]
 
-    def dim_std(self) -> tuple[float, float, float]:
-        """Population std, per dimension, of the dev set's own pair qualities.
 
-        The pairs are each item's ``cluster.pair_keys(s)``, the oracles'
-        candidates, measured in one batch; its first failure is raised.
-        """
-        keys = [key for s, cluster, _ in self.dev if cluster is not None for key in cluster.pair_keys(s)]
-        if not keys:
-            log.warning("dev set has no ground-truth pairs; std units default to 1.0")
-            return (1.0, 1.0, 1.0)
-        rows = [q.as_tuple() for q in raise_first_failure(self.computer.pair_qualities(keys))]
-        std = np.array(rows, dtype=np.float64).std(axis=0)
-        return tuple(float(v) if v > 0 else 1.0 for v in std)
+def dev_quality_std(dev, scorer: SemanticScorer = DEFAULT_SCORER) -> tuple[float, float, float]:
+    """Population std, per dimension, of the dev set's own pair qualities.
+
+    The pairs are each item's ``cluster.pair_keys(s)``, the oracles'
+    candidates, measured in one batch; its first failure is raised. A
+    dimension whose std is zero reports 1.0. Dividing a responsiveness
+    by it gives it in std units.
+    """
+    keys = [key for s, cluster, _ in dev if cluster is not None for key in cluster.pair_keys(s)]
+    if not keys:
+        log.warning("dev set has no ground-truth pairs; its quality std defaults to 1.0")
+        return (1.0, 1.0, 1.0)
+    rows = [q.as_tuple() for q in raise_first_failure(QualityComputer(scorer).pair_qualities(keys))]
+    std = np.array(rows, dtype=np.float64).std(axis=0)
+    return tuple(float(v) if v > 0 else 1.0 for v in std)
 
 
 def expected_quality(
@@ -228,7 +226,7 @@ def expected_quality(
     scorer: SemanticScorer = DEFAULT_SCORER,
 ) -> tuple[QualityVector, int]:
     """Estimate Q~(o): the dev-set mean of q(s, generate(s, r(s)+o))."""
-    [result] = _GridEvaluator(gen, qp_model, dev, scorer).evaluate([o])
+    [result] = _evaluate(gen, qp_model, dev, [o], scorer)
     if result is None:
         raise AllGenerationsFailed(f"no dev sentence produced a usable generation at {o.as_tuple()}")
     return result
@@ -253,17 +251,14 @@ def grid_search(
     if ZERO_OFFSET not in offsets:
         raise MissingZeroPoint("the offset grid must include (0, 0, 0)")
 
-    ev = _GridEvaluator(gen, qp_model, dev, scorer)
-    dim_std = ev.dim_std()
-
-    evaluated = ev.evaluate(offsets)
+    evaluated = _evaluate(gen, qp_model, dev, offsets, scorer)
 
     zero_idx = offsets.index(ZERO_OFFSET)
     if evaluated[zero_idx] is None:
         raise AllGenerationsFailed("every generation failed at the zero offset")
     q0 = evaluated[zero_idx][0]
 
-    result = GridResult(offsets=[], q_tilde=[], responsiveness=[], n=[], dim_std=dim_std)
+    result = GridResult(offsets=[], q_tilde=[], responsiveness=[], n=[])
     for o, entry in zip(offsets, evaluated):
         if entry is None:
             log.warning("offset %s dropped: all generations failed", o.as_tuple())
@@ -277,19 +272,15 @@ def grid_search(
     return result
 
 
-def responsiveness(result: GridResult, o: Offset, std_units: bool = False) -> tuple[float, float, float]:
-    """R(o) = Q~(o) - Q~(0,0,0), optionally in per-dimension std units."""
+def responsiveness(result: GridResult, o: Offset) -> tuple[float, float, float]:
+    """R(o) = Q~(o) - Q~(0,0,0)."""
     if ZERO_OFFSET not in result.offsets:
         raise MissingZeroPoint("grid result does not contain the zero offset")
     try:
         idx = result.offsets.index(o)
     except ValueError:
         raise ValueError(f"offset {o.as_tuple()} was not evaluated") from None
-    r = result.responsiveness[idx]
-    if not std_units:
-        return r
-    std = result.dim_std or (1.0, 1.0, 1.0)
-    return tuple(v / s for v, s in zip(r, std))
+    return result.responsiveness[idx]
 
 
 def select_operation_point(result: GridResult, constraint: SelectionConstraint) -> OperationPoint:
@@ -348,7 +339,7 @@ def export_heatmap_csv(result: GridResult, path) -> None:
 
 
 def read_heatmap_csv(path) -> GridResult:
-    """Load an exported heatmap back into a GridResult (std units are not stored).
+    """Load an exported heatmap back into a GridResult.
 
     Every value must be finite and each quality in [0, 100]; a row that
     breaks this raises MalformedRecord naming its line.

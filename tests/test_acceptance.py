@@ -27,6 +27,7 @@ from qcpg_kit import (
     decode_control,
     default_grid,
     dev_items,
+    dev_quality_std,
     diversity_of,
     encode_control,
     evaluate_mse,
@@ -47,8 +48,6 @@ from qcpg_kit import (
 )
 from qcpg_kit.errors import AllTied, NoFeasibleOffset
 from qcpg_kit.quality import QUANT_VALUES
-from qcpg_kit.selection import _GridEvaluator
-from qcpg_kit.semantic import DEFAULT_SCORER
 
 from helpers import (
     all_trees,
@@ -220,9 +219,7 @@ def test_criterion_06_qualitative_monotonicity():
     qp = fit(quality_samples(corpus))
     dev = dev_items(corpus, per_cluster=1)
 
-    std = _GridEvaluator(
-        GeneratorSpec(kind="retrieval_oracle"), qp, dev, DEFAULT_SCORER
-    ).dim_std()
+    std = dev_quality_std(dev)
     steps = [0.0, 0.5, 1.0, 1.5, 2.0]
     lex_offsets = [Offset(0, 0, k * std[2]) for k in steps]
     syn_offsets = [Offset(0, k * std[1], 0) for k in steps]

@@ -656,14 +656,13 @@ class TestExternalScorerBatching:
     def test_grid_starts_at_most_one_process_plus_one_per_dev_item(
         self, corpus, corpus_file, model_file, tmp_path, generator
     ):
-        # the std-unit batch holds every oracle candidate, so an oracle's
-        # batches all hit the pair cache; identity outputs are scored per
-        # chunk, and every dev item fits in one
+        # every dev item fits in one chunk, whose identity outputs or
+        # oracle candidates are scored in one batch
         assert len(dev_items(corpus)) * 27 <= selection.MAX_BATCH_REQUESTS
         count, scorer = self.scorer(tmp_path)
         code, heat = self.grid(corpus_file, model_file, tmp_path, generator, scorer, "--noise-std", "10")
         assert code == 0
-        assert self.starts(count) == (1 + 1 if generator == "identity" else 1)
+        assert self.starts(count) == 1
         assert read_heatmap_csv(heat).n == [len(dev_items(corpus))] * 27
 
     def test_grid_nan_lowers_n_only_for_its_pair(self, corpus, corpus_file, model_file, tmp_path):
@@ -703,7 +702,7 @@ class TestExternalScorerBatching:
         code, heat = self.grid(clusters, model_file, tmp_path, "identity", scorer)
         assert code == 0
         assert read_heatmap_csv(heat).n == [n_dev - 1] * 27
-        assert self.starts(count) == 1 + n_dev
+        assert self.starts(count) == n_dev
 
     def test_grid_crash_fails_its_whole_chunk(self, with_lone, model_file, tmp_path, caplog):
         # under the default bound every dev item is in the crashing chunk
@@ -712,7 +711,7 @@ class TestExternalScorerBatching:
         code, _ = self.grid(clusters, model_file, tmp_path, "identity", scorer)
         assert code == 5
         assert "AllGenerationsFailed" in caplog.text
-        assert self.starts(count) == 1 + 1
+        assert self.starts(count) == 1
 
 
 class TestConfig:
@@ -1053,6 +1052,21 @@ class TestMalformedInputs:
         argv = ["grid", "--clusters", corpus_file, "--model", model_file, "--grid", "0:50:50", flag, "-1"]
         assert run([*argv, "--out", heat]) == 5
         assert not heat.exists() and "-1" in caplog.text
+
+    @pytest.mark.parametrize("generator, n", [("identity", 4), ("retrieval_oracle", 3)])
+    def test_malformed_dev_tree_fails_only_the_items_that_use_it(self, model_file, tmp_path, caplog, generator, n):
+        # the last member's tree is malformed: identity never measures it, the
+        # oracle's candidates for cluster 0's dev item include it
+        clusters = paraphrase_corpus(4, 4, seed=0, length_jitter=3)
+        clusters[0].trees[-1] = "(S (NN x)"
+        path = tmp_path / "clusters.jsonl"
+        save_clusters(clusters, path)
+        heat = tmp_path / "heat.csv"
+        argv = ["grid", "--clusters", path, "--model", model_file, "--generator", generator]
+        assert run([*argv, "--per-cluster", 1, "--grid", "0:25:50", "--out", heat]) == 0
+        assert read_heatmap_csv(heat).n == [n] * 27
+        failures = {type(r.args[-1]).__name__ for r in caplog.records if r.msg.startswith("generation failed")}
+        assert failures == ({"UnbalancedParens"} if generator == "retrieval_oracle" else set())
 
     @pytest.mark.parametrize("spec", ["0:5:inf", "nan:5:50", "0:inf:50"])
     def test_non_finite_grid_spec_exit_5(self, corpus_file, model_file, tmp_path, spec):

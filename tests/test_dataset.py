@@ -277,6 +277,12 @@ class TestSplitClusters:
             split_clusters(make_clusters(2, size=2), (5, 1, 1), seed=1)
         assert len(exc.value.achievable) == 3
 
+    def test_insufficient_data_reports_the_pairs_taken(self):
+        # test takes the only cluster's pair, dev runs out, and train is never reached
+        with pytest.raises(InsufficientData, match="filling the dev split") as exc:
+            split_clusters([Cluster("c0", ["a b", "c d"])], (1, 5, 1), seed=1)
+        assert exc.value.achievable == (0, 0, 1)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_repeated_cluster_id_raises_before_drawing(self, seed):
         clusters = make_clusters(6)

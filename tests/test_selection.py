@@ -23,6 +23,7 @@ from qcpg_kit import (
     build_generator,
     default_grid,
     dev_items,
+    dev_quality_std,
     diversity_of,
     expected_quality,
     export_heatmap_csv,
@@ -185,12 +186,9 @@ class TestGridSearch:
         )
         assert all(n == 4 for n in result.n)
 
-    def test_dim_std_matches_direct_computation(self, corpus, qp_model, dev):
-        result = grid_search(
-            GeneratorSpec(kind="retrieval_oracle"), qp_model, dev, grid=default_grid(0, 25, 25)
-        )
-        from qcpg_kit import QualityComputer
 
+class TestDevQualityStd:
+    def test_matches_direct_computation(self, dev):
         computer = QualityComputer()
         rows = []
         for s, cluster, tree_s in dev:
@@ -200,9 +198,9 @@ class TestGridSearch:
                         computer.pair_quality(s, t, tree_s, cluster.trees[i]).as_tuple()
                     )
         expected = np.array(rows).std(axis=0)
-        assert result.dim_std == pytest.approx(tuple(expected))
+        assert dev_quality_std(dev) == pytest.approx(tuple(expected))
 
-    def test_dim_std_of_a_constant_dimension_is_one(self, qp_model):
+    def test_a_constant_dimension_is_one(self):
         # one tree shape for every member: every pair's syn is 0, so its std falls back to 1.0
         sentences = ["the cat sat", "the cat ran", "a dog ran"]
         trees = [f"(S (NP (DT {d}) (NN {n})) (VP (VBD {v})))" for d, n, v in map(str.split, sentences)]
@@ -211,10 +209,19 @@ class TestGridSearch:
         rows = np.array([q.as_tuple() for q in QualityComputer().pair_qualities(keys)])
         sem_std, syn_std, lex_std = rows.std(axis=0)
         assert syn_std == 0.0 and sem_std > 0 and lex_std > 0
-        result = grid_search(GeneratorSpec(kind="identity"), qp_model, items, grid=[Offset(0, 0, 0)])
-        assert result.dim_std == (sem_std, 1.0, lex_std)
+        assert dev_quality_std(items) == (sem_std, 1.0, lex_std)
 
-    def test_quality_samples_measure_the_std_unit_pairs(self, qp_model):
+    def test_a_std_below_one_is_kept(self):
+        # near-identical members: sem and lex stds are small but not zero, syn's is zero
+        w = "abcdefghij" * 8
+        items = dev_items([Cluster("near", [w, w[:-1] + "z", w[:-2] + "zz"], trees=["(S (NN x))"] * 3)])
+        keys = [key for s, c, _ in items for key in c.pair_keys(s)]
+        rows = np.array([q.as_tuple() for q in QualityComputer().pair_qualities(keys)])
+        sem_std, syn_std, lex_std = rows.std(axis=0)
+        assert 0 < sem_std < 1 and syn_std == 0.0 and 0 < lex_std < 1
+        assert dev_quality_std(items) == (sem_std, 1.0, lex_std)
+
+    def test_quality_samples_measure_the_same_pairs(self):
         # the first sentence recurs as the last member under another tree
         cluster = Cluster(
             "repeat",
@@ -228,14 +235,17 @@ class TestGridSearch:
         )
         items = dev_items([cluster])
         keys = [key for s, c, _ in items for key in c.pair_keys(s)]
-        std_unit_rows = sorted(q.as_tuple() for q in QualityComputer().pair_qualities(keys))
-        # quality_samples pairs every two members; the std units skip a sentence's pair with its copy
+        std_rows = sorted(q.as_tuple() for q in QualityComputer().pair_qualities(keys))
+        # quality_samples pairs every two members; the std skips a sentence's pair with its copy
         pairs = extract_pairs([cluster], ALL_ORDERED)
         samples = quality_samples([cluster], mode=ALL_ORDERED)
         rows = sorted(q.as_tuple() for p, (_, q) in zip(pairs, samples) if p.source != p.target)
-        assert rows == std_unit_rows
-        result = grid_search(GeneratorSpec(kind="identity"), qp_model, items, grid=[Offset(0.0, 0.0, 0.0)])
-        assert result.dim_std == pytest.approx(tuple(np.array(rows).std(axis=0)), rel=1e-12)
+        assert rows == std_rows
+        assert dev_quality_std(items) == pytest.approx(tuple(np.array(rows).std(axis=0)), rel=1e-12)
+
+    def test_no_pairs_warns_and_is_one(self, caplog):
+        assert dev_quality_std([("lonely sentence", None, "(A)")]) == (1.0, 1.0, 1.0)
+        assert "no ground-truth pairs" in caplog.text
 
 
 # Offsets off the multiples of 5 and outside any product grid; the large
@@ -318,15 +328,6 @@ class TestResponsiveness:
         result = grid_search(GeneratorSpec(kind="identity"), qp_model, dev, grid=default_grid(0, 5, 5))
         with pytest.raises(ValueError):
             responsiveness(result, Offset(40, 40, 40))
-
-    def test_std_units(self, qp_model, dev):
-        result = grid_search(
-            GeneratorSpec(kind="retrieval_oracle"), qp_model, dev, grid=default_grid(0, 25, 50)
-        )
-        o = Offset(0, 25, 50)
-        raw = responsiveness(result, o)
-        scaled = responsiveness(result, o, std_units=True)
-        assert scaled == pytest.approx(tuple(v / s for v, s in zip(raw, result.dim_std)))
 
     def test_matches_direct_difference(self, qp_model, dev):
         spec = GeneratorSpec(kind="retrieval_oracle")

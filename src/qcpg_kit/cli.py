@@ -25,6 +25,7 @@ from .dataset import (
     dev_items,
     load_clusters,
     pair_fields,
+    pairs_tsv,
     read_pairs_tsv,
     read_tree_sidecar,
     resolve_target_tree,
@@ -44,7 +45,7 @@ from .selection import (
     select_operation_point,
 )
 from .semantic import BUILTIN_TRIGRAM, EXTERNAL_COMMAND, SemanticScorer
-from .util import read_lines, read_text, tsv_row
+from .util import read_lines, read_text, tsv_row, write_text
 from .evaluation import evaluate_systems
 
 log = logging.getLogger("qcpg_kit")
@@ -148,7 +149,7 @@ def _pair_trees(pairs, args) -> list[SentencePair]:
 def _write_output(args, text: str) -> int:
     """Write a command's text output to --out, or to stdout without one."""
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -170,11 +171,12 @@ def cmd_split(args) -> int:
     if len(sizes) != 3:
         raise ValueError("--sizes must be train,dev,test pair counts")
     split = split_clusters(clusters, sizes, seed=args.seed, mode=args.mode)
+    texts = {name: pairs_tsv(getattr(split, name)) for name in ("train", "dev", "test")}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, pairs in (("train", split.train), ("dev", split.dev), ("test", split.test)):
-        write_pairs_tsv(pairs, out_dir / f"{name}.tsv")
-        log.info("%s: %d pairs", name, len(pairs))
+    for name, text in texts.items():
+        write_text(out_dir / f"{name}.tsv", text)
+        log.info("%s: %d pairs", name, len(getattr(split, name)))
     return 0
 
 
@@ -202,12 +204,11 @@ def _read_scored_tsv(path) -> list[tuple[str, QualityVector]]:
 
 def cmd_train_qp(args) -> int:
     samples = _read_scored_tsv(args.pairs)
-    model = fit(samples, lam=args.lam)
-    save_model(model, args.out)
     eval_samples = _read_scored_tsv(args.dev) if args.dev else samples
-    which = "dev" if args.dev else "train"
+    model = fit(samples, lam=args.lam)
     mse = evaluate_mse(model, eval_samples)
-    log.info("%s MSE (sem, syn, lex): %.4f %.4f %.4f", which, *mse)
+    save_model(model, args.out)
+    log.info("%s MSE (sem, syn, lex): %.4f %.4f %.4f", "dev" if args.dev else "train", *mse)
     return 0
 
 
@@ -262,7 +263,7 @@ def cmd_generate(args) -> int:
     rows = []
     for (s, cluster, tree_s), t in zip(items, outputs):
         if isinstance(t, QcpgError):
-            log.warning("generation failed for %r: %s", s[:40], t)
+            log.warning("%r failed: %s: %s", s[:40], type(t).__name__, t)
             continue
         rows.append(SentencePair(s, t, cluster.cluster_id, tree_s, resolve_target_tree(t, s, cluster, tree_s)))
     write_pairs_tsv(rows, args.out)

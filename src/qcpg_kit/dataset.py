@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .errors import InsufficientData, MalformedRecord, TreeLengthMismatch
-from .util import read_lines, rng_for, tsv_row
+from .util import read_lines, rng_for, tsv_row, write_text
 
 log = logging.getLogger(__name__)
 
@@ -119,12 +119,13 @@ def load_clusters(path) -> list[Cluster]:
 
 
 def save_clusters(clusters: list[Cluster], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in clusters:
-            rec = {"cluster_id": c.cluster_id, "sentences": c.sentences}
-            if c.trees is not None:
-                rec["trees"] = c.trees
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    lines = []
+    for c in clusters:
+        rec = {"cluster_id": c.cluster_id, "sentences": c.sentences}
+        if c.trees is not None:
+            rec["trees"] = c.trees
+        lines.append(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_text(path, "".join(lines))
 
 
 def _index_pairs(n: int, mode: str) -> list[tuple[int, int]]:
@@ -264,15 +265,15 @@ def pair_fields(p: SentencePair) -> list[str]:
     return fields
 
 
-def write_pairs_tsv(pairs: list[SentencePair], path) -> None:
-    """`source<TAB>target<TAB>cluster_id[<TAB>source_tree<TAB>target_tree]` lines.
+def pairs_tsv(pairs: list[SentencePair]) -> str:
+    """`source<TAB>target<TAB>cluster_id[<TAB>source_tree<TAB>target_tree]` lines; ValueError
+    for a pair that would not read back (see :func:`~qcpg_kit.util.tsv_row`)."""
+    return "".join(tsv_row(pair_fields(p)) for p in pairs)
 
-    Raises ValueError, before writing, for a pair that would not read
-    back (see :func:`~qcpg_kit.util.tsv_row`).
-    """
-    lines = [tsv_row(pair_fields(p)) for p in pairs]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+
+def write_pairs_tsv(pairs: list[SentencePair], path) -> None:
+    """Write the :func:`pairs_tsv` lines of ``pairs``; a pair that would not read back writes nothing."""
+    write_text(path, pairs_tsv(pairs))
 
 
 def read_pairs_tsv(path) -> list[SentencePair]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateDesign, EmptyEvalSet, ModelFormatError
 from .quality import QualityVector
-from .util import read_text
+from .util import read_text, write_text
 
 FEATURE_NAMES = (
     "token_count",
@@ -150,9 +150,7 @@ def save_model(model: ReferenceModel, path) -> None:
         "bias": model.bias.tolist(),
         "lambda": model.lam,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def load_model(path) -> ReferenceModel:

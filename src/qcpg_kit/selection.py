@@ -32,7 +32,7 @@ from .generators import MAX_BATCH_REQUESTS, GeneratorSpec, build_generator
 from .quality import ZERO_OFFSET, ControlVector, Offset, QualityComputer, QualityVector, quantize
 from .reference import ReferenceModel, predict
 from .semantic import DEFAULT_SCORER, SemanticScorer
-from .util import read_lines
+from .util import read_lines, write_text
 
 log = logging.getLogger(__name__)
 
@@ -196,8 +196,8 @@ def _evaluate(gen: GeneratorSpec, qp_model: ReferenceModel, dev, offsets: list[O
             sums += table[slots]
             counts += ~failed[slots]
             for i in np.flatnonzero(failed[slots]):
-                o = offsets[i].as_tuple()
-                log.warning("generation failed for %r at offset %s: %s", s[:40], o, measured[slots[i]])
+                err = measured[slots[i]]
+                log.warning("%r failed at offset %s: %s: %s", s[:40], offsets[i].as_tuple(), type(err).__name__, err)
     return [(QualityVector(*(total / n)), int(n)) if n else None for total, n in zip(sums, counts)]
 
 
@@ -323,19 +323,12 @@ HEATMAP_COLUMNS = (
 def export_heatmap_csv(result: GridResult, path) -> None:
     """Write one CSV row per offset (4-decimal fixed point, sorted by offset)."""
     order = sorted(range(len(result.offsets)), key=lambda i: result.offsets[i].as_tuple())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(HEATMAP_COLUMNS) + "\n")
-        for i in order:
-            o = result.offsets[i]
-            q = result.q_tilde[i]
-            r = result.responsiveness[i]
-            values = [
-                *o.as_tuple(),
-                q.sem, q.syn, q.lex,
-                *r,
-                diversity_of(q),
-            ]
-            fh.write(",".join(f"{v:.4f}" for v in values) + f",{result.n[i]}\n")
+    lines = [",".join(HEATMAP_COLUMNS) + "\n"]
+    for i in order:
+        q = result.q_tilde[i]
+        values = [*result.offsets[i].as_tuple(), *q.as_tuple(), *result.responsiveness[i], diversity_of(q)]
+        lines.append(",".join(f"{v:.4f}" for v in values) + f",{result.n[i]}\n")
+    write_text(path, "".join(lines))
 
 
 def read_heatmap_csv(path) -> GridResult:
@@ -359,6 +352,8 @@ def read_heatmap_csv(path) -> GridResult:
             n = int(fields[-1])
             if not all(map(math.isfinite, values)):
                 raise ValueError("a value is not finite")
+            if n < 1:
+                raise ValueError(f"n = {n} is below 1")
             q = QualityVector(*values[3:6])
         except ValueError as exc:
             raise MalformedRecord(f"{exc} in {line!r}", line=lineno) from None

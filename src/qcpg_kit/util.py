@@ -1,9 +1,11 @@
-"""Small shared helpers: deterministic RNG derivation, and the line format read and written."""
+"""Small shared helpers: deterministic RNG derivation, and the files and line format read and written."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import os
+import stat
 
 import numpy as np
 
@@ -143,6 +145,34 @@ def read_text(path) -> str:
     """The text of a UTF-8 file, one leading BOM dropped, line ends as written."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         return fh.read()
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8, line ends as given, whole or not at all: to a new file
+    beside ``path``, which ``os.replace`` then moves onto it (onto a symlink's target).
+
+    A failed write or close removes the new file. An existing file keeps its
+    permission bits; a new one gets ``0o666 & ~umask``. A target that is not a
+    regular file, such as ``/dev/null`` or ``/dev/stdout``, is written in place.
+    No fsync: this holds through a crash, an interrupt or a full disk, not a power loss.
+    """
+    mode = os.stat(path).st_mode if os.path.exists(path) else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path)
+    tmp = f"{os.path.dirname(target)}/.{os.path.basename(target)[:50]}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_lines(path) -> list[str]:

@@ -32,7 +32,15 @@ from .dataset import (
     split_clusters,
     write_pairs_tsv,
 )
-from .errors import LengthMismatch, MalformedRecord, MissingTree, NonFiniteValue, QcpgError, raise_first_failure
+from .errors import (
+    AllGenerationsFailed,
+    LengthMismatch,
+    MalformedRecord,
+    MissingTree,
+    NonFiniteValue,
+    QcpgError,
+    raise_first_failure,
+)
 from .generators import GENERATOR_KINDS, GeneratorSpec, build_generator
 from .quality import ZERO_OFFSET, Offset, QualityComputer, QualityVector, apply_offset
 from .reference import evaluate_mse, fit, load_model, predict, save_model
@@ -156,8 +164,8 @@ def _write_output(args, text: str) -> int:
 
 
 def cmd_score(args) -> int:
-    pairs = _pair_trees(read_pairs_tsv(args.pairs), args)
     computer = QualityComputer(_scorer_from(args))
+    pairs = _pair_trees(read_pairs_tsv(args.pairs), args)
     qualities = computer.pair_qualities([(p.source, p.target, p.source_tree, p.target_tree) for p in pairs])
     lines = [tsv_row("source target cluster_id source_tree target_tree q_sem q_syn q_lex".split())]
     for pair, q in zip(pairs, raise_first_failure(qualities)):
@@ -224,11 +232,11 @@ def cmd_predict_qp(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    gen = _generator_from(args)
+    gen, scorer = _generator_from(args), _scorer_from(args)
     model = load_model(args.model)
     grid = _parse_grid_spec(args.grid)
     dev = dev_items(load_clusters(args.clusters), per_cluster=args.per_cluster, limit=args.max_dev_items)
-    result = grid_search(gen, model, dev, grid=grid, scorer=_scorer_from(args))
+    result = grid_search(gen, model, dev, grid=grid, scorer=scorer)
     export_heatmap_csv(result, args.out)
     log.info("evaluated %d offsets over %d dev sentences", len(result.offsets), len(dev))
     return 0
@@ -250,28 +258,30 @@ def cmd_select(args) -> int:
 def cmd_generate(args) -> int:
     if args.operation_point is not None and args.offset is not None:
         raise ValueError("--offset and --operation-point are both set; give one")
-    spec = _generator_from(args)
+    generator = build_generator(_generator_from(args), QualityComputer(_scorer_from(args)))
     model = load_model(args.model)
     if args.operation_point:
         o = _read_operation_point(args.operation_point)
     else:
         o = ZERO_OFFSET if args.offset is None else _parse_offset(args.offset)
     clusters = load_clusters(args.clusters)
-    generator = build_generator(spec, QualityComputer(_scorer_from(args)))
     items = [(s, cluster, cluster.tree_of(s)) for cluster in clusters for s in cluster.sentences]
-    outputs = generator.generate_batch([(s, apply_offset(predict(model, s), o), cluster) for s, cluster, _ in items])
+    outputs = generator.generate_batch([(s, cluster, [apply_offset(predict(model, s), o)]) for s, cluster, _ in items])
     rows = []
-    for (s, cluster, tree_s), t in zip(items, outputs):
+    for (s, cluster, tree_s), [t] in zip(items, outputs):
         if isinstance(t, QcpgError):
             log.warning("%r failed: %s: %s", s[:40], type(t).__name__, t)
             continue
         rows.append(SentencePair(s, t, cluster.cluster_id, tree_s, resolve_target_tree(t, s, cluster, tree_s)))
+    if items and not rows:
+        raise AllGenerationsFailed(f"every one of the {len(items)} generations failed")
     write_pairs_tsv(rows, args.out)
     log.info("generated %d paraphrases at offset %s", len(rows), o.as_tuple())
     return 0
 
 
 def cmd_eval(args) -> int:
+    scorer = _scorer_from(args)
     systems = []
     sources = source_trees = None
     for name, path in args.system:
@@ -292,7 +302,7 @@ def cmd_eval(args) -> int:
         for lineno, ref in enumerate(references, start=1):
             if not ref.split():
                 raise MalformedRecord("a blank reference", line=lineno)
-    report = evaluate_systems(systems, sources, source_trees, references, _scorer_from(args))
+    report = evaluate_systems(systems, sources, source_trees, references, scorer)
     return _write_output(args, report.to_tsv())
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import resolve_target_tree
-from .errors import AllTied, LengthMismatch, MissingTree, raise_first_failure
+from .errors import AllTied, LengthMismatch, MissingTree, NonFiniteValue, raise_first_failure
 from .quality import QualityComputer, QualityVector
 from .semantic import DEFAULT_SCORER, SemanticScorer
 from .util import tsv_row
@@ -76,11 +76,13 @@ def self_bleu(generated: str, source: str) -> float:
 
 
 def kendall_tau(x: list[float], y: list[float]) -> float:
-    """Tie-corrected Kendall's tau (tau-b) by direct pair counting."""
+    """Tie-corrected Kendall's tau (tau-b) by direct pair counting; every value must be finite."""
     if len(x) != len(y):
         raise LengthMismatch(f"rankings differ in length: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValueError("kendall_tau requires at least 2 observations")
+    if not all(map(math.isfinite, [*x, *y])):
+        raise NonFiniteValue("kendall_tau requires finite values; a NaN or infinity has no rank")
     concordant = discordant = tied_x = tied_y = 0
     n = len(x)
     for i in range(n):

@@ -1,9 +1,10 @@
 """Controlled-generator interface and built-in test generators.
 
-A generator maps a batch of (sentence, control vector, cluster) requests
-to one paraphrase or one QcpgError each, in order (``generate_batch``);
-``generate`` is a batch of one. Grid search sends its requests in
-batches of at most ``MAX_BATCH_REQUESTS``. Besides the external-command
+A generator maps a batch of groups, each a sentence, its cluster (or
+None) and the controls asked of it, to one list per group of one
+paraphrase or one QcpgError per control (``generate_batch``); ``generate``
+is a group of one control. Grid search sends one group per dev item, at
+most ``MAX_BATCH_REQUESTS`` controls a batch. Besides the external-command
 bridge for real trained models, the built-ins make the selection
 machinery testable end to end without any training:
 
@@ -17,6 +18,7 @@ machinery testable end to end without any training:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,9 +36,9 @@ RETRIEVAL_ORACLE = "retrieval_oracle"
 NOISY_ORACLE = "noisy_oracle"
 GENERATOR_KINDS = (IDENTITY, RETRIEVAL_ORACLE, NOISY_ORACLE, EXTERNAL_COMMAND)
 
-Request = tuple[str, ControlVector, "Cluster | None"]
+Group = tuple[str, "Cluster | None", list[ControlVector]]
 
-# The most requests grid search puts in one generate_batch call, unless
+# The most controls grid search puts in one generate_batch call, unless
 # one dev item alone holds more. A batch is one external process; the
 # bound keeps a batch's memory small.
 MAX_BATCH_REQUESTS = 4096
@@ -56,16 +58,16 @@ class GeneratorSpec:
             raise ValueError(f"noise_std must be finite, got {self.noise_std}")
         if self.kind == NOISY_ORACLE and (self.noise_std is None or self.noise_std < 0):
             raise ValueError("noisy_oracle requires a non-negative noise_std")
-        if self.kind == EXTERNAL_COMMAND and not self.command:
+        if self.kind == EXTERNAL_COMMAND and not (self.command or "").strip():
             raise ValueError("external_command generator requires a command string")
 
 
 class IdentityGenerator:
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return raise_first_failure(self.generate_batch([(s, c, context)]))[0]
+        return raise_first_failure(self.generate_batch([(s, context, [c])])[0])[0]
 
-    def generate_batch(self, requests: list[Request]) -> list[str | QcpgError]:
-        return [s for s, _, _ in requests]
+    def generate_batch(self, groups: list[Group]) -> list[list[str | QcpgError]]:
+        return [[s] * len(controls) for s, _, controls in groups]
 
 
 class RetrievalOracleGenerator:
@@ -121,33 +123,26 @@ class RetrievalOracleGenerator:
         return [0.0] * len(groups)
 
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return raise_first_failure(self.generate_batch([(s, c, context)]))[0]
+        return raise_first_failure(self.generate_batch([(s, context, [c])])[0])[0]
 
-    def generate_batch(self, requests: list[Request]) -> list[str | QcpgError]:
-        """One candidate table per (sentence, context), one argmin over its controls.
+    def generate_batch(self, groups: list[Group]) -> list[list[str | QcpgError]]:
+        """One candidate table per group, one argmin per control over it.
 
         The tables of the whole batch are measured in one scorer batch,
         and the noise of the whole batch is drawn in one ``_noise`` call.
         """
-        out: list = [None] * len(requests)
-        groups: dict[tuple[str, int], list[int]] = {}
-        for i, (s, _, context) in enumerate(requests):
-            groups.setdefault((s, id(context)), []).append(i)
-        tables = self.candidate_tables([(s, requests[members[0]][2]) for (s, _), members in groups.items()])
-        live = []
-        for ((s, _), members), candidates in zip(groups.items(), tables):
-            if isinstance(candidates, QcpgError):
-                for i in members:
-                    out[i] = candidates
-            else:
-                live.append((s, [requests[i][1] for i in members], members, candidates))
-        noises = self._noise([(s, controls, len(candidates)) for s, controls, _, candidates in live])
-        for (_, controls, members, candidates), noise in zip(live, noises):
+        tables = self.candidate_tables([(s, context) for s, context, _ in groups])
+        live = [(s, cs, len(t)) for (s, _, cs), t in zip(groups, tables) if cs and isinstance(t, list)]
+        noises = iter(self._noise(live))
+        out = []
+        for (_, _, controls), candidates in zip(groups, tables):
+            if not (controls and isinstance(candidates, list)):
+                out.append([candidates] * len(controls))
+                continue
             q = np.array([cand[1].as_tuple() for cand in candidates], dtype=np.float64)
             c = np.array([ctl.as_tuple() for ctl in controls], dtype=np.float64)
-            dist = ((q + noise - c[:, None, :]) ** 2).sum(axis=2)
-            for i, k in zip(members, dist.argmin(axis=1)):
-                out[i] = candidates[k][0]
+            dist = ((q + next(noises) - c[:, None, :]) ** 2).sum(axis=2)
+            out.append([candidates[k][0] for k in dist.argmin(axis=1)])
         return out
 
 
@@ -177,35 +172,38 @@ class NoisyOracleGenerator(RetrievalOracleGenerator):
         ]
 
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return raise_first_failure(self.generate_batch([(s, c, context)]))[0]
+        return raise_first_failure(self.generate_batch([(s, context, [c])])[0])[0]
 
 
 class ExternalCommandGenerator:
     """Bridge to an external generator speaking the control-token protocol.
 
-    One process per batch; a failure of the process fails every request,
-    an empty output line or one holding a tab only its own.
+    One process per batch, one stdin line per control; a process failure
+    fails every control, an empty output line or one with a tab only its own.
     """
 
     def __init__(self, command: str):
         self.command = command
 
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return raise_first_failure(self.generate_batch([(s, c, context)]))[0]
+        return raise_first_failure(self.generate_batch([(s, context, [c])])[0])[0]
 
-    def generate_batch(self, requests: list[Request]) -> list[str | QcpgError]:
-        lines = [prepend_control(sanitize_line_field(s), c) for s, c, _ in requests]
+    def generate_batch(self, groups: list[Group]) -> list[list[str | QcpgError]]:
+        lines = [prepend_control(sanitize_line_field(s), c) for s, _, controls in groups for c in controls]
         try:
-            out = run_line_protocol(self.command, lines, "generator")
+            out = enumerate(run_line_protocol(self.command, lines, "generator"), start=1)
         except QcpgError as exc:
-            return [exc] * len(requests)
-        results: list = []
-        for lineno, (text, (s, _, _)) in enumerate(zip(out, requests), start=1):
-            if not text and s:
-                text = ProtocolError("generator returned an empty paraphrase", line=lineno)
-            elif "\t" in text:
-                text = ProtocolError("generator returned a tab, which no TSV field may hold", line=lineno)
-            results.append(text)
+            return [[exc] * len(controls) for _, _, controls in groups]
+        results = []
+        for s, _, controls in groups:
+            group: list = []
+            for lineno, text in itertools.islice(out, len(controls)):
+                if not text and s:
+                    text = ProtocolError("generator returned an empty paraphrase", line=lineno)
+                elif "\t" in text:
+                    text = ProtocolError("generator returned a tab, which no TSV field may hold", line=lineno)
+                group.append(text)
+            results.append(group)
         return results
 
 
@@ -215,7 +213,8 @@ def external_generate(command: str, batch: list[tuple[str, ControlVector]]) -> l
     Protocol: each stdin line is the three control tokens followed by the
     sentence; stdout returns exactly one paraphrase per line.
     """
-    return raise_first_failure(ExternalCommandGenerator(command).generate_batch([(s, c, None) for s, c in batch]))
+    groups = ExternalCommandGenerator(command).generate_batch([(s, None, [c]) for s, c in batch])
+    return raise_first_failure([t for [t] in groups])
 
 
 def build_generator(spec: GeneratorSpec, quality: QualityComputer | None = None):

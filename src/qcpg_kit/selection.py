@@ -150,15 +150,11 @@ def _pair_keys(s: str, cluster: Cluster | None, tree_s: str, outputs: list) -> d
 def _measure(generator, computer: QualityComputer, chunk: list) -> list[list]:
     """Per dev item of the chunk, the quality tuple of each control's output, or the failure it met.
 
-    The chunk's requests are one generator batch, and the pair keys of
-    all its outputs one scoring batch.
+    The chunk's dev items are one generator batch, one group each, and
+    the pair keys of all their outputs one scoring batch.
     """
-    requests = [(s, c, cluster) for (s, cluster, _), (controls, _) in chunk for c in controls]
-    outputs = iter(generator.generate_batch(requests))
-    items = []
-    for (s, cluster, tree_s), (controls, _) in chunk:
-        item = list(itertools.islice(outputs, len(controls)))
-        items.append((item, _pair_keys(s, cluster, tree_s, item)))
+    outputs = generator.generate_batch([(s, cluster, controls) for (s, cluster, _), (controls, _) in chunk])
+    items = [(item, _pair_keys(s, cluster, tree_s, item)) for ((s, cluster, tree_s), _), item in zip(chunk, outputs)]
     pairs = [k for _, keys in items for k in keys.values() if isinstance(k, tuple)]
     quality = {
         key: q if isinstance(q, QcpgError) else q.as_tuple()

@@ -69,16 +69,18 @@ def run_line_protocol(command: str, lines: list[str], what: str) -> list[str]:
     Both directions are UTF-8. Output lines end at ``\n`` only, with one
     trailing ``\r`` dropped, so other Unicode line breaks (U+2028, U+0085,
     form feed, ...) are data inside a line. Empty ``lines`` start no process.
+    A command that names no program, or that ``shlex`` cannot split, fails
+    to spawn like a missing program.
     """
     if not lines:
         return []
+    stdin = "".join(line + "\n" for line in lines).encode("utf-8")
     try:
-        proc = subprocess.run(
-            shlex.split(command),
-            input="".join(line + "\n" for line in lines).encode("utf-8"),
-            capture_output=True,
-        )
-    except OSError as exc:
+        argv = shlex.split(command)
+        if not argv:
+            raise ValueError("it names no program")
+        proc = subprocess.run(argv, input=stdin, capture_output=True)
+    except (OSError, ValueError) as exc:
         raise SpawnFailure(f"could not spawn {what} command {command!r}: {exc}") from exc
     if proc.returncode != 0:
         stderr = proc.stderr.decode("utf-8", "replace")
@@ -124,7 +126,7 @@ class SemanticScorer:
     def __post_init__(self):
         if self.kind not in (BUILTIN_TRIGRAM, EXTERNAL_COMMAND):
             raise ValueError(f"unknown scorer kind {self.kind!r}")
-        if self.kind == EXTERNAL_COMMAND and not self.command:
+        if self.kind == EXTERNAL_COMMAND and not (self.command or "").strip():
             raise ValueError("external_command scorer requires a command string")
 
     def raw(self, s1: str, s2: str) -> float:

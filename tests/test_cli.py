@@ -595,6 +595,32 @@ class TestExternalBatching:
         assert heat.read_bytes() == b"the heatmap of an earlier run\n"
         assert set(os.listdir(tmp_path)) - before == {"starts"}
 
+    def test_generate_exits_5_when_every_generation_fails(self, corpus, corpus_file, model_file, tmp_path, caplog):
+        word = corpus[0].sentences[0].split()[0]
+        _, command = self.stub(tmp_path, "--exit-on", word)
+        out = tmp_path / "generated.tsv"
+        argv = [
+            "generate", "--clusters", corpus_file, "--model", model_file,
+            "--generator", "external", "--generator-command", command, "--out", out,
+        ]
+        assert run(argv) == 5
+        assert not out.exists()
+        failed = [r for r in caplog.records if r.levelname == "WARNING" and "ProtocolError" in r.getMessage()]
+        assert len(failed) == sum(len(c.sentences) for c in corpus)
+        assert "AllGenerationsFailed" in caplog.text
+        out.write_bytes(b"the generations of an earlier run\n")
+        assert run(argv) == 5
+        assert out.read_bytes() == b"the generations of an earlier run\n"
+
+    @pytest.mark.parametrize("command", [" ", "\t \n"])
+    def test_blank_generator_command_fails_before_inputs_are_read(self, tmp_path, command):
+        missing = tmp_path / "missing"
+        for cmd in ("grid", "generate"):
+            argv = [cmd, "--clusters", missing, "--model", missing, "--out", tmp_path / "out"]
+            # exit 5 for the option, not 3 for the missing input files
+            assert run([*argv, "--generator", "external", "--generator-command", command]) == 5
+        assert os.listdir(tmp_path) == []
+
     def test_nonzero_exit_fails_its_whole_chunk(self, corpus, corpus_file, model_file, tmp_path, caplog):
         # under the default bound every dev item is in the crashing chunk
         word = corpus[0].sentences[0].split()[0]
@@ -654,6 +680,18 @@ class TestExternalScorerBatching:
         count, scorer = self.scorer(tmp_path, "--exit-on", word, name="exit_starts")
         assert run(["score", "--pairs", path, *scorer, "--out", tmp_path / "exit.tsv"]) == 4
         assert self.starts(count) == 1
+
+    def test_a_command_naming_no_program(self, corpus, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        write_pairs_tsv(extract_pairs(corpus), path)
+        out = tmp_path / "scored.tsv"
+        # a blank command is refused with the options (exit 5), before the missing pairs file is read (exit 3)
+        for pairs in (path, tmp_path / "missing.tsv"):
+            assert run(["score", "--pairs", pairs, "--scorer", "external", "--scorer-command", " ", "--out", out]) == 5
+        # a command shlex cannot split fails to spawn, as a missing program does
+        for command in ('"abc', "python 'x"):
+            assert run(["score", "--pairs", path, "--scorer", "external", "--scorer-command", command, "--out", out]) == 3
+        assert not out.exists()
 
     def test_eval_starts_one_process(self, corpus, corpus_file, model_file, tmp_path):
         systems = []

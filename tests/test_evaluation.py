@@ -12,7 +12,7 @@ from qcpg_kit import (
     kendall_tau,
     self_bleu,
 )
-from qcpg_kit.errors import AllTied, LengthMismatch, MissingTree
+from qcpg_kit.errors import AllTied, LengthMismatch, MissingTree, NonFiniteValue
 
 IDENTITY_SEM = 100.0 / (1.0 + math.exp(-2.0))
 
@@ -151,6 +151,21 @@ class TestKendallTau:
             x = list(rng.permutation(n).astype(float))
             y = list(rng.permutation(n).astype(float))
             assert kendall_tau(x, [-v for v in y]) == pytest.approx(-kendall_tau(x, y))
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([math.nan, math.nan], [1.0, 2.0]),
+            ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0]),
+            ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0]),
+            ([1.0, 2.0, 3.0], [3.0, 2.0, -math.inf]),
+        ],
+    )
+    def test_non_finite_value_has_no_rank(self, x, y):
+        with pytest.raises(NonFiniteValue):
+            kendall_tau(x, y)
+        with pytest.raises(NonFiniteValue):
+            kendall_tau(y, x)
 
     def test_all_tied(self):
         with pytest.raises(AllTied):

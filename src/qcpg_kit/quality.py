@@ -13,10 +13,11 @@ import math
 import re
 from dataclasses import dataclass
 
+from . import lexical
 from .errors import MalformedControlPrefix, NonFiniteValue, QcpgError, raise_first_failure
 from .semantic import DEFAULT_SCORER, SemanticScorer, semantic_similarity
 from .trees import FlatTree, ParseTree, parse_bracketed, parse_syntactic_form, syntactic_distance
-from .lexical import lexical_distance
+from .lexical import WordBag, lexical_distance
 
 QUANT_STEP = 5
 QUANT_BINS = 20
@@ -133,18 +134,20 @@ def quality_vector(
     scorer: SemanticScorer = DEFAULT_SCORER,
     raw: float | None = None,
     syn: float | None = None,
+    lex: float | None = None,
 ) -> QualityVector:
     """Measure the full 3-D quality of ``t`` as a paraphrase of ``s``.
 
     A tree may also be given as its :func:`~qcpg_kit.trees.syntactic_form`.
     ``raw``, when given, is the pair's raw semantic score, already
-    computed, and ``scorer`` is not asked; ``syn``, when given, is the
-    trees' syntactic distance, already computed.
+    computed, and ``scorer`` is not asked; ``syn`` and ``lex``, when
+    given, are the pair's syntactic and lexical distances, already
+    computed.
     """
     return QualityVector(
         semantic_similarity(scorer.raw(s, t) if raw is None else raw),
         syntactic_distance(tree_s, tree_t) if syn is None else syn,
-        lexical_distance(s, t),
+        lexical_distance(s, t) if lex is None else lex,
     )
 
 
@@ -161,14 +164,16 @@ class QualityComputer:
     syntactic form is built from the text once per tree string, with no
     parse tree in between. Equal forms are interned to one object, and the
     syntactic distance is computed once per distinct (form, form) pair:
-    pruned and token-stripped, many sentences share one template. The
-    pairs a batch misses share one scorer call, so an external scorer
-    starts one process per batch, not per pair.
+    pruned and token-stripped, many sentences share one template. Each
+    sentence is tokenized into its bag of words once. The pairs a batch
+    misses share one scorer call, so an external scorer starts one
+    process per batch, not per pair.
     """
 
     def __init__(self, scorer: SemanticScorer = DEFAULT_SCORER):
         self.scorer = scorer
         self._forms: dict[str, FlatTree] = {}
+        self._bags: dict[str, WordBag] = {}
         # postorder labels and leftmost leaves fix a form exactly
         self._interned: dict[tuple[tuple[str, ...], tuple[int, ...]], FlatTree] = {}
         self._syn: dict[tuple[FlatTree, FlatTree], float] = {}
@@ -186,6 +191,13 @@ class QualityComputer:
             cached = self._interned.setdefault((tuple(form.labels), tuple(form.lml)), form)
             self._forms[text] = cached
         return cached
+
+    def _bag(self, text: str) -> WordBag:
+        """The sentence's bag of words, tokenized once."""
+        bag = self._bags.get(text)
+        if bag is None:
+            bag = self._bags[text] = lexical.tokenize(text)
+        return bag
 
     def pair_quality(self, s: str, t: str, tree_s: str, tree_t: str) -> QualityVector:
         """One pair's quality: a batch of one, whose failure is raised."""
@@ -225,7 +237,8 @@ class QualityComputer:
                         syn = self._syn.get((form_s, form_t))
                         if syn is None:
                             syn = self._syn[form_s, form_t] = syntactic_distance(form_s, form_t)
-                        q = quality_vector(key[0], key[1], form_s, form_t, raw=raw, syn=syn)
+                        lex = lexical_distance(self._bag(key[0]), self._bag(key[1]))
+                        q = quality_vector(key[0], key[1], form_s, form_t, raw=raw, syn=syn, lex=lex)
                         results[key] = self._pairs[key] = q
                     except QcpgError as exc:
                         results[key] = exc

@@ -1022,7 +1022,7 @@ EXIT_CODES = {
 
 class TestProcessStart:
     def test_import_and_select_leave_scipy_unloaded(self, corpus, model_file, tmp_path):
-        # scipy is only for lexical distances; measuring one loads it
+        # the lexical distance has its own assignment solver: measuring one loads no scipy
         heat = tmp_path / "heat.csv"
         result = grid_search(GeneratorSpec(kind="identity"), load_model(model_file), dev_items(corpus), grid=[Offset()])
         export_heatmap_csv(result, heat)
@@ -1036,7 +1036,25 @@ class TestProcessStart:
         )
         argv = ["select", "--heatmap", str(heat), "--baseline-sem", "0", "--out", str(tmp_path / "op.json")]
         proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=package_env())
-        assert proc.stdout.splitlines() == ["False", "0 False", "True"], proc.stderr
+        assert proc.stdout.splitlines() == ["False", "0 False", "False"], proc.stderr
+
+    @pytest.mark.parametrize("command", ["score", "grid", "eval"])
+    def test_commands_that_measure_lex_leave_scipy_unloaded(self, command, corpus, corpus_file, model_file, tmp_path):
+        pairs, generated = tmp_path / "pairs.tsv", tmp_path / "generated.tsv"
+        write_pairs_tsv(extract_pairs(corpus), pairs)
+        oracle = ["--clusters", corpus_file, "--model", model_file, "--generator", "retrieval_oracle"]
+        assert run(["generate", *oracle, "--offset", "10,10,10", "--out", generated]) == 0
+        out = tmp_path / "out"
+        argv = {
+            "score": ["score", "--pairs", pairs, "--out", out],
+            "grid": ["grid", *oracle, "--grid", "0:25:50", "--out", out],
+            "eval": ["eval", "--system", f"ours={generated}", "--out", out],
+        }[command]
+        probe = "import sys\nimport qcpg_kit.cli\nprint(qcpg_kit.cli.main(sys.argv[1:]), 'scipy' in sys.modules)\n"
+        argv = [sys.executable, "-c", probe, *map(str, argv)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=package_env())
+        assert proc.stdout.splitlines() == ["0 False"], proc.stderr
+        assert "lex" in out.read_text(encoding="utf-8").splitlines()[0]  # every output has a lex column
 
 
 class TestRerunAcrossProcesses:

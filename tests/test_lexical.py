@@ -1,9 +1,13 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from qcpg_kit import WordBag, bag_assignment_cost, char_edit_distance, lexical_distance, tokenize
+from qcpg_kit.lexical import linear_sum_assignment
 
 from helpers import levenshtein_oracle, matching_bruteforce
 
@@ -73,6 +77,32 @@ class TestCharEditDistance:
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle_on_unicode_and_long_words(self, w1, w2):
         assert char_edit_distance(w1, w2) == levenshtein_oracle(w1, w2)
+
+
+def _square(values):
+    return st.integers(1, 6).flatmap(lambda k: st.lists(st.lists(values, min_size=k, max_size=k), min_size=k, max_size=k))
+
+
+class TestLinearSumAssignment:
+    # small value ranges make ties, which decide the search order, common
+    @given(st.one_of(_square(st.integers(0, 1)), _square(st.integers(0, 3)), _square(st.integers(0, 100))))
+    @example([[7]])
+    @example([[4] * 5] * 5)
+    @example([[0] * 6] * 6)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_brute_force(self, cost):
+        best = min(sum(row[j] for row, j in zip(cost, p)) for p in permutations(range(len(cost))))
+        assert linear_sum_assignment(cost) == best
+
+    def test_matches_scipy_up_to_k_40(self):
+        rng = np.random.default_rng(59)
+        for _ in range(300):
+            k = int(rng.integers(1, 41))
+            cost = rng.integers(0, int(rng.choice([2, 4, 101, 10**6])), size=(k, k))
+            rows, cols = scipy_assignment(cost)
+            got = linear_sum_assignment(cost.tolist())
+            assert type(got) is int
+            assert got == int(cost[rows, cols].sum())
 
 
 class TestBagAssignmentCost:

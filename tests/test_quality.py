@@ -198,6 +198,23 @@ class TestQualityComputer:
         )
         assert q1 == direct
 
+    def test_each_sentence_is_tokenized_once(self, monkeypatch):
+        keys = _keys(extract_pairs(paraphrase_corpus(8, 5, seed=3), ALL_ORDERED))
+        expected = [reference_quality(*key) for key in keys]
+        tokenize = qcpg_kit.lexical.tokenize
+        calls = Counter()
+
+        def counting(text):
+            calls[text] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr(qcpg_kit.lexical, "tokenize", counting)
+        computer = QualityComputer()
+        computer.pair_qualities(keys[::2])
+        assert computer.pair_qualities(keys) == expected  # the second batch's misses reuse the first's bags
+        sentences = {s for s, _, _, _ in keys} | {t for _, t, _, _ in keys}
+        assert calls == Counter(dict.fromkeys(sentences, 1))
+
 
 class TestSyntacticMemo:
     PAIRS = extract_pairs(paraphrase_corpus(20, 6, seed=3, length_jitter=8), ALL_ORDERED)

@@ -18,6 +18,7 @@ from qcpg_kit import (
     predict,
     quality_samples,
 )
+from qcpg_kit.errors import raise_first_failure
 
 corpus = paraphrase_corpus(n_clusters=25, cluster_size=5, seed=77, length_jitter=6)
 qp = fit(quality_samples(corpus))
@@ -26,14 +27,9 @@ sources = [s for s, _, _ in items]
 source_trees = [t for _, _, t in items]
 
 def run_system(spec, offset):
-    gen = build_generator(spec)
-    outputs, trees = [], []
-    for s, cluster, tree_s in items:
-        c = apply_offset(predict(qp, s), offset)
-        t = gen.generate(s, c, cluster)
-        outputs.append(t)
-        trees.append(tree_s if t == s else cluster.trees[cluster.sentences.index(t)])
-    return outputs, trees
+    groups = [(s, cluster, [apply_offset(predict(qp, s), offset)]) for s, cluster, _ in items]
+    outputs = [raise_first_failure(g)[0] for g in build_generator(spec).generate_batch(groups)]
+    return outputs, [cluster.tree_of(t) for t, (_, cluster, _) in zip(outputs, items)]
 
 copy_out, copy_trees = run_system(GeneratorSpec(kind="identity"), Offset(0, 0, 0))
 mild_out, mild_trees = run_system(GeneratorSpec(kind="retrieval_oracle"), Offset(0, 5, 5))

@@ -23,17 +23,11 @@ from .dataset import (
     read_tree_sidecar,
     save_clusters,
     split_clusters,
-    subsample,
     write_pairs_tsv,
 )
 from .errors import QcpgError
 from .evaluation import EvalReport, EvalRow, bleu, evaluate_systems, kendall_tau, self_bleu
-from .generators import (
-    GeneratorSpec,
-    build_generator,
-    external_generate,
-    generate,
-)
+from .generators import GeneratorSpec, build_generator
 from .lexical import WordBag, bag_assignment_cost, char_edit_distance, lexical_distance, tokenize
 from .quality import (
     ControlVector,
@@ -66,7 +60,6 @@ from .selection import (
     default_grid,
     dev_quality_std,
     diversity_of,
-    expected_quality,
     export_heatmap_csv,
     grid_search,
     read_heatmap_csv,

@@ -1,4 +1,4 @@
-"""Cluster corpora: ingestion, pair extraction, subsampling, leak-free splits.
+"""Cluster corpora: ingestion, pair extraction, leak-free splits.
 
 A corpus is a list of clusters, each holding mutually-paraphrastic
 sentences (optionally with aligned bracketed parses). Splits assign
@@ -10,13 +10,10 @@ by ``Cluster.tree_of``: in pairs, dev items and generated pairs alike.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 
 from .errors import InsufficientData, MalformedRecord, TreeLengthMismatch
 from .util import read_lines, rng_for, tsv_row, write_text
-
-log = logging.getLogger(__name__)
 
 ALL_ORDERED = "all_ordered"
 ALL_UNORDERED = "all_unordered"
@@ -224,22 +221,6 @@ def _assert_leak_free(assigned: dict[str, list[Cluster]]) -> None:
         for b in ("train", "dev", "test"):
             if a < b and ids[a] & ids[b]:
                 raise AssertionError(f"cluster leak between {a} and {b}: {ids[a] & ids[b]}")
-
-
-def subsample(
-    clusters: list[Cluster],
-    n_pairs: int,
-    seed: int,
-    mode: str = ALL_UNORDERED,
-) -> list[Cluster]:
-    """Seeded shuffle, then take whole clusters until >= n_pairs pairs."""
-    if n_pairs < 0:
-        raise ValueError("n_pairs must be >= 0")
-    shuffled = (clusters[i] for i in rng_for(seed, "subsample").permutation(len(clusters)))
-    taken, total = _take_until(shuffled, n_pairs, mode)
-    if total < n_pairs:
-        log.warning("corpus has only %d pairs; %d requested", total, n_pairs)
-    return taken
 
 
 def _take_until(shuffled, quota: int, mode: str) -> tuple[list[Cluster], int]:

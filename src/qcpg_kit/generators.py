@@ -2,11 +2,12 @@
 
 A generator maps a batch of groups, each a sentence, its cluster (or
 None) and the controls asked of it, to one list per group of one
-paraphrase or one QcpgError per control (``generate_batch``); ``generate``
-is a group of one control. Grid search sends one group per dev item, at
-most ``MAX_BATCH_REQUESTS`` controls a batch. Besides the external-command
-bridge for real trained models, the built-ins make the selection
-machinery testable end to end without any training:
+paraphrase or one QcpgError per control (``generate_batch``); each
+generator's ``generate`` method is a group of one control. Grid search
+sends one group per dev item, at most ``MAX_BATCH_REQUESTS`` controls a
+batch. Besides the external-command bridge for real trained models, the
+built-ins make the selection machinery testable end to end without any
+training:
 
 * identity        -- returns the input unchanged (control-blind baseline);
 * retrieval_oracle -- returns the cluster member whose measured quality
@@ -27,7 +28,7 @@ import numpy as np
 from .dataset import Cluster
 from .errors import EmptyContext, ProtocolError, QcpgError, raise_first_failure
 from .quality import ControlVector, QualityComputer, prepend_control
-from .semantic import DEFAULT_SCORER, EXTERNAL_COMMAND, SemanticScorer, run_line_protocol, sanitize_line_field
+from .semantic import EXTERNAL_COMMAND, run_line_protocol, sanitize_line_field
 # rng_for is no longer called here, but bench/tracing.py spans this binding.
 from .util import as_entropy, keyed_generators, philox_keys, rng_for  # noqa: F401
 
@@ -207,16 +208,6 @@ class ExternalCommandGenerator:
         return results
 
 
-def external_generate(command: str, batch: list[tuple[str, ControlVector]]) -> list[str]:
-    """Run a batch through an external generator command; raise its first failure.
-
-    Protocol: each stdin line is the three control tokens followed by the
-    sentence; stdout returns exactly one paraphrase per line.
-    """
-    groups = ExternalCommandGenerator(command).generate_batch([(s, None, [c]) for s, c in batch])
-    return raise_first_failure([t for [t] in groups])
-
-
 def build_generator(spec: GeneratorSpec, quality: QualityComputer | None = None):
     """Instantiate the generator described by ``spec``.
 
@@ -230,14 +221,3 @@ def build_generator(spec: GeneratorSpec, quality: QualityComputer | None = None)
     if spec.kind == NOISY_ORACLE:
         return NoisyOracleGenerator(spec.noise_std, spec.seed, quality)
     return ExternalCommandGenerator(spec.command)
-
-
-def generate(
-    spec: GeneratorSpec,
-    s: str,
-    c: ControlVector,
-    context: Cluster | None = None,
-    scorer: SemanticScorer = DEFAULT_SCORER,
-) -> str:
-    """One-shot functional form of the generator interface."""
-    return build_generator(spec, QualityComputer(scorer)).generate(s, c, context)

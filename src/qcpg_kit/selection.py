@@ -214,20 +214,6 @@ def dev_quality_std(dev, scorer: SemanticScorer = DEFAULT_SCORER) -> tuple[float
     return tuple(float(v) if v > 0 else 1.0 for v in std)
 
 
-def expected_quality(
-    gen: GeneratorSpec,
-    qp_model: ReferenceModel,
-    dev,
-    o: Offset,
-    scorer: SemanticScorer = DEFAULT_SCORER,
-) -> tuple[QualityVector, int]:
-    """Estimate Q~(o): the dev-set mean of q(s, generate(s, r(s)+o))."""
-    [result] = _evaluate(gen, qp_model, dev, [o], scorer)
-    if result is None:
-        raise AllGenerationsFailed(f"no dev sentence produced a usable generation at {o.as_tuple()}")
-    return result
-
-
 def grid_search(
     gen: GeneratorSpec,
     qp_model: ReferenceModel,

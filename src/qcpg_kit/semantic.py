@@ -137,8 +137,5 @@ class SemanticScorer:
             return [builtin_trigram_raw(s1, s2) for s1, s2 in pairs]
         return external_raw(self.command, pairs)
 
-    def similarity(self, s1: str, s2: str) -> float:
-        return semantic_similarity(self.raw(s1, s2))
-
 
 DEFAULT_SCORER = SemanticScorer()

@@ -44,11 +44,6 @@ class ParseTree:
     def node_count(self) -> int:
         return 1 + sum(child.node_count() for child in self.children)
 
-    def depth(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
-
     def render(self) -> str:
         """Serialize back to bracketed text; inverse of :func:`parse_bracketed`.
 

@@ -15,7 +15,6 @@ from qcpg_kit import (
     read_pairs_tsv,
     read_tree_sidecar,
     split_clusters,
-    subsample,
     write_pairs_tsv,
 )
 from qcpg_kit.dataset import PAIR_MODES, resolve_target_tree
@@ -295,26 +294,6 @@ class TestSplitClusters:
         clusters = make_clusters(6, size=3)  # 6 ordered pairs each
         split = split_clusters(clusters, (12, 6, 6), seed=11, mode=ALL_ORDERED)
         assert len(split.train) == 12 and len(split.dev) == 6 and len(split.test) == 6
-
-
-class TestSubsample:
-    def test_zero(self):
-        assert subsample(make_clusters(5), 0, seed=1) == []
-
-    def test_deterministic(self):
-        clusters = make_clusters(10)
-        assert subsample(clusters, 9, seed=4) == subsample(clusters, 9, seed=4)
-
-    def test_takes_whole_clusters_until_quota(self):
-        clusters = make_clusters(10, size=3)  # 3 unordered pairs each
-        taken = subsample(clusters, 7, seed=2)
-        total = sum(pair_count(c, ALL_UNORDERED) for c in taken)
-        assert total >= 7
-        assert total - 3 < 7  # one cluster fewer would be under quota
-
-    def test_small_corpus_returns_everything(self):
-        clusters = make_clusters(2, size=2)
-        assert len(subsample(clusters, 100, seed=1)) == 2
 
 
 class TestPairsTsv:

@@ -11,8 +11,6 @@ from qcpg_kit import (
     QualityComputer,
     SemanticScorer,
     decode_control,
-    external_generate,
-    generate,
     paraphrase_corpus,
 )
 from qcpg_kit import util
@@ -97,9 +95,6 @@ class TestIdentity:
         gen = IdentityGenerator()
         for c in (ControlVector(0, 0, 0), ControlVector(95, 95, 95)):
             assert gen.generate("a cat sat", c) == "a cat sat"
-
-    def test_functional_form(self):
-        assert generate(GeneratorSpec(kind="identity"), "hello", ControlVector(5, 10, 15)) == "hello"
 
 
 class TestRetrievalOracle:
@@ -222,8 +217,8 @@ class TestExternalGenerator:
             "for line in sys.stdin:\n"
             "    print(line.rstrip('\\n').split(' ', 3)[3])\n",
         )
-        batch = [("a cat", ControlVector(0, 0, 0)), ("the dog ran", ControlVector(5, 10, 15))]
-        assert external_generate(cmd, batch) == ["a cat", "the dog ran"]
+        groups = [("a cat", None, [ControlVector(0, 0, 0)]), ("the dog ran", None, [ControlVector(5, 10, 15)])]
+        assert ExternalCommandGenerator(cmd).generate_batch(groups) == [["a cat"], ["the dog ran"]]
 
     def test_prefix_round_trips_through_decoder(self, tmp_path):
         cmd = _gen_stub(
@@ -231,18 +226,8 @@ class TestExternalGenerator:
             "import sys\nfor line in sys.stdin:\n    print(line.rstrip('\\n'))\n",
         )
         c = ControlVector(35, 50, 5)
-        [echoed] = external_generate(cmd, [("a cat", c)])
+        [[echoed]] = ExternalCommandGenerator(cmd).generate_batch([("a cat", None, [c])])
         assert decode_control(echoed) == (c, "a cat")
-
-    def test_length_mismatch(self, tmp_path):
-        cmd = _gen_stub(tmp_path, "import sys\nsys.stdin.read()\nprint('just one')\n")
-        with pytest.raises(ProtocolError):
-            external_generate(cmd, [("a", ControlVector(0, 0, 0)), ("b", ControlVector(0, 0, 0))])
-
-    def test_empty_paraphrase_rejected(self, tmp_path):
-        cmd = _gen_stub(tmp_path, "import sys\nfor _ in sys.stdin:\n    print()\n")
-        with pytest.raises(ProtocolError):
-            external_generate(cmd, [("a", ControlVector(0, 0, 0))])
 
 
 class TestBuildGenerator:

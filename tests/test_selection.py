@@ -19,13 +19,13 @@ from qcpg_kit import (
     QualityComputer,
     QualityVector,
     SelectionConstraint,
+    ZERO_OFFSET,
     apply_offset,
     build_generator,
     default_grid,
     dev_items,
     dev_quality_std,
     diversity_of,
-    expected_quality,
     export_heatmap_csv,
     extract_pairs,
     fit,
@@ -85,8 +85,11 @@ def dev(corpus):
 
 
 class TestExpectedQuality:
+    """Q~(0,0,0) alone: a grid of the zero offset."""
+
     def test_identity_generator(self, qp_model, dev):
-        q, n = expected_quality(GeneratorSpec(kind="identity"), qp_model, dev, Offset(0, 0, 0))
+        result = grid_search(GeneratorSpec(kind="identity"), qp_model, dev, grid=[ZERO_OFFSET])
+        [q], [n] = result.q_tilde, result.n
         assert n == len(dev)
         assert q.sem == pytest.approx(IDENTITY_SEM)
         assert q.syn == 0.0 and q.lex == 0.0
@@ -95,18 +98,18 @@ class TestExpectedQuality:
         singleton = Cluster("solo", ["only sentence"], trees=["(A)"])
         items = [("only sentence", singleton, "(A)")]
         with pytest.raises(AllGenerationsFailed):
-            expected_quality(GeneratorSpec(kind="retrieval_oracle"), qp_model, items, Offset(0, 0, 0))
+            grid_search(GeneratorSpec(kind="retrieval_oracle"), qp_model, items, grid=[ZERO_OFFSET])
 
     def test_empty_dev_rejected(self, qp_model):
         with pytest.raises(ValueError):
-            expected_quality(GeneratorSpec(kind="identity"), qp_model, [], Offset(0, 0, 0))
+            grid_search(GeneratorSpec(kind="identity"), qp_model, [], grid=[ZERO_OFFSET])
 
     def test_single_sentence_dev(self, corpus, qp_model):
         items = dev_items(corpus, per_cluster=1, limit=1)
         spec = GeneratorSpec(kind="retrieval_oracle")
-        q, n = expected_quality(spec, qp_model, items, Offset(0, 0, 0))
-        assert n == 1
-        assert per_request_grid(spec, qp_model, items, [Offset(0, 0, 0)]) == [(q, n)]
+        result = grid_search(spec, qp_model, items, grid=[ZERO_OFFSET])
+        assert result.n == [1]
+        assert per_request_grid(spec, qp_model, items, [ZERO_OFFSET]) == [(result.q_tilde[0], 1)]
 
 
 class TestGridSearch:
@@ -333,7 +336,7 @@ class TestResponsiveness:
         spec = GeneratorSpec(kind="retrieval_oracle")
         grid = default_grid(0, 10, 20)
         result = grid_search(spec, qp_model, dev, grid=grid)
-        q0, _ = expected_quality(spec, qp_model, dev, Offset(0, 0, 0))
+        [(q0, _)] = per_request_grid(spec, qp_model, dev, [ZERO_OFFSET])
         for o, q in zip(result.offsets, result.q_tilde):
             direct = tuple(a - b for a, b in zip(q.as_tuple(), q0.as_tuple()))
             assert responsiveness(result, o) == pytest.approx(direct)

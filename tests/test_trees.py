@@ -31,7 +31,6 @@ class TestParsing:
         # hand count: S, NP, DT, the, VP, VB, runs
         tree = parse_bracketed("(S (NP (DT the)) (VP (VB runs)))")
         assert tree.node_count() == 7
-        assert tree.depth() == 4
         assert tree.children[0].children[0].children[0].label == "the"
 
     def test_bare_tokens_and_wrapped_leaves_are_equivalent(self):

@@ -23,26 +23,19 @@ from qcpg_kit.errors import raise_first_failure
 corpus = paraphrase_corpus(n_clusters=25, cluster_size=5, seed=77, length_jitter=6)
 qp = fit(quality_samples(corpus))
 items = dev_items(corpus, per_cluster=1)
-sources = [s for s, _, _ in items]
-source_trees = [t for _, _, t in items]
 
 def run_system(spec, offset):
+    """One (source, output, source_tree, output_tree) row per dev item."""
     groups = [(s, cluster, [apply_offset(predict(qp, s), offset)]) for s, cluster, _ in items]
     outputs = [raise_first_failure(g)[0] for g in build_generator(spec).generate_batch(groups)]
-    return outputs, [cluster.tree_of(t) for t, (_, cluster, _) in zip(outputs, items)]
-
-copy_out, copy_trees = run_system(GeneratorSpec(kind="identity"), Offset(0, 0, 0))
-mild_out, mild_trees = run_system(GeneratorSpec(kind="retrieval_oracle"), Offset(0, 5, 5))
-bold_out, bold_trees = run_system(GeneratorSpec(kind="retrieval_oracle"), Offset(0, 25, 35))
+    return [(s, t, tree_s, cluster.tree_of(t)) for t, (s, cluster, tree_s) in zip(outputs, items)]
 
 report = evaluate_systems(
     [
-        ("identity", copy_out, copy_trees),
-        ("oracle+small-offset", mild_out, mild_trees),
-        ("oracle+large-offset", bold_out, bold_trees),
+        ("identity", run_system(GeneratorSpec(kind="identity"), Offset(0, 0, 0))),
+        ("oracle+small-offset", run_system(GeneratorSpec(kind="retrieval_oracle"), Offset(0, 5, 5))),
+        ("oracle+large-offset", run_system(GeneratorSpec(kind="retrieval_oracle"), Offset(0, 25, 35))),
     ],
-    sources,
-    source_trees,
     references=[c.sentences[1] for c in corpus],  # a held-out member as reference
 )
 print(report.to_tsv())

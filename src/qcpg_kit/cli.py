@@ -36,7 +36,6 @@ from .errors import (
     AllGenerationsFailed,
     LengthMismatch,
     MalformedRecord,
-    MissingTree,
     NonFiniteValue,
     QcpgError,
     raise_first_failure,
@@ -282,27 +281,17 @@ def cmd_generate(args) -> int:
 
 def cmd_eval(args) -> int:
     scorer = _scorer_from(args)
-    systems = []
-    sources = source_trees = None
-    for name, path in args.system:
-        tsv_row([name, ""])  # the report's first field: a bad name fails before any scorer starts
-        pairs = read_pairs_tsv(path)
-        if any(p.source_tree is None or p.target_tree is None for p in pairs):
-            raise MissingTree(f"system file {path!r} must carry source and target trees")
-        sys_sources = [p.source for p in pairs]
-        sys_trees = [p.source_tree for p in pairs]
-        if sources is None:
-            sources, source_trees = sys_sources, sys_trees
-        elif (sys_sources, sys_trees) != (sources, source_trees):
-            raise LengthMismatch(f"system {name!r} disagrees with the first system's sources or source trees")
-        systems.append((name, [p.target for p in pairs], [p.target_tree for p in pairs]))
+    systems = [
+        (name, [(p.source, p.target, p.source_tree, p.target_tree) for p in read_pairs_tsv(path)])
+        for name, path in args.system
+    ]
     references = None
     if args.references:
         references = read_lines(args.references)
         for lineno, ref in enumerate(references, start=1):
             if not ref.split():
                 raise MalformedRecord("a blank reference", line=lineno)
-    report = evaluate_systems(systems, sources, source_trees, references, scorer)
+    report = evaluate_systems(systems, references, scorer)
     return _write_output(args, report.to_tsv())
 
 

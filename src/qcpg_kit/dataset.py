@@ -66,7 +66,6 @@ class DatasetSplit:
     train: list[SentencePair] = field(default_factory=list)
     dev: list[SentencePair] = field(default_factory=list)
     test: list[SentencePair] = field(default_factory=list)
-    seed: int = 0
 
 
 def load_clusters(path) -> list[Cluster]:
@@ -169,11 +168,9 @@ def dev_items(clusters: list[Cluster], per_cluster: int | None = None, limit: in
     return items[:limit] if limit is not None else items
 
 
-def resolve_target_tree(t: str, s: str, cluster: Cluster | None, tree_s: str | None) -> str | None:
+def resolve_target_tree(t: str, s: str, cluster: Cluster, tree_s: str | None) -> str | None:
     """Tree of generated ``t``: the source's if ``t == s``, else a cluster member's, else None."""
-    if t == s:
-        return tree_s
-    return cluster.tree_of(t) if cluster is not None else None
+    return tree_s if t == s else cluster.tree_of(t)
 
 
 def split_clusters(
@@ -207,7 +204,7 @@ def split_clusters(
             achieved = tuple(counts.get(k, 0) for k in ("train", "dev", "test"))
             raise InsufficientData(f"corpus exhausted while filling the {name} split", achievable=achieved)
 
-    split = DatasetSplit(seed=seed)
+    split = DatasetSplit()
     split.test = extract_pairs(assigned["test"], mode)
     split.dev = extract_pairs(assigned["dev"], mode)
     split.train = extract_pairs(assigned["train"], mode)

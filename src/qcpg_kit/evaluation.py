@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import resolve_target_tree
 from .errors import AllTied, LengthMismatch, MissingTree, NonFiniteValue, raise_first_failure
 from .quality import QualityComputer, QualityVector
 from .semantic import DEFAULT_SCORER, SemanticScorer
@@ -132,58 +131,42 @@ class EvalReport:
 
 def evaluate_systems(
     systems,
-    sources: list[str],
-    source_trees: list[str],
     references: list[str] | None = None,
     scorer: SemanticScorer = DEFAULT_SCORER,
 ) -> EvalReport:
     """Per-system corpus means of quality, Self-BLEU, and optional BLEU.
 
-    ``systems`` is a list of ``(name, outputs)`` or
-    ``(name, outputs, output_trees)`` tuples; all lists are aligned with
-    ``sources``. When a system omits its output trees, each output takes
-    its tree by ``resolve_target_tree`` with no cluster: an output must
-    equal its source (identity systems), whose tree is then reused. A
-    pair without a source or output tree raises MissingTree.
-    Every system's pairs are measured in one batch; its first failure is
+    ``systems`` is a list of ``(name, rows)``; each row is a
+    ``(source, output, source_tree, output_tree)`` pair key. Every check
+    is made before any pair is scored: each name must fit one TSV field
+    (ValueError), no system may be empty (ValueError), every row must
+    carry both trees (MissingTree), every system must have the first
+    system's (source, source tree) sequence (LengthMismatch), and
+    ``references`` must hold one entry per row (LengthMismatch). Every
+    system's pairs are then measured in one batch; its first failure is
     raised.
     """
-    if len(sources) != len(source_trees):
-        raise LengthMismatch(
-            f"{len(sources)} sources but {len(source_trees)} source trees"
-        )
-    if references is not None and len(references) != len(sources):
-        raise LengthMismatch(
-            f"{len(sources)} sources but {len(references)} references"
-        )
-    named, keys = [], []
-    for entry in systems:
-        name, outputs = entry[0], list(entry[1])
-        output_trees = list(entry[2]) if len(entry) > 2 and entry[2] is not None else None
-        if len(outputs) != len(sources):
-            raise LengthMismatch(
-                f"system {name!r} has {len(outputs)} outputs for {len(sources)} sources"
-            )
-        if output_trees is not None and len(output_trees) != len(sources):
-            raise LengthMismatch(
-                f"system {name!r} has {len(output_trees)} trees for {len(sources)} sources"
-            )
-        for i, (src, out, tree_src) in enumerate(zip(sources, outputs, source_trees)):
-            tree_out = output_trees[i] if output_trees is not None else resolve_target_tree(out, src, None, tree_src)
-            if tree_src is None or tree_out is None:
-                raise MissingTree(f"system {name!r} pair {i} lacks a source or output tree")
-            keys.append((src, out, tree_src, tree_out))
-        if not sources:
+    systems = [(name, list(rows)) for name, rows in systems]
+    for name, _ in systems:
+        tsv_row([name, ""])  # the report's first field
+    first = [(src, tree_src) for src, _, tree_src, _ in systems[0][1]] if systems else []
+    for name, rows in systems:
+        if not rows:
             raise ValueError(f"system {name!r} has no outputs to evaluate")
-        named.append((name, outputs))
-    qualities = raise_first_failure(QualityComputer(scorer).pair_qualities(keys))
-    n = len(sources)
-    rows = []
-    for k, (name, outputs) in enumerate(named):
+        if any(tree_src is None or tree_out is None for _, _, tree_src, tree_out in rows):
+            raise MissingTree(f"system {name!r} has a pair without a source or output tree")
+        if [(src, tree_src) for src, _, tree_src, _ in rows] != first:
+            raise LengthMismatch(f"system {name!r} disagrees with the first system's sources or source trees")
+    if systems and references is not None and len(references) != len(first):
+        raise LengthMismatch(f"{len(first)} pairs per system but {len(references)} references")
+    qualities = raise_first_failure(QualityComputer(scorer).pair_qualities([row for _, rows in systems for row in rows]))
+    n = len(first)
+    report = EvalReport(rows=[])
+    for k, (name, rows) in enumerate(systems):
         mean_q = np.array([q.as_tuple() for q in qualities[k * n:(k + 1) * n]], dtype=np.float64).mean(axis=0)
-        self_bleus = [self_bleu(out, src) for src, out in zip(sources, outputs)]
-        bleus = [bleu(out, [ref]) for out, ref in zip(outputs, references)] if references is not None else None
-        rows.append(
+        self_bleus = [self_bleu(out, src) for src, out, _, _ in rows]
+        bleus = [bleu(out, [ref]) for (_, out, _, _), ref in zip(rows, references)] if references is not None else None
+        report.rows.append(
             EvalRow(
                 name=name,
                 quality=QualityVector(*mean_q),
@@ -192,4 +175,4 @@ def evaluate_systems(
                 n=n,
             )
         )
-    return EvalReport(rows=rows)
+    return report

@@ -14,7 +14,11 @@ training:
   is nearest the requested control, i.e. a generator that conforms to
   the control as well as the data allows;
 * noisy_oracle    -- the retrieval oracle with seeded Gaussian noise on
-  the measured qualities, simulating an imperfect model.
+  the measured qualities, simulating an imperfect model. Each control
+  draws from its own stream per (seed, sentence, control); the Philox
+  keys of every stream of a batch come from one vectorized pass
+  (``util.philox_keys``), then one Philox is reset per control
+  (``util.keyed_generators``).
 """
 
 from __future__ import annotations

@@ -58,13 +58,14 @@ class QualityVector(_Triple):
 
 @dataclass(frozen=True)
 class ControlVector(_Triple):
-    """Quantized control target; every component is in {0, 5, ..., 95}."""
+    """Quantized control target; every component is an int in {0, 5, ..., 95}."""
 
     @staticmethod
     def _check(name: str, value: int) -> int:
-        if value not in QUANT_VALUES:
+        # a bool or 5.0 compares equal to a grid value, but only an int renders a decodable token
+        if isinstance(value, bool) or value not in QUANT_VALUES:
             raise ValueError(f"{name}={value!r} is not an admissible quantized value")
-        return value
+        return int(value)
 
 
 @dataclass(frozen=True)

@@ -55,9 +55,8 @@ def featurize(s: str) -> np.ndarray:
 
 @dataclass
 class ReferenceModel:
-    """Trained ridge model: standardization stats plus weights and bias."""
+    """Trained ridge model over ``FEATURE_NAMES``: standardization stats plus weights and bias."""
 
-    feature_names: tuple[str, ...]
     mean: np.ndarray   # (d,)
     scale: np.ndarray  # (d,); 1.0 where the training feature was constant
     weights: np.ndarray  # (3, d), rows in (sem, syn, lex) order
@@ -65,8 +64,6 @@ class ReferenceModel:
     lam: float
 
     def __post_init__(self):
-        if self.feature_names != FEATURE_NAMES:
-            raise ValueError(f"feature_names must be {list(FEATURE_NAMES)}, got {list(self.feature_names)}")
         d = len(FEATURE_NAMES)
         arrays = (self.mean, self.scale, self.weights, self.bias)
         if [a.shape for a in arrays] != [(d,), (d,), (3, d), (3,)]:
@@ -107,7 +104,6 @@ def fit(samples: list[tuple[str, QualityVector]], lam: float = 1.0) -> Reference
     except np.linalg.LinAlgError as exc:
         raise DegenerateDesign(f"normal equations are singular: {exc}") from exc
     return ReferenceModel(
-        feature_names=FEATURE_NAMES,
         mean=mean,
         scale=scale,
         weights=W[:d].T.copy(),
@@ -143,7 +139,7 @@ def evaluate_mse(
 def save_model(model: ReferenceModel, path) -> None:
     payload = {
         "format": MODEL_FORMAT,
-        "feature_names": list(model.feature_names),
+        "feature_names": list(FEATURE_NAMES),
         "mean": model.mean.tolist(),
         "scale": model.scale.tolist(),
         "weights": model.weights.tolist(),
@@ -165,8 +161,9 @@ def load_model(path) -> ReferenceModel:
             else "model file is not a JSON object"
         )
     try:
+        if payload["feature_names"] != list(FEATURE_NAMES):
+            raise ValueError(f"feature_names must be {list(FEATURE_NAMES)}, got {payload['feature_names']!r}")
         return ReferenceModel(
-            feature_names=tuple(payload["feature_names"]),
             mean=np.array(payload["mean"], dtype=np.float64),
             scale=np.array(payload["scale"], dtype=np.float64),
             weights=np.array(payload["weights"], dtype=np.float64),

@@ -7,6 +7,14 @@ R(o) = Q~(o) - Q~(0,0,0) quantifies how much the generator actually
 moves. The selected operation point maximizes linguistic diversity
 (mean of the syntactic and lexical components) subject to a semantic
 floor above a baseline.
+
+How a grid runs: each dev item's controls are planned with array
+indexing, each distinct value of an offset column quantized once per
+item (``plan_controls``). Each dev item is one generator group of its
+distinct controls, in order of first occurrence over the grid. Whole
+dev items, in dev order, form chunks of at most ``MAX_BATCH_REQUESTS``
+controls (``_chunks``), and each chunk is one generator batch and one
+scoring batch (``_evaluate``).
 """
 
 from __future__ import annotations

@@ -315,14 +315,14 @@ def test_criterion_08_self_bleu_extremes():
         sources.extend(c.sentences)
         trees.extend(c.trees)
 
-    identity_report = evaluate_systems([("copy", list(sources))], sources, trees)
+    identity_report = evaluate_systems([("copy", list(zip(sources, sources, trees, trees)))])
     assert identity_report.rows[0].self_bleu == 100.0
     assert f"{identity_report.rows[0].self_bleu:.2f}" == "100.00"
 
     disjoint_outputs = [f"q{i} z{i} w{i}" for i in range(len(sources))]
     disjoint_trees = [f"(S (T q{i}) (T z{i}) (T w{i}))" for i in range(len(sources))]
     disjoint_report = evaluate_systems(
-        [("disjoint", disjoint_outputs, disjoint_trees)], sources, trees
+        [("disjoint", list(zip(sources, disjoint_outputs, trees, disjoint_trees)))]
     )
     assert disjoint_report.rows[0].self_bleu == 0.0
     assert f"{disjoint_report.rows[0].self_bleu:.2f}" == "0.00"

@@ -458,11 +458,7 @@ class TestGridSelectGenerateEval:
         from qcpg_kit import evaluate_systems
 
         pairs = read_pairs_tsv(gen_id)
-        lib = evaluate_systems(
-            [("copy", [p.target for p in pairs], [p.target_tree for p in pairs])],
-            [p.source for p in pairs],
-            [p.source_tree for p in pairs],
-        )
+        lib = evaluate_systems([("copy", [(p.source, p.target, p.source_tree, p.target_tree) for p in pairs])])
         assert report.read_text(encoding="utf-8") == lib.to_tsv()
 
     def test_eval_refuses_systems_whose_source_trees_differ(self, tmp_path, caplog):

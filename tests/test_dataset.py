@@ -200,7 +200,6 @@ class TestClusterLookups:
         assert resolve_target_tree("b", "b", self.cluster, "(own)") == "(own)"
         assert resolve_target_tree("b", "a", self.cluster, "(A)") == "(B1)"
         assert resolve_target_tree("z", "a", self.cluster, "(A)") is None
-        assert resolve_target_tree("b", "a", None, "(A)") is None
 
     def test_pair_keys_empty_without_a_source_tree(self):
         assert self.cluster.pair_keys("z") == []

@@ -1,5 +1,7 @@
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from scipy import stats
 
 from qcpg_kit import (
     QualityComputer,
+    SemanticScorer,
     bleu,
     evaluate_systems,
     kendall_tau,
@@ -14,6 +17,7 @@ from qcpg_kit import (
 )
 from qcpg_kit.errors import AllTied, LengthMismatch, MissingTree, NonFiniteValue
 
+COUNTING_SCORER = Path(__file__).with_name("stub_counting_scorer.py")
 IDENTITY_SEM = 100.0 / (1.0 + math.exp(-2.0))
 
 
@@ -184,11 +188,15 @@ TREE_A = "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"
 TREE_B = "(S (NP (DT a) (NN dog)) (VP (VBD ran) (PP (IN off))))"
 
 
+def identity_rows(sources, trees):
+    return [(s, s, tree, tree) for s, tree in zip(sources, trees)]
+
+
 class TestEvaluateSystems:
     def test_identity_system_row(self):
         sources = ["the cat sat", "a dog ran"]
         trees = [TREE_A, TREE_B]
-        report = evaluate_systems([("copy", list(sources))], sources, trees)
+        report = evaluate_systems([("copy", identity_rows(sources, trees))])
         row = report.rows[0]
         assert row.name == "copy"
         assert row.n == 2
@@ -198,12 +206,13 @@ class TestEvaluateSystems:
         assert row.bleu is None
 
     def test_empty_systems(self):
-        assert evaluate_systems([], ["a"], ["(A)"]).rows == []
+        assert evaluate_systems([]).rows == []
+        with pytest.raises(ValueError, match="system 'x' has no outputs"):
+            evaluate_systems([("copy", identity_rows(["a"], ["(A)"])), ("x", [])])
 
     def test_identical_systems_identical_rows(self):
-        sources = ["the cat sat"]
-        systems = [("s1", list(sources)), ("s2", list(sources))]
-        report = evaluate_systems(systems, sources, [TREE_A])
+        rows = identity_rows(["the cat sat"], [TREE_A])
+        report = evaluate_systems([("s1", rows), ("s2", rows)])
         r1, r2 = report.rows
         assert (r1.quality, r1.self_bleu, r1.bleu, r1.n) == (
             r2.quality,
@@ -218,7 +227,7 @@ class TestEvaluateSystems:
         outputs = ["a dog ran", "the cat sat"]
         out_trees = [TREE_B, TREE_A]
         report = evaluate_systems(
-            [("swap", outputs, out_trees)], sources, trees, references=sources
+            [("swap", list(zip(sources, outputs, trees, out_trees)))], references=sources
         )
         row = report.rows[0]
         computer = QualityComputer()
@@ -236,31 +245,36 @@ class TestEvaluateSystems:
         )
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            evaluate_systems([("x", ["a", "b"])], ["a"], ["(A)"])
-        with pytest.raises(LengthMismatch):
-            evaluate_systems([("x", ["a"])], ["a"], ["(A)", "(B)"])
+        first = ("a", identity_rows(["the cat sat"], [TREE_A]))
+        with pytest.raises(LengthMismatch, match="system 'x'"):
+            evaluate_systems([first, ("x", identity_rows(["the cat sat", "a dog ran"], [TREE_A, TREE_B]))])
+        with pytest.raises(LengthMismatch, match="system 'x'"):
+            evaluate_systems([first, ("x", identity_rows(["a dog ran"], [TREE_A]))])
+        # the same sentence under another source tree is another pair
+        with pytest.raises(LengthMismatch, match="system 'x'"):
+            evaluate_systems([first, ("x", [("the cat sat", "the cat sat", TREE_B, TREE_A)])])
+        with pytest.raises(LengthMismatch, match="references"):
+            evaluate_systems([first], references=["a", "b"])
 
     def test_non_identity_output_requires_tree(self):
         with pytest.raises(MissingTree):
-            evaluate_systems([("x", ["changed text"])], ["the cat sat"], [TREE_A])
+            evaluate_systems([("x", [("the cat sat", "changed text", TREE_A, None)])])
 
     @pytest.mark.parametrize(
-        "system, source_tree",
+        "row",
         [
-            (("x", ["the cat sat"], [None]), TREE_A),
-            (("x", ["the cat sat"]), None),
-            (("x", ["the cat sat"], [TREE_A]), None),
+            ("the cat sat", "the cat sat", TREE_A, None),
+            ("the cat sat", "the cat sat", None, None),
+            ("the cat sat", "the cat sat", None, TREE_A),
         ],
         ids=["output_tree", "identity_source_tree", "source_tree"],
     )
-    def test_a_missing_tree_is_missing_tree(self, system, source_tree):
-        with pytest.raises(MissingTree):
-            evaluate_systems([system], ["the cat sat"], [source_tree])
+    def test_a_missing_tree_is_missing_tree(self, row):
+        with pytest.raises(MissingTree, match="system 'x'"):
+            evaluate_systems([("x", [row])])
 
-    def test_tsv_format(self):
-        sources = ["the cat sat"]
-        report = evaluate_systems([("copy", list(sources))], sources, [TREE_A])
+    def test_tsv_format(self, tmp_path):
+        report = evaluate_systems([("copy", identity_rows(["the cat sat"], [TREE_A]))])
         lines = report.to_tsv().splitlines()
         assert lines[0] == "system\tsem\tsyn\tlex\tself_bleu\tbleu\tn"
         fields = lines[1].split("\t")
@@ -269,3 +283,12 @@ class TestEvaluateSystems:
         assert fields[4] == "100.00"
         assert fields[5] == "-"
         assert fields[6] == "1"
+        # a name that cannot be the report's first field fails before any scorer starts
+        starts = tmp_path / "scorer_starts"
+        scorer = SemanticScorer(kind="external_command", command=f"{sys.executable} {COUNTING_SCORER} {starts}")
+        rows = identity_rows(["the cat sat"], [TREE_A])
+        with pytest.raises(ValueError):
+            evaluate_systems([("ok", rows), ("a\tb", rows)], scorer=scorer)
+        assert not starts.exists()
+        evaluate_systems([("ok", rows)], scorer=scorer)
+        assert starts.read_text(encoding="utf-8") == "start\n"

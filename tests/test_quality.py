@@ -61,6 +61,13 @@ class TestTypes:
             ControlVector(0, 50, 100)
         with pytest.raises(ValueError):
             ControlVector(3, 0, 0)
+        with pytest.raises(ValueError):
+            ControlVector(False, 0, 0)  # False == 0, but a bool is no grid value
+        # 5.0 == 5 is admitted as the int 5, so its tokens decode back to the same vector
+        c = ControlVector(5.0, 0, np.int64(95))
+        assert [type(v) for v in c.as_tuple()] == [int, int, int]
+        assert encode_control(c) == "<sem_5> <syn_0> <lex_95>"
+        assert decode_control(prepend_control("x", c)) == (c, "x")
 
     def test_offset_finite(self):
         with pytest.raises(NonFiniteValue):

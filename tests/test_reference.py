@@ -142,7 +142,6 @@ class TestFit:
 class TestPredict:
     def test_clamps_to_range(self):
         model = ReferenceModel(
-            feature_names=FEATURE_NAMES,
             mean=np.zeros(8),
             scale=np.ones(8),
             weights=np.full((3, 8), 100.0),
@@ -170,7 +169,6 @@ class TestEvaluateMse:
         samples, _, Y = synthetic_linear_samples(rng, 60, noise=4.0)
         means = Y.mean(axis=0)
         model = ReferenceModel(
-            feature_names=FEATURE_NAMES,
             mean=np.zeros(8),
             scale=np.ones(8),
             weights=np.zeros((3, 8)),

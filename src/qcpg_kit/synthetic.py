@@ -7,6 +7,16 @@ retrieval oracle over the cluster has genuinely different operating
 points to choose from. Word material comes from two disjoint letter
 pools, keeping replaced words at a known edit distance from the
 originals.
+
+Each cluster's letters come from one ``integers(0, 13)`` draw on the
+cluster's own stream, ``rng_for(seed, "synthetic_corpus", k)``, handed
+out in a fixed order: the base words, then each member's replaced words.
+The pools have the same size, so one index picks a letter from either.
+The corpus equals one made with a ``choice(pool)`` per letter:
+``Generator.choice`` on a sequence with no ``p`` draws
+``integers(0, len(pool))``, and below 2**32 numpy takes one 32-bit
+Philox word per value, whether drawn one at a time or as an array. A
+test keeps the per-letter generator and pins the two together.
 """
 
 from __future__ import annotations
@@ -18,13 +28,17 @@ from .semantic import DEFAULT_SCORER, SemanticScorer
 from .trees import ParseTree
 from .util import rng_for
 
-_BASE_LETTERS = list("abcdefghijklm")
-_NOVEL_LETTERS = list("nopqrstuvwxyz")
+_BASE_LETTERS = "abcdefghijklm"
+_NOVEL_LETTERS = "nopqrstuvwxyz"
+# one draw in range(_POOL) indexes either pool
+_POOL = len(_BASE_LETTERS)
+assert len(_NOVEL_LETTERS) == _POOL
 _WORD_LEN = 4
 
 
-def _word(rng, letters) -> str:
-    return "".join(rng.choice(letters) for _ in range(_WORD_LEN))
+def _words(codes: list[int], letters: str) -> list[str]:
+    text = "".join(letters[c] for c in codes)
+    return [text[i:i + _WORD_LEN] for i in range(0, len(text), _WORD_LEN)]
 
 
 def _member_tree(tokens: list[str], phrases: int, doubled: int) -> str:
@@ -72,18 +86,20 @@ def paraphrase_corpus(
         raise ValueError("clusters need at least 2 sentences")
     if tokens_per_sentence < cluster_size * 2 - 2:
         raise ValueError("tokens_per_sentence too small for the phrase templates")
+    if length_jitter < 0:
+        raise ValueError("length_jitter must be non-negative")
     clusters = []
     for k in range(n_clusters):
+        length = tokens_per_sentence + k % (length_jitter + 1)
+        replaces = [round(j * length / (cluster_size - 1)) for j in range(cluster_size)]
         rng = rng_for(seed, "synthetic_corpus", k)
-        length = tokens_per_sentence + (k % (length_jitter + 1) if length_jitter else 0)
-        base = [_word(rng, _BASE_LETTERS) for _ in range(length)]
+        codes = rng.integers(0, _POOL, size=_WORD_LEN * (length + sum(replaces))).tolist()
+        split = _WORD_LEN * length
+        base = _words(codes[:split], _BASE_LETTERS)
+        novel = iter(_words(codes[split:], _NOVEL_LETTERS))
         sentences, trees = [], []
-        for j in range(cluster_size):
-            replace = round(j * length / (cluster_size - 1))
-            tokens = [
-                _word(rng, _NOVEL_LETTERS) if i < replace else base[i]
-                for i in range(length)
-            ]
+        for j, replace in enumerate(replaces):
+            tokens = [next(novel) for _ in range(replace)] + base[replace:]
             doubled = min(j, length // 2)
             phrases = min(j + 1, length - doubled)
             sentences.append(" ".join(tokens))

@@ -26,6 +26,7 @@ from itertools import islice
 from .errors import EmptyLabel, TrailingInput, TreeSyntaxError, UnbalancedParens
 
 DEFAULT_PRUNE_LEVEL = 3
+_LABEL_FORBIDDEN = re.compile(r"[()\s]")
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class ParseTree:
     def __post_init__(self):
         if not self.label:
             raise ValueError("node label must be non-empty")
-        if re.search(r"[()\s]", self.label):
+        if _LABEL_FORBIDDEN.search(self.label):
             raise ValueError(f"node label may not contain parentheses or whitespace: {self.label!r}")
 
     def node_count(self) -> int:

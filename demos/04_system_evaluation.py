@@ -26,9 +26,9 @@ items = dev_items(corpus, per_cluster=1)
 
 def run_system(spec, offset):
     """One (source, output, source_tree, output_tree) row per dev item."""
-    groups = [(s, cluster, [apply_offset(predict(qp, s), offset)]) for s, cluster, _ in items]
+    groups = [(s, cluster, [apply_offset(predict(qp, s), offset)]) for s, cluster in items]
     outputs = [raise_first_failure(g)[0] for g in build_generator(spec).generate_batch(groups)]
-    return [(s, t, tree_s, cluster.tree_of(t)) for t, (s, cluster, tree_s) in zip(outputs, items)]
+    return [(s, t, cluster.tree_of(s), cluster.tree_of(t)) for t, (s, cluster) in zip(outputs, items)]
 
 report = evaluate_systems(
     [

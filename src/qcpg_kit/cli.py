@@ -28,7 +28,6 @@ from .dataset import (
     pairs_tsv,
     read_pairs_tsv,
     read_tree_sidecar,
-    resolve_target_tree,
     split_clusters,
     write_pairs_tsv,
 )
@@ -264,14 +263,14 @@ def cmd_generate(args) -> int:
     else:
         o = ZERO_OFFSET if args.offset is None else _parse_offset(args.offset)
     clusters = load_clusters(args.clusters)
-    items = [(s, cluster, cluster.tree_of(s)) for cluster in clusters for s in cluster.sentences]
-    outputs = generator.generate_batch([(s, cluster, [apply_offset(predict(model, s), o)]) for s, cluster, _ in items])
+    items = [(s, cluster) for cluster in clusters for s in cluster.sentences]
+    outputs = generator.generate_batch([(s, cluster, [apply_offset(predict(model, s), o)]) for s, cluster in items])
     rows = []
-    for (s, cluster, tree_s), [t] in zip(items, outputs):
+    for (s, cluster), [t] in zip(items, outputs):
         if isinstance(t, QcpgError):
             log.warning("%r failed: %s: %s", s[:40], type(t).__name__, t)
             continue
-        rows.append(SentencePair(s, t, cluster.cluster_id, tree_s, resolve_target_tree(t, s, cluster, tree_s)))
+        rows.append(SentencePair(s, t, cluster.cluster_id, cluster.tree_of(s), cluster.tree_of(t)))
     if items and not rows:
         raise AllGenerationsFailed(f"every one of the {len(items)} generations failed")
     write_pairs_tsv(rows, args.out)

@@ -3,8 +3,9 @@
 A corpus is a list of clusters, each holding mutually-paraphrastic
 sentences (optionally with aligned bracketed parses). Splits assign
 whole clusters to test, then dev, then train, so no cluster ever
-contributes pairs to two splits. Every sentence takes its tree here,
-by ``Cluster.tree_of``: in pairs, dev items and generated pairs alike.
+contributes pairs to two splits. A dev item is ``(sentence, cluster)``:
+every sentence takes its tree from ``Cluster.tree_of``, in pairs and in
+the grid's and ``generate``'s outputs alike.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def extract_pairs(clusters: list[Cluster], mode: str = ALL_ORDERED) -> list[Sent
 
 
 def dev_items(clusters: list[Cluster], per_cluster: int | None = None, limit: int | None = None):
-    """Flatten clusters into (sentence, cluster, tree) dev items; a bound may be 0 but not negative."""
+    """Flatten clusters into (sentence, cluster) dev items; a bound may be 0 but not negative."""
     for name, bound in (("per_cluster", per_cluster), ("limit", limit)):
         if bound is not None and bound < 0:
             raise ValueError(f"{name} must not be negative, got {bound}")
@@ -164,13 +165,8 @@ def dev_items(clusters: list[Cluster], per_cluster: int | None = None, limit: in
     for cluster in clusters:
         if cluster.trees is None:
             raise ValueError(f"cluster {cluster.cluster_id!r} has no trees")
-        items += [(s, cluster, cluster.tree_of(s)) for s in cluster.sentences[:per_cluster]]
+        items += [(s, cluster) for s in cluster.sentences[:per_cluster]]
     return items[:limit] if limit is not None else items
-
-
-def resolve_target_tree(t: str, s: str, cluster: Cluster, tree_s: str | None) -> str | None:
-    """Tree of generated ``t``: the source's if ``t == s``, else a cluster member's, else None."""
-    return tree_s if t == s else cluster.tree_of(t)
 
 
 def split_clusters(

@@ -3,11 +3,9 @@
 A generator maps a batch of groups, each a sentence, its cluster (or
 None) and the controls asked of it, to one list per group of one
 paraphrase or one QcpgError per control (``generate_batch``); each
-generator's ``generate`` method is a group of one control. Grid search
-sends one group per dev item, at most ``MAX_BATCH_REQUESTS`` controls a
-batch. Besides the external-command bridge for real trained models, the
-built-ins make the selection machinery testable end to end without any
-training:
+generator's ``generate`` method is a group of one control. Besides the
+external-command bridge for real trained models, the built-ins make the
+selection machinery testable end to end without any training:
 
 * identity        -- returns the input unchanged (control-blind baseline);
 * retrieval_oracle -- returns the cluster member whose measured quality

@@ -208,11 +208,9 @@ class QualityComputer:
         """One quality, or the failure it met, per ``(s, t, tree_s, tree_t)`` key, in order.
 
         The distinct keys that miss the cache are scored with one
-        ``scorer.raw_batch`` call; none is made when every key hits. A
-        failure of that call (a spawn failure, a non-zero exit, a wrong
-        line count, invalid UTF-8, a non-numeric line) fails every
-        scored key; a malformed tree or a non-finite score fails only
-        its own key. Failures are not cached.
+        ``scorer.raw_batch`` call (none when every key hits); its failure
+        fails every scored key, a malformed tree or a non-finite score
+        only its own key. Failures are not cached.
         """
         results: dict[PairKey, QualityVector | QcpgError] = {}
         forms: dict[PairKey, tuple[FlatTree, FlatTree]] = {}

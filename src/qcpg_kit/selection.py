@@ -14,7 +14,12 @@ item (``plan_controls``). Each dev item is one generator group of its
 distinct controls, in order of first occurrence over the grid. Whole
 dev items, in dev order, form chunks of at most ``MAX_BATCH_REQUESTS``
 controls (``_chunks``), and each chunk is one generator batch and one
-scoring batch (``_evaluate``).
+scoring batch (``_measure``), so a failure of a whole batch fails
+every item of its chunk at every offset. A dev item is ``(sentence,
+cluster)``; an output's pair takes both trees from ``Cluster.tree_of``,
+so an output that is no member, or any output of an item without a
+cluster, is ``MissingTree``. Only trees and pairs an output uses are
+measured. Each failure is one warning and is left out of its offset's n.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Cluster, resolve_target_tree
+from .dataset import Cluster
 from .errors import (
     AllGenerationsFailed,
     MalformedRecord,
@@ -44,8 +49,8 @@ from .util import read_lines, write_text
 
 log = logging.getLogger(__name__)
 
-# (sentence, cluster context or None, bracketed tree of the sentence)
-DevItem = tuple[str, "Cluster | None", str]
+# (sentence, cluster context or None); its trees come from Cluster.tree_of
+DevItem = tuple[str, "Cluster | None"]
 
 
 @dataclass
@@ -142,27 +147,24 @@ def _chunks(plans, bound: int):
         yield chunk
 
 
-def _pair_keys(s: str, cluster: Cluster | None, tree_s: str, outputs: list) -> dict:
-    """Each distinct output's pair key, or the failure it is or leads to."""
+def _pair_keys(s: str, cluster: Cluster | None, outputs: list) -> dict:
+    """Each distinct output ``t``'s key ``(s, t, tree_of(s), tree_of(t))``, or the failure it is or leads to."""
+    tree_s = cluster.tree_of(s) if cluster is not None else None
     keys = {}
     for t in dict.fromkeys(outputs):  # a batch-wide failure is one object
         if isinstance(t, QcpgError):
             keys[t] = t
-        elif (tree_t := resolve_target_tree(t, s, cluster, tree_s)) is None:
-            keys[t] = MissingTree(f"no parse available for generated sentence {t[:60]!r}")
+        elif tree_s is None or (tree_t := cluster.tree_of(t)) is None:
+            keys[t] = MissingTree(f"no parse available for generated sentence {t[:60]!r} or its source")
         else:
             keys[t] = (s, t, tree_s, tree_t)
     return keys
 
 
 def _measure(generator, computer: QualityComputer, chunk: list) -> list[list]:
-    """Per dev item of the chunk, the quality tuple of each control's output, or the failure it met.
-
-    The chunk's dev items are one generator batch, one group each, and
-    the pair keys of all their outputs one scoring batch.
-    """
-    outputs = generator.generate_batch([(s, cluster, controls) for (s, cluster, _), (controls, _) in chunk])
-    items = [(item, _pair_keys(s, cluster, tree_s, item)) for ((s, cluster, tree_s), _), item in zip(chunk, outputs)]
+    """Per dev item of the chunk, the quality tuple of each control's output, or the failure it met."""
+    outputs = generator.generate_batch([(s, cluster, controls) for (s, cluster), (controls, _) in chunk])
+    items = [(item, _pair_keys(s, cluster, item)) for ((s, cluster), _), item in zip(chunk, outputs)]
     pairs = [k for _, keys in items for k in keys.values() if isinstance(k, tuple)]
     quality = {
         key: q if isinstance(q, QcpgError) else q.as_tuple()
@@ -178,22 +180,19 @@ def _measure(generator, computer: QualityComputer, chunk: list) -> list[list]:
 def _evaluate(gen: GeneratorSpec, qp_model: ReferenceModel, dev, offsets: list[Offset], scorer: SemanticScorer):
     """Per offset, the mean quality and success count over the dev set; None where all fail.
 
-    Whole dev items, in dev order, form chunks of at most
-    ``MAX_BATCH_REQUESTS`` distinct controls (one item alone may hold
-    more), each measured in one generator and one scoring batch, so
-    a batch failure fails every item of its chunk. Each item's
-    qualities are added to per-offset sums in dev order.
+    Each chunk is measured by ``_measure``, and each item's qualities
+    are added to per-offset sums in dev order.
     """
     dev: list[DevItem] = list(dev)
     if not dev:
         raise ValueError("dev set must be non-empty")
     computer = QualityComputer(scorer)
     generator = build_generator(gen, computer)
-    refs = [predict(qp_model, s).as_tuple() for s, _, _ in dev]
+    refs = [predict(qp_model, s).as_tuple() for s, _ in dev]
     sums = np.zeros((len(offsets), 3), dtype=np.float64)
     counts = np.zeros(len(offsets), dtype=np.int64)
     for chunk in _chunks(zip(dev, plan_controls(refs, offsets)), MAX_BATCH_REQUESTS):
-        for ((s, _, _), (_, slots)), measured in zip(chunk, _measure(generator, computer, chunk)):
+        for ((s, _), (_, slots)), measured in zip(chunk, _measure(generator, computer, chunk)):
             failed = np.array([isinstance(q, QcpgError) for q in measured])
             table = np.array([(0.0, 0.0, 0.0) if bad else q for q, bad in zip(measured, failed)])
             # a failed slot adds exactly 0.0, so each sum runs over the successes in dev order
@@ -213,7 +212,7 @@ def dev_quality_std(dev, scorer: SemanticScorer = DEFAULT_SCORER) -> tuple[float
     dimension whose std is zero reports 1.0. Dividing a responsiveness
     by it gives it in std units.
     """
-    keys = [key for s, cluster, _ in dev if cluster is not None for key in cluster.pair_keys(s)]
+    keys = [key for s, cluster in dev if cluster is not None for key in cluster.pair_keys(s)]
     if not keys:
         log.warning("dev set has no ground-truth pairs; its quality std defaults to 1.0")
         return (1.0, 1.0, 1.0)

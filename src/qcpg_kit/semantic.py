@@ -6,6 +6,13 @@ character-trigram scorer (no model dependencies, monotone with surface
 similarity) and an adapter that pipes sentence pairs to any external
 command speaking a one-line-per-pair protocol, so a real neural scorer
 can be plugged in without code changes.
+
+An external scorer is one process per batch (``run_line_protocol``,
+shared with the external generator) of the distinct pairs not yet
+scored in ``score``, ``eval``, a ``quality_samples`` call, a grid chunk
+or one oracle ``generate_batch`` call. A spawn failure, a non-zero exit,
+a wrong line count, invalid UTF-8 or a non-numeric line fails every pair
+of the batch; a non-finite score fails only its own pair.
 """
 
 from __future__ import annotations

@@ -489,6 +489,7 @@ class TestGridSelectGenerateEval:
 
 
 COUNTING_STUB = Path(__file__).with_name("stub_counting_generator.py")
+ECHO_LINES_STUB = Path(__file__).with_name("stub_echo_lines.py")
 
 
 class TestExternalBatching:
@@ -540,7 +541,7 @@ class TestExternalBatching:
         model = load_model(model_file)
         items = dev_items(corpus)
         expected = [
-            sum(not (apply_offset(predict(model, s), o).lex == 95 and word in s.split()) for s, _, _ in items)
+            sum(not (apply_offset(predict(model, s), o).lex == 95 and word in s.split()) for s, _ in items)
             for o in result.offsets
         ]
         assert result.n == expected
@@ -576,7 +577,7 @@ class TestExternalBatching:
         count, command = self.stub(tmp_path, "--exit-on", word)
         code, result = self.grid(corpus_file, model_file, tmp_path, command)
         assert code == 0
-        survivors = sum(word not in s.split() for s, _, _ in dev_items(corpus))
+        survivors = sum(word not in s.split() for s, _ in dev_items(corpus))
         assert 0 < survivors < len(dev_items(corpus))
         assert all(n == survivors for n in result.n)
         assert len(count.read_text(encoding="utf-8").splitlines()) == len(dev_items(corpus))
@@ -607,6 +608,23 @@ class TestExternalBatching:
         out.write_bytes(b"the generations of an earlier run\n")
         assert run(argv) == 5
         assert out.read_bytes() == b"the generations of an earlier run\n"
+
+    def test_outputs_in_no_cluster_have_no_trees(self, corpus, corpus_file, model_file, tmp_path, caplog):
+        # the echo stub answers with the whole request line, which no cluster holds
+        out = tmp_path / "generated.tsv"
+        assert run(
+            [
+                "generate", "--clusters", corpus_file, "--model", model_file, "--generator", "external",
+                "--generator-command", f"{sys.executable} {ECHO_LINES_STUB}", "--out", out,
+            ]
+        ) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == sum(len(c.sentences) for c in corpus)
+        assert all(len(line.split("\t")) == 3 for line in lines)
+        assert all(p.source_tree is None and p.target_tree is None for p in read_pairs_tsv(out))
+        assert run(["eval", "--system", f"echo={out}", "--out", tmp_path / "report.tsv"]) == 5
+        assert "MissingTree" in caplog.text
+        assert not (tmp_path / "report.tsv").exists()
 
     @pytest.mark.parametrize("command", [" ", "\t \n"])
     def test_blank_generator_command_fails_before_inputs_are_read(self, tmp_path, command):

@@ -17,7 +17,7 @@ from qcpg_kit import (
     split_clusters,
     write_pairs_tsv,
 )
-from qcpg_kit.dataset import PAIR_MODES, resolve_target_tree
+from qcpg_kit.dataset import PAIR_MODES
 from qcpg_kit.errors import InsufficientData, MalformedRecord, TreeLengthMismatch
 
 
@@ -172,14 +172,17 @@ class TestClusterLookups:
         ]
 
     def test_dev_items_take_the_first_tree(self):
-        assert [(s, tree) for s, _, tree in dev_items([self.cluster])] == [
+        # an item is (sentence, cluster); its tree is the cluster's tree_of
+        items = dev_items([self.cluster])
+        assert all(len(item) == 2 and item[1] is self.cluster for item in items)
+        assert [(s, cluster.tree_of(s)) for s, cluster in items] == [
             ("a", "(A)"), ("b", "(B1)"), ("c", "(C)"), ("b", "(B1)"),
         ]
 
     def test_dev_items_bounds_may_be_zero(self):
         assert dev_items([self.cluster], per_cluster=0) == []
         assert dev_items([self.cluster], limit=0) == []
-        assert [s for s, _, _ in dev_items([self.cluster, self.cluster], per_cluster=1, limit=1)] == ["a"]
+        assert [s for s, _ in dev_items([self.cluster, self.cluster], per_cluster=1, limit=1)] == ["a"]
 
     @pytest.mark.parametrize("bound", ["per_cluster", "limit"])
     def test_dev_items_refuse_a_negative_bound(self, bound):
@@ -195,11 +198,6 @@ class TestClusterLookups:
             assert [(p.source_tree, p.target_tree) for p in pairs] == [
                 (tree_of(p.source), tree_of(p.target)) for p in pairs
             ]
-
-    def test_resolve_target_tree(self):
-        assert resolve_target_tree("b", "b", self.cluster, "(own)") == "(own)"
-        assert resolve_target_tree("b", "a", self.cluster, "(A)") == "(B1)"
-        assert resolve_target_tree("z", "a", self.cluster, "(A)") is None
 
     def test_pair_keys_empty_without_a_source_tree(self):
         assert self.cluster.pair_keys("z") == []

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,11 +38,16 @@ from qcpg_kit import (
     quantize,
     read_heatmap_csv,
     responsiveness,
+    save_clusters,
     select_operation_point,
 )
 from qcpg_kit import selection
 from qcpg_kit.errors import AllGenerationsFailed, MalformedRecord, MissingZeroPoint, NoFeasibleOffset, QcpgError
 from qcpg_kit.selection import plan_controls
+
+MEMBER_STUB = Path(__file__).with_name("stub_member_generator.py")
+ECHO_LINES_STUB = Path(__file__).with_name("stub_echo_lines.py")
+COUNTING_STUB = Path(__file__).with_name("stub_counting_generator.py")
 
 IDENTITY_SEM = 100.0 / (1.0 + math.exp(-2.0))
 SPECS = (
@@ -52,19 +58,21 @@ SPECS = (
 
 
 def per_request_grid(spec, qp_model, items, offsets):
-    """(mean quality or None, n) per offset, from one generate call per (item, offset)."""
+    """(mean quality or None, n) per offset, from one generate call per (item, offset);
+    an output without both trees from ``Cluster.tree_of`` is left out."""
     computer = QualityComputer()
     generator = build_generator(spec, quality=computer)
     out = []
     for o in offsets:
         rows = []
-        for s, cluster, tree_s in items:
+        for s, cluster in items:
             try:
                 t = generator.generate(s, apply_offset(predict(qp_model, s), o), cluster)
             except QcpgError:
                 continue
-            tree_t = tree_s if t == s else cluster.trees[cluster.sentences.index(t)]
-            rows.append(computer.pair_quality(s, t, tree_s, tree_t).as_tuple())
+            trees = (cluster.tree_of(s), cluster.tree_of(t)) if cluster is not None else (None, None)
+            if None not in trees:
+                rows.append(computer.pair_quality(s, t, *trees).as_tuple())
         out.append((QualityVector(*np.array(rows).mean(axis=0)), len(rows)) if rows else (None, 0))
     return out
 
@@ -96,7 +104,7 @@ class TestExpectedQuality:
 
     def test_all_failures_raise(self, qp_model):
         singleton = Cluster("solo", ["only sentence"], trees=["(A)"])
-        items = [("only sentence", singleton, "(A)")]
+        items = [("only sentence", singleton)]
         with pytest.raises(AllGenerationsFailed):
             grid_search(GeneratorSpec(kind="retrieval_oracle"), qp_model, items, grid=[ZERO_OFFSET])
 
@@ -142,18 +150,25 @@ class TestGridSearch:
         assert result.q_tilde == [q for q, _ in expected]
         assert result.n == [n for _, n in expected]
 
-    def test_matches_per_request_reference(self, qp_model, dev):
+    def test_matches_per_request_reference(self, corpus, qp_model, dev, tmp_path):
         # one batch per chunk of dev items must give what one generate call per
         # (item, offset) gives, to the last bit, also where an item fails
         offsets = [Offset(*t) for t in itertools.product((0.0, 5.0, 25.0, 50.0), repeat=3)]
         singleton = Cluster("solo", ["lonely sentence"], trees=["(A)"])
-        items = dev + [("lonely sentence", singleton, "(A)")]
-        for spec in SPECS:
-            expected = per_request_grid(spec, qp_model, items, offsets)
-            result = grid_search(spec, qp_model, items, grid=offsets)
-            assert result.offsets == offsets
+        items = dev + [("lonely sentence", singleton)]
+        # an external generator answering with other members and with a sentence in
+        # no cluster, whose outputs have no tree; one process per request, so fewer offsets
+        clusters = tmp_path / "clusters.jsonl"
+        save_clusters([*corpus, singleton], clusters)
+        members = GeneratorSpec(kind="external_command", command=f"{sys.executable} -S {MEMBER_STUB} {clusters}")
+        for spec, grid in [*((spec, offsets) for spec in SPECS), (members, offsets[::9])]:
+            expected = per_request_grid(spec, qp_model, items, grid)
+            result = grid_search(spec, qp_model, items, grid=grid)
+            assert result.offsets == grid
             assert result.q_tilde == [q for q, _ in expected]
             assert result.n == [n for _, n in expected]
+        # the member stub's grid measures some outputs and has no tree for others
+        assert 0 < min(result.n) < len(dev)
 
     def test_deterministic_reruns_byte_identical(self, qp_model, dev, tmp_path):
         spec = GeneratorSpec(kind="retrieval_oracle")
@@ -171,8 +186,8 @@ class TestGridSearch:
         corpus = paraphrase_corpus(n_clusters=6, cluster_size=5, seed=8, length_jitter=6)
         model = fit(quality_samples(corpus))
         singleton = Cluster("solo", ["lonely sentence"], trees=["(A)"])
-        items = dev_items(corpus)[:9] + [("lonely sentence", singleton, "(A)")] + dev_items(corpus)[9:]
-        assert len({predict(model, s) for s, _, _ in items}) > 1
+        items = dev_items(corpus)[:9] + [("lonely sentence", singleton)] + dev_items(corpus)[9:]
+        assert len({predict(model, s) for s, _ in items}) > 1
         paths = []
         for bound in (1, 400, selection.MAX_BATCH_REQUESTS):
             monkeypatch.setattr(selection, "MAX_BATCH_REQUESTS", bound)
@@ -183,22 +198,46 @@ class TestGridSearch:
     def test_failed_items_excluded_but_grid_survives(self, corpus, qp_model):
         items = dev_items(corpus, per_cluster=1, limit=4)
         singleton = Cluster("solo", ["lonely sentence"], trees=["(A)"])
-        items = items + [("lonely sentence", singleton, "(A)")]
+        items = items + [("lonely sentence", singleton)]
         result = grid_search(
             GeneratorSpec(kind="retrieval_oracle"), qp_model, items, grid=default_grid(0, 5, 5)
         )
         assert all(n == 4 for n in result.n)
 
 
+class TestClusterlessItem:
+    """A dev item without a cluster has no trees: each of its outputs is MissingTree, left out of n."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        corpus = paraphrase_corpus(4, 4, seed=0)
+        return fit(quality_samples(corpus)), dev_items(corpus, per_cluster=1)
+
+    def test_only_failures_raise_all_generations_failed(self, small):
+        # the echo stub answers with the whole request line, which no cluster holds
+        model, dev = small
+        echo = GeneratorSpec(kind="external_command", command=f"{sys.executable} {ECHO_LINES_STUB}")
+        with pytest.raises(AllGenerationsFailed):
+            grid_search(echo, model, dev[1:] + [(dev[0][0], None)], grid=default_grid(0, 25, 50))
+
+    def test_is_left_out_of_the_grid(self, small, tmp_path):
+        # the counting stub answers each request with its source
+        model, dev = small
+        spec = GeneratorSpec(kind="external_command", command=f"{sys.executable} {COUNTING_STUB} {tmp_path / 'starts'}")
+        grid = default_grid(0, 25, 50)
+        without = grid_search(spec, model, dev[1:], grid=grid)
+        assert grid_search(spec, model, dev[1:] + [(dev[0][0], None)], grid=grid) == without
+
+
 class TestDevQualityStd:
     def test_matches_direct_computation(self, dev):
         computer = QualityComputer()
         rows = []
-        for s, cluster, tree_s in dev:
+        for s, cluster in dev:
             for i, t in enumerate(cluster.sentences):
                 if t != s:
                     rows.append(
-                        computer.pair_quality(s, t, tree_s, cluster.trees[i]).as_tuple()
+                        computer.pair_quality(s, t, cluster.tree_of(s), cluster.trees[i]).as_tuple()
                     )
         expected = np.array(rows).std(axis=0)
         assert dev_quality_std(dev) == pytest.approx(tuple(expected))
@@ -208,7 +247,7 @@ class TestDevQualityStd:
         sentences = ["the cat sat", "the cat ran", "a dog ran"]
         trees = [f"(S (NP (DT {d}) (NN {n})) (VP (VBD {v})))" for d, n, v in map(str.split, sentences)]
         items = dev_items([Cluster("same", sentences, trees=trees)])
-        keys = [key for s, c, _ in items for key in c.pair_keys(s)]
+        keys = [key for s, c in items for key in c.pair_keys(s)]
         rows = np.array([q.as_tuple() for q in QualityComputer().pair_qualities(keys)])
         sem_std, syn_std, lex_std = rows.std(axis=0)
         assert syn_std == 0.0 and sem_std > 0 and lex_std > 0
@@ -218,7 +257,7 @@ class TestDevQualityStd:
         # near-identical members: sem and lex stds are small but not zero, syn's is zero
         w = "abcdefghij" * 8
         items = dev_items([Cluster("near", [w, w[:-1] + "z", w[:-2] + "zz"], trees=["(S (NN x))"] * 3)])
-        keys = [key for s, c, _ in items for key in c.pair_keys(s)]
+        keys = [key for s, c in items for key in c.pair_keys(s)]
         rows = np.array([q.as_tuple() for q in QualityComputer().pair_qualities(keys)])
         sem_std, syn_std, lex_std = rows.std(axis=0)
         assert 0 < sem_std < 1 and syn_std == 0.0 and 0 < lex_std < 1
@@ -237,7 +276,7 @@ class TestDevQualityStd:
             ],
         )
         items = dev_items([cluster])
-        keys = [key for s, c, _ in items for key in c.pair_keys(s)]
+        keys = [key for s, c in items for key in c.pair_keys(s)]
         std_rows = sorted(q.as_tuple() for q in QualityComputer().pair_qualities(keys))
         # quality_samples pairs every two members; the std skips a sentence's pair with its copy
         pairs = extract_pairs([cluster], ALL_ORDERED)
@@ -247,7 +286,7 @@ class TestDevQualityStd:
         assert dev_quality_std(items) == pytest.approx(tuple(np.array(rows).std(axis=0)), rel=1e-12)
 
     def test_no_pairs_warns_and_is_one(self, caplog):
-        assert dev_quality_std([("lonely sentence", None, "(A)")]) == (1.0, 1.0, 1.0)
+        assert dev_quality_std([("lonely sentence", None)]) == (1.0, 1.0, 1.0)
         assert "no ground-truth pairs" in caplog.text
 
 
@@ -277,7 +316,7 @@ AXIS = st.one_of(
 class TestControlPlan:
     def test_off_grid_offsets_match_per_request_reference(self, qp_model, dev, tmp_path):
         singleton = Cluster("solo", ["lonely sentence"], trees=["(A)"])
-        items = dev[:4] + [("lonely sentence", singleton, "(A)")]
+        items = dev[:4] + [("lonely sentence", singleton)]
         offsets = sorted(OFF_GRID, key=Offset.as_tuple)
         script = tmp_path / "echo.py"
         script.write_text(ECHO_STUB, encoding="utf-8")
@@ -294,7 +333,7 @@ class TestControlPlan:
         # one process per item reads the item's distinct controls in order of first occurrence
         lines = [
             prepend_control(s, c)
-            for s, _, _ in items
+            for s, _ in items
             for c in dict.fromkeys(apply_offset(predict(qp_model, s), o) for o in offsets)
         ]
         assert (tmp_path / "grid.log").read_text(encoding="utf-8").splitlines() == lines

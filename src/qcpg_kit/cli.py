@@ -39,7 +39,7 @@ from .errors import (
     QcpgError,
     raise_first_failure,
 )
-from .generators import GENERATOR_KINDS, GeneratorSpec, build_generator
+from .generators import GENERATOR_KINDS, MAX_BATCH_REQUESTS, GeneratorSpec, batches, build_generator, control_array
 from .quality import ZERO_OFFSET, Offset, QualityComputer, QualityVector, apply_offset
 from .reference import evaluate_mse, fit, load_model, predict, save_model
 from .selection import (
@@ -263,16 +263,27 @@ def cmd_generate(args) -> int:
     else:
         o = ZERO_OFFSET if args.offset is None else _parse_offset(args.offset)
     clusters = load_clusters(args.clusters)
-    items = [(s, cluster) for cluster in clusters for s in cluster.sentences]
-    outputs = generator.generate_batch([(s, cluster, [apply_offset(predict(model, s), o)]) for s, cluster in items])
+    groups = [
+        (s, cluster, control_array([apply_offset(predict(model, s), o)]))
+        for cluster in clusters
+        for s in cluster.sentences
+    ]
+    outputs = [out for chunk in batches(groups, MAX_BATCH_REQUESTS) for out in generator.generate_batch(chunk)]
     rows = []
-    for (s, cluster), [t] in zip(items, outputs):
+    for (s, cluster, _), [t] in zip(groups, outputs):
         if isinstance(t, QcpgError):
             log.warning("%r failed: %s: %s", s[:40], type(t).__name__, t)
             continue
         rows.append(SentencePair(s, t, cluster.cluster_id, cluster.tree_of(s), cluster.tree_of(t)))
-    if items and not rows:
-        raise AllGenerationsFailed(f"every one of the {len(items)} generations failed")
+    if groups and not rows:
+        raise AllGenerationsFailed(f"every one of the {len(groups)} generations failed")
+    if treeless := sum(None in (row.source_tree, row.target_tree) for row in rows):
+        log.warning(
+            "%d of %d rows are written without trees (an output in no cluster, or a cluster without trees); "
+            "eval will refuse them with MissingTree",
+            treeless,
+            len(rows),
+        )
     write_pairs_tsv(rows, args.out)
     log.info("generated %d paraphrases at offset %s", len(rows), o.as_tuple())
     return 0

@@ -1,9 +1,12 @@
 """Controlled-generator interface and built-in test generators.
 
 A generator maps a batch of groups, each a sentence, its cluster (or
-None) and the controls asked of it, to one list per group of one
-paraphrase or one QcpgError per control (``generate_batch``); each
-generator's ``generate`` method is a group of one control. Besides the
+None) and the controls asked of it as a ``(k, 3)`` integer array of
+quantized (sem, syn, lex) rows (``control_array`` builds one from
+``ControlVector``s), to one list per group of one paraphrase or one
+QcpgError per row (``generate_batch``); each generator's ``generate``
+method is a group of one ``ControlVector``. Callers send at most
+``MAX_BATCH_REQUESTS`` controls per batch (``batches``). Besides the
 external-command bridge for real trained models, the built-ins make the
 selection machinery testable end to end without any training:
 
@@ -15,8 +18,8 @@ selection machinery testable end to end without any training:
   the measured qualities, simulating an imperfect model. Each control
   draws from its own stream per (seed, sentence, control); the Philox
   keys of every stream of a batch come from one vectorized pass
-  (``util.philox_keys``), then one Philox is reset per control
-  (``util.keyed_generators``).
+  (``util.philox_keys``) over one uint64 entropy row per control, then
+  one Philox is reset per control (``util.keyed_generators``).
 """
 
 from __future__ import annotations
@@ -39,12 +42,34 @@ RETRIEVAL_ORACLE = "retrieval_oracle"
 NOISY_ORACLE = "noisy_oracle"
 GENERATOR_KINDS = (IDENTITY, RETRIEVAL_ORACLE, NOISY_ORACLE, EXTERNAL_COMMAND)
 
-Group = tuple[str, "Cluster | None", list[ControlVector]]
+# (sentence, cluster or None, (k, 3) integer array of quantized controls)
+Group = tuple[str, "Cluster | None", np.ndarray]
 
-# The most controls grid search puts in one generate_batch call, unless
-# one dev item alone holds more. A batch is one external process; the
+# The most controls `grid` and `generate` put in one generate_batch call,
+# unless one group alone holds more. A batch is one external process; the
 # bound keeps a batch's memory small.
 MAX_BATCH_REQUESTS = 4096
+
+
+def batches(groups, bound: int):
+    """Consecutive runs of ``groups``, each holding at most ``bound`` controls
+    unless one group alone holds more. A group's controls are its third field;
+    any further fields ride along."""
+    chunk, size = [], 0
+    for group in groups:
+        n = len(group[2])
+        if chunk and size + n > bound:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(group)
+        size += n
+    if chunk:
+        yield chunk
+
+
+def control_array(controls) -> np.ndarray:
+    """The ``(k, 3)`` int64 control array of a group's ``ControlVector``s."""
+    return np.array([c.as_tuple() for c in controls], dtype=np.int64).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -67,7 +92,7 @@ class GeneratorSpec:
 
 class IdentityGenerator:
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return raise_first_failure(self.generate_batch([(s, context, [c])])[0])[0]
+        return raise_first_failure(self.generate_batch([(s, context, control_array([c]))])[0])[0]
 
     def generate_batch(self, groups: list[Group]) -> list[list[str | QcpgError]]:
         return [[s] * len(controls) for s, _, controls in groups]
@@ -121,12 +146,12 @@ class RetrievalOracleGenerator:
             tables[g] = [(key[1], q) for key, q in zip(keys[start:stop], group)]
         return tables
 
-    def _noise(self, groups: list[tuple[str, list[ControlVector], int]]) -> list:
+    def _noise(self, groups: list[tuple[str, np.ndarray, int]]) -> list:
         """Perturbation of the k candidate qualities per control, for each (s, controls, k) group; none here."""
         return [0.0] * len(groups)
 
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return raise_first_failure(self.generate_batch([(s, context, [c])])[0])[0]
+        return raise_first_failure(self.generate_batch([(s, context, control_array([c]))])[0])[0]
 
     def generate_batch(self, groups: list[Group]) -> list[list[str | QcpgError]]:
         """One candidate table per group, one argmin per control over it.
@@ -135,17 +160,17 @@ class RetrievalOracleGenerator:
         and the noise of the whole batch is drawn in one ``_noise`` call.
         """
         tables = self.candidate_tables([(s, context) for s, context, _ in groups])
-        live = [(s, cs, len(t)) for (s, _, cs), t in zip(groups, tables) if cs and isinstance(t, list)]
+        live = [(s, cs, len(t)) for (s, _, cs), t in zip(groups, tables) if len(cs) and isinstance(t, list)]
         noises = iter(self._noise(live))
         out = []
         for (_, _, controls), candidates in zip(groups, tables):
-            if not (controls and isinstance(candidates, list)):
+            if not (len(controls) and isinstance(candidates, list)):
                 out.append([candidates] * len(controls))
                 continue
-            q = np.array([cand[1].as_tuple() for cand in candidates], dtype=np.float64)
-            c = np.array([ctl.as_tuple() for ctl in controls], dtype=np.float64)
-            dist = ((q + next(noises) - c[:, None, :]) ** 2).sum(axis=2)
-            out.append([candidates[k][0] for k in dist.argmin(axis=1)])
+            members = np.array([t for t, _ in candidates], dtype=object)
+            q = np.array([v.as_tuple() for _, v in candidates], dtype=np.float64)
+            dist = ((q + next(noises) - controls[:, None, :]) ** 2).sum(axis=2)
+            out.append(members[dist.argmin(axis=1)].tolist())
         return out
 
 
@@ -157,25 +182,29 @@ class NoisyOracleGenerator(RetrievalOracleGenerator):
         self.noise_std = noise_std
         self.seed = seed
 
-    def _noise(self, groups: list[tuple[str, list[ControlVector], int]]) -> list:
+    def _noise(self, groups: list[tuple[str, np.ndarray, int]]) -> list:
         """Per control, ``rng_for(seed, "noisy_oracle", s, sem, syn, lex).normal(0, std, (k, 3))``.
 
         The Philox keys of the whole batch come from one ``philox_keys``
-        pass, and each sentence is hashed once.
+        pass over one ``(seed, tag, digest, sem, syn, lex)`` uint64 row
+        per control, and each sentence is hashed once.
         """
         if not groups:
             return []
         seed, tag = as_entropy(self.seed), as_entropy("noisy_oracle")
         digests = {s: as_entropy(s) for s, _, _ in groups}
-        parts = [(seed, tag, digests[s], *c.as_tuple()) for s, controls, _ in groups for c in controls]
+        # an explicit uint64 array: a digest above 2**63 must not pass through float64
+        heads = np.array([(seed, tag, digests[s]) for s, _, _ in groups], dtype=np.uint64)
+        controls = np.concatenate([c for _, c, _ in groups]).astype(np.uint64)
+        parts = np.hstack([np.repeat(heads, [len(c) for _, c, _ in groups], axis=0), controls])
         streams = keyed_generators(philox_keys(parts))
         return [
-            np.array([next(streams).normal(0.0, self.noise_std, size=(k, 3)) for _ in controls])
-            for _, controls, k in groups
+            np.array([next(streams).normal(0.0, self.noise_std, size=(k, 3)) for _ in range(len(c))])
+            for _, c, k in groups
         ]
 
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return raise_first_failure(self.generate_batch([(s, context, [c])])[0])[0]
+        return raise_first_failure(self.generate_batch([(s, context, control_array([c]))])[0])[0]
 
 
 class ExternalCommandGenerator:
@@ -189,10 +218,14 @@ class ExternalCommandGenerator:
         self.command = command
 
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
-        return raise_first_failure(self.generate_batch([(s, context, [c])])[0])[0]
+        return raise_first_failure(self.generate_batch([(s, context, control_array([c]))])[0])[0]
 
     def generate_batch(self, groups: list[Group]) -> list[list[str | QcpgError]]:
-        lines = [prepend_control(sanitize_line_field(s), c) for s, _, controls in groups for c in controls]
+        lines = [
+            prepend_control(sanitize_line_field(s), ControlVector(*row))
+            for s, _, controls in groups
+            for row in controls.tolist()
+        ]
         try:
             out = enumerate(run_line_protocol(self.command, lines, "generator"), start=1)
         except QcpgError as exc:

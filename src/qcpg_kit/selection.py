@@ -11,15 +11,18 @@ floor above a baseline.
 How a grid runs: each dev item's controls are planned with array
 indexing, each distinct value of an offset column quantized once per
 item (``plan_controls``). Each dev item is one generator group of its
-distinct controls, in order of first occurrence over the grid. Whole
-dev items, in dev order, form chunks of at most ``MAX_BATCH_REQUESTS``
-controls (``_chunks``), and each chunk is one generator batch and one
-scoring batch (``_measure``), so a failure of a whole batch fails
-every item of its chunk at every offset. A dev item is ``(sentence,
-cluster)``; an output's pair takes both trees from ``Cluster.tree_of``,
-so an output that is no member, or any output of an item without a
-cluster, is ``MissingTree``. Only trees and pairs an output uses are
-measured. Each failure is one warning and is left out of its offset's n.
+distinct controls, a ``(k, 3)`` integer array in order of first
+occurrence over the grid, and each offset's slot among them. Whole dev
+items, in dev order, form chunks of at most ``MAX_BATCH_REQUESTS``
+controls (``generators.batches``), and each chunk is one generator
+batch and one scoring batch (``_measure``), so a failure of a whole
+batch fails every item of its chunk at every offset. A dev item is
+``(sentence, cluster)``; an output's pair takes both trees from
+``Cluster.tree_of``, so an output that is no member, or any output of
+an item without a cluster, is ``MissingTree``. Only trees and pairs an
+output uses are measured: per item, each distinct output once, as one
+row of a ``(u, 3)`` array, and each control's output as an index into
+it. Each failure is one warning and is left out of its offset's n.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from .errors import (
     QcpgError,
     raise_first_failure,
 )
-from .generators import MAX_BATCH_REQUESTS, GeneratorSpec, build_generator
-from .quality import ZERO_OFFSET, ControlVector, Offset, QualityComputer, QualityVector, quantize
+from .generators import MAX_BATCH_REQUESTS, GeneratorSpec, batches, build_generator
+from .quality import ZERO_OFFSET, Offset, QualityComputer, QualityVector, quantize
 from .reference import ReferenceModel, predict
 from .semantic import DEFAULT_SCORER, SemanticScorer
 from .util import read_lines, write_text
@@ -106,15 +109,14 @@ def diversity_of(q: QualityVector) -> float:
 def plan_controls(refs, offsets: list[Offset]):
     """Yield, per reference point, its distinct controls and each offset's slot among them.
 
-    The controls are those of ``apply_offset(r, o)`` over ``offsets``, in
-    order of first occurrence. The offsets are split once into
-    per-dimension columns; per reference, each distinct column value is
-    quantized once with the scalar ``quantize(r[d] + v)``, so the levels
-    are exact, and each offset's three levels are packed into one code
-    ``sem*10000 + syn*100 + lex``. Each distinct control is built once,
-    as one ``ControlVector`` shared by every reference.
+    The controls are those of ``apply_offset(r, o)`` over ``offsets``, as
+    a ``(k, 3)`` int64 array of distinct rows in order of first
+    occurrence. The offsets are split once into per-dimension columns;
+    per reference, each distinct column value is quantized once with the
+    scalar ``quantize(r[d] + v)``, so the levels are exact, and each
+    offset's three levels are packed into one code
+    ``sem*10000 + syn*100 + lex``, which is decoded back into the rows.
     """
-    interned: dict[int, ControlVector] = {}
     grid = np.array([o.as_tuple() for o in offsets], dtype=np.float64).reshape(-1, 3)
     columns = [np.unique(grid[:, d], return_inverse=True) for d in range(3)]
     for r in refs:
@@ -124,56 +126,46 @@ def plan_controls(refs, offsets: list[Offset]):
             codes = codes * 100 + levels[inverse]
         distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
         order = np.argsort(first)
-        controls = []
-        for code in distinct[order].tolist():
-            if (c := interned.get(code)) is None:
-                c = interned[code] = ControlVector(code // 10000, code // 100 % 100, code % 100)
-            controls.append(c)
-        yield controls, np.argsort(order)[inverse]
+        codes = distinct[order]
+        yield np.stack([codes // 10000, codes // 100 % 100, codes % 100], axis=1), np.argsort(order)[inverse]
 
 
-def _chunks(plans, bound: int):
-    """Consecutive runs of ``(dev item, (controls, slots))``, each holding at most
-    ``bound`` controls unless one item alone holds more."""
-    chunk, size = [], 0
-    for plan in plans:
-        n = len(plan[1][0])
-        if chunk and size + n > bound:
-            yield chunk
-            chunk, size = [], 0
-        chunk.append(plan)
-        size += n
-    if chunk:
-        yield chunk
-
-
-def _pair_keys(s: str, cluster: Cluster | None, outputs: list) -> dict:
-    """Each distinct output ``t``'s key ``(s, t, tree_of(s), tree_of(t))``, or the failure it is or leads to."""
+def _pair_keys(s: str, cluster: Cluster | None, outputs) -> list:
+    """Each of the distinct ``outputs``' key ``(s, t, tree_of(s), tree_of(t))``, or the failure it is or leads to."""
     tree_s = cluster.tree_of(s) if cluster is not None else None
-    keys = {}
-    for t in dict.fromkeys(outputs):  # a batch-wide failure is one object
+    keys = []
+    for t in outputs:
         if isinstance(t, QcpgError):
-            keys[t] = t
+            keys.append(t)
         elif tree_s is None or (tree_t := cluster.tree_of(t)) is None:
-            keys[t] = MissingTree(f"no parse available for generated sentence {t[:60]!r} or its source")
+            keys.append(MissingTree(f"no parse available for generated sentence {t[:60]!r} or its source"))
         else:
-            keys[t] = (s, t, tree_s, tree_t)
+            keys.append((s, t, tree_s, tree_t))
     return keys
 
 
-def _measure(generator, computer: QualityComputer, chunk: list) -> list[list]:
-    """Per dev item of the chunk, the quality tuple of each control's output, or the failure it met."""
-    outputs = generator.generate_batch([(s, cluster, controls) for (s, cluster), (controls, _) in chunk])
-    items = [(item, _pair_keys(s, cluster, item)) for ((s, cluster), _), item in zip(chunk, outputs)]
-    pairs = [k for _, keys in items for k in keys.values() if isinstance(k, tuple)]
-    quality = {
-        key: q if isinstance(q, QcpgError) else q.as_tuple()
-        for key, q in zip(pairs, computer.pair_qualities(pairs))
-    }
+def _measure(generator, computer: QualityComputer, chunk: list) -> list[tuple]:
+    """Per ``(s, cluster, controls, slots)`` dev item of the chunk, ``(at, values, failed, got)``.
+
+    ``at`` gives each control's index among the item's distinct outputs;
+    ``values`` is their ``(u, 3)`` quality array, 0.0 in a failed row,
+    ``failed`` its mask, and ``got`` each one's quality or failure.
+    """
+    outputs = generator.generate_batch([(s, cluster, controls) for s, cluster, controls, _ in chunk])
+    items = []
+    for (s, cluster, _, _), item in zip(chunk, outputs):
+        # a batch-wide failure is one object, so one distinct output
+        distinct = {t: i for i, t in enumerate(dict.fromkeys(item))}
+        at = np.fromiter(map(distinct.__getitem__, item), dtype=np.intp, count=len(item))
+        items.append((at, _pair_keys(s, cluster, distinct)))
+    pairs = [k for _, keys in items for k in keys if isinstance(k, tuple)]
+    quality = dict(zip(pairs, computer.pair_qualities(pairs)))
     measured = []
-    for item, keys in items:
-        by_output = {t: quality[k] if isinstance(k, tuple) else k for t, k in keys.items()}
-        measured.append([by_output[t] for t in item])
+    for at, keys in items:
+        got = [quality[k] if isinstance(k, tuple) else k for k in keys]
+        failed = [isinstance(q, QcpgError) for q in got]
+        values = [(0.0, 0.0, 0.0) if bad else q.as_tuple() for q, bad in zip(got, failed)]
+        measured.append((at, np.array(values, dtype=np.float64).reshape(-1, 3), np.array(failed, dtype=bool), got))
     return measured
 
 
@@ -189,19 +181,21 @@ def _evaluate(gen: GeneratorSpec, qp_model: ReferenceModel, dev, offsets: list[O
     computer = QualityComputer(scorer)
     generator = build_generator(gen, computer)
     refs = [predict(qp_model, s).as_tuple() for s, _ in dev]
+    plans = plan_controls(refs, offsets)
+    groups = ((s, cluster, controls, slots) for (s, cluster), (controls, slots) in zip(dev, plans))
     sums = np.zeros((len(offsets), 3), dtype=np.float64)
     counts = np.zeros(len(offsets), dtype=np.int64)
-    for chunk in _chunks(zip(dev, plan_controls(refs, offsets)), MAX_BATCH_REQUESTS):
-        for ((s, _), (_, slots)), measured in zip(chunk, _measure(generator, computer, chunk)):
-            failed = np.array([isinstance(q, QcpgError) for q in measured])
-            table = np.array([(0.0, 0.0, 0.0) if bad else q for q, bad in zip(measured, failed)])
+    for chunk in batches(groups, MAX_BATCH_REQUESTS):
+        for (s, _, _, slots), (at, values, failed, got) in zip(chunk, _measure(generator, computer, chunk)):
+            outcome = at[slots]
             # a failed slot adds exactly 0.0, so each sum runs over the successes in dev order
-            sums += table[slots]
-            counts += ~failed[slots]
-            for i in np.flatnonzero(failed[slots]):
-                err = measured[slots[i]]
+            sums += values[outcome]
+            counts += ~failed[outcome]
+            for i in np.flatnonzero(failed[outcome]).tolist():
+                err = got[outcome[i]]
                 log.warning("%r failed at offset %s: %s: %s", s[:40], offsets[i].as_tuple(), type(err).__name__, err)
-    return [(QualityVector(*(total / n)), int(n)) if n else None for total, n in zip(sums, counts)]
+    means = sums / np.maximum(counts, 1)[:, None]  # a row with no success is dropped
+    return [(QualityVector(*q.tolist()), n) if n else None for q, n in zip(means, counts.tolist())]
 
 
 def dev_quality_std(dev, scorer: SemanticScorer = DEFAULT_SCORER) -> tuple[float, float, float]:
@@ -312,11 +306,12 @@ HEATMAP_COLUMNS = (
 def export_heatmap_csv(result: GridResult, path) -> None:
     """Write one CSV row per offset (4-decimal fixed point, sorted by offset)."""
     order = sorted(range(len(result.offsets)), key=lambda i: result.offsets[i].as_tuple())
+    row = ",".join(["%.4f"] * (len(HEATMAP_COLUMNS) - 1)) + ",%s\n"
     lines = [",".join(HEATMAP_COLUMNS) + "\n"]
     for i in order:
         q = result.q_tilde[i]
-        values = [*result.offsets[i].as_tuple(), *q.as_tuple(), *result.responsiveness[i], diversity_of(q)]
-        lines.append(",".join(f"{v:.4f}" for v in values) + f",{result.n[i]}\n")
+        values = (*result.offsets[i].as_tuple(), *q.as_tuple(), *result.responsiveness[i], diversity_of(q), result.n[i])
+        lines.append(row % values)
     write_text(path, "".join(lines))
 
 

@@ -122,12 +122,16 @@ def keyed_generators(keys: np.ndarray):
 
     One Philox is reset per key (key set, counter 0, buffer empty), so
     every Generator yielded is the same object, valid until the next.
+    The state setter reads its arrays one element at a time, so they are
+    handed to it as lists of Python ints.
     """
     bitgen = np.random.Philox(0)
     state = bitgen.state  # counter 0, buffer empty
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     rng = np.random.Generator(bitgen)
-    for key in keys:
-        state["state"]["key"] = key
+    for key in np.asarray(keys, dtype=np.uint64):
+        state["state"]["key"] = key.tolist()
         bitgen.state = state
         yield rng
 

@@ -532,6 +532,20 @@ class TestExternalBatching:
         assert [p.source for p in pairs] == [s for c in corpus for s in c.sentences]
         assert all(p.target == p.source and p.target_tree == p.source_tree for p in pairs)
 
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_generate_sends_chunks_of_the_bound(self, corpus, corpus_file, model_file, tmp_path, monkeypatch, bound):
+        argv = ["generate", "--clusters", corpus_file, "--model", model_file, "--offset", "10,10,10"]
+        whole = tmp_path / "whole.tsv"
+        assert run([*argv, "--generator", "identity", "--out", whole]) == 0
+        monkeypatch.setattr(cli, "MAX_BATCH_REQUESTS", bound)
+        count, command = self.stub(tmp_path)
+        out = tmp_path / "generated.tsv"
+        assert run([*argv, "--generator", "external", "--generator-command", command, "--out", out]) == 0
+        sentences = sum(len(c.sentences) for c in corpus)
+        assert len(count.read_text(encoding="utf-8").splitlines()) == -(-sentences // bound)
+        # the echoing stub answers as the identity generator does
+        assert out.read_bytes() == whole.read_bytes()
+
     def test_empty_line_fails_only_its_offsets(self, corpus, corpus_file, model_file, tmp_path):
         # one sentence's request comes back empty wherever its lex control is 95
         word = corpus[0].sentences[0].split()[0]
@@ -621,6 +635,9 @@ class TestExternalBatching:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == sum(len(c.sentences) for c in corpus)
         assert all(len(line.split("\t")) == 3 for line in lines)
+        # one warning for the run, with the count, that eval will refuse the rows
+        [warning] = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warning.startswith(f"{len(lines)} of {len(lines)} rows") and "MissingTree" in warning
         assert all(p.source_tree is None and p.target_tree is None for p in read_pairs_tsv(out))
         assert run(["eval", "--system", f"echo={out}", "--out", tmp_path / "report.tsv"]) == 5
         assert "MissingTree" in caplog.text

@@ -21,6 +21,7 @@ from qcpg_kit.generators import (
     NoisyOracleGenerator,
     RetrievalOracleGenerator,
     build_generator,
+    control_array,
 )
 from qcpg_kit.util import rng_for
 
@@ -42,10 +43,10 @@ def random_groups(cluster, n, seed):
         (
             cluster.sentences[int(rng.integers(0, len(cluster.sentences)))],
             cluster,
-            [
+            control_array(
                 ControlVector(*(int(v) for v in rng.choice(range(0, 100, 5), size=3)))
                 for _ in range(int(rng.integers(1, 5)))
-            ],
+            ),
         )
         for _ in range(n)
     ]
@@ -56,9 +57,9 @@ def per_control(gen, groups):
     out = []
     for s, context, controls in groups:
         group = []
-        for c in controls:
+        for c in controls.tolist():
             try:
-                group.append(gen.generate(s, c, context))
+                group.append(gen.generate(s, ControlVector(*c), context))
             except QcpgError as exc:
                 group.append(exc)
         out.append(group)
@@ -217,7 +218,10 @@ class TestExternalGenerator:
             "for line in sys.stdin:\n"
             "    print(line.rstrip('\\n').split(' ', 3)[3])\n",
         )
-        groups = [("a cat", None, [ControlVector(0, 0, 0)]), ("the dog ran", None, [ControlVector(5, 10, 15)])]
+        groups = [
+            ("a cat", None, control_array([ControlVector(0, 0, 0)])),
+            ("the dog ran", None, control_array([ControlVector(5, 10, 15)])),
+        ]
         assert ExternalCommandGenerator(cmd).generate_batch(groups) == [["a cat"], ["the dog ran"]]
 
     def test_prefix_round_trips_through_decoder(self, tmp_path):
@@ -226,7 +230,7 @@ class TestExternalGenerator:
             "import sys\nfor line in sys.stdin:\n    print(line.rstrip('\\n'))\n",
         )
         c = ControlVector(35, 50, 5)
-        [[echoed]] = ExternalCommandGenerator(cmd).generate_batch([("a cat", None, [c])])
+        [[echoed]] = ExternalCommandGenerator(cmd).generate_batch([("a cat", None, control_array([c]))])
         assert decode_control(echoed) == (c, "a cat")
 
 
@@ -272,8 +276,8 @@ class TestGenerateBatch:
         singleton = Cluster("s", ["only one"], trees=["(A)"])
         groups = random_groups(cluster, 12, seed=131)
         # failing groups sit between successful ones
-        groups[4:4] = [("only one", singleton, [ControlVector(0, 0, 0), ControlVector(50, 5, 20)])]
-        groups[9:9] = [("not a member", cluster, [ControlVector(50, 50, 50)])]
+        groups[4:4] = [("only one", singleton, control_array([ControlVector(0, 0, 0), ControlVector(50, 5, 20)]))]
+        groups[9:9] = [("not a member", cluster, control_array([ControlVector(50, 50, 50)]))]
         for spec in self.SPECS:
             batch = build_generator(spec).generate_batch(groups)
             assert_same_outputs(batch, per_control(build_generator(spec), groups))
@@ -305,14 +309,17 @@ class TestGenerateBatch:
 
     def test_noisy_noise_is_rng_for_per_control(self, cluster):
         gen = NoisyOracleGenerator(noise_std=7.5, seed=2**40 + 3)
-        groups = [(s, [ControlVector(5, 10, 15), ControlVector(95, 0, 50)], k) for k, s in enumerate(cluster.sentences)]
+        controls = control_array([ControlVector(5, 10, 15), ControlVector(95, 0, 50)])
+        groups = [(s, controls, k) for k, s in enumerate(cluster.sentences)]
         for (s, controls, k), noise in zip(groups, gen._noise(groups)):
-            expected = [rng_for(gen.seed, "noisy_oracle", s, *c.as_tuple()).normal(0.0, 7.5, size=(k, 3)) for c in controls]
+            expected = [
+                rng_for(gen.seed, "noisy_oracle", s, *c).normal(0.0, 7.5, size=(k, 3)) for c in controls.tolist()
+            ]
             assert (noise == np.array(expected)).all()
 
     def test_same_sentence_and_cluster_in_two_groups(self, cluster):
         s = cluster.sentences[1]
-        controls = [ControlVector(5, 10, 15), ControlVector(95, 0, 50), ControlVector(50, 25, 50)]
+        controls = control_array([ControlVector(5, 10, 15), ControlVector(95, 0, 50), ControlVector(50, 25, 50)])
         for spec in self.SPECS:
             [whole] = build_generator(spec).generate_batch([(s, cluster, controls)])
             split = build_generator(spec).generate_batch([(s, cluster, controls[:2]), (s, cluster, controls[2:])])
@@ -320,7 +327,7 @@ class TestGenerateBatch:
 
     def test_empty_context_fails_every_control_of_its_group(self, cluster):
         singleton = Cluster("s", ["only one"], trees=["(A)"])
-        controls = [ControlVector(0, 0, 0), ControlVector(50, 5, 20), ControlVector(95, 95, 95)]
+        controls = control_array([ControlVector(0, 0, 0), ControlVector(50, 5, 20), ControlVector(95, 95, 95)])
         for gen in (RetrievalOracleGenerator(), NoisyOracleGenerator(noise_std=3.0)):
             bad, good = gen.generate_batch([("only one", singleton, controls), (cluster.sentences[0], cluster, controls)])
             assert len(bad) == 3 and all(isinstance(out, EmptyContext) for out in bad)
@@ -334,7 +341,7 @@ class TestGenerateBatch:
     def test_one_scorer_batch_for_every_group(self, tmp_path):
         a, b = paraphrase_corpus(n_clusters=2, cluster_size=4, seed=27)
         singleton = Cluster("s", ["only one"], trees=["(A)"])
-        groups = random_groups(a, 6, seed=149) + [("only one", singleton, [ControlVector(0, 0, 0)])]
+        groups = random_groups(a, 6, seed=149) + [("only one", singleton, control_array([ControlVector(0, 0, 0)]))]
         groups += random_groups(b, 6, seed=151)
         count, gen = self.oracle_with_counting_scorer(tmp_path)
         batch = gen.generate_batch(groups)
@@ -349,7 +356,11 @@ class TestGenerateBatch:
         word = a.sentences[0].split()[-1]  # in members 0-2 of a, nowhere in b
         assert [word in t.split() for t in a.sentences + b.sentences] == [True] * 3 + [False] * 5
         c, d = ControlVector(50, 50, 50), ControlVector(5, 95, 20)
-        groups = [(a.sentences[0], a, [c, d]), (a.sentences[3], a, [c]), (b.sentences[0], b, [d, c])]
+        groups = [
+            (a.sentences[0], a, control_array([c, d])),
+            (a.sentences[3], a, control_array([c])),
+            (b.sentences[0], b, control_array([d, c])),
+        ]
         _, gen = self.oracle_with_counting_scorer(tmp_path, "--exit-on", word)
         out = gen.generate_batch(groups)
         assert [len(group) for group in out] == [2, 1, 2]
@@ -368,16 +379,29 @@ class TestGenerateBatch:
             ExternalCommandGenerator(f"{sys.executable} {COUNTING_STUB} {count}"),
         ):
             assert gen.generate_batch([]) == []
-            # a group asking for no control gets no output
-            assert gen.generate_batch([(cluster.sentences[0], cluster, [])]) == [[]]
+            # a group asking for no control, a (0, 3) array, gets no output
+            assert gen.generate_batch([(cluster.sentences[0], cluster, np.empty((0, 3), dtype=np.int64))]) == [[]]
         assert not count.exists()
+
+    def test_group_without_controls_among_others(self, tmp_path, cluster):
+        none = (cluster.sentences[1], cluster, np.empty((0, 3), dtype=np.int64))
+        groups = random_groups(cluster, 4, seed=167)
+        count = tmp_path / "starts"
+        for gen in (
+            *(build_generator(spec) for spec in self.SPECS),
+            ExternalCommandGenerator(f"{sys.executable} {COUNTING_STUB} {count}"),
+        ):
+            out = gen.generate_batch([groups[0], none, *groups[1:3], none, groups[3]])
+            assert out[1] == [] and out[4] == []
+            assert out[:1] + out[2:4] + out[5:] == gen.generate_batch(groups)
+        assert len(count.read_text(encoding="utf-8").splitlines()) == 2
 
 
 class TestExternalBatch:
     GROUPS = [
-        ("a cat sat", None, [ControlVector(0, 0, 0)]),
-        ("the dog ran", None, [ControlVector(5, 10, 15), ControlVector(35, 50, 5)]),
-        ("a bird flew", None, [ControlVector(95, 95, 95)]),
+        ("a cat sat", None, control_array([ControlVector(0, 0, 0)])),
+        ("the dog ran", None, control_array([ControlVector(5, 10, 15), ControlVector(35, 50, 5)])),
+        ("a bird flew", None, control_array([ControlVector(95, 95, 95)])),
     ]
 
     def run(self, tmp_path, *options):
@@ -402,7 +426,7 @@ class TestExternalBatch:
         # one stdin line per control, in group order
         echoed = ExternalCommandGenerator(f"{sys.executable} {ECHO_STUB}").generate_batch(self.GROUPS)
         assert [[decode_control(line) for line in group] for group in echoed] == [
-            [(c, s) for c in controls] for s, _, controls in self.GROUPS
+            [(ControlVector(*c), s) for c in controls.tolist()] for s, _, controls in self.GROUPS
         ]
 
     def test_empty_line_fails_only_its_request(self, tmp_path):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from qcpg_kit import (
     ALL_ORDERED,
     Cluster,
-    ControlVector,
     GeneratorSpec,
     GridResult,
     Offset,
@@ -348,11 +347,11 @@ class TestControlPlan:
         plans = list(plan_controls(refs, offsets))
         assert len(plans) == len(refs)
         for r, (controls, slots) in zip(refs, plans):
-            expected = [ControlVector(*(quantize(r[d] + o.as_tuple()[d]) for d in range(3))) for o in offsets]
-            assert [controls[k] for k in slots] == expected
-            assert controls == list(dict.fromkeys(expected))
-        planned = [c for controls, _ in plans for c in controls]
-        assert len({id(c) for c in planned}) == len(set(planned))
+            expected = [tuple(quantize(r[d] + o.as_tuple()[d]) for d in range(3)) for o in offsets]
+            assert controls.dtype == np.int64 and controls.shape == (len(set(expected)), 3)
+            # distinct rows, in order of first occurrence
+            assert [tuple(row) for row in controls.tolist()] == list(dict.fromkeys(expected))
+            assert [tuple(row) for row in controls[slots].tolist()] == expected
 
 
 class TestResponsiveness:

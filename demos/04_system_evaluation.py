@@ -8,18 +8,16 @@ sources (high = copying), and optionally BLEU against references.
 from qcpg_kit import (
     GeneratorSpec,
     Offset,
-    apply_offset,
     build_generator,
     dev_items,
     evaluate_systems,
     fit,
+    generate_pairs,
     kendall_tau,
     paraphrase_corpus,
-    predict,
     quality_samples,
 )
 from qcpg_kit.errors import raise_first_failure
-from qcpg_kit.generators import control_array
 
 corpus = paraphrase_corpus(n_clusters=25, cluster_size=5, seed=77, length_jitter=6)
 qp = fit(quality_samples(corpus))
@@ -27,9 +25,8 @@ items = dev_items(corpus, per_cluster=1)
 
 def run_system(spec, offset):
     """One (source, output, source_tree, output_tree) row per dev item."""
-    groups = [(s, cluster, control_array([apply_offset(predict(qp, s), offset)])) for s, cluster in items]
-    outputs = [raise_first_failure(g)[0] for g in build_generator(spec).generate_batch(groups)]
-    return [(s, t, cluster.tree_of(s), cluster.tree_of(t)) for t, (s, cluster) in zip(outputs, items)]
+    chunks = generate_pairs(build_generator(spec), qp, items, [offset])
+    return raise_first_failure([key for chunk in chunks for _, [key], _ in chunk])
 
 report = evaluate_systems(
     [

@@ -61,6 +61,7 @@ from .selection import (
     dev_quality_std,
     diversity_of,
     export_heatmap_csv,
+    generate_pairs,
     grid_search,
     read_heatmap_csv,
     responsiveness,

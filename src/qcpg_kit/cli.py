@@ -39,14 +39,15 @@ from .errors import (
     QcpgError,
     raise_first_failure,
 )
-from .generators import GENERATOR_KINDS, MAX_BATCH_REQUESTS, GeneratorSpec, batches, build_generator, control_array
-from .quality import ZERO_OFFSET, Offset, QualityComputer, QualityVector, apply_offset
+from .generators import GENERATOR_KINDS, GeneratorSpec, build_generator
+from .quality import ZERO_OFFSET, Offset, QualityComputer, QualityVector
 from .reference import evaluate_mse, fit, load_model, predict, save_model
 from .selection import (
     SelectionConstraint,
     default_grid,
     grid_search,
     export_heatmap_csv,
+    generate_pairs,
     read_heatmap_csv,
     select_operation_point,
 )
@@ -254,6 +255,12 @@ def cmd_select(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    """Paraphrase every cluster sentence at one offset, through ``generate_pairs``.
+
+    It sends the controls, chunks and trees the grid has at that offset. A
+    row whose output has no tree is still written; ``QualityComputer`` and
+    ``eval`` take it as ``MissingTree``.
+    """
     if args.operation_point is not None and args.offset is not None:
         raise ValueError("--offset and --operation-point are both set; give one")
     generator = build_generator(_generator_from(args), QualityComputer(_scorer_from(args)))
@@ -262,21 +269,18 @@ def cmd_generate(args) -> int:
         o = _read_operation_point(args.operation_point)
     else:
         o = ZERO_OFFSET if args.offset is None else _parse_offset(args.offset)
-    clusters = load_clusters(args.clusters)
-    groups = [
-        (s, cluster, control_array([apply_offset(predict(model, s), o)]))
-        for cluster in clusters
-        for s in cluster.sentences
-    ]
-    outputs = [out for chunk in batches(groups, MAX_BATCH_REQUESTS) for out in generator.generate_batch(chunk)]
+    items = [(s, cluster) for cluster in load_clusters(args.clusters) for s in cluster.sentences]
     rows = []
-    for (s, cluster, _), [t] in zip(groups, outputs):
-        if isinstance(t, QcpgError):
-            log.warning("%r failed: %s: %s", s[:40], type(t).__name__, t)
-            continue
-        rows.append(SentencePair(s, t, cluster.cluster_id, cluster.tree_of(s), cluster.tree_of(t)))
-    if groups and not rows:
-        raise AllGenerationsFailed(f"every one of the {len(groups)} generations failed")
+    for chunk in generate_pairs(generator, model, items, [o]):
+        # one offset asks one control, so each item has one output
+        for (s, cluster), [key], _ in chunk:
+            if isinstance(key, QcpgError):
+                log.warning("%r failed: %s: %s", s[:40], type(key).__name__, key)
+                continue
+            _, t, tree_s, tree_t = key
+            rows.append(SentencePair(s, t, cluster.cluster_id, tree_s, tree_t))
+    if items and not rows:
+        raise AllGenerationsFailed(f"every one of the {len(items)} generations failed")
     if treeless := sum(None in (row.source_tree, row.target_tree) for row in rows):
         log.warning(
             "%d of %d rows are written without trees (an output in no cluster, or a cluster without trees); "

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from . import lexical
-from .errors import MalformedControlPrefix, NonFiniteValue, QcpgError, raise_first_failure
+from .errors import MalformedControlPrefix, MissingTree, NonFiniteValue, QcpgError, raise_first_failure
 from .semantic import DEFAULT_SCORER, SemanticScorer, semantic_similarity
 from .trees import FlatTree, ParseTree, parse_bracketed, parse_syntactic_form, syntactic_distance
 from .lexical import WordBag, lexical_distance
@@ -152,8 +152,8 @@ def quality_vector(
     )
 
 
-# (source, target, source tree, target tree); trees are bracketed strings
-PairKey = tuple[str, str, str, str]
+# (source, target, source tree, target tree); trees are bracketed strings, or None without one
+PairKey = tuple[str, str, str | None, str | None]
 
 
 class QualityComputer:
@@ -210,7 +210,8 @@ class QualityComputer:
         The distinct keys that miss the cache are scored with one
         ``scorer.raw_batch`` call (none when every key hits); its failure
         fails every scored key, a malformed tree or a non-finite score
-        only its own key. Failures are not cached.
+        only its own key. A key without both trees is ``MissingTree`` and
+        never reaches the scorer. Failures are not cached.
         """
         results: dict[PairKey, QualityVector | QcpgError] = {}
         forms: dict[PairKey, tuple[FlatTree, FlatTree]] = {}
@@ -220,6 +221,9 @@ class QualityComputer:
             cached = self._pairs.get(key)
             if cached is not None:
                 results[key] = cached
+                continue
+            if key[2] is None or key[3] is None:
+                results[key] = MissingTree(f"no parse available for {key[1][:60]!r} or its source {key[0][:60]!r}")
                 continue
             try:
                 forms[key] = (self._form(key[2]), self._form(key[3]))

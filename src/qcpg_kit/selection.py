@@ -8,21 +8,24 @@ moves. The selected operation point maximizes linguistic diversity
 (mean of the syntactic and lexical components) subject to a semantic
 floor above a baseline.
 
-How a grid runs: each dev item's controls are planned with array
-indexing, each distinct value of an offset column quantized once per
-item (``plan_controls``). Each dev item is one generator group of its
-distinct controls, a ``(k, 3)`` integer array in order of first
-occurrence over the grid, and each offset's slot among them. Whole dev
-items, in dev order, form chunks of at most ``MAX_BATCH_REQUESTS``
-controls (``generators.batches``), and each chunk is one generator
-batch and one scoring batch (``_measure``), so a failure of a whole
-batch fails every item of its chunk at every offset. A dev item is
-``(sentence, cluster)``; an output's pair takes both trees from
-``Cluster.tree_of``, so an output that is no member, or any output of
-an item without a cluster, is ``MissingTree``. Only trees and pairs an
-output uses are measured: per item, each distinct output once, as one
-row of a ``(u, 3)`` array, and each control's output as an index into
-it. Each failure is one warning and is left out of its offset's n.
+How a grid runs: ``generate_pairs`` is the one path from dev items to
+generator batches; ``generate`` runs it at its one offset, so it sends
+the controls, chunks and trees the grid measured there. Each dev item's
+controls are planned with array indexing, each distinct value of an
+offset column quantized once per item (``plan_controls``). Each dev
+item is one generator group of its distinct controls, a ``(k, 3)``
+integer array in order of first occurrence over the grid, and each
+offset's slot among them. Whole dev items, in dev order, form chunks of
+at most ``MAX_BATCH_REQUESTS`` controls (``generators.batches``), and
+each chunk is one generator batch and one scoring batch, so a failure
+of a whole batch fails every item of its chunk at every offset. A dev
+item is ``(sentence, cluster)``; an output's pair takes both trees from
+``Cluster.tree_of``, None for an output that is no member or for any
+output of an item without a cluster, and ``QualityComputer`` measures
+such a pair as ``MissingTree``. Only trees and pairs an output uses are
+measured: per item, each distinct output once, as one row of a
+``(u, 3)`` array, and each offset's output as an index into it. Each
+failure is one warning and is left out of its offset's n.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .dataset import Cluster
 from .errors import (
     AllGenerationsFailed,
     MalformedRecord,
-    MissingTree,
     MissingZeroPoint,
     NoFeasibleOffset,
     QcpgError,
@@ -53,7 +55,7 @@ from .util import read_lines, write_text
 log = logging.getLogger(__name__)
 
 # (sentence, cluster context or None); its trees come from Cluster.tree_of
-DevItem = tuple[str, "Cluster | None"]
+DevItem = tuple[str, Cluster | None]
 
 
 @dataclass
@@ -130,66 +132,53 @@ def plan_controls(refs, offsets: list[Offset]):
         yield np.stack([codes // 10000, codes // 100 % 100, codes % 100], axis=1), np.argsort(order)[inverse]
 
 
-def _pair_keys(s: str, cluster: Cluster | None, outputs) -> list:
-    """Each of the distinct ``outputs``' key ``(s, t, tree_of(s), tree_of(t))``, or the failure it is or leads to."""
-    tree_s = cluster.tree_of(s) if cluster is not None else None
-    keys = []
-    for t in outputs:
-        if isinstance(t, QcpgError):
-            keys.append(t)
-        elif tree_s is None or (tree_t := cluster.tree_of(t)) is None:
-            keys.append(MissingTree(f"no parse available for generated sentence {t[:60]!r} or its source"))
-        else:
-            keys.append((s, t, tree_s, tree_t))
-    return keys
+def generate_pairs(generator, qp_model: ReferenceModel, items, offsets: list[Offset]):
+    """Yield per chunk, generating at ``offsets``, one ``((s, cluster), keys, index)`` per item.
 
-
-def _measure(generator, computer: QualityComputer, chunk: list) -> list[tuple]:
-    """Per ``(s, cluster, controls, slots)`` dev item of the chunk, ``(at, values, failed, got)``.
-
-    ``at`` gives each control's index among the item's distinct outputs;
-    ``values`` is their ``(u, 3)`` quality array, 0.0 in a failed row,
-    ``failed`` its mask, and ``got`` each one's quality or failure.
+    ``keys`` holds the pair key ``(s, t, tree_s, tree_t)`` of each of the
+    item's distinct outputs, or the failure that output is; ``index``
+    gives each offset's position in ``keys``. The module docstring has
+    the controls, chunks and trees.
     """
-    outputs = generator.generate_batch([(s, cluster, controls) for s, cluster, controls, _ in chunk])
-    items = []
-    for (s, cluster, _, _), item in zip(chunk, outputs):
-        # a batch-wide failure is one object, so one distinct output
-        distinct = {t: i for i, t in enumerate(dict.fromkeys(item))}
-        at = np.fromiter(map(distinct.__getitem__, item), dtype=np.intp, count=len(item))
-        items.append((at, _pair_keys(s, cluster, distinct)))
-    pairs = [k for _, keys in items for k in keys if isinstance(k, tuple)]
-    quality = dict(zip(pairs, computer.pair_qualities(pairs)))
-    measured = []
-    for at, keys in items:
-        got = [quality[k] if isinstance(k, tuple) else k for k in keys]
-        failed = [isinstance(q, QcpgError) for q in got]
-        values = [(0.0, 0.0, 0.0) if bad else q.as_tuple() for q, bad in zip(got, failed)]
-        measured.append((at, np.array(values, dtype=np.float64).reshape(-1, 3), np.array(failed, dtype=bool), got))
-    return measured
+    items = list(items)
+    refs = [predict(qp_model, s).as_tuple() for s, _ in items]
+    plans = plan_controls(refs, offsets)
+    groups = ((s, cluster, controls, slots) for (s, cluster), (controls, slots) in zip(items, plans))
+    for chunk in batches(groups, MAX_BATCH_REQUESTS):
+        outputs = generator.generate_batch([(s, cluster, controls) for s, cluster, controls, _ in chunk])
+        measured = []
+        for (s, cluster, _, slots), got in zip(chunk, outputs):
+            # a batch-wide failure is one object, so one distinct output
+            distinct = {t: i for i, t in enumerate(dict.fromkeys(got))}
+            at = np.fromiter(map(distinct.__getitem__, got), dtype=np.intp, count=len(got))
+            tree_of = cluster.tree_of if cluster is not None else (lambda _: None)
+            tree_s = tree_of(s)
+            keys = [t if isinstance(t, QcpgError) else (s, t, tree_s, tree_of(t)) for t in distinct]
+            measured.append(((s, cluster), keys, at[slots]))
+        yield measured
 
 
 def _evaluate(gen: GeneratorSpec, qp_model: ReferenceModel, dev, offsets: list[Offset], scorer: SemanticScorer):
     """Per offset, the mean quality and success count over the dev set; None where all fail.
 
-    Each chunk is measured by ``_measure``, and each item's qualities
-    are added to per-offset sums in dev order.
+    Each chunk of ``generate_pairs`` is one scoring batch.
     """
     dev: list[DevItem] = list(dev)
     if not dev:
         raise ValueError("dev set must be non-empty")
     computer = QualityComputer(scorer)
     generator = build_generator(gen, computer)
-    refs = [predict(qp_model, s).as_tuple() for s, _ in dev]
-    plans = plan_controls(refs, offsets)
-    groups = ((s, cluster, controls, slots) for (s, cluster), (controls, slots) in zip(dev, plans))
     sums = np.zeros((len(offsets), 3), dtype=np.float64)
     counts = np.zeros(len(offsets), dtype=np.int64)
-    for chunk in batches(groups, MAX_BATCH_REQUESTS):
-        for (s, _, _, slots), (at, values, failed, got) in zip(chunk, _measure(generator, computer, chunk)):
-            outcome = at[slots]
+    for chunk in generate_pairs(generator, qp_model, dev, offsets):
+        pairs = [k for _, keys, _ in chunk for k in keys if isinstance(k, tuple)]
+        quality = dict(zip(pairs, computer.pair_qualities(pairs)))
+        for (s, _), keys, outcome in chunk:
+            got = [quality[k] if isinstance(k, tuple) else k for k in keys]
+            failed = np.array([isinstance(q, QcpgError) for q in got], dtype=bool)
+            values = [(0.0, 0.0, 0.0) if bad else q.as_tuple() for q, bad in zip(got, failed.tolist())]
             # a failed slot adds exactly 0.0, so each sum runs over the successes in dev order
-            sums += values[outcome]
+            sums += np.array(values, dtype=np.float64).reshape(-1, 3)[outcome]
             counts += ~failed[outcome]
             for i in np.flatnonzero(failed[outcome]).tolist():
                 err = got[outcome[i]]

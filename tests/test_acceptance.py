@@ -38,7 +38,6 @@ from qcpg_kit import (
     grid_search,
     kendall_tau,
     paraphrase_corpus,
-    predict,
     quality_samples,
     quantize,
     responsiveness,

@@ -445,6 +445,33 @@ class TestGridSelectGenerateEval:
         row = report.read_text(encoding="utf-8").splitlines()[1].split("\t")
         assert row[1:4] == [f"{v:.2f}" for v in np.array(own).mean(axis=0)]
 
+    @pytest.mark.parametrize("kind", ["identity", "retrieval_oracle", "noisy_oracle"])
+    def test_generate_matches_per_request_reference(self, corpus, model_file, tmp_path, kind):
+        # the one-offset counterpart of the grid's per-request reference, over a cluster without trees too
+        clusters = [*corpus, Cluster("bare", ["zebra quartz ran", "the quartz zebra ran"])]
+        path, out, expected = tmp_path / "clusters.jsonl", tmp_path / "generated.tsv", tmp_path / "expected.tsv"
+        save_clusters(clusters, path)
+        assert run(
+            [
+                "generate", "--clusters", path, "--model", model_file, "--generator", kind,
+                "--noise-std", "10", "--seed", "7", "--offset", "5,10,15", "--out", out,
+            ]
+        ) == 0
+        generator = build_generator(GeneratorSpec(kind=kind, noise_std=10.0, seed=7), QualityComputer())
+        model = load_model(model_file)
+        rows = []
+        for cluster in clusters:
+            for s in cluster.sentences:
+                try:
+                    t = generator.generate(s, apply_offset(predict(model, s), Offset(5, 10, 15)), cluster)
+                except errors.QcpgError:
+                    continue
+                rows.append(SentencePair(s, t, cluster.cluster_id, cluster.tree_of(s), cluster.tree_of(t)))
+        write_pairs_tsv(rows, expected)
+        assert out.read_bytes() == expected.read_bytes()
+        # the identity copies the tree-less cluster's sentences without trees; the oracles skip them
+        assert [row.cluster_id for row in rows].count("bare") == (2 if kind == "identity" else 0)
+
     def test_eval_matches_library(self, corpus, corpus_file, model_file, tmp_path):
         gen_id = tmp_path / "identity.tsv"
         assert run(
@@ -537,7 +564,7 @@ class TestExternalBatching:
         argv = ["generate", "--clusters", corpus_file, "--model", model_file, "--offset", "10,10,10"]
         whole = tmp_path / "whole.tsv"
         assert run([*argv, "--generator", "identity", "--out", whole]) == 0
-        monkeypatch.setattr(cli, "MAX_BATCH_REQUESTS", bound)
+        monkeypatch.setattr(selection, "MAX_BATCH_REQUESTS", bound)
         count, command = self.stub(tmp_path)
         out = tmp_path / "generated.tsv"
         assert run([*argv, "--generator", "external", "--generator-command", command, "--out", out]) == 0

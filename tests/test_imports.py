@@ -20,6 +20,8 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    modules = sorted(Path(qcpg_kit.__file__).parent.glob("*.py"))
-    unused = {p.name: unused_imports(p) for p in modules if p.name != "__init__.py"}
+    tests = Path(__file__).resolve().parent
+    modules = [p for p in Path(qcpg_kit.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    modules += [*tests.with_name("demos").glob("*.py"), *tests.glob("*.py")]
+    unused = {f"{p.parent.name}/{p.name}": unused_imports(p) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}

@@ -38,7 +38,7 @@ from qcpg_kit import (
     tokenize,
     tree_edit_distance,
 )
-from qcpg_kit.errors import MalformedControlPrefix, NonFiniteValue, ProtocolError, TreeSyntaxError
+from qcpg_kit.errors import MalformedControlPrefix, MissingTree, NonFiniteValue, ProtocolError, TreeSyntaxError
 
 from helpers import levenshtein_oracle
 from stub_counting_scorer import raw_score as stub_raw
@@ -351,6 +351,26 @@ class TestPairQualities:
         assert isinstance(qualities[0], TreeSyntaxError)
         assert qualities[1] == quality_vector(s, t, parse_bracketed(ts), parse_bracketed(tt), raw=stub_raw(s, t))
         assert _starts(count) == 1
+
+    def test_a_key_without_both_trees_is_missing_tree_and_never_scored(self, tmp_path):
+        [missing] = QualityComputer().pair_qualities([("a b", "b c", None, "(S (T a))")])
+        assert isinstance(missing, MissingTree)
+        # the word is only in the tree-less keys: a batch that sent one would fail every key
+        word = "zebra"
+        assert not any(word in key[0].split() + key[1].split() for key in self.KEYS)
+        s, t, ts, tt = self.KEYS[0]
+        treeless = [(f"{word} {s}", t, None, tt), (s, f"{t} {word}", ts, None), (word, word, None, None)]
+        keys = [self.KEYS[1], treeless[0], *self.KEYS[2:6], treeless[1], self.KEYS[1], treeless[2]]
+        count, computer = self.counting(tmp_path, "--exit-on", word)
+        qualities = computer.pair_qualities(keys)
+        assert _starts(count) == 1
+        for key, q in zip(keys, qualities):
+            if key in treeless:
+                assert isinstance(q, MissingTree)
+            else:
+                assert q == QualityComputer(computer.scorer).pair_quality(*key)
+        with pytest.raises(MissingTree):
+            computer.pair_quality(*treeless[0])
 
 
 _levenshtein = lru_cache(maxsize=None)(levenshtein_oracle)

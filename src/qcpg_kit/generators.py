@@ -33,7 +33,8 @@ import numpy as np
 from .dataset import Cluster
 from .errors import EmptyContext, ProtocolError, QcpgError, raise_first_failure
 from .quality import ControlVector, QualityComputer, prepend_control
-from .semantic import EXTERNAL_COMMAND, run_line_protocol, sanitize_line_field
+# MAX_BATCH_REQUESTS is defined beside run_line_protocol and re-exported for callers of `batches`.
+from .semantic import EXTERNAL_COMMAND, MAX_BATCH_REQUESTS, run_line_protocol, sanitize_line_field  # noqa: F401
 # rng_for is no longer called here, but bench/tracing.py spans this binding.
 from .util import as_entropy, keyed_generators, philox_keys, rng_for  # noqa: F401
 
@@ -44,12 +45,6 @@ GENERATOR_KINDS = (IDENTITY, RETRIEVAL_ORACLE, NOISY_ORACLE, EXTERNAL_COMMAND)
 
 # (sentence, cluster or None, (k, 3) integer array of quantized controls)
 Group = tuple[str, "Cluster | None", np.ndarray]
-
-# The most controls `grid` and `generate` put in one generate_batch call,
-# unless one group alone holds more. A batch is one external process; the
-# bound keeps a batch's memory small.
-MAX_BATCH_REQUESTS = 4096
-
 
 def batches(groups, bound: int):
     """Consecutive runs of ``groups``, each holding at most ``bound`` controls

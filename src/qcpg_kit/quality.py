@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import lexical
 from .errors import MalformedControlPrefix, MissingTree, NonFiniteValue, QcpgError, raise_first_failure
-from .semantic import DEFAULT_SCORER, SemanticScorer, semantic_similarity
+from .semantic import DEFAULT_SCORER, MAX_BATCH_REQUESTS, SemanticScorer, semantic_similarity
 from .trees import FlatTree, ParseTree, parse_bracketed, parse_syntactic_form, syntactic_distance
 from .lexical import WordBag, lexical_distance
 
@@ -163,12 +163,20 @@ class QualityComputer:
     offset; caching by the pair's text makes those lookups free. Tree
     arguments are bracketed strings so the cache key is hashable and the
     syntactic form is built from the text once per tree string, with no
-    parse tree in between. Equal forms are interned to one object, and the
-    syntactic distance is computed once per distinct (form, form) pair:
-    pruned and token-stripped, many sentences share one template. Each
-    sentence is tokenized into its bag of words once. The pairs a batch
-    misses share one scorer call, so an external scorer starts one
-    process per batch, not per pair.
+    parse tree in between. Equal forms are interned to one object.
+    Work is reused where its value is known not to change:
+
+    * syn is computed once per distinct *unordered* (form, form) pair:
+      pruned and token-stripped, many sentences share one template, and
+      unit-cost tree edit distance over the larger tree's size is
+      symmetric;
+    * lex is computed once per distinct unordered sentence pair, from
+      each sentence's bag of words, tokenized once: the transposed
+      integer cost matrix has the same least assignment cost;
+    * sem stays keyed by the *ordered* pair, since an external scorer
+      need not be symmetric. The pairs a batch misses go to the scorer
+      in ``raw_batch`` calls of at most ``MAX_BATCH_REQUESTS`` pairs, so
+      an external scorer starts one process per such slice, not per pair.
     """
 
     def __init__(self, scorer: SemanticScorer = DEFAULT_SCORER):
@@ -177,7 +185,9 @@ class QualityComputer:
         self._bags: dict[str, WordBag] = {}
         # postorder labels and leftmost leaves fix a form exactly
         self._interned: dict[tuple[tuple[str, ...], tuple[int, ...]], FlatTree] = {}
+        # unordered pairs: the forms in id order, the sentences in text order
         self._syn: dict[tuple[FlatTree, FlatTree], float] = {}
+        self._lex: dict[tuple[str, str], float] = {}
         self._pairs: dict[PairKey, QualityVector] = {}
 
     def tree(self, text: str) -> ParseTree:
@@ -207,11 +217,12 @@ class QualityComputer:
     def pair_qualities(self, keys: list[PairKey]) -> list[QualityVector | QcpgError]:
         """One quality, or the failure it met, per ``(s, t, tree_s, tree_t)`` key, in order.
 
-        The distinct keys that miss the cache are scored with one
-        ``scorer.raw_batch`` call (none when every key hits); its failure
-        fails every scored key, a malformed tree or a non-finite score
-        only its own key. A key without both trees is ``MissingTree`` and
-        never reaches the scorer. Failures are not cached.
+        The distinct keys that miss the cache are scored in slices of at
+        most ``MAX_BATCH_REQUESTS``, one ``scorer.raw_batch`` call each
+        (none when every key hits); a call's failure fails every key of its
+        slice, a malformed tree or a non-finite score only its own key. A
+        key without both trees is ``MissingTree`` and never reaches the
+        scorer. Failures are not cached.
         """
         results: dict[PairKey, QualityVector | QcpgError] = {}
         forms: dict[PairKey, tuple[FlatTree, FlatTree]] = {}
@@ -229,20 +240,27 @@ class QualityComputer:
                 forms[key] = (self._form(key[2]), self._form(key[3]))
             except QcpgError as exc:
                 results[key] = exc
-        if forms:
+        misses = list(forms.items())
+        for start in range(0, len(misses), MAX_BATCH_REQUESTS):
+            batch = misses[start:start + MAX_BATCH_REQUESTS]
             try:
-                raws = self.scorer.raw_batch([key[:2] for key in forms])
+                raws = self.scorer.raw_batch([key[:2] for key, _ in batch])
             except QcpgError as exc:
-                results.update(dict.fromkeys(forms, exc))
-            else:
-                for (key, (form_s, form_t)), raw in zip(forms.items(), raws):
-                    try:
-                        syn = self._syn.get((form_s, form_t))
-                        if syn is None:
-                            syn = self._syn[form_s, form_t] = syntactic_distance(form_s, form_t)
-                        lex = lexical_distance(self._bag(key[0]), self._bag(key[1]))
-                        q = quality_vector(key[0], key[1], form_s, form_t, raw=raw, syn=syn, lex=lex)
-                        results[key] = self._pairs[key] = q
-                    except QcpgError as exc:
-                        results[key] = exc
+                results.update(dict.fromkeys((key for key, _ in batch), exc))
+                continue
+            for (key, (form_s, form_t)), raw in zip(batch, raws):
+                s, t = key[:2]
+                try:
+                    syn_key = (form_s, form_t) if id(form_s) <= id(form_t) else (form_t, form_s)
+                    syn = self._syn.get(syn_key)
+                    if syn is None:
+                        syn = self._syn[syn_key] = syntactic_distance(form_s, form_t)
+                    lex_key = (s, t) if s <= t else (t, s)
+                    lex = self._lex.get(lex_key)
+                    if lex is None:
+                        lex = self._lex[lex_key] = lexical_distance(self._bag(s), self._bag(t))
+                    q = quality_vector(s, t, form_s, form_t, raw=raw, syn=syn, lex=lex)
+                    results[key] = self._pairs[key] = q
+                except QcpgError as exc:
+                    results[key] = exc
         return [results[key] for key in keys]

@@ -80,13 +80,16 @@ def fit(samples: list[tuple[str, QualityVector]], lam: float = 1.0) -> Reference
     """Closed-form ridge fit of quality targets on sentence features.
 
     Minimizes ||Y - Zw - b||^2 + lam * ||w||^2 per output dimension,
-    with Z the z-scored design matrix. Deterministic; no RNG.
+    with Z the z-scored design matrix. Deterministic; no RNG. Features
+    are computed once per distinct sentence; each sample's row of the
+    design matrix is a copy of its sentence's row.
     """
     if not 0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     if len(samples) < 2:
         raise DegenerateDesign(f"need at least 2 samples, got {len(samples)}")
-    X = np.stack([featurize(s) for s, _ in samples])
+    rows = {s: i for i, s in enumerate(dict.fromkeys(s for s, _ in samples))}
+    X = np.stack([featurize(s) for s in rows])[[rows[s] for s, _ in samples]]
     Y = np.array([q.as_tuple() for _, q in samples], dtype=np.float64)
     if not np.isfinite(X).all():
         raise DegenerateDesign("non-finite feature encountered")
@@ -123,15 +126,11 @@ def predict(model: ReferenceModel, s: str) -> QualityVector:
 def evaluate_mse(
     model: ReferenceModel, samples: list[tuple[str, QualityVector]]
 ) -> tuple[float, float, float]:
-    """Per-dimension mean squared error on held-out samples."""
+    """Per-dimension mean squared error on held-out samples; one prediction per distinct sentence."""
     if not samples:
         raise EmptyEvalSet("cannot evaluate on an empty sample list")
-    errors = np.array(
-        [
-            np.array(predict(model, s).as_tuple()) - np.array(q.as_tuple())
-            for s, q in samples
-        ]
-    )
+    predicted = {s: predict(model, s).as_tuple() for s in dict.fromkeys(s for s, _ in samples)}
+    errors = np.array([predicted[s] for s, _ in samples]) - np.array([q.as_tuple() for _, q in samples])
     mse = (errors ** 2).mean(axis=0)
     return tuple(float(v) for v in mse)
 

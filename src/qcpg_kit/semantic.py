@@ -8,11 +8,18 @@ command speaking a one-line-per-pair protocol, so a real neural scorer
 can be plugged in without code changes.
 
 An external scorer is one process per batch (``run_line_protocol``,
-shared with the external generator) of the distinct pairs not yet
-scored in ``score``, ``eval``, a ``quality_samples`` call, a grid chunk
-or one oracle ``generate_batch`` call. A spawn failure, a non-zero exit,
-a wrong line count, invalid UTF-8 or a non-numeric line fails every pair
-of the batch; a non-finite score fails only its own pair.
+shared with the external generator) of at most ``MAX_BATCH_REQUESTS``
+distinct pairs not yet scored in ``score``, ``eval``, a
+``quality_samples`` call, a grid chunk or one oracle ``generate_batch``
+call. A spawn failure, a non-zero exit, a wrong line count, invalid
+UTF-8 or a non-numeric line fails every pair of the batch; a non-finite
+score fails only its own pair.
+
+The built-in scorer reuses per-sentence work within a batch: each
+distinct sentence is lowercased, counted into trigrams and given its
+integer squared norm once, and its counts are dropped after its last
+pair. Scores are still per ordered pair; the built-in cosine is
+symmetric, but an external scorer need not be.
 """
 
 from __future__ import annotations
@@ -34,23 +41,52 @@ def _trigram_counts(s: str) -> Counter:
     return Counter(s[i:i + 3] for i in range(len(s) - 2))
 
 
-def builtin_trigram_raw(s1: str, s2: str) -> float:
-    """Raw score in [-2, 2] from character-trigram cosine similarity.
+def _trigram_profile(s: str) -> tuple[str, Counter, int]:
+    """The sentence lowercased, its trigram counts and their integer squared norm."""
+    low = s.lower()
+    counts = _trigram_counts(low)
+    return low, counts, sum(c * c for c in counts.values())
+
+
+def _builtin_raw_batch(pairs: list[tuple[str, str]]) -> list[float]:
+    """Raw scores in [-2, 2] from character-trigram cosine similarity, in pair order.
 
     The cosine is affinely mapped via 4 * (cos - 0.5) so the sigmoid
     downstream spans a useful range. Sentences too short for trigrams
     compare as cosine 1 when equal (after lowercasing) and 0 otherwise.
+    Each distinct sentence is profiled once, and its profile is dropped
+    after its last pair. The dot product and norms are integers, so a
+    score does not depend on the batch it is in.
     """
-    a, b = s1.lower(), s2.lower()
-    if a == b:
-        return 2.0
-    ca, cb = _trigram_counts(a), _trigram_counts(b)
-    if not ca or not cb:
-        return -2.0
-    dot = sum(count * cb[gram] for gram, count in ca.items())
-    norm_sq = sum(c * c for c in ca.values()) * sum(c * c for c in cb.values())
-    cosine = dot / math.sqrt(norm_sq)
-    return 4.0 * (cosine - 0.5)
+    uses = Counter(s for pair in pairs for s in pair)
+    profiles: dict[str, tuple[str, Counter, int]] = {}
+    raws = []
+    for pair in pairs:
+        ends = []
+        for s in pair:
+            profile = profiles.get(s)
+            if profile is None:
+                profile = profiles[s] = _trigram_profile(s)
+            ends.append(profile)
+            uses[s] -= 1
+            if not uses[s]:
+                del profiles[s]
+        (a, ca, na), (b, cb, nb) = ends
+        if a == b:
+            raws.append(2.0)
+        elif not ca or not cb:
+            raws.append(-2.0)
+        else:
+            if len(cb) < len(ca):
+                ca, cb = cb, ca
+            dot = sum(count * cb.get(gram, 0) for gram, count in ca.items())
+            raws.append(4.0 * (dot / math.sqrt(na * nb) - 0.5))
+    return raws
+
+
+def builtin_trigram_raw(s1: str, s2: str) -> float:
+    """Raw trigram score of one pair: a batch of one (``_builtin_raw_batch``)."""
+    return _builtin_raw_batch([(s1, s2)])[0]
 
 
 def semantic_similarity(raw: float) -> float:
@@ -68,6 +104,13 @@ def semantic_similarity(raw: float) -> float:
 def sanitize_line_field(text: str) -> str:
     # the wire protocol is line/tab delimited; collapse conflicting chars
     return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
+
+
+# The most requests one batch holds: the controls `grid` and `generate` put
+# in one generate_batch call (unless one group alone holds more), and the
+# pairs a QualityComputer sends to one raw_batch call. A batch is one
+# external process; the bound keeps a batch's memory small.
+MAX_BATCH_REQUESTS = 4096
 
 
 def run_line_protocol(command: str, lines: list[str], what: str) -> list[str]:
@@ -141,7 +184,7 @@ class SemanticScorer:
 
     def raw_batch(self, pairs: list[tuple[str, str]]) -> list[float]:
         if self.kind == BUILTIN_TRIGRAM:
-            return [builtin_trigram_raw(s1, s2) for s1, s2 in pairs]
+            return _builtin_raw_batch(pairs)
         return external_raw(self.command, pairs)
 
 

@@ -36,7 +36,7 @@ from qcpg_kit import (
     select_operation_point,
     write_pairs_tsv,
 )
-from qcpg_kit import cli, errors, selection
+from qcpg_kit import cli, errors, quality, selection
 from qcpg_kit.cli import _build_parser, _exit_code_for, _generator_from, _read_scored_tsv, _scorer_from, main
 from qcpg_kit.generators import build_generator
 
@@ -718,6 +718,22 @@ class TestExternalScorerBatching:
                 raw=stub_raw(p.source, p.target),
             )
             assert row[-3:] == [f"{q.sem:.2f}", f"{q.syn:.2f}", f"{q.lex:.2f}"]
+
+    def test_score_sends_slices_of_the_bound(self, corpus, tmp_path, monkeypatch):
+        pairs = extract_pairs(corpus)
+        path = tmp_path / "pairs.tsv"
+        write_pairs_tsv(pairs, path)
+        count, scorer = self.scorer(tmp_path, name="whole_starts")
+        whole = tmp_path / "whole.tsv"
+        assert run(["score", "--pairs", path, *scorer, "--out", whole]) == 0
+        assert self.starts(count) == 1
+        monkeypatch.setattr(quality, "MAX_BATCH_REQUESTS", 7)
+        count, scorer = self.scorer(tmp_path)
+        out = tmp_path / "scored.tsv"
+        assert run(["score", "--pairs", path, *scorer, "--out", out]) == 0
+        distinct = len({(p.source, p.target, p.source_tree, p.target_tree) for p in pairs})
+        assert self.starts(count) == -(-distinct // 7) > 1
+        assert out.read_bytes() == whole.read_bytes()
 
     def test_score_without_parses_starts_none(self, tmp_path):
         path = tmp_path / "pairs.tsv"

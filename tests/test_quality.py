@@ -258,10 +258,12 @@ class TestSyntacticMemo:
         computer = QualityComputer()
         keys = _keys(self.PAIRS)
         qualities = computer.pair_qualities(keys)
-        form_pairs = {(computer._form(ts), computer._form(tt)) for _, _, ts, tt in keys}
-        assert set(calls) == form_pairs
-        assert list(calls.values()) == [1] * len(form_pairs)
-        assert len(form_pairs) < len(keys)
+        ordered = {(computer._form(ts), computer._form(tt)) for _, _, ts, tt in keys}
+        form_pairs = {frozenset(pair) for pair in ordered}
+        unordered_calls = Counter(frozenset(pair) for pair in calls.elements())
+        assert set(unordered_calls) == form_pairs
+        assert list(unordered_calls.values()) == [1] * len(form_pairs)
+        assert len(form_pairs) < len(ordered) < len(keys)  # both orders occur, and both share one call
         assert qualities == [reference_quality(*key) for key in keys]
 
     def test_computers_share_no_memo(self, monkeypatch):
@@ -277,6 +279,44 @@ class TestSyntacticMemo:
 
 def _keys(pairs):
     return [(p.source, p.target, p.source_tree, p.target_tree) for p in pairs]
+
+
+class TestUnorderedMemos:
+    # one order of every pair of distinct members; the swapped keys are the other order
+    KEYS = [key for key in _keys(TestSyntacticMemo.PAIRS) if key[0] < key[1]]
+
+    @staticmethod
+    def swapped(keys):
+        return [(t, s, tt, ts) for s, t, ts, tt in keys]
+
+    def test_swapped_keys_keep_syn_and_lex(self):
+        keys = self.KEYS[::3]
+        computer = QualityComputer()
+        forward = computer.pair_qualities(keys)
+        backward = computer.pair_qualities(self.swapped(keys))  # syn and lex are memo hits
+        assert backward == [reference_quality(*key) for key in self.swapped(keys)]
+        for f, b in zip(forward, backward):
+            assert (b.syn, b.lex) == (f.syn, f.lex)
+        # the hits equal a computer that meets the swapped order first
+        assert QualityComputer().pair_qualities(self.swapped(keys)) == backward
+
+    def test_one_lexical_distance_per_distinct_unordered_sentence_pair(self, monkeypatch):
+        lexical_distance = qcpg_kit.quality.lexical_distance
+        calls = Counter()
+
+        def counting(a, b):
+            calls[frozenset((id(a), id(b)))] += 1
+            return lexical_distance(a, b)
+
+        monkeypatch.setattr(qcpg_kit.quality, "lexical_distance", counting)
+        computer = QualityComputer()
+        keys = self.KEYS + self.swapped(self.KEYS)
+        computer.pair_qualities(keys[::2])
+        computer.pair_qualities(keys)
+        sentence_pairs = {frozenset((id(computer._bag(s)), id(computer._bag(t)))) for s, t, _, _ in keys}
+        assert len(sentence_pairs) == len(self.KEYS)
+        assert set(calls) == sentence_pairs
+        assert list(calls.values()) == [1] * len(sentence_pairs)
 
 
 def _starts(count: Path) -> int:
@@ -330,6 +370,27 @@ class TestPairQualities:
         assert [isinstance(q, NonFiniteValue) for q in retried] == [key in bad for key in self.KEYS]
         with pytest.raises(NonFiniteValue):
             computer.pair_quality(*bad[0])
+
+    def test_misses_go_to_the_scorer_in_slices_of_the_bound(self, tmp_path, monkeypatch):
+        word = self.KEYS[-1][0].split()[0]
+        monkeypatch.setattr(qcpg_kit.quality, "MAX_BATCH_REQUESTS", 7)
+        keys = self.KEYS + self.KEYS[::-2]
+        count, computer = self.counting(tmp_path)
+        expected = [
+            quality_vector(s, t, parse_bracketed(ts), parse_bracketed(tt), raw=stub_raw(s, t))
+            for s, t, ts, tt in keys
+        ]
+        assert computer.pair_qualities(keys) == expected
+        assert _starts(count) == -(-len(self.KEYS) // 7) > 1
+        # a slice that fails fails only its own keys
+        (tmp_path / "exit").mkdir()
+        count, computer = self.counting(tmp_path / "exit", "--exit-on", word)
+        qualities = computer.pair_qualities(self.KEYS)
+        slices = [self.KEYS[i:i + 7] for i in range(0, len(self.KEYS), 7)]
+        failed = {key for chunk in slices if any(word in key[0].split() + key[1].split() for key in chunk) for key in chunk}
+        assert 0 < len(failed) < len(self.KEYS)
+        assert [isinstance(q, ProtocolError) for q in qualities] == [key in failed for key in self.KEYS]
+        assert _starts(count) == len(slices)
 
     def test_process_failure_fails_every_miss(self, tmp_path):
         word = self.KEYS[-1][0].split()[0]

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import qcpg_kit.reference
 from qcpg_kit import (
     FEATURE_NAMES,
     QualityVector,
@@ -81,6 +83,67 @@ class TestFeaturize:
     def test_mean_token_length(self):
         f = dict(zip(FEATURE_NAMES, featurize("ab cdef")))
         assert f["mean_token_length"] == 3.0
+
+
+def fit_row_by_row(samples, lam):
+    """The ridge fit of ``fit``, step by step, with one featurize call per sample."""
+    X = np.stack([featurize(s) for s, _ in samples])
+    Y = np.array([q.as_tuple() for _, q in samples], dtype=np.float64)
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    Z = (X - mean) / scale
+    d = Z.shape[1]
+    A = np.hstack([Z, np.ones((Z.shape[0], 1))])
+    penalty = np.diag(np.append(np.full(d, lam), 0.0))
+    W = np.linalg.solve(A.T @ A + penalty, A.T @ Y)
+    return ReferenceModel(mean=mean, scale=scale, weights=W[:d].T.copy(), bias=W[d].copy(), lam=float(lam))
+
+
+def mse_row_by_row(model, samples):
+    """``evaluate_mse``, step by step, with one prediction per sample."""
+    errors = np.array(
+        [np.array(predict(model, s).as_tuple()) - np.array(q.as_tuple()) for s, q in samples]
+    )
+    return tuple(float(v) for v in (errors ** 2).mean(axis=0))
+
+
+class TestPerSentenceFeatures:
+    @staticmethod
+    def repeated_samples():
+        # each sentence is the source of several samples, as in a scored pairs file
+        rng = np.random.default_rng(101)
+        samples, _, _ = synthetic_linear_samples(rng, 30, noise=3.0)
+        return [(s, QualityVector(*(np.array(q.as_tuple()) * w))) for s, q in samples for w in (1.0, 0.5, 0.25)]
+
+    def counting(self, monkeypatch, name):
+        original = getattr(qcpg_kit.reference, name)
+        calls = Counter()
+
+        def counting(*args):
+            calls[args[-1]] += 1
+            return original(*args)
+
+        monkeypatch.setattr(qcpg_kit.reference, name, counting)
+        return calls
+
+    def test_fit_featurizes_each_distinct_sentence_once(self, monkeypatch):
+        samples = self.repeated_samples()
+        expected = fit_row_by_row(samples, lam=2.0)
+        calls = self.counting(monkeypatch, "featurize")
+        model = fit(samples, lam=2.0)
+        assert calls == Counter({s: 1 for s, _ in samples})
+        assert len(calls) < len(samples)
+        for field in ("mean", "scale", "weights", "bias"):
+            assert np.array_equal(getattr(model, field), getattr(expected, field))
+
+    def test_evaluate_mse_predicts_each_distinct_sentence_once(self, monkeypatch):
+        samples = self.repeated_samples()
+        model = fit(samples[::2])
+        expected = mse_row_by_row(model, samples)
+        calls = self.counting(monkeypatch, "predict")
+        assert evaluate_mse(model, samples) == expected
+        assert calls == Counter({s: 1 for s, _ in samples})
 
 
 class TestFit:

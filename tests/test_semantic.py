@@ -5,7 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qcpg_kit.semantic
 from qcpg_kit import SemanticScorer, builtin_trigram_raw, external_raw, semantic_similarity
 from qcpg_kit.errors import NonFiniteValue, ProtocolError, SpawnFailure
 from qcpg_kit.semantic import run_line_protocol
@@ -21,6 +24,65 @@ def trigram_cosine_oracle(s1: str, s2: str) -> float:
     na = math.sqrt(sum(v * v for v in a.values()))
     nb = math.sqrt(sum(v * v for v in b.values()))
     return dot / (na * nb)
+
+
+def pairwise_trigram_raw(s1: str, s2: str) -> float:
+    """The per-pair trigram formula, step by step: both sentences counted for every pair."""
+    a, b = s1.lower(), s2.lower()
+    if a == b:
+        return 2.0
+    ca = Counter(a[i:i + 3] for i in range(len(a) - 2))
+    cb = Counter(b[i:i + 3] for i in range(len(b) - 2))
+    if not ca or not cb:
+        return -2.0
+    dot = sum(count * cb[gram] for gram, count in ca.items())
+    norm_sq = sum(c * c for c in ca.values()) * sum(c * c for c in cb.values())
+    cosine = dot / math.sqrt(norm_sq)
+    return 4.0 * (cosine - 0.5)
+
+
+@st.composite
+def trigram_batches(draw):
+    """A batch over a small pool of sentences, and the same batch permuted.
+
+    The pool holds sentences equal only after lowercasing, sentences too
+    short for trigrams (the empty one too), ``(s, s)`` pairs and one
+    sentence repeated across many pairs.
+    """
+    pool = draw(st.lists(st.text(alphabet="aAbB c", max_size=14), min_size=1, max_size=5))
+    pool += [s.swapcase() for s in pool] + ["", "ab"]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=30))
+    pairs += [(s, s) for s in pool[:2]] + [(pool[0], s) for s in pool]
+    pairs = draw(st.permutations(pairs))
+    return pairs, draw(st.permutations(pairs))
+
+
+class TestBuiltinRawBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(trigram_batches())
+    def test_equals_pairwise_formula_exactly(self, batch):
+        scorer = SemanticScorer()
+        for pairs in batch:
+            assert scorer.raw_batch(pairs) == [pairwise_trigram_raw(s1, s2) for s1, s2 in pairs]
+        assert [builtin_trigram_raw(s1, s2) for s1, s2 in batch[0]] == scorer.raw_batch(batch[0])
+
+    def test_counts_each_distinct_sentence_once_per_batch(self, monkeypatch):
+        trigram_counts = qcpg_kit.semantic._trigram_counts
+        calls = Counter()
+
+        def counting(text):
+            calls[text] += 1
+            return trigram_counts(text)
+
+        monkeypatch.setattr(qcpg_kit.semantic, "_trigram_counts", counting)
+        sentences = ["the cat sat", "The Cat sat", "a dog ran off", "ab", "", "the cat sat down"]
+        pairs = [(a, b) for a in sentences for b in sentences]
+        scorer = SemanticScorer()
+        assert scorer.raw_batch(pairs) == [pairwise_trigram_raw(a, b) for a, b in pairs]
+        assert sum(calls.values()) == len(sentences)
+        assert set(calls) == {s.lower() for s in sentences}
+        scorer.raw_batch(pairs[::-1])  # nothing is kept from one batch to the next
+        assert sum(calls.values()) == 2 * len(sentences)
 
 
 class TestBuiltinTrigramRaw:

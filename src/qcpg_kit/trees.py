@@ -7,7 +7,11 @@ Trees arrive as Penn-Treebank-style bracketed text, e.g.::
 The syntactic distance between two parses is the unit-cost tree edit
 distance (Zhang-Shasha) between the trees after truncating them to their
 top three levels and removing surface tokens, normalized by the larger
-tree size and scaled to [0, 100].
+tree size and scaled to [0, 100]. A single node labelled x is at
+distance ``|T| - [x occurs in T]`` from any tree T, so
+:func:`tree_edit_distance` fills the rows and columns of leaf keyroots
+by that rule and runs Zhang-Shasha's forest tables only between
+non-leaf keyroots.
 
 One tokenizer serves both readers of the text: :func:`parse_bracketed`
 builds a :class:`ParseTree`, and :func:`parse_syntactic_form` builds the
@@ -168,18 +172,20 @@ class FlatTree:
 
     @classmethod
     def of(cls, root: ParseTree) -> "FlatTree":
-        """``root`` flattened as given."""
+        """``root`` flattened as given, with an explicit stack: any depth is fine."""
         labels: list[str] = []
         lml: list[int] = []
-
-        def walk(node: ParseTree) -> None:
-            first = len(labels)
-            for child in node.children:
-                walk(child)
-            labels.append(node.label)
-            lml.append(first)
-
-        walk(root)
+        # one (node, its children still to visit, its first postorder index) per open node
+        stack = [(root, iter(root.children), 0)]
+        while stack:
+            node, children, first = stack[-1]
+            child = next(children, None)
+            if child is None:
+                stack.pop()
+                labels.append(node.label)
+                lml.append(first)
+            else:
+                stack.append((child, iter(child.children), len(labels)))
         return cls(labels, lml)
 
 
@@ -252,22 +258,64 @@ def tree_edit_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree) -> int:
 
     Edits are node insertion, deletion, and relabeling on ordered trees,
     each costing 1; ancestor and left-to-right relations are preserved.
-    The result is an exact ``int``. Either tree may also be given in the
-    flattened form :func:`syntactic_form` returns.
+    The result is an exact ``int``; it is 0 at once when ``a is b``.
+    Either tree may also be given in the flattened form
+    :func:`syntactic_form` returns.
+
+    A keyroot that is a leaf is a single node, and a single node
+    labelled x is at distance ``|T| - [x occurs in T]`` from a tree T:
+    it maps onto a node of T with its label, or else is relabelled. So
+    the subtree distances of every leaf keyroot of ``a`` (a row of the
+    table) and of ``b`` (a column) are filled directly, once per distinct
+    label, and forest tables run only between non-leaf keyroots. Those
+    tables read subtree distances off their leftmost paths only for
+    pairs of nodes whose keyroots are a leaf keyroot (filled first) or a
+    pair of earlier non-leaf keyroots, so Zhang-Shasha's order still
+    holds.
     """
+    if a is b:
+        return 0
     A = a if isinstance(a, FlatTree) else FlatTree.of(a)
     B = b if isinstance(b, FlatTree) else FlatTree.of(b)
     la, lb = A.lml, B.lml
     aL, bL = A.labels, B.labels
-    td = [[0] * B.n for _ in range(A.n)]
 
-    # What every forest table against B's keyroot j shares: its first
-    # row, and for each column y the node by, the column of by's leftmost
-    # leaf, and by's label when that leaf is lj (the cell is then a
-    # distance between whole subtrees), else None.
+    def one_node(label: str, labels: list[str], lml: list[int]) -> list[int]:
+        """The distance from one node labelled ``label`` to each subtree of the other tree."""
+        out = []
+        last = -1  # the last postorder index so far that carries the label
+        for k, (x, l) in enumerate(zip(labels, lml)):
+            if x == label:
+                last = k
+            out.append(k - l + (last < l))  # subtree k spans l..k
+        return out
+
+    td = [[0] * B.n for _ in range(A.n)]
+    rows_by_label: dict[str, list[int]] = {}
+    for i in A.keyroots:
+        if la[i] == i:
+            row = rows_by_label.get(aL[i])
+            if row is None:
+                row = rows_by_label[aL[i]] = one_node(aL[i], bL, lb)
+            td[i] = row[:]
+    cols_by_label: dict[str, list[int]] = {}
+    for j in B.keyroots:
+        if lb[j] == j:
+            col = cols_by_label.get(bL[j])
+            if col is None:
+                col = cols_by_label[bL[j]] = one_node(bL[j], aL, la)
+            for tdi, v in zip(td, col):
+                tdi[j] = v
+
+    # What every forest table against B's non-leaf keyroot j shares: its
+    # first row, and for each column y the node by, the column of by's
+    # leftmost leaf, and by's label when that leaf is lj (the cell is
+    # then a distance between whole subtrees), else None.
     b_keyroots = []
     for j in B.keyroots:
         lj = lb[j]
+        if lj == j:
+            continue
         row0 = list(range(j - lj + 2))
         cols = [
             (y, by, lb[by] - lj, bL[by] if lb[by] == lj else None)
@@ -277,13 +325,9 @@ def tree_edit_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree) -> int:
 
     for i in A.keyroots:
         li = la[i]
-        a_leaf = li == i
-        tdi, ai_label = td[i], aL[i]
+        if li == i:
+            continue
         for lj, j, row0, cols in b_keyroots:
-            if a_leaf and lj == j:
-                # two single leaves: relabel, or keep the label
-                tdi[j] = 0 if ai_label == bL[j] else 1
-                continue
             # forest distance table: one row per node ax of A's forest li..i
             fd = [row0]
             for ax in range(li, i + 1):

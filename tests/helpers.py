@@ -2,8 +2,8 @@
 
 Everything here is deliberately written from first principles (and kept
 separate from the library), so an implementation bug cannot hide in a
-shared code path: the tree-edit oracle enumerates Tai mappings, the
-Levenshtein oracle fills the full textbook matrix, the bag-matching
+shared code path: the tree-edit oracles enumerate Tai mappings or run
+the textbook forest recursion, the Levenshtein oracle fills the full textbook matrix, the bag-matching
 oracle recurses over all partial matchings.
 """
 
@@ -143,6 +143,47 @@ def ted_bruteforce(a: ParseTree, b: ParseTree) -> int:
     return best[0]
 
 
+def ted_forest_oracle(a: ParseTree, b: ParseTree) -> int:
+    """Unit-cost tree edit distance by the textbook forest recursion.
+
+    A forest is a tuple of node ids, left to right. With v and w the
+    rightmost roots of forests F and G::
+
+        d(F, G) = min(d(F - v, G) + 1,                       # delete v
+                      d(F, G - w) + 1,                       # insert w
+                      d(kids(v), kids(w)) + d(F - T(v), G - T(w))
+                      + [labels of v and w differ])
+
+    where ``F - v`` puts v's children in its place and ``F - T(v)``
+    drops v's subtree; an empty forest against F costs |F|. Memoized on
+    the pair of forests, with no keyroots and no closed forms, so it
+    reaches trees too large for :func:`ted_bruteforce`.
+    """
+    labels: list[str] = []
+    kids: list[tuple[int, ...]] = []
+    sizes: list[int] = []
+
+    def intern(node: ParseTree) -> int:
+        children = tuple(intern(c) for c in node.children)
+        labels.append(node.label)
+        kids.append(children)
+        sizes.append(1 + sum(sizes[c] for c in children))
+        return len(labels) - 1
+
+    @lru_cache(maxsize=None)
+    def d(f: tuple[int, ...], g: tuple[int, ...]) -> int:
+        if not f or not g:
+            return sum(sizes[x] for x in f + g)
+        v, w = f[-1], g[-1]
+        return min(
+            d(f[:-1] + kids[v], g) + 1,
+            d(f, g[:-1] + kids[w]) + 1,
+            d(kids[v], kids[w]) + d(f[:-1], g[:-1]) + (labels[v] != labels[w]),
+        )
+
+    return d((intern(a),), (intern(b),))
+
+
 def canonical_pair_key(a: ParseTree, b: ParseTree) -> str:
     """Key identifying (a, b) up to a joint relabeling of both trees."""
     ids: dict[str, int] = {}
@@ -196,11 +237,17 @@ def matching_bruteforce(a_words: tuple[str, ...], b_words: tuple[str, ...]) -> i
 # --- random structures ----------------------------------------------------------
 
 
-def random_ordered_tree(rng, n_nodes: int, alphabet: str) -> ParseTree:
-    """Uniformish random ordered labeled tree built by child attachment."""
+def random_ordered_tree(rng, n_nodes: int, alphabet: str, shape: str = "uniform") -> ParseTree:
+    """Random ordered labeled tree built by child attachment.
+
+    Each node after the root goes under an earlier one: any of them
+    (``shape="uniform"``), one of the two latest (``"deep"``), or one of
+    the two first (``"wide"``).
+    """
     children: list[list[int]] = [[] for _ in range(n_nodes)]
     for node in range(1, n_nodes):
-        parent = int(rng.integers(0, node))
+        low, high = {"uniform": (0, node), "deep": (max(0, node - 2), node), "wide": (0, min(node, 2))}[shape]
+        parent = int(rng.integers(low, high))
         children[parent].append(node)
     labels = [str(rng.choice(list(alphabet))) for _ in range(n_nodes)]
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from qcpg_kit import (
     ParseTree,
     QualityComputer,
+    paraphrase_corpus,
     parse_bracketed,
     prune_to_level,
     strip_tokens,
@@ -15,7 +18,7 @@ from qcpg_kit import (
 from qcpg_kit.errors import EmptyLabel, TrailingInput, UnbalancedParens
 from qcpg_kit.trees import FlatTree, parse_syntactic_form, syntactic_form
 
-from helpers import random_ordered_tree, random_parse_tree, ted_bruteforce
+from helpers import random_ordered_tree, random_parse_tree, ted_bruteforce, ted_forest_oracle
 
 
 class TestParsing:
@@ -142,6 +145,16 @@ class TestTreeEditDistance:
         for _ in range(40):
             t = random_ordered_tree(rng, int(rng.integers(1, 10)), "AB")
             assert tree_edit_distance(t, t) == 0
+            # an equal copy is not the same object, so its distance comes from the tables
+            copy = parse_bracketed(t.render())
+            assert copy == t and copy is not t
+            assert tree_edit_distance(t, copy) == 0
+
+    def test_a_chain_deeper_than_the_recursion_limit(self):
+        chain = parse_bracketed("(A " * 3000 + "(B)" + ")" * 3000)  # 3,001 nodes, one leaf
+        assert FlatTree.of(chain).n == 3001
+        assert tree_edit_distance(chain, ParseTree("A")) == 3000
+        assert tree_edit_distance(ParseTree("C"), chain) == 3001
 
     def test_derived_six_node_case(self):
         a = parse_bracketed("(A (B (X) (Y)) (C))")
@@ -188,6 +201,52 @@ class TestTreeEditDistance:
             a = random_ordered_tree(rng, int(rng.integers(1, 9)), "AB")
             b = random_ordered_tree(rng, int(rng.integers(1, 9)), "AB")
             assert type(tree_edit_distance(a, b)) is int
+
+
+def _labels(tree: ParseTree) -> set[str]:
+    return {tree.label}.union(*map(_labels, tree.children))
+
+
+_TREES = st.recursive(
+    st.builds(ParseTree, st.sampled_from("ABC")),
+    lambda kids: st.builds(ParseTree, st.sampled_from("ABC"), st.lists(kids, min_size=1, max_size=4).map(tuple)),
+    max_leaves=24,
+)
+
+
+class TestTreeEditDistanceBeyondBruteForce:
+    """Trees too large for ``ted_bruteforce``, against the textbook forest recursion."""
+
+    @staticmethod
+    def assert_both_orders(x, y, expected: int):
+        for d in (tree_edit_distance(x, y), tree_edit_distance(y, x)):
+            assert type(d) is int
+            assert d == expected
+
+    def test_random_wide_and_deep_trees_of_8_to_30_nodes(self):
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            alphabet = str(rng.choice(["AB", "ABC"]))  # few labels: they repeat inside subtrees
+            a, b = (
+                random_ordered_tree(rng, int(rng.integers(8, 31)), alphabet, str(rng.choice(["uniform", "deep", "wide"])))
+                for _ in range(2)
+            )
+            self.assert_both_orders(a, b, ted_forest_oracle(a, b))
+
+    def test_every_distinct_form_pair_of_a_jittered_corpus(self):
+        forms: dict[ParseTree, FlatTree] = {}
+        for cluster in paraphrase_corpus(20, 6, seed=0, length_jitter=8):
+            for text in cluster.trees:
+                forms.setdefault(strip_tokens(prune_to_level(parse_bracketed(text))), parse_syntactic_form(text))
+        assert len(forms) > 40
+        for (ta, fa), (tb, fb) in combinations(forms.items(), 2):
+            self.assert_both_orders(fa, fb, ted_forest_oracle(ta, tb))
+
+    @given(st.sampled_from("ABCD"), _TREES)
+    @settings(max_examples=200, deadline=None)
+    def test_one_node_against_a_tree(self, label, tree):
+        # the node maps onto a node of the tree with its label, or else is relabelled
+        self.assert_both_orders(ParseTree(label), tree, tree.node_count() - (label in _labels(tree)))
 
 
 class TestSyntacticDistance:

@@ -8,11 +8,20 @@ length. The optimal matching is solved exactly as a linear assignment.
 Two steps keep that exact and cheap. Words the two bags share are
 cancelled first: character edit distance extended with the empty word
 is a metric, so by the triangle inequality some optimal matching pairs
-each shared word with its copy at cost 0. The remaining cost matrix is
-filled with the bit-parallel Levenshtein algorithm of Myers (1999), in
-Hyyrö's (2001) form for global distance, with every column word packed
-into one arbitrary-width integer: each row costs one pass over its own
-word's characters, whatever the lengths of the column words.
+each shared word with its copy at cost 0. The remaining k×k cost matrix
+is filled in one pass of the bit-parallel Levenshtein algorithm of Myers
+(1999), in Hyyrö's (2001) form for global distance, on one
+arbitrary-width integer (:func:`_lane_costs`). The column words sit in
+lanes of a fixed power-of-two width, and that row of lanes is repeated
+once per row word, so the integer holds one block per row word. The
+row words, longest first, all advance one character per step, each in
+its own block, and a block is set aside when its word ends, so a pass
+costs as many steps as the longest row word has characters. A lane-wise
+popcount then leaves each cell's d(i, j) - len(row i) + lane width in
+its lane's low bytes, and one ``int.to_bytes`` turns those into the
+rows the assignment reads. The added row term is the same for every column of a
+row, and a perfect matching takes each row once, so it shifts every
+matching's cost by the same constant and the optimum stays where it was.
 
 The assignment itself is solved in-tree, in pure integer Python, by
 shortest augmenting paths (:func:`linear_sum_assignment`): O(k³) in the
@@ -27,8 +36,10 @@ compiled solver costs every process that measures lex about 0.5 s and
 
 from __future__ import annotations
 
+import struct
 import unicodedata
 from dataclasses import dataclass
+from itertools import zip_longest
 
 
 @dataclass(frozen=True)
@@ -62,65 +73,122 @@ def tokenize(sentence: str) -> WordBag:
     return WordBag.from_words(out)
 
 
-class _PackedWords:
-    """Words packed side by side into one bit-vector, for Myers' algorithm.
+_UNIT = {2: "H", 4: "I", 8: "Q"}  # struct code of a read unit of that many bytes
 
-    A word of length m owns m bits, bit k standing for its k-th
-    character, followed by one spacer bit that is kept clear of carries
-    and shifted-in bits, so no word's state leaks into the next.
+
+def _lane_costs(rows: list[str], cols: list[str]) -> tuple[list, int]:
+    """Levenshtein distance from every row word to every column word, in one pass.
+
+    ``rows`` and ``cols`` hold k words each, padded with empty words.
+    Returns ``(cells, offset)``. ``cells`` holds one row per row word,
+    longest word first, each a sequence of k ints; cell
+    (i, j) is d(i, j) - n_i + w, where n_i is the length of row word i
+    and w the lane width below, so a perfect matching of cost c over
+    ``cells`` costs c + ``offset`` over the distances, ``offset`` being
+    the sum of the n_i minus k*w. For one row and one column the
+    distance is ``cells[0][0] + offset``.
+
+    Bit i*B + j*w + t stands for character t of column word j in the
+    block of row word i, with B = k*w. The lane width w, a power of two
+    of at least 8, is larger than every column word, so each lane ends in
+    at least one spacer bit that ``vp`` keeps clear: a carry stops there,
+    and the bit that ``hp`` shifts out of a lane is overwritten by ``low``
+    or lands in an empty word's spacer. ``vp``/``vn`` hold the +1/-1
+    vertical deltas of each block's current column of the
+    dynamic-programming matrix; a carry in ``d0`` never reaches ``vn``,
+    as it needs the word's top bit set in ``vp``, where ``hp`` is clear.
+    At step t every live row word adds its t-th character's match mask to
+    ``eq``. Rows are sorted longest first, so the live rows are a prefix
+    of the blocks, and the blocks of rows that end are set aside whole.
     """
+    k = len(cols)
+    w = max(8, 1 << max(map(len, cols)).bit_length())
+    block = k * w
+    peq: dict[str, int] = {}  # character -> its positions in the column words
+    low = full = 0  # first bit of every non-empty column word; every word bit
+    get = peq.get
+    first = 1
+    for word in cols:
+        if word:
+            low |= first
+            full |= first * ((1 << len(word)) - 1)
+            bit = first
+            for ch in word:
+                peq[ch] = get(ch, 0) | bit
+                bit <<= 1
+        first <<= w
+    rows = sorted(rows, key=len, reverse=True)
+    lengths = [len(word) for word in rows]
+    n_bytes = k * block // 8
 
-    __slots__ = ("peq", "low", "full", "segments")
+    def pattern(unit: bytes) -> int:
+        return int.from_bytes(unit * (n_bytes // len(unit)), "little")
 
-    def __init__(self, words):
-        peq: dict[str, int] = {}
-        low = full = 0
-        segments = []
-        pos = 0
-        for word in words:
-            m = len(word)
-            mask = (1 << m) - 1
-            segments.append((pos, mask))
-            if m:
-                low |= 1 << pos
-                full |= mask << pos
-            for k, ch in enumerate(word):
-                peq[ch] = peq.get(ch, 0) | (1 << (pos + k))
-            pos += m + 1
-        self.peq = peq  # character -> positions where it occurs
-        self.low = low  # first bit of every non-empty word
-        self.full = full  # every word bit, no spacers
-        self.segments = segments  # (first bit, length mask) per word
-
-    def distances(self, text: str) -> list[int]:
-        """Levenshtein distance from ``text`` to every packed word.
-
-        ``vp``/``vn`` hold the +1/-1 vertical deltas of the current
-        column of the dynamic-programming matrix; after the last column
-        a word's distance is len(text) plus its deltas. Spacer bits may
-        hold garbage in ``vn`` and ``d0`` but never reach a word bit.
-        """
-        peq, low, full = self.peq, self.low, self.full
-        vp, vn = full, 0
-        for ch in text:
-            eq = peq.get(ch, 0)
-            d0 = (((eq & vp) + vp) ^ vp) | eq | vn
-            hp = vn | ~(d0 | vp)
-            hn = d0 & vp
-            hp = (hp << 1) | low
-            hn <<= 1
-            vp = (hn | ~(d0 | hp)) & full
-            vn = hp & d0
-        n = len(text)
-        return [
-            n + ((vp >> pos) & mask).bit_count() - ((vn >> pos) & mask).bit_count()
-            for pos, mask in self.segments
-        ]
+    blocks = pattern(b"\x01" + bytes(block // 8 - 1))  # bit i*B for every row block
+    full *= blocks
+    low *= blocks
+    vp, vn = full, 0
+    ended_vp = ended_vn = 0
+    live = k
+    for t, chars in enumerate(zip_longest(*rows)):
+        if lengths[live - 1] <= t:  # set the rows that ended aside
+            while lengths[live - 1] <= t:
+                live -= 1
+            cut = live * block
+            ended_vp |= vp >> cut << cut
+            ended_vn |= vn >> cut << cut
+            keep = (1 << cut) - 1
+            vp &= keep
+            vn &= keep
+            full &= keep
+            low &= keep
+        eq = shift = 0
+        for ch in chars[:live]:
+            eq |= get(ch, 0) << shift
+            shift += block
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        hp = (hp << 1) | low
+        hn <<= 1
+        vp = (hn | ~(d0 | hp)) & full
+        vn = hp & d0
+    vp |= ended_vp
+    vn |= ended_vn
+    # Lane-wise popcounts: each nibble, then each byte, holds 4 (then 8)
+    # plus its +1 deltas minus its -1 deltas.
+    m1, m2, m4 = pattern(b"\x55"), pattern(b"\x33"), pattern(b"\x0f")
+    vp -= (vp >> 1) & m1
+    vp = (vp & m2) + ((vp >> 2) & m2)
+    vn -= (vn >> 1) & m1
+    vn = (vn & m2) + ((vn >> 2) & m2)
+    x = vp + pattern(b"\x44") - vn
+    x = (x & m4) + ((x >> 4) & m4)
+    # A lane sums to w + d - n_i, below 2w: widen the fields to the read
+    # unit of c bytes that holds that, then fold each lane onto its lowest
+    # unit. Any w consecutive bits hold some lane's top bit, a spacer that
+    # is clear in vp, so no field overflows on the way.
+    c = 1
+    while 2 * w > 256**c:
+        mask = pattern(b"\xff" * c + bytes(c))
+        x = (x & mask) + ((x >> 8 * c) & mask)
+        c *= 2
+    span = 8 * c
+    while span < w:
+        x += x >> span
+        span *= 2
+    cells = x.to_bytes(n_bytes, "little")
+    if c > 1:
+        cells = struct.unpack(f"<{n_bytes // c}{_UNIT[c]}", cells)
+    lane = w // (8 * c)  # read units per lane
+    stride = k * lane
+    return [cells[i:i + stride:lane] for i in range(0, k * stride, stride)], sum(lengths) - k * w
 
 
 def char_edit_distance(w1: str, w2: str) -> int:
     """Levenshtein distance over Unicode scalar values."""
-    return _PackedWords((w2,)).distances(w1)[0]
+    cells, offset = _lane_costs([w1], [w2])
+    return cells[0][0] + offset
 
 
 def linear_sum_assignment(cost: list[list[int]]) -> int:
@@ -131,7 +199,8 @@ def linear_sum_assignment(cost: list[list[int]]) -> int:
     matched by a Dijkstra search over reduced costs, which the potentials
     keep non-negative, so the search can stop at the first free column it
     settles; among equal distances a free column is settled first. Every
-    quantity is an integer, so the result is exact. O(k³) for k×k.
+    quantity is an integer, so the result is exact. O(k³) for k×k. A row
+    may be any sequence of ints, ``bytes`` included.
     """
     n = len(cost)
     u, v = [0] * n, [0] * n  # row and column potentials
@@ -207,8 +276,8 @@ def bag_assignment_cost(a: WordBag, b: WordBag) -> int:
         return 0
     rows += [""] * (k - len(rows))
     cols += [""] * (k - len(cols))
-    packed = _PackedWords(cols)
-    return linear_sum_assignment([packed.distances(word) for word in rows])
+    cells, offset = _lane_costs(rows, cols)
+    return linear_sum_assignment(cells) + offset
 
 
 def lexical_distance(s1: str | WordBag, s2: str | WordBag) -> float:

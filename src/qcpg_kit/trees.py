@@ -47,15 +47,31 @@ class ParseTree:
             raise ValueError(f"node label may not contain parentheses or whitespace: {self.label!r}")
 
     def node_count(self) -> int:
-        return 1 + sum(child.node_count() for child in self.children)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children)
+        return count
 
     def render(self) -> str:
         """Serialize back to bracketed text; inverse of :func:`parse_bracketed`.
 
-        Leaf children print bare; a childless root prints ``(A)``.
+        Leaf children print bare; a childless root prints ``(A)``. Walks
+        with an explicit stack, so no depth is too deep.
         """
-        parts = [child.render() if child.children else child.label for child in self.children]
-        return f"({' '.join([self.label, *parts])})"
+        parts = ["(", self.label]
+        stack = [None, *reversed(self.children)]  # None closes a node
+        while stack:
+            node = stack.pop()
+            if node is None:
+                parts.append(")")
+            elif node.children:
+                parts += (" (", node.label)
+                stack.append(None)
+                stack.extend(reversed(node.children))
+            else:
+                parts += (" ", node.label)
+        return "".join(parts)
 
 
 # The one tokenizer of the bracket grammar: parentheses and words; whitespace separates.

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -146,6 +147,96 @@ class TestBagAssignmentCost:
         # a 3-4 word vocabulary makes shared and repeated words common
         a, b = (tuple(words) for words in bags)
         assert bag_assignment_cost(WordBag.from_words(a), WordBag.from_words(b)) == matching_bruteforce(a, b)
+
+
+# Column words are packed in lanes of the smallest power of two >= 8 that
+# is longer than the longest column word: 7/8, 15/16, ... sit on either
+# side of a lane-width step, and at 255/256 a lane's count no longer fits
+# in one byte.
+_LANE_EDGES = (7, 8, 15, 16, 63, 64, 127, 128, 255, 256)
+_WIDE_SCALARS = "ab\u00e9\U0001F600\U00010348"  # Latin, BMP and astral-plane scalars
+
+
+def _word(rng, n: int) -> str:
+    return "".join(rng.choice(list(_WIDE_SCALARS), size=n))
+
+
+def _both_orders_equal(a: tuple[str, ...], b: tuple[str, ...], expected: int) -> None:
+    for x, y in ((a, b), (b, a)):
+        got = bag_assignment_cost(WordBag.from_words(x), WordBag.from_words(y))
+        assert type(got) is int
+        assert got == expected
+
+
+class TestLaneEdges:
+    @pytest.mark.parametrize("n", _LANE_EDGES)
+    def test_char_edit_distance(self, n):
+        rng = np.random.default_rng(n)
+        word = _word(rng, n)
+        edited = word[:n // 3] + "\U0001F600" + word[n // 3 + 1:-1]
+        for other in ("", "a", edited, _word(rng, n), _word(rng, n + 1), _word(rng, n // 2)):
+            expected = levenshtein_oracle(word, other)
+            for got in (char_edit_distance(word, other), char_edit_distance(other, word)):
+                assert type(got) is int
+                assert got == expected
+
+    @pytest.mark.parametrize("n", _LANE_EDGES)
+    def test_bag_assignment_cost(self, n):
+        rng = np.random.default_rng(1000 + n)
+        long_a, long_b = _word(rng, n), _word(rng, n)
+        short = ("ab", "\U00010348b", "\u00e9")
+        cases = [
+            ((long_a, *short), (long_b, "b")),  # fewer columns: empty column padding
+            (short[:2], (long_a, long_b)),  # rows shorter than the columns
+            ((long_a, long_b, "a"), short),  # rows longer than the columns
+            ((long_a, "ab"), (long_a[1:], "ab", "\U0001F600")),  # a shared word cancels
+        ]
+        for a, b in cases:
+            _both_orders_equal(a, b, matching_bruteforce(a, b))
+
+    def test_a_word_of_a_thousand_characters(self):
+        rng = np.random.default_rng(1000)
+        word = _word(rng, 1000)
+        # one substitution, one insertion, the empty word: the distances are known
+        substituted = word[:500] + ("a" if word[500] != "a" else "b") + word[501:]
+        for other, expected in ((substituted, 1), (word + "\U0001F600", 1), ("", 1000)):
+            assert char_edit_distance(word, other) == expected
+            assert char_edit_distance(other, word) == expected
+        other = _word(rng, 200)
+        expected = levenshtein_oracle(word, other)
+        assert char_edit_distance(word, other) == char_edit_distance(other, word) == expected
+        _both_orders_equal((word, "ab"), (other,), matching_bruteforce((word, "ab"), (other,)))
+        # the substitution, "ab" to "b" and an unmatched "a"
+        _both_orders_equal((word, "ab"), (substituted, "b", "a"), 3)
+
+
+class TestWorkloadSizedBags:
+    def test_matches_reference_assignment(self):
+        # The reference pads the smaller bag with empty words and solves the
+        # whole square matrix, with no shared-word cancellation.
+        distance = lru_cache(maxsize=None)(levenshtein_oracle)
+        rng = np.random.default_rng(61)
+        letters = list("abcdef\U0001F600")
+        largest_k = 0
+        for _ in range(100):
+            vocab_size = int(rng.choice([12, 40, 400]))  # few to almost no shared words
+            vocab = ["".join(rng.choice(letters, size=int(rng.choice([1, 3, 5, 7, 8, 12, 16, 23]))))
+                     for _ in range(vocab_size)]
+            a = tuple(map(str, rng.choice(vocab, size=int(rng.integers(10, 26)))))
+            b = tuple(map(str, rng.choice(vocab, size=int(rng.integers(10, 26)))))
+            k = max(len(a), len(b))
+            rows, cols = a + ("",) * (k - len(a)), b + ("",) * (k - len(b))
+            cost = np.array([[distance(x, y) for y in cols] for x in rows])
+            r, c = scipy_assignment(cost)
+            got = bag_assignment_cost(WordBag.from_words(a), WordBag.from_words(b))
+            assert type(got) is int
+            assert got == int(cost[r, c].sum())
+            unshared = list(a)
+            for word in b:
+                if word in unshared:
+                    unshared.remove(word)
+            largest_k = max(largest_k, k - (len(a) - len(unshared)))
+        assert largest_k >= 20  # as many unshared words as score-cold's bag pairs reach
 
 
 class TestLexicalDistance:

@@ -86,6 +86,14 @@ class TestParsing:
             t = random_parse_tree(rng)
             assert parse_bracketed(t.render()) == t
 
+    def test_a_chain_deeper_than_the_recursion_limit(self):
+        chain = parse_bracketed("(A " * 3000 + "(B)" + ")" * 3000)  # 3,001 nodes, one leaf
+        assert chain.node_count() == 3001
+        text = chain.render()
+        assert text == "(A " * 3000 + "B" + ")" * 3000
+        # strings, not trees: the dataclass == and hash still recurse per level
+        assert parse_bracketed(text).render() == text
+
 
 class TestPrune:
     def test_chain(self):

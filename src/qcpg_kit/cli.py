@@ -237,7 +237,7 @@ def cmd_grid(args) -> int:
     dev = dev_items(load_clusters(args.clusters), per_cluster=args.per_cluster, limit=args.max_dev_items)
     result = grid_search(gen, model, dev, grid=grid, scorer=scorer)
     export_heatmap_csv(result, args.out)
-    log.info("evaluated %d offsets over %d dev sentences", len(result.offsets), len(dev))
+    log.info("evaluated %d offsets over %d dev sentences", len(result.n_array), len(dev))
     return 0
 
 

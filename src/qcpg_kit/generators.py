@@ -182,7 +182,11 @@ class NoisyOracleGenerator(RetrievalOracleGenerator):
 
         The Philox keys of the whole batch come from one ``philox_keys``
         pass over one ``(seed, tag, digest, sem, syn, lex)`` uint64 row
-        per control, and each sentence is hashed once.
+        per control, and each sentence is hashed once. Each group gets one
+        ``(len(c), k, 3)`` array: each control's stream fills its own row
+        with standard normals, and the block is then scaled by the std.
+        ``normal`` computes ``0.0 + std * z`` from the same draws, so the
+        values are equal; only the sign of a zero may differ.
         """
         if not groups:
             return []
@@ -193,10 +197,14 @@ class NoisyOracleGenerator(RetrievalOracleGenerator):
         controls = np.concatenate([c for _, c, _ in groups]).astype(np.uint64)
         parts = np.hstack([np.repeat(heads, [len(c) for _, c, _ in groups], axis=0), controls])
         streams = keyed_generators(philox_keys(parts))
-        return [
-            np.array([next(streams).normal(0.0, self.noise_std, size=(k, 3)) for _ in range(len(c))])
-            for _, c, k in groups
-        ]
+        blocks = []
+        for _, c, k in groups:
+            block = np.empty((len(c), k, 3))
+            for row in block:
+                next(streams).standard_normal(out=row)
+            block *= self.noise_std
+            blocks.append(block)
+        return blocks
 
     def generate(self, s: str, c: ControlVector, context: Cluster | None = None) -> str:
         return raise_first_failure(self.generate_batch([(s, context, control_array([c]))])[0])[0]

@@ -13,6 +13,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import lexical
 from .errors import MalformedControlPrefix, MissingTree, NonFiniteValue, QcpgError, raise_first_failure
 from .semantic import DEFAULT_SCORER, MAX_BATCH_REQUESTS, SemanticScorer, semantic_similarity
@@ -94,6 +96,15 @@ def quantize(v: float) -> int:
         raise NonFiniteValue(f"cannot quantize non-finite value {v!r}")
     v = min(max(v, 0.0), 100.0)
     return min(int(v // QUANT_STEP), QUANT_BINS - 1) * QUANT_STEP
+
+
+def quantize_array(v: np.ndarray) -> np.ndarray:
+    """:func:`quantize` of each value of a float64 array, as int64: the same clamp and floor."""
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise NonFiniteValue(f"cannot quantize non-finite value {float(v[~finite][0])!r}")
+    bins = np.minimum(np.clip(v, 0.0, 100.0) // QUANT_STEP, QUANT_BINS - 1)
+    return bins.astype(np.int64) * QUANT_STEP
 
 
 def encode_control(c: ControlVector) -> str:

@@ -10,14 +10,15 @@ floor above a baseline.
 
 How a grid runs: ``generate_pairs`` is the one path from dev items to
 generator batches; ``generate`` runs it at its one offset, so it sends
-the controls, chunks and trees the grid measured there. Each dev item's
-controls are planned with array indexing, each distinct value of an
-offset column quantized once per item (``plan_controls``). Each dev
-item is one generator group of its distinct controls, a ``(k, 3)``
-integer array in order of first occurrence over the grid, and each
-offset's slot among them. Whole dev items, in dev order, form chunks of
-at most ``MAX_BATCH_REQUESTS`` controls (``generators.batches``), and
-each chunk is one generator batch and one scoring batch, so a failure
+the controls, chunks and trees the grid measured there. The dev items'
+controls are planned with array arithmetic over blocks of items, each
+distinct value of an offset column quantized once per item
+(``plan_controls``). Each dev item is one generator group of its
+distinct controls, a ``(k, 3)`` integer array in order of first
+occurrence over the grid, and each offset's slot among them. Whole dev
+items, in dev order, form chunks of at most ``MAX_BATCH_REQUESTS``
+controls (``generators.batches``), and each chunk is one generator
+batch and one scoring batch, so a failure
 of a whole batch fails every item of its chunk at every offset. A dev
 item is ``(sentence, cluster)``; an output's pair takes both trees from
 ``Cluster.tree_of``, None for an output that is no member or for any
@@ -26,6 +27,15 @@ such a pair as ``MissingTree``. Only trees and pairs an output uses are
 measured: per item, each distinct output once, as one row of a
 ``(u, 3)`` array, and each offset's output as an index into it. Each
 failure is one warning and is left out of its offset's n.
+
+How a grid result is held: ``GridResult`` stores columns, one row per
+offset. ``offset_array``, ``q_tilde_array`` and ``responsiveness_array``
+are ``(m, 3)`` float64 arrays and ``n_array`` an ``(m,)`` int64 array;
+``dropped`` is a list of ``Offset``. ``grid_search``, the heatmap reader
+and writer, ``responsiveness`` and ``select_operation_point`` work on
+the columns. ``offsets``, ``q_tilde``, ``responsiveness`` and ``n`` are
+list views for callers that want objects; each view builds its objects
+on every access.
 """
 
 from __future__ import annotations
@@ -33,7 +43,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +58,7 @@ from .errors import (
     raise_first_failure,
 )
 from .generators import MAX_BATCH_REQUESTS, GeneratorSpec, batches, build_generator
-from .quality import ZERO_OFFSET, Offset, QualityComputer, QualityVector, quantize
+from .quality import Offset, QualityComputer, QualityVector, quantize_array
 from .reference import ReferenceModel, predict
 from .semantic import DEFAULT_SCORER, SemanticScorer
 from .util import read_lines, write_text
@@ -58,15 +69,59 @@ log = logging.getLogger(__name__)
 DevItem = tuple[str, Cluster | None]
 
 
-@dataclass
-class GridResult:
-    """Per-offset estimates over a fixed dev set, in lexicographic offset order."""
+# (item, offset) cells per block of plan_controls: small blocks keep its arrays, and peak RSS, small
+PLAN_BLOCK = 1 << 10
 
-    offsets: list[Offset]
-    q_tilde: list[QualityVector]
-    responsiveness: list[tuple[float, float, float]]
-    n: list[int]
-    dropped: list[Offset] = field(default_factory=list)
+
+def _rows(values) -> np.ndarray:
+    """An ``(m, 3)`` float64 array: of an array as given, or of ``Offset``s, ``QualityVector``s or 3-tuples."""
+    if not isinstance(values, np.ndarray):
+        values = [v.as_tuple() if isinstance(v, (Offset, QualityVector)) else v for v in values]
+    return np.asarray(values, dtype=np.float64).reshape(-1, 3)
+
+
+class GridResult:
+    """Per-offset estimates over a fixed dev set, in lexicographic offset order.
+
+    Stored as columns, one row per offset: ``offset_array``,
+    ``q_tilde_array`` and ``responsiveness_array`` are ``(m, 3)`` float64
+    arrays, ``n_array`` is an ``(m,)`` int64 array, and ``dropped`` lists
+    the ``Offset``s where every generation failed. The constructor takes
+    each column as an array or as a list of ``Offset``s, ``QualityVector``s,
+    3-tuples or ints. ``offsets``, ``q_tilde``, ``responsiveness`` and ``n``
+    are list views of the columns; each builds its objects on every access.
+    """
+
+    def __init__(self, offsets, q_tilde, responsiveness, n, dropped=()):
+        self.offset_array = _rows(offsets)
+        self.q_tilde_array = _rows(q_tilde)
+        self.responsiveness_array = _rows(responsiveness)
+        self.n_array = np.asarray(n, dtype=np.int64).reshape(-1)
+        self.dropped: list[Offset] = list(dropped)
+
+    @property
+    def offsets(self) -> list[Offset]:
+        return [Offset(*row) for row in self.offset_array.tolist()]
+
+    @property
+    def q_tilde(self) -> list[QualityVector]:
+        return [QualityVector(*row) for row in self.q_tilde_array.tolist()]
+
+    @property
+    def responsiveness(self) -> list[tuple[float, float, float]]:
+        return [tuple(row) for row in self.responsiveness_array.tolist()]
+
+    @property
+    def n(self) -> list[int]:
+        return self.n_array.tolist()
+
+    def __eq__(self, other):
+        if not isinstance(other, GridResult):
+            return NotImplemented
+        columns = ("offset_array", "q_tilde_array", "responsiveness_array", "n_array")
+        return self.dropped == other.dropped and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in columns
+        )
 
 
 @dataclass(frozen=True)
@@ -108,32 +163,55 @@ def diversity_of(q: QualityVector) -> float:
     return (q.syn + q.lex) / 2.0
 
 
-def plan_controls(refs, offsets: list[Offset]):
+def _diversities(q: np.ndarray) -> np.ndarray:
+    """``diversity_of`` for each row of an ``(m, 3)`` quality array."""
+    return (q[:, 1] + q[:, 2]) / 2.0
+
+
+def plan_controls(refs, offsets):
     """Yield, per reference point, its distinct controls and each offset's slot among them.
 
-    The controls are those of ``apply_offset(r, o)`` over ``offsets``, as
-    a ``(k, 3)`` int64 array of distinct rows in order of first
-    occurrence. The offsets are split once into per-dimension columns;
-    per reference, each distinct column value is quantized once with the
-    scalar ``quantize(r[d] + v)``, so the levels are exact, and each
-    offset's three levels are packed into one code
-    ``sem*10000 + syn*100 + lex``, which is decoded back into the rows.
+    The controls are those of ``apply_offset(r, o)`` over ``offsets`` (an
+    ``(m, 3)`` array or a list of ``Offset``s), as a ``(k, 3)`` int64
+    array of distinct rows in order of first occurrence. The offsets are
+    split once into per-dimension columns, and one ``quantize_array``
+    pass per dimension quantizes each distinct column value once per
+    reference, exactly as the scalar ``quantize``. Then, per block of
+    references, each offset's three levels are packed into one code
+    ``sem*10000 + syn*100 + lex``, and one ``np.unique`` over the block's
+    ``item * 10**6 + code`` keys gives each item's distinct codes, which
+    are decoded back into the rows. A block holds at most ``PLAN_BLOCK``
+    (item, offset) cells, or one item.
     """
-    grid = np.array([o.as_tuple() for o in offsets], dtype=np.float64).reshape(-1, 3)
+    grid = _rows(offsets)
+    refs = np.asarray(refs, dtype=np.float64).reshape(-1, 3)
+    m = len(grid)
     columns = [np.unique(grid[:, d], return_inverse=True) for d in range(3)]
-    for r in refs:
-        codes = np.zeros(len(grid), dtype=np.int64)
-        for d, (values, inverse) in enumerate(columns):
-            levels = np.array([quantize(r[d] + v) for v in values.tolist()], dtype=np.int64)
-            codes = codes * 100 + levels[inverse]
-        distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    with np.errstate(over="ignore"):  # a sum overflowing to inf is refused by quantize_array
+        levels = [quantize_array(refs[:, d, None] + values) for d, (values, _) in enumerate(columns)]
+    block = max(1, PLAN_BLOCK // max(m, 1))
+    for start in range(0, len(refs), block):
+        stop = min(start + block, len(refs))
+        keys = np.arange(stop - start)[:, None] * 10**6
+        for (_, inverse), level, scale in zip(columns, levels, (10000, 100, 1)):
+            keys = keys + level[start:stop, inverse] * scale
+        distinct, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        # by first flat index: item by item, each in order of first occurrence
         order = np.argsort(first)
-        codes = distinct[order]
-        yield np.stack([codes // 10000, codes // 100 % 100, codes % 100], axis=1), np.argsort(order)[inverse]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        counts = np.bincount(distinct // 10**6, minlength=stop - start)
+        starts = np.cumsum(counts) - counts
+        slots = rank[inverse].reshape(stop - start, m) - starts[:, None]
+        codes = distinct[order] % 10**6
+        rows = np.stack([codes // 10000, codes // 100 % 100, codes % 100], axis=1)
+        for i, begin in enumerate(starts.tolist()):
+            yield rows[begin:begin + counts[i]], slots[i]
 
 
-def generate_pairs(generator, qp_model: ReferenceModel, items, offsets: list[Offset]):
-    """Yield per chunk, generating at ``offsets``, one ``((s, cluster), keys, index)`` per item.
+def generate_pairs(generator, qp_model: ReferenceModel, items, offsets):
+    """Yield per chunk, generating at ``offsets`` (as ``plan_controls`` takes them),
+    one ``((s, cluster), keys, index)`` per item.
 
     ``keys`` holds the pair key ``(s, t, tree_s, tree_t)`` of each of the
     item's distinct outputs, or the failure that output is; ``index``
@@ -158,8 +236,9 @@ def generate_pairs(generator, qp_model: ReferenceModel, items, offsets: list[Off
         yield measured
 
 
-def _evaluate(gen: GeneratorSpec, qp_model: ReferenceModel, dev, offsets: list[Offset], scorer: SemanticScorer):
-    """Per offset, the mean quality and success count over the dev set; None where all fail.
+def _evaluate(gen: GeneratorSpec, qp_model: ReferenceModel, dev, offsets: np.ndarray, scorer: SemanticScorer):
+    """Per row of the ``(m, 3)`` ``offsets``, the mean quality over the dev set's successes
+    and their count, as an ``(m, 3)`` and an ``(m,)`` array; a row with no success is all 0.0.
 
     Each chunk of ``generate_pairs`` is one scoring batch.
     """
@@ -182,9 +261,9 @@ def _evaluate(gen: GeneratorSpec, qp_model: ReferenceModel, dev, offsets: list[O
             counts += ~failed[outcome]
             for i in np.flatnonzero(failed[outcome]).tolist():
                 err = got[outcome[i]]
-                log.warning("%r failed at offset %s: %s: %s", s[:40], offsets[i].as_tuple(), type(err).__name__, err)
-    means = sums / np.maximum(counts, 1)[:, None]  # a row with no success is dropped
-    return [(QualityVector(*q.tolist()), n) if n else None for q, n in zip(means, counts.tolist())]
+                o = tuple(offsets[i].tolist())
+                log.warning("%r failed at offset %s: %s: %s", s[:40], o, type(err).__name__, err)
+    return sums / np.maximum(counts, 1)[:, None], counts
 
 
 def dev_quality_std(dev, scorer: SemanticScorer = DEFAULT_SCORER) -> tuple[float, float, float]:
@@ -216,43 +295,41 @@ def grid_search(
     The grid must contain the zero offset: all responsiveness values are
     differences against that single cached evaluation, so R(0,0,0) is
     exactly (0, 0, 0). Offsets are processed (and reported) in
-    lexicographic order; offsets where every generation fails are dropped
-    with a warning and listed in ``dropped``.
+    lexicographic order, each distinct offset once, as the first of its
+    equals in ``grid`` (0.0 equals -0.0); offsets where every generation
+    fails are dropped with a warning and listed in ``dropped``.
     """
-    offsets = sorted(set(grid if grid is not None else default_grid()), key=Offset.as_tuple)
-    if ZERO_OFFSET not in offsets:
+    grid = _rows(grid if grid is not None else default_grid())
+    # a stable sort by value; float comparison makes 0.0 and -0.0 equal
+    order = np.lexsort(grid.T[::-1])
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (grid[order[1:]] != grid[order[:-1]]).any(axis=1)
+    offsets = grid[order[first]]
+    zero = np.flatnonzero((offsets == 0.0).all(axis=1))
+    if not len(zero):
         raise MissingZeroPoint("the offset grid must include (0, 0, 0)")
 
-    evaluated = _evaluate(gen, qp_model, dev, offsets, scorer)
-
-    zero_idx = offsets.index(ZERO_OFFSET)
-    if evaluated[zero_idx] is None:
+    q_tilde, n = _evaluate(gen, qp_model, dev, offsets, scorer)
+    if not n[zero[0]]:
         raise AllGenerationsFailed("every generation failed at the zero offset")
-    q0 = evaluated[zero_idx][0]
 
-    result = GridResult(offsets=[], q_tilde=[], responsiveness=[], n=[])
-    for o, entry in zip(offsets, evaluated):
-        if entry is None:
-            log.warning("offset %s dropped: all generations failed", o.as_tuple())
-            result.dropped.append(o)
-            continue
-        q, count = entry
-        result.offsets.append(o)
-        result.q_tilde.append(q)
-        result.responsiveness.append((q.sem - q0.sem, q.syn - q0.syn, q.lex - q0.lex))
-        result.n.append(count)
-    return result
+    kept = n > 0
+    dropped = [Offset(*o) for o in offsets[~kept].tolist()]
+    for o in dropped:
+        log.warning("offset %s dropped: all generations failed", o.as_tuple())
+    q = q_tilde[kept]
+    return GridResult(offsets[kept], q, q - q_tilde[zero[0]], n[kept], dropped)
 
 
 def responsiveness(result: GridResult, o: Offset) -> tuple[float, float, float]:
     """R(o) = Q~(o) - Q~(0,0,0)."""
-    if ZERO_OFFSET not in result.offsets:
+    rows = result.offset_array
+    if not (rows == 0.0).all(axis=1).any():
         raise MissingZeroPoint("grid result does not contain the zero offset")
-    try:
-        idx = result.offsets.index(o)
-    except ValueError:
-        raise ValueError(f"offset {o.as_tuple()} was not evaluated") from None
-    return result.responsiveness[idx]
+    match = np.flatnonzero((rows == o.as_tuple()).all(axis=1))
+    if not len(match):
+        raise ValueError(f"offset {o.as_tuple()} was not evaluated")
+    return tuple(result.responsiveness_array[match[0]].tolist())
 
 
 def select_operation_point(result: GridResult, constraint: SelectionConstraint) -> OperationPoint:
@@ -261,27 +338,24 @@ def select_operation_point(result: GridResult, constraint: SelectionConstraint) 
     Among offsets whose expected semantic score clears the baseline plus
     margin, pick the one maximizing diversity; ties break toward higher
     semantic score, then smaller L1 offset norm, then lexicographically
-    smaller offset.
+    smaller offset; of rows equal in all of these, the first.
     """
-    if not result.offsets:
+    o, q = result.offset_array, result.q_tilde_array
+    if not len(o):
         raise ValueError("grid result is empty")
     floor = constraint.baseline_sem + constraint.min_sem_advantage
-    best = None
-    best_key = None
-    max_sem = float("-inf")
-    for o, q in zip(result.offsets, result.q_tilde):
-        max_sem = max(max_sem, q.sem)
-        if q.sem < floor:
-            continue
-        div = diversity_of(q)
-        key = (-div, -q.sem, sum(abs(v) for v in o.as_tuple()), o.as_tuple())
-        if best_key is None or key < best_key:
-            best, best_key = (o, q, div), key
-    if best is None:
+    feasible = q[:, 0] >= floor
+    if not feasible.any():
         raise NoFeasibleOffset(
-            f"no offset reaches semantic score {floor:.4f}", max_sem=max_sem
+            f"no offset reaches semantic score {floor:.4f}", max_sem=float(q[:, 0].max())
         )
-    return OperationPoint(offset=best[0], expected=best[1], diversity=best[2])
+    o, q = o[feasible], q[feasible]
+    diversity = _diversities(q)
+    norm = np.abs(o[:, 0]) + np.abs(o[:, 1]) + np.abs(o[:, 2])
+    best = np.lexsort((o[:, 2], o[:, 1], o[:, 0], norm, -q[:, 0], -diversity))[0]
+    return OperationPoint(
+        offset=Offset(*o[best].tolist()), expected=QualityVector(*q[best].tolist()), diversity=float(diversity[best])
+    )
 
 
 HEATMAP_COLUMNS = (
@@ -293,14 +367,15 @@ HEATMAP_COLUMNS = (
 
 
 def export_heatmap_csv(result: GridResult, path) -> None:
-    """Write one CSV row per offset (4-decimal fixed point, sorted by offset)."""
-    order = sorted(range(len(result.offsets)), key=lambda i: result.offsets[i].as_tuple())
+    """Write one CSV row per offset (4-decimal fixed point, sorted by offset, stably)."""
+    o, q = result.offset_array, result.q_tilde_array
+    order = np.lexsort((o[:, 2], o[:, 1], o[:, 0]))
+    diversity = _diversities(q)
+    table = np.column_stack([o, q, result.responsiveness_array, diversity])[order]
     row = ",".join(["%.4f"] * (len(HEATMAP_COLUMNS) - 1)) + ",%s\n"
     lines = [",".join(HEATMAP_COLUMNS) + "\n"]
-    for i in order:
-        q = result.q_tilde[i]
-        values = (*result.offsets[i].as_tuple(), *q.as_tuple(), *result.responsiveness[i], diversity_of(q), result.n[i])
-        lines.append(row % values)
+    # row by row: a whole-table tolist would hold a float object per cell at once
+    lines += [row % (*values.tolist(), n) for values, n in zip(table, result.n_array[order].tolist())]
     write_text(path, "".join(lines))
 
 
@@ -310,7 +385,7 @@ def read_heatmap_csv(path) -> GridResult:
     Every value must be finite and each quality in [0, 100]; a row that
     breaks this raises MalformedRecord naming its line.
     """
-    result = GridResult(offsets=[], q_tilde=[], responsiveness=[], n=[])
+    table, counts = array("d"), []  # packed doubles, not a float object per cell
     lines = read_lines(path) or [""]
     if lines[0].split(",") != list(HEATMAP_COLUMNS):
         raise MalformedRecord(f"unexpected heatmap header: {lines[0]!r}", line=1)
@@ -327,11 +402,12 @@ def read_heatmap_csv(path) -> GridResult:
                 raise ValueError("a value is not finite")
             if n < 1:
                 raise ValueError(f"n = {n} is below 1")
-            q = QualityVector(*values[3:6])
+            for name, v in zip(("sem", "syn", "lex"), values[3:6]):
+                if not 0.0 <= v <= 100.0:
+                    raise ValueError(f"{name} must lie in [0, 100], got {v!r}")
         except ValueError as exc:
             raise MalformedRecord(f"{exc} in {line!r}", line=lineno) from None
-        result.offsets.append(Offset(*values[0:3]))
-        result.q_tilde.append(q)
-        result.responsiveness.append(tuple(values[6:9]))
-        result.n.append(n)
-    return result
+        table.extend(values)
+        counts.append(n)
+    table = np.array(table, dtype=np.float64).reshape(-1, len(HEATMAP_COLUMNS) - 1)
+    return GridResult(table[:, 0:3], table[:, 3:6], table[:, 6:9], counts)

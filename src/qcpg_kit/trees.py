@@ -46,6 +46,15 @@ class ParseTree:
         if _LABEL_FORBIDDEN.search(self.label):
             raise ValueError(f"node label may not contain parentheses or whitespace: {self.label!r}")
 
+    # the dataclass's == and hash would recurse once per level; render walks a stack and is injective
+    def __eq__(self, other):
+        if not isinstance(other, ParseTree):
+            return NotImplemented
+        return self is other or self.render() == other.render()
+
+    def __hash__(self) -> int:
+        return hash(self.render())
+
     def node_count(self) -> int:
         count, stack = 0, [self]
         while stack:

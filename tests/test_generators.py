@@ -308,14 +308,22 @@ class TestGenerateBatch:
         assert passes == [sum(len(controls) for _, _, controls in groups)]
 
     def test_noisy_noise_is_rng_for_per_control(self, cluster):
-        gen = NoisyOracleGenerator(noise_std=7.5, seed=2**40 + 3)
-        controls = control_array([ControlVector(5, 10, 15), ControlVector(95, 0, 50)])
-        groups = [(s, controls, k) for k, s in enumerate(cluster.sentences)]
-        for (s, controls, k), noise in zip(groups, gen._noise(groups)):
-            expected = [
-                rng_for(gen.seed, "noisy_oracle", s, *c).normal(0.0, 7.5, size=(k, 3)) for c in controls.tolist()
-            ]
-            assert (noise == np.array(expected)).all()
+        two = control_array([ControlVector(5, 10, 15), ControlVector(95, 0, 50)])
+        three = control_array([ControlVector(0, 0, 0), ControlVector(50, 25, 75), ControlVector(95, 95, 95)])
+        one = control_array([ControlVector(45, 5, 90)])
+        # k candidates per group, as in clusters of k + 1 members: several k in one batch
+        groups = [(s, two, k) for k, s in enumerate(cluster.sentences)]
+        groups += [(cluster.sentences[0], three, 2), (cluster.sentences[1], one, 5), (cluster.sentences[2], three, 5)]
+        for std in (7.5, 0.0):
+            gen = NoisyOracleGenerator(noise_std=std, seed=2**40 + 3)
+            noises = gen._noise(groups)
+            assert len(noises) == len(groups)
+            for (s, controls, k), noise in zip(groups, noises):
+                expected = [
+                    rng_for(gen.seed, "noisy_oracle", s, *c).normal(0.0, std, size=(k, 3)) for c in controls.tolist()
+                ]
+                assert noise.shape == (len(controls), k, 3)
+                assert (noise == np.array(expected).reshape(noise.shape)).all()
 
     def test_same_sentence_and_cluster_in_two_groups(self, cluster):
         s = cluster.sentences[1]

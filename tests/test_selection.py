@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +41,15 @@ from qcpg_kit import (
     save_clusters,
     select_operation_point,
 )
-from qcpg_kit import selection
-from qcpg_kit.errors import AllGenerationsFailed, MalformedRecord, MissingZeroPoint, NoFeasibleOffset, QcpgError
+from qcpg_kit import quality, selection
+from qcpg_kit.errors import (
+    AllGenerationsFailed,
+    MalformedRecord,
+    MissingZeroPoint,
+    NoFeasibleOffset,
+    NonFiniteValue,
+    QcpgError,
+)
 from qcpg_kit.selection import plan_controls
 
 MEMBER_STUB = Path(__file__).with_name("stub_member_generator.py")
@@ -194,6 +202,18 @@ class TestGridSearch:
             export_heatmap_csv(grid_search(spec, model, items, grid=default_grid(0, 10, 50)), paths[-1])
         assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
+    def test_equal_offsets_are_evaluated_once(self, qp_model, dev):
+        # 0.0 equals -0.0; each offset is kept as the first of its equals, as a set keeps it
+        grid = [
+            Offset(5, -0.0, 0), Offset(-0.0, -0.0, -0.0), Offset(0, 0, 0), Offset(5, 0.0, -0.0),
+            Offset(-5, 0.0, 0), Offset(-5, -0.0, 0), Offset(0.0, -0.0, 0.0),
+        ]
+        expected = sorted(set(grid), key=Offset.as_tuple)
+        assert len(expected) == 3
+        result = grid_search(GeneratorSpec(kind="identity"), qp_model, dev[:2], grid=grid)
+        assert [repr(o) for o in result.offsets] == [repr(o) for o in expected]
+        assert result.n == [2, 2, 2]
+
     def test_failed_items_excluded_but_grid_survives(self, corpus, qp_model):
         items = dev_items(corpus, per_cluster=1, limit=4)
         singleton = Cluster("solo", ["lonely sentence"], trees=["(A)"])
@@ -310,6 +330,14 @@ AXIS = st.one_of(
     st.sampled_from([-150.0, -7.49, -2.5, -0.0, 0.0, 2.5, 7.49, 12.5, 97.5, 250.0]),
     st.floats(-200.0, 200.0),
 )
+# reference values on the bin edges 5*j and one ulp either side, below 0, above 100, and -0.0
+EDGES = [float(v) for j in range(21) for v in (np.nextafter(5.0 * j, -np.inf), 5.0 * j, np.nextafter(5.0 * j, np.inf))]
+REF = st.one_of(st.floats(0.0, 100.0), st.sampled_from([*EDGES, -0.0, -1e-300, -3.0, 100.5, 1e6]))
+
+
+def quantized(r, offsets):
+    """The scalar reference: ``quantize(r[d] + o[d])`` per offset."""
+    return [tuple(quantize(r[d] + o.as_tuple()[d]) for d in range(3)) for o in offsets]
 
 
 class TestControlPlan:
@@ -337,9 +365,9 @@ class TestControlPlan:
         ]
         assert (tmp_path / "grid.log").read_text(encoding="utf-8").splitlines() == lines
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        refs=st.lists(st.tuples(*[st.floats(0.0, 100.0)] * 3), min_size=1, max_size=3),
+        refs=st.lists(st.tuples(REF, REF, REF), min_size=1, max_size=3),
         offsets=st.lists(st.tuples(AXIS, AXIS, AXIS), min_size=1, max_size=30),
     )
     def test_planned_controls_are_the_quantized_offsets(self, refs, offsets):
@@ -347,11 +375,28 @@ class TestControlPlan:
         plans = list(plan_controls(refs, offsets))
         assert len(plans) == len(refs)
         for r, (controls, slots) in zip(refs, plans):
-            expected = [tuple(quantize(r[d] + o.as_tuple()[d]) for d in range(3)) for o in offsets]
+            expected = quantized(r, offsets)
             assert controls.dtype == np.int64 and controls.shape == (len(set(expected)), 3)
             # distinct rows, in order of first occurrence
             assert [tuple(row) for row in controls.tolist()] == list(dict.fromkeys(expected))
             assert [tuple(row) for row in controls[slots].tolist()] == expected
+
+    def test_items_planned_in_blocks_match_the_scalar_reference(self):
+        # the items span several blocks of a few items each; each item's plan is its own
+        grid = default_grid(0, 10, 50)
+        assert len(grid) * 2 < selection.PLAN_BLOCK < len(grid) * 11
+        rng = np.random.default_rng(71)
+        refs = [tuple(float(v) for v in rng.choice([*EDGES, -0.0, -3.0, 100.5], size=3)) for _ in range(11)]
+        for r, (controls, slots) in zip(refs, plan_controls(np.array(refs), np.array([o.as_tuple() for o in grid]))):
+            expected = quantized(r, grid)
+            assert [tuple(row) for row in controls.tolist()] == list(dict.fromkeys(expected))
+            assert [tuple(row) for row in controls[slots].tolist()] == expected
+
+    @pytest.mark.parametrize("ref", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, 1e308)])
+    def test_a_non_finite_control_raises(self, ref):
+        # 1e308 + 1e308 overflows to inf
+        with pytest.raises(NonFiniteValue):
+            list(plan_controls([(50.0, 50.0, 50.0), ref], [ZERO_OFFSET, Offset(0, 0, 1e308)]))
 
 
 class TestResponsiveness:
@@ -442,32 +487,41 @@ class TestSelectOperationPoint:
 
     def test_matches_exhaustive_scan_with_ties(self):
         rng = np.random.default_rng(113)
-        for _ in range(100):
+        non_negative = [float(v) for v in range(0, 55, 5)]
+        signed = [-10.0, -5.0, -2.5, -0.0, 0.0, 2.5, 5.0, 10.0]
+        for axis in [non_negative] * 100 + [signed] * 100:
             n_rows = int(rng.integers(1, 40))
-            seen = set()
+            seen = set()  # 0.0 and -0.0 are one offset: the first drawn is kept
             rows = []
             for _ in range(n_rows):
-                o = tuple(float(v) for v in rng.choice(range(0, 55, 5), size=3))
+                o = tuple(float(v) for v in rng.choice(axis, size=3))
                 if o in seen:
                     continue
                 seen.add(o)
-                # coarse value grids force frequent diversity and sem ties
-                q = (
-                    float(rng.choice(range(30, 90, 10))),
-                    float(rng.choice(range(0, 60, 20))),
-                    float(rng.choice(range(0, 60, 20))),
-                )
+                # coarse value grids force frequent diversity and sem ties; a copied row forces both
+                if rows and rng.random() < 0.3:
+                    q = rows[int(rng.integers(len(rows)))][1]
+                else:
+                    q = (
+                        float(rng.choice(range(30, 90, 10))),
+                        float(rng.choice(range(0, 60, 20))),
+                        float(rng.choice(range(0, 60, 20))),
+                    )
                 rows.append((o, q))
             result = make_grid_result(rows)
+            shuffled = make_grid_result([rows[i] for i in rng.permutation(len(rows))])
             constraint = SelectionConstraint(
                 baseline_sem=float(rng.choice(range(20, 80, 10))), min_sem_advantage=5.0
             )
             expected = selection_oracle(result, constraint)
             if expected is None:
-                with pytest.raises(NoFeasibleOffset):
-                    select_operation_point(result, constraint)
+                for grid in (result, shuffled):
+                    with pytest.raises(NoFeasibleOffset):
+                        select_operation_point(grid, constraint)
             else:
-                assert select_operation_point(result, constraint) == expected
+                # repr tells -0.0 from 0.0
+                assert repr(select_operation_point(result, constraint)) == repr(expected)
+                assert repr(select_operation_point(shuffled, constraint)) == repr(expected)
 
     def test_empty_grid(self):
         empty = GridResult(offsets=[], q_tilde=[], responsiveness=[], n=[])
@@ -507,6 +561,31 @@ class TestHeatmapCsv:
         on_disk = select_operation_point(loaded, constraint)
         in_memory = select_operation_point(result, constraint)
         assert on_disk.offset == in_memory.offset
+        # the file holds 4 decimals, so only a rewrite of what was read reads back the same
+        again = tmp_path / "again.csv"
+        export_heatmap_csv(read_heatmap_csv(path), again)
+        assert read_heatmap_csv(again) == loaded
+
+    def test_values_exact_at_four_decimals_round_trip_byte_for_byte(self, tmp_path):
+        # sorted by value, negative offsets first; -0.0 is written as -0.0000
+        rows = [
+            ((-5.0, 0.0, 2.5), (61.25, 30.5, 0.0)),
+            ((-0.0, -5.0, 0.0), (70.5, 0.125, 12.0)),
+            ((0.0, 0.0, 0.0), (50.0, 10.25, 20.5)),
+            ((0.0, 2.5, -5.0), (55.0625, 40.0, 99.75)),
+            ((5.0, -0.0, 10.0), (100.0, 100.0, 100.0)),
+        ]
+        result = make_grid_result(rows)
+        path, again, shuffled = tmp_path / "heat.csv", tmp_path / "again.csv", tmp_path / "shuffled.csv"
+        export_heatmap_csv(result, path)
+        assert "\n-0.0000,-5.0000,0.0000," in path.read_text(encoding="utf-8")
+        assert read_heatmap_csv(path) == result
+        export_heatmap_csv(read_heatmap_csv(path), again)
+        assert again.read_bytes() == path.read_bytes()
+        order = [3, 0, 4, 2, 1]
+        columns = (result.offset_array, result.q_tilde_array, result.responsiveness_array, result.n_array)
+        export_heatmap_csv(GridResult(*(column[order] for column in columns)), shuffled)
+        assert shuffled.read_bytes() == path.read_bytes()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "heat.csv"
@@ -514,6 +593,30 @@ class TestHeatmapCsv:
         with pytest.raises(MalformedRecord) as info:
             read_heatmap_csv(path)
         assert info.value.line == 1
+
+
+class TestColumnarGrid:
+    def test_grid_heatmap_and_select_build_few_objects(self, qp_model, dev, tmp_path, monkeypatch):
+        # the estimates stay columns from grid_search to select: no object per offset
+        grid = default_grid()
+        built = []
+        post_init = quality._Triple.__post_init__
+        monkeypatch.setattr(quality._Triple, "__post_init__", lambda self: built.append(type(self)) or post_init(self))
+        result = grid_search(GeneratorSpec(kind="identity"), qp_model, dev[:2], grid=grid)
+        export_heatmap_csv(result, tmp_path / "heat.csv")
+        point = select_operation_point(read_heatmap_csv(tmp_path / "heat.csv"), SelectionConstraint(baseline_sem=0))
+        assert len(result.n_array) == 1331 and point.offset == ZERO_OFFSET
+        assert len(built) < 50, Counter(t.__name__ for t in built)
+
+    def test_list_views_and_columns_agree(self):
+        result = make_grid_result([((0, 0, 0), (50, 10, 20)), ((-0.0, 5, 2.5), (60, 30, 0))])
+        assert result.offset_array.shape == result.q_tilde_array.shape == (2, 3)
+        assert result.n_array.dtype == np.int64 and result.n == [10, 10]
+        assert result.offsets == [Offset(0, 0, 0), Offset(-0.0, 5, 2.5)]
+        assert result.q_tilde == [QualityVector(50, 10, 20), QualityVector(60, 30, 0)]
+        assert result.responsiveness == [(0.0, 0.0, 0.0), (10.0, 20.0, -20.0)]
+        assert GridResult(result.offset_array, result.q_tilde_array, result.responsiveness_array, [10, 10]) == result
+        assert GridResult(result.offsets, result.q_tilde, result.responsiveness, [10, 9]) != result
 
 
 class TestDefaultGrid:

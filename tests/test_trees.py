@@ -91,8 +91,24 @@ class TestParsing:
         assert chain.node_count() == 3001
         text = chain.render()
         assert text == "(A " * 3000 + "B" + ")" * 3000
-        # strings, not trees: the dataclass == and hash still recurse per level
-        assert parse_bracketed(text).render() == text
+        copy = parse_bracketed(text)
+        assert copy == chain and copy is not chain
+        assert hash(copy) == hash(chain)
+        # the same chain but for its deepest leaf
+        assert parse_bracketed("(A " * 3000 + "(C)" + ")" * 3000) != chain
+
+    def test_equal_exactly_when_the_renders_are(self):
+        rng = np.random.default_rng(23)
+        pool = [random_parse_tree(rng, max_depth=2) for _ in range(20)]
+        pool += [random_ordered_tree(rng, int(rng.integers(1, 5)), "AB") for _ in range(40)]
+        pool += [parse_bracketed(t.render()) for t in pool[::3]]
+        equal_pairs = 0
+        for t, u in combinations(pool, 2):
+            assert (t == u) == (t.render() == u.render())
+            if t == u:
+                equal_pairs += 1
+                assert hash(t) == hash(u)
+        assert equal_pairs > 20
 
 
 class TestPrune:

@@ -17,6 +17,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dataset import (
     PAIR_MODES,
@@ -44,7 +46,7 @@ from .quality import ZERO_OFFSET, Offset, QualityComputer, QualityVector
 from .reference import evaluate_mse, fit, load_model, predict, save_model
 from .selection import (
     SelectionConstraint,
-    default_grid,
+    grid_array,
     grid_search,
     export_heatmap_csv,
     generate_pairs,
@@ -94,12 +96,12 @@ def _generator_from(args) -> GeneratorSpec:
     return GeneratorSpec(kind=kind, noise_std=args.noise_std, command=args.generator_command, seed=args.seed)
 
 
-def _parse_grid_spec(text: str) -> list[Offset]:
+def _parse_grid_spec(text: str) -> np.ndarray:
     try:
         lo, step, hi = (float(v) for v in text.split(":"))
     except ValueError:
         raise ValueError(f"grid spec must be lo:step:hi, got {text!r}") from None
-    return default_grid(lo, step, hi)
+    return grid_array(lo, step, hi)
 
 
 def _parse_offset(text: str) -> Offset:

@@ -188,6 +188,9 @@ class QualityComputer:
       need not be symmetric. The pairs a batch misses go to the scorer
       in ``raw_batch`` calls of at most ``MAX_BATCH_REQUESTS`` pairs, so
       an external scorer starts one process per such slice, not per pair.
+      Each call is handed the slice's syn and lex as its ``meanwhile``:
+      they are computed after the scorer's process has started and before
+      it is fed the slice, so its start-up overlaps them.
     """
 
     def __init__(self, scorer: SemanticScorer = DEFAULT_SCORER):
@@ -254,24 +257,44 @@ class QualityComputer:
         misses = list(forms.items())
         for start in range(0, len(misses), MAX_BATCH_REQUESTS):
             batch = misses[start:start + MAX_BATCH_REQUESTS]
+            distances: list[tuple[float, float] | QcpgError] = []
+
+            def kernels():
+                # runs while an external scorer starts up; needs nothing from it
+                for key, (form_s, form_t) in batch:
+                    try:
+                        distances.append((self._syn_of(form_s, form_t), self._lex_of(*key[:2])))
+                    except QcpgError as exc:
+                        distances.append(exc)
+
             try:
-                raws = self.scorer.raw_batch([key[:2] for key, _ in batch])
+                raws = self.scorer.raw_batch([key[:2] for key, _ in batch], meanwhile=kernels)
             except QcpgError as exc:
                 results.update(dict.fromkeys((key for key, _ in batch), exc))
                 continue
-            for (key, (form_s, form_t)), raw in zip(batch, raws):
-                s, t = key[:2]
+            for (key, (form_s, form_t)), raw, dist in zip(batch, raws, distances):
+                if isinstance(dist, QcpgError):
+                    results[key] = dist
+                    continue
                 try:
-                    syn_key = (form_s, form_t) if id(form_s) <= id(form_t) else (form_t, form_s)
-                    syn = self._syn.get(syn_key)
-                    if syn is None:
-                        syn = self._syn[syn_key] = syntactic_distance(form_s, form_t)
-                    lex_key = (s, t) if s <= t else (t, s)
-                    lex = self._lex.get(lex_key)
-                    if lex is None:
-                        lex = self._lex[lex_key] = lexical_distance(self._bag(s), self._bag(t))
-                    q = quality_vector(s, t, form_s, form_t, raw=raw, syn=syn, lex=lex)
+                    q = quality_vector(key[0], key[1], form_s, form_t, raw=raw, syn=dist[0], lex=dist[1])
                     results[key] = self._pairs[key] = q
                 except QcpgError as exc:
                     results[key] = exc
         return [results[key] for key in keys]
+
+    def _syn_of(self, form_s: FlatTree, form_t: FlatTree) -> float:
+        """The forms' syntactic distance, memoized by the unordered pair."""
+        syn_key = (form_s, form_t) if id(form_s) <= id(form_t) else (form_t, form_s)
+        syn = self._syn.get(syn_key)
+        if syn is None:
+            syn = self._syn[syn_key] = syntactic_distance(form_s, form_t)
+        return syn
+
+    def _lex_of(self, s: str, t: str) -> float:
+        """The sentences' lexical distance, memoized by the unordered pair."""
+        lex_key = (s, t) if s <= t else (t, s)
+        lex = self._lex.get(lex_key)
+        if lex is None:
+            lex = self._lex[lex_key] = lexical_distance(self._bag(s), self._bag(t))
+        return lex

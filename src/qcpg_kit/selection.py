@@ -145,8 +145,8 @@ class SelectionConstraint:
             )
 
 
-def default_grid(lo: float = 0.0, step: float = 5.0, hi: float = 50.0) -> list[Offset]:
-    """The standard search grid: {lo, lo+step, ..., hi} in all three dimensions."""
+def _grid_values(lo: float, step: float, hi: float) -> list[float]:
+    """The values {lo, lo+step, ..., hi} of one grid dimension."""
     if not all(math.isfinite(v) for v in (lo, step, hi)):
         raise ValueError(f"grid bounds and step must be finite, got {lo}:{step}:{hi}")
     if step <= 0:
@@ -156,7 +156,20 @@ def default_grid(lo: float = 0.0, step: float = 5.0, hi: float = 50.0) -> list[O
     while v <= hi + 1e-9:
         values.append(round(v, 9))
         v += step
+    return values
+
+
+def default_grid(lo: float = 0.0, step: float = 5.0, hi: float = 50.0) -> list[Offset]:
+    """The standard search grid: {lo, lo+step, ..., hi} in all three dimensions."""
+    values = _grid_values(lo, step, hi)
     return [Offset(*t) for t in itertools.product(values, values, values)]
+
+
+def grid_array(lo: float, step: float, hi: float) -> np.ndarray:
+    """``default_grid`` as an ``(m, 3)`` float64 array, row for row, with no ``Offset`` built."""
+    values = np.array(_grid_values(lo, step, hi), dtype=np.float64)
+    axes = np.meshgrid(values, values, values, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, 3)
 
 
 def diversity_of(q: QualityVector) -> float:
@@ -287,7 +300,7 @@ def grid_search(
     gen: GeneratorSpec,
     qp_model: ReferenceModel,
     dev,
-    grid: list[Offset] | None = None,
+    grid: np.ndarray | list[Offset] | None = None,
     scorer: SemanticScorer = DEFAULT_SCORER,
 ) -> GridResult:
     """Evaluate Q~ and responsiveness on every grid offset.

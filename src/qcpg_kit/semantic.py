@@ -11,9 +11,12 @@ An external scorer is one process per batch (``run_line_protocol``,
 shared with the external generator) of at most ``MAX_BATCH_REQUESTS``
 distinct pairs not yet scored in ``score``, ``eval``, a
 ``quality_samples`` call, a grid chunk or one oracle ``generate_batch``
-call. A spawn failure, a non-zero exit, a wrong line count, invalid
-UTF-8 or a non-numeric line fails every pair of the batch; a non-finite
-score fails only its own pair.
+call. A ``QualityComputer`` starts each batch's process before it
+computes the batch's syn and lex, and feeds the process its pairs
+afterwards, so the process's start-up overlaps that work. A spawn
+failure, a non-zero exit, a wrong line count, invalid UTF-8 or a
+non-numeric line fails every pair of the batch; a non-finite score fails
+only its own pair.
 
 The built-in scorer reuses per-sentence work within a batch: each
 distinct sentence is lowercased, counted into trigrams and given its
@@ -113,7 +116,7 @@ def sanitize_line_field(text: str) -> str:
 MAX_BATCH_REQUESTS = 4096
 
 
-def run_line_protocol(command: str, lines: list[str], what: str) -> list[str]:
+def run_line_protocol(command: str, lines: list[str], what: str, meanwhile=None) -> list[str]:
     r"""Pipe ``lines`` to ``command`` and read back exactly one line per input.
 
     Both directions are UTF-8. Output lines end at ``\n`` only, with one
@@ -121,24 +124,40 @@ def run_line_protocol(command: str, lines: list[str], what: str) -> list[str]:
     form feed, ...) are data inside a line. Empty ``lines`` start no process.
     A command that names no program, or that ``shlex`` cannot split, fails
     to spawn like a missing program.
+
+    ``meanwhile``, when given, is called once with no arguments after the
+    process has started and before it is fed its lines, so the caller's
+    own work overlaps the process's start-up; with empty ``lines`` it is
+    called all the same, and after a spawn failure it is not. If it
+    raises, the process is killed and reaped and the exception propagates.
     """
     if not lines:
+        if meanwhile is not None:
+            meanwhile()
         return []
     stdin = "".join(line + "\n" for line in lines).encode("utf-8")
     try:
         argv = shlex.split(command)
         if not argv:
             raise ValueError("it names no program")
-        proc = subprocess.run(argv, input=stdin, capture_output=True)
+        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     except (OSError, ValueError) as exc:
         raise SpawnFailure(f"could not spawn {what} command {command!r}: {exc}") from exc
+    with proc:
+        try:
+            if meanwhile is not None:
+                meanwhile()
+            stdout, stderr = proc.communicate(stdin)
+        except BaseException:
+            proc.kill()
+            raise
     if proc.returncode != 0:
-        stderr = proc.stderr.decode("utf-8", "replace")
+        stderr = stderr.decode("utf-8", "replace")
         raise ProtocolError(
             f"{what} command exited with status {proc.returncode}: {stderr.strip()[:500]}"
         )
     try:
-        out = split_lines(proc.stdout.decode("utf-8"))
+        out = split_lines(stdout.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"{what} command wrote invalid UTF-8 at byte {exc.start}") from None
     if len(out) != len(lines):
@@ -149,14 +168,15 @@ def run_line_protocol(command: str, lines: list[str], what: str) -> list[str]:
     return out
 
 
-def external_raw(command: str, pairs: list[tuple[str, str]]) -> list[float]:
+def external_raw(command: str, pairs: list[tuple[str, str]], meanwhile=None) -> list[float]:
     """Score sentence pairs with an external command.
 
     Protocol: one ``s1<TAB>s2`` pair per stdin line, one decimal score
     per stdout line, exit code 0. Scores are returned in input order.
+    ``meanwhile`` is passed to ``run_line_protocol``.
     """
     lines = [f"{sanitize_line_field(s1)}\t{sanitize_line_field(s2)}" for s1, s2 in pairs]
-    out = run_line_protocol(command, lines, "scorer")
+    out = run_line_protocol(command, lines, "scorer", meanwhile)
     scores = []
     for lineno, text in enumerate(out, start=1):
         try:
@@ -182,10 +202,21 @@ class SemanticScorer:
     def raw(self, s1: str, s2: str) -> float:
         return self.raw_batch([(s1, s2)])[0]
 
-    def raw_batch(self, pairs: list[tuple[str, str]]) -> list[float]:
+    def raw_batch(self, pairs: list[tuple[str, str]], meanwhile=None) -> list[float]:
+        """Raw scores of ``pairs``, in order.
+
+        ``meanwhile``, when given, is called once with no arguments while
+        the scores are computed: an external scorer calls it after its
+        process has started and before the process is fed the pairs, so
+        the caller's work overlaps the process's start-up (except after
+        a spawn failure, when it is not called); the built-in scorer
+        calls it first.
+        """
         if self.kind == BUILTIN_TRIGRAM:
+            if meanwhile is not None:
+                meanwhile()
             return _builtin_raw_batch(pairs)
-        return external_raw(self.command, pairs)
+        return external_raw(self.command, pairs, meanwhile)
 
 
 DEFAULT_SCORER = SemanticScorer()

@@ -1,5 +1,7 @@
 import itertools
 import math
+import signal
+import subprocess
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -432,6 +434,95 @@ class TestPairQualities:
                 assert q == QualityComputer(computer.scorer).pair_quality(*key)
         with pytest.raises(MissingTree):
             computer.pair_quality(*treeless[0])
+
+
+class TestScorerOverlap:
+    """An external scorer's process starts before its slice's syn and lex and is fed its pairs after them."""
+
+    # every key is a distinct unordered sentence pair, so each slice computes lex
+    KEYS = [key for key in TestPairQualities.KEYS if key[0] < key[1]]
+
+    @staticmethod
+    def record(monkeypatch):
+        """Events ("spawn", proc), ("kernel", proc, proc.poll()) and ("communicate", proc), in order."""
+        events = []
+
+        class Recording(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                events.append(("spawn", self))
+
+            def communicate(self, *args, **kwargs):
+                events.append(("communicate", self))
+                return super().communicate(*args, **kwargs)
+
+        def spied(kernel):
+            def spy(*args):
+                proc = next((e[1] for e in reversed(events) if e[0] == "spawn"), None)
+                events.append(("kernel", proc, proc and proc.poll()))
+                return kernel(*args)
+            return spy
+
+        monkeypatch.setattr(subprocess, "Popen", Recording)
+        for name in ("syntactic_distance", "lexical_distance"):
+            monkeypatch.setattr(qcpg_kit.quality, name, spied(getattr(qcpg_kit.quality, name)))
+        return events
+
+    counting = TestPairQualities.counting
+
+    @staticmethod
+    def expected(keys):
+        return [quality_vector(s, t, parse_bracketed(ts), parse_bracketed(tt), raw=stub_raw(s, t)) for s, t, ts, tt in keys]
+
+    def slices(self, events):
+        """Per process: its events from its spawn to its communicate; each must be that order, kernels inside."""
+        slices = []
+        for event in events:
+            if event[0] == "spawn":
+                slices.append([event])
+            else:
+                assert slices and event[1] is slices[-1][0][1], event
+                slices[-1].append(event)
+        for chunk in slices:
+            kinds = [e[0] for e in chunk]
+            assert kinds == ["spawn"] + ["kernel"] * (len(kinds) - 2) + ["communicate"]
+            assert len(kinds) > 2  # each slice computes syn or lex
+            # the process had started and had not exited when each kernel ran
+            assert all(poll is None for _, _, poll in chunk[1:-1])
+        return slices
+
+    def test_kernels_run_while_the_scorer_process_is_alive(self, tmp_path, monkeypatch):
+        expected = self.expected(self.KEYS)
+        events = self.record(monkeypatch)
+        count, computer = self.counting(tmp_path)
+        assert computer.pair_qualities(self.KEYS) == expected
+        [chunk] = self.slices(events)
+        assert chunk[0][1].returncode == 0  # reaped when pair_qualities returns
+        assert _starts(count) == 1
+
+    def test_each_slice_kernels_run_between_its_spawn_and_its_communicate(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(qcpg_kit.quality, "MAX_BATCH_REQUESTS", 7)
+        expected = self.expected(self.KEYS)
+        events = self.record(monkeypatch)
+        count, computer = self.counting(tmp_path)
+        assert computer.pair_qualities(self.KEYS) == expected
+        slices = self.slices(events)
+        assert len(slices) == _starts(count) == -(-len(self.KEYS) // 7) > 1
+        assert all(chunk[0][1].returncode == 0 for chunk in slices)
+
+    def test_a_kernel_error_propagates_and_leaves_no_child_running(self, tmp_path, monkeypatch):
+        events = self.record(monkeypatch)
+
+        def failing(a, b):
+            raise RuntimeError("lexical kernel failed")
+
+        monkeypatch.setattr(qcpg_kit.quality, "lexical_distance", failing)
+        _, computer = self.counting(tmp_path)
+        with pytest.raises(RuntimeError, match="lexical kernel failed"):
+            computer.pair_qualities(self.KEYS)
+        [proc] = [e[1] for e in events if e[0] == "spawn"]
+        assert proc.returncode == -signal.SIGKILL  # killed while it waited for its stdin, and reaped
+        assert ("communicate", proc) not in events
 
 
 _levenshtein = lru_cache(maxsize=None)(levenshtein_oracle)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -50,7 +51,8 @@ from qcpg_kit.errors import (
     NonFiniteValue,
     QcpgError,
 )
-from qcpg_kit.selection import plan_controls
+from qcpg_kit.cli import _parse_grid_spec
+from qcpg_kit.selection import _rows, plan_controls
 
 MEMBER_STUB = Path(__file__).with_name("stub_member_generator.py")
 ECHO_LINES_STUB = Path(__file__).with_name("stub_echo_lines.py")
@@ -637,6 +639,30 @@ class TestDefaultGrid:
     def test_non_finite_bounds_rejected(self, lo, step, hi):
         with pytest.raises(ValueError, match="finite"):
             default_grid(lo, step, hi)
+
+    @pytest.mark.parametrize("spec", ["0:5:50", "0:25:50", "0:0.1:0.3", "-10:5:10", "-0.1:0.1:0.2"])
+    def test_cli_grid_spec_is_the_default_grid_as_an_array(self, spec):
+        array = _parse_grid_spec(spec)
+        expected = _rows(default_grid(*(float(v) for v in spec.split(":"))))
+        assert array.dtype == np.float64 and array.shape == expected.shape
+        assert array.tolist() == expected.tolist()
+        assert (np.signbit(array) == np.signbit(expected)).all()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("0:5", "grid spec must be lo:step:hi, got '0:5'"),
+            ("0:5:50:1", "grid spec must be lo:step:hi"),
+            ("a:5:50", "grid spec must be lo:step:hi"),
+            ("0:5:inf", "grid bounds and step must be finite, got 0.0:5.0:inf"),
+            ("nan:5:50", "grid bounds and step must be finite"),
+            ("0:0:50", "step must be positive"),
+            ("0:-5:50", "step must be positive"),
+        ],
+    )
+    def test_cli_grid_spec_errors(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _parse_grid_spec(spec)
 
 
 class TestHeatmapPins:

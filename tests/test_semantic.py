@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -236,6 +237,34 @@ class TestRunLineProtocol:
 
     def test_no_lines_start_no_process(self):
         assert run_line_protocol("/nonexistent/cmd", [], "scorer") == []
+        calls = []
+        assert run_line_protocol("/nonexistent/cmd", [], "scorer", meanwhile=lambda: calls.append(1)) == []
+        assert calls == [1]
+
+    def test_meanwhile_runs_once_before_the_lines_are_fed(self):
+        calls = []
+        lines = ["a", "b"]
+        assert run_line_protocol(ECHO_LINES, lines, "generator", meanwhile=lambda: calls.append(1)) == lines
+        assert calls == [1]
+
+    def test_meanwhile_is_not_called_after_a_spawn_failure(self):
+        calls = []
+        with pytest.raises(SpawnFailure):
+            run_line_protocol("/nonexistent/cmd", ["a"], "scorer", meanwhile=lambda: calls.append(1))
+        assert calls == []
+
+    def test_a_child_gone_before_its_stdin_is_written_is_protocol_error(self):
+        # `false` exits at once; its stdin, far larger than a pipe buffer, is written after it is gone
+        with pytest.raises(ProtocolError, match="exited with status 1"):
+            run_line_protocol("false", ["x" * 20] * 10**5, "scorer", meanwhile=lambda: time.sleep(0.05))
+
+    def test_builtin_scorer_calls_meanwhile_once(self):
+        calls = []
+        pairs = [("a cat", "a dog"), ("x", "x")]
+        assert SemanticScorer().raw_batch(pairs, meanwhile=lambda: calls.append(1)) == [
+            builtin_trigram_raw(*pair) for pair in pairs
+        ]
+        assert calls == [1]
 
 
 class TestSemanticScorer:

@@ -6,7 +6,7 @@ quantized (sem, syn, lex) rows (``control_array`` builds one from
 ``ControlVector``s), to one list per group of one paraphrase or one
 QcpgError per row (``generate_batch``); each generator's ``generate``
 method is a group of one ``ControlVector``. Callers send at most
-``MAX_BATCH_REQUESTS`` controls per batch (``batches``). Besides the
+``semantic.MAX_BATCH_REQUESTS`` controls per batch (``batches``). Besides the
 external-command bridge for real trained models, the built-ins make the
 selection machinery testable end to end without any training:
 
@@ -33,10 +33,9 @@ import numpy as np
 from .dataset import Cluster
 from .errors import EmptyContext, ProtocolError, QcpgError, raise_first_failure
 from .quality import ControlVector, QualityComputer, prepend_control
-# MAX_BATCH_REQUESTS is defined beside run_line_protocol and re-exported for callers of `batches`.
-from .semantic import EXTERNAL_COMMAND, MAX_BATCH_REQUESTS, run_line_protocol, sanitize_line_field  # noqa: F401
-# rng_for is no longer called here, but bench/tracing.py spans this binding.
-from .util import as_entropy, keyed_generators, philox_keys, rng_for  # noqa: F401
+from .semantic import EXTERNAL_COMMAND, run_line_protocol, sanitize_line_field
+from .util import as_entropy, keyed_generators, philox_keys
+from .util import rng_for  # noqa: F401 - not called here, but bench/tracing.py spans this binding
 
 IDENTITY = "identity"
 RETRIEVAL_ORACLE = "retrieval_oracle"

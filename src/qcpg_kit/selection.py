@@ -40,7 +40,6 @@ on every access.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from array import array
@@ -57,10 +56,10 @@ from .errors import (
     QcpgError,
     raise_first_failure,
 )
-from .generators import MAX_BATCH_REQUESTS, GeneratorSpec, batches, build_generator
+from .generators import GeneratorSpec, batches, build_generator
 from .quality import Offset, QualityComputer, QualityVector, quantize_array
 from .reference import ReferenceModel, predict
-from .semantic import DEFAULT_SCORER, SemanticScorer
+from .semantic import DEFAULT_SCORER, MAX_BATCH_REQUESTS, SemanticScorer
 from .util import read_lines, write_text
 
 log = logging.getLogger(__name__)
@@ -145,8 +144,8 @@ class SelectionConstraint:
             )
 
 
-def _grid_values(lo: float, step: float, hi: float) -> list[float]:
-    """The values {lo, lo+step, ..., hi} of one grid dimension."""
+def grid_array(lo: float, step: float, hi: float) -> np.ndarray:
+    """The grid {lo, lo+step, ..., hi}^3 as an ``(m, 3)`` float64 array, rows in lexicographic order."""
     if not all(math.isfinite(v) for v in (lo, step, hi)):
         raise ValueError(f"grid bounds and step must be finite, got {lo}:{step}:{hi}")
     if step <= 0:
@@ -156,20 +155,14 @@ def _grid_values(lo: float, step: float, hi: float) -> list[float]:
     while v <= hi + 1e-9:
         values.append(round(v, 9))
         v += step
-    return values
+    values = np.array(values, dtype=np.float64)
+    axes = np.meshgrid(values, values, values, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, 3)
 
 
 def default_grid(lo: float = 0.0, step: float = 5.0, hi: float = 50.0) -> list[Offset]:
-    """The standard search grid: {lo, lo+step, ..., hi} in all three dimensions."""
-    values = _grid_values(lo, step, hi)
-    return [Offset(*t) for t in itertools.product(values, values, values)]
-
-
-def grid_array(lo: float, step: float, hi: float) -> np.ndarray:
-    """``default_grid`` as an ``(m, 3)`` float64 array, row for row, with no ``Offset`` built."""
-    values = np.array(_grid_values(lo, step, hi), dtype=np.float64)
-    axes = np.meshgrid(values, values, values, indexing="ij")
-    return np.stack(axes, axis=-1).reshape(-1, 3)
+    """``grid_array``'s rows as ``Offset``s, for callers that want objects."""
+    return [Offset(*row) for row in grid_array(lo, step, hi).tolist()]
 
 
 def diversity_of(q: QualityVector) -> float:
@@ -305,14 +298,16 @@ def grid_search(
 ) -> GridResult:
     """Evaluate Q~ and responsiveness on every grid offset.
 
-    The grid must contain the zero offset: all responsiveness values are
-    differences against that single cached evaluation, so R(0,0,0) is
-    exactly (0, 0, 0). Offsets are processed (and reported) in
-    lexicographic order, each distinct offset once, as the first of its
-    equals in ``grid`` (0.0 equals -0.0); offsets where every generation
-    fails are dropped with a warning and listed in ``dropped``.
+    The grid, an ``(m, 3)`` array or a list of ``Offset``s, 1331 offsets
+    of ``grid_array(0.0, 5.0, 50.0)`` by default, must contain the zero
+    offset: all responsiveness values are differences against that
+    single cached evaluation, so R(0,0,0) is exactly (0, 0, 0). Offsets
+    are processed (and reported) in lexicographic order, each distinct
+    offset once, as the first of its equals in ``grid`` (0.0 equals
+    -0.0); offsets where every generation fails are dropped with a
+    warning and listed in ``dropped``.
     """
-    grid = _rows(grid if grid is not None else default_grid())
+    grid = _rows(grid if grid is not None else grid_array(0.0, 5.0, 50.0))
     # a stable sort by value; float comparison makes 0.0 and -0.0 equal
     order = np.lexsort(grid.T[::-1])
     first = np.ones(len(order), dtype=bool)

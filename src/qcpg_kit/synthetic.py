@@ -25,7 +25,6 @@ from .dataset import ALL_ORDERED, Cluster, extract_pairs
 from .errors import raise_first_failure
 from .quality import QualityComputer, QualityVector
 from .semantic import DEFAULT_SCORER, SemanticScorer
-from .trees import ParseTree
 from .util import rng_for
 
 _BASE_LETTERS = "abcdefghijklm"
@@ -42,27 +41,20 @@ def _words(codes: list[int], letters: str) -> list[str]:
 
 
 def _member_tree(tokens: list[str], phrases: int, doubled: int) -> str:
-    """(S (PH (T w) (T w w) ...) ...): tags at level 3, tokens at level 4.
+    """(S (PH (T w) (T w w) ...) ...) as text: tags at level 3, tokens at level 4.
 
     The first ``doubled`` tags hold two tokens each, the rest one, so a
     sentence with L tokens has L - doubled tag nodes. Varying ``doubled``
     and ``phrases`` across cluster members grades the pruned-tree edit
     distance while keeping the total node count fixed.
     """
-    tags = []
-    pos = 0
-    while pos < len(tokens):
-        width = 2 if len(tags) < doubled else 1
-        group = tuple(ParseTree(tok) for tok in tokens[pos:pos + width])
-        tags.append(ParseTree("T", group))
-        pos += width
+    paired = min(2 * doubled, len(tokens))
+    tags = [f"(T {' '.join(tokens[i:i + 2])})" for i in range(0, paired, 2)]
+    tags += [f"(T {w})" for w in tokens[paired:]]
+    # phrase i holds tags[start(i):start(i + 1)], the first len(tags) % phrases of them one tag longer
     base, rem = divmod(len(tags), phrases)
-    sizes = [base + 1 if i < rem else base for i in range(phrases)]
-    nodes, pos = [], 0
-    for size in sizes:
-        nodes.append(ParseTree("PH", tuple(tags[pos:pos + size])))
-        pos += size
-    return ParseTree("S", tuple(nodes)).render()
+    starts = [i * base + min(i, rem) for i in range(phrases + 1)]
+    return "(S " + " ".join(f"(PH {' '.join(tags[a:b])})" for a, b in zip(starts, starts[1:])) + ")"
 
 
 def paraphrase_corpus(

@@ -148,13 +148,28 @@ def parse_bracketed(text: str) -> ParseTree:
     raise _syntax_error(text, tokens, m)
 
 
+def _rebuild(tree: ParseTree, descend) -> ParseTree:
+    """A copy of ``tree`` in which a node at depth d keeps its children iff ``descend(node, d)``; the root is at 1."""
+    # an explicit stack, so no depth is too deep: one (node, its children still to copy, their copies so far)
+    # per open node, under a holder of the root
+    stack = [(None, iter((tree,)), [])]
+    while True:
+        node, children, copies = stack[-1]
+        child = next(children, None)
+        if child is not None:
+            stack.append((child, iter(child.children if descend(child, len(stack)) else ()), []))
+        elif node is None:
+            return copies[0]
+        else:
+            stack.pop()
+            stack[-1][2].append(ParseTree(node.label, tuple(copies)))
+
+
 def prune_to_level(tree: ParseTree, level: int = DEFAULT_PRUNE_LEVEL) -> ParseTree:
     """Keep only nodes at depth <= level, with the root at level 1."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    if level == 1 or not tree.children:
-        return ParseTree(tree.label)
-    return ParseTree(tree.label, tuple(prune_to_level(c, level - 1) for c in tree.children))
+    return _rebuild(tree, lambda _, depth: depth < level)
 
 
 # Labels made of uppercase letters (plus digits and common tag punctuation)
@@ -172,11 +187,8 @@ def strip_tokens(tree: ParseTree) -> ParseTree:
     and leaf phrases survive, so the operation is idempotent on trees in
     treebank form.
     """
-    if len(tree.children) == 1:
-        [only] = tree.children
-        if not only.children and not _STRUCTURAL_LABEL.match(only.label):
-            return ParseTree(tree.label)
-    return ParseTree(tree.label, tuple(strip_tokens(c) for c in tree.children))
+    return _rebuild(tree, lambda node, _: len(node.children) != 1 or node.children[0].children
+                    or _STRUCTURAL_LABEL.match(node.children[0].label))
 
 
 class FlatTree:

@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import product
 
 from qcpg_kit import ParseTree
+from qcpg_kit.trees import _STRUCTURAL_LABEL
 
 # --- exhaustive enumeration of ordered labeled trees -------------------------
 
@@ -232,6 +233,25 @@ def matching_bruteforce(a_words: tuple[str, ...], b_words: tuple[str, ...]) -> i
     result = rec(0, frozenset(range(len(b_words))))
     rec.cache_clear()
     return result
+
+
+# --- recursive definitions of pruning and token stripping ---------------------
+
+
+def prune_reference(tree: ParseTree, level: int) -> ParseTree:
+    """``prune_to_level`` as first written: one recursive call per level."""
+    if level == 1 or not tree.children:
+        return ParseTree(tree.label)
+    return ParseTree(tree.label, tuple(prune_reference(c, level - 1) for c in tree.children))
+
+
+def strip_reference(tree: ParseTree) -> ParseTree:
+    """``strip_tokens`` as first written: one recursive call per level."""
+    if len(tree.children) == 1:
+        [only] = tree.children
+        if not only.children and not _STRUCTURAL_LABEL.match(only.label):
+            return ParseTree(tree.label)
+    return ParseTree(tree.label, tuple(strip_reference(c) for c in tree.children))
 
 
 # --- random structures ----------------------------------------------------------

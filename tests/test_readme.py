@@ -1,8 +1,9 @@
-"""The README's command lines parse and its library quick start runs."""
+"""The README's command lines parse and read only stated inputs or earlier outputs, and its
+library quick start runs."""
 
 import re
 import shlex
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -29,14 +30,48 @@ def command_lines() -> list[list[str]]:
 COMMANDS = command_lines()
 
 
+# the dests of the options naming a file the command reads; `eval --system name=path` reads its path
+READ_OPTIONS = (
+    "clusters", "pairs", "dev", "model", "sentences", "heatmap", "operation_point", "references",
+    "source_trees", "target_trees",
+)
+
+
+def line_ids() -> list[str]:
+    """Each line's command, suffixed ``-2``, ``-3``, ... on its repeats."""
+    names = [argv[0] for argv in COMMANDS]
+    repeats = [names[:i].count(name) for i, name in enumerate(names)]
+    return [f"{name}-{k + 1}" if k else name for name, k in zip(names, repeats)]
+
+
+def stated_inputs() -> set[PurePosixPath]:
+    """The files the README names as the inputs of its command chain."""
+    [sentence] = re.findall(r"input files that no line of it writes:(.*?)\n\n", README.read_text(encoding="utf-8"), re.S)
+    return {PurePosixPath(name) for name in re.findall(r"`([^`\s]+\.[a-z]+)`", sentence)}
+
+
 def test_every_command_has_an_example():
     [sub] = [a for a in _build_parser()._actions if a.dest == "command"]
-    assert sorted(argv[0] for argv in COMMANDS) == sorted(sub.choices)
+    assert {argv[0] for argv in COMMANDS} == set(sub.choices)
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
+@pytest.mark.parametrize("argv", COMMANDS, ids=line_ids())
 def test_command_line_parses(argv):
     assert _build_parser().parse_args(argv).command == argv[0]
+
+
+def test_every_file_a_line_reads_is_an_input_or_an_earlier_output():
+    available = stated_inputs()
+    assert {"corpus.jsonl", "dev.jsonl", "sentences.txt"} <= {str(p) for p in available}
+    for argv in COMMANDS:
+        args = _build_parser().parse_args(argv)
+        reads = [getattr(args, dest, None) for dest in READ_OPTIONS]
+        reads += [path for _, path in getattr(args, "system", None) or ()]
+        missing = sorted(str(PurePosixPath(p)) for p in reads if p and PurePosixPath(p) not in available)
+        assert not missing, f"`qcpg-kit {' '.join(argv)}` reads {missing}, which no earlier line writes"
+        if args.out:
+            out = PurePosixPath(args.out)
+            available |= {out / f"{name}.tsv" for name in ("train", "dev", "test")} if argv[0] == "split" else {out}
 
 
 def test_library_quick_start_runs():

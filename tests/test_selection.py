@@ -640,13 +640,25 @@ class TestDefaultGrid:
         with pytest.raises(ValueError, match="finite"):
             default_grid(lo, step, hi)
 
-    @pytest.mark.parametrize("spec", ["0:5:50", "0:25:50", "0:0.1:0.3", "-10:5:10", "-0.1:0.1:0.2"])
+    @pytest.mark.parametrize("spec", ["0:5:50", "0:25:50", "0:0.1:0.3", "-10:5:10", "-0.1:0.1:0.2", "-0:5:10"])
     def test_cli_grid_spec_is_the_default_grid_as_an_array(self, spec):
-        array = _parse_grid_spec(spec)
-        expected = _rows(default_grid(*(float(v) for v in spec.split(":"))))
+        # the documented loop, written out: round(v, 9) from lo while v <= hi + 1e-9, all three dimensions
+        lo, step, hi = (float(v) for v in spec.split(":"))
+        values, v = [], lo
+        while v <= hi + 1e-9:
+            values.append(round(v, 9))
+            v += step
+        expected = np.array(list(itertools.product(values, repeat=3)), dtype=np.float64)
+        array, offsets = _parse_grid_spec(spec), default_grid(lo, step, hi)
         assert array.dtype == np.float64 and array.shape == expected.shape
         assert array.tolist() == expected.tolist()
+        assert [o.as_tuple() for o in offsets] == [tuple(row) for row in expected.tolist()]
         assert (np.signbit(array) == np.signbit(expected)).all()
+        assert (np.signbit(_rows(offsets)) == np.signbit(expected)).all()
+
+    def test_grid_search_defaults_to_the_default_grid(self, qp_model, dev):
+        identity = GeneratorSpec(kind="identity")
+        assert grid_search(identity, qp_model, dev[:2]) == grid_search(identity, qp_model, dev[:2], grid=default_grid())
 
     @pytest.mark.parametrize(
         "spec, message",

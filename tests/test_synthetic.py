@@ -1,14 +1,33 @@
-"""The synthetic corpus, pinned to the per-letter generator it replaced, and its documented shape."""
+"""The synthetic corpus, pinned to the per-letter generator and the ``ParseTree``-built trees
+it replaced, and its documented shape."""
 
 import pytest
 
-from qcpg_kit import paraphrase_corpus
+from qcpg_kit import ParseTree, paraphrase_corpus
 from qcpg_kit.synthetic import _member_tree
 from qcpg_kit.trees import parse_bracketed
 from qcpg_kit.util import rng_for
 
 BASE_LETTERS = list("abcdefghijklm")
 NOVEL_LETTERS = list("nopqrstuvwxyz")
+
+
+def member_tree(tokens, phrases, doubled):
+    """The member tree as first written: ``ParseTree`` nodes, rendered."""
+    tags = []
+    pos = 0
+    while pos < len(tokens):
+        width = 2 if len(tags) < doubled else 1
+        group = tuple(ParseTree(tok) for tok in tokens[pos:pos + width])
+        tags.append(ParseTree("T", group))
+        pos += width
+    base, rem = divmod(len(tags), phrases)
+    sizes = [base + 1 if i < rem else base for i in range(phrases)]
+    nodes, pos = [], 0
+    for size in sizes:
+        nodes.append(ParseTree("PH", tuple(tags[pos:pos + size])))
+        pos += size
+    return ParseTree("S", tuple(nodes)).render()
 
 
 def reference_corpus(n_clusters, cluster_size, tokens_per_sentence=12, seed=0, length_jitter=0):
@@ -28,7 +47,7 @@ def reference_corpus(n_clusters, cluster_size, tokens_per_sentence=12, seed=0, l
             tokens = [word(rng, NOVEL_LETTERS) if i < replace else base[i] for i in range(length)]
             doubled = min(j, length // 2)
             sentences.append(" ".join(tokens))
-            trees.append(_member_tree(tokens, min(j + 1, length - doubled), doubled))
+            trees.append(member_tree(tokens, min(j + 1, length - doubled), doubled))
         clusters.append((f"syn{k:04d}", sentences, trees))
     return clusters
 
@@ -53,6 +72,15 @@ CASES = {
 def test_equals_per_letter_generator(args):
     corpus = [(c.cluster_id, c.sentences, c.trees) for c in paraphrase_corpus(*args)]
     assert corpus == reference_corpus(*args)
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+def test_member_tree_text_is_the_parse_tree_render(length):
+    tokens = [f"w{i}" for i in range(length)]
+    for doubled in range(length + 1):
+        tags = length - min(doubled, length // 2)
+        for phrases in range(1, tags + 1):
+            assert _member_tree(tokens, phrases, doubled) == member_tree(tokens, phrases, doubled)
 
 
 def leaves(tree):

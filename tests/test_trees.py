@@ -18,7 +18,14 @@ from qcpg_kit import (
 from qcpg_kit.errors import EmptyLabel, TrailingInput, UnbalancedParens
 from qcpg_kit.trees import FlatTree, parse_syntactic_form, syntactic_form
 
-from helpers import random_ordered_tree, random_parse_tree, ted_bruteforce, ted_forest_oracle
+from helpers import (
+    prune_reference,
+    random_ordered_tree,
+    random_parse_tree,
+    strip_reference,
+    ted_bruteforce,
+    ted_forest_oracle,
+)
 
 
 class TestParsing:
@@ -96,6 +103,20 @@ class TestParsing:
         assert hash(copy) == hash(chain)
         # the same chain but for its deepest leaf
         assert parse_bracketed("(A " * 3000 + "(C)" + ")" * 3000) != chain
+        # a token leaf at the bottom: stripped, and its parent becomes the leaf
+        token_chain = parse_bracketed("(A " * 3000 + "(b)" + ")" * 3000)
+        try:
+            pruned, deep, stripped = prune_to_level(chain, 5000), prune_to_level(chain, 3), strip_tokens(chain)
+            tokens = strip_tokens(token_chain)
+            recursed = False
+        except RecursionError:
+            recursed = True
+        # failed outside the handler: reporting a traceback this deep, pytest compares the locals of
+        # every pair of its frames, and each == renders a 3,001-node tree, which takes minutes
+        assert not recursed, "a tree walk recursed once per level"
+        assert pruned == chain and stripped == chain
+        assert deep.render() == "(A (A A))"
+        assert tokens.render() == "(A " * 2999 + "A" + ")" * 2999
 
     def test_equal_exactly_when_the_renders_are(self):
         rng = np.random.default_rng(23)
@@ -126,6 +147,22 @@ class TestPrune:
     def test_invalid_level(self):
         with pytest.raises(ValueError):
             prune_to_level(ParseTree("A"), 0)
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_prune_and_strip_equal_their_recursive_definitions(level):
+    rng = np.random.default_rng(60 + level)
+    trees = [
+        random_ordered_tree(rng, int(rng.integers(1, 16)), "ABab", shape)
+        for shape in ("uniform", "deep", "wide")
+        for _ in range(40)
+    ]
+    trees += [random_parse_tree(rng, max_depth=int(rng.integers(2, 6))) for _ in range(40)]
+    for t in trees:
+        pruned = prune_to_level(t, level)
+        assert pruned == prune_reference(t, level)
+        assert strip_tokens(pruned) == strip_reference(pruned)
+        assert strip_tokens(t) == strip_reference(t)
 
 
 class TestStripTokens:

@@ -147,10 +147,11 @@ def _pair_trees(pairs, args) -> list[SentencePair]:
     side_tgt = _sidecar(args.target_trees, len(pairs))
     parsed = []
     for pair, src, tgt in zip(pairs, side_src, side_tgt):
-        pair = replace(pair, source_tree=pair.source_tree or src, target_tree=pair.target_tree or tgt)
         if pair.source_tree is None or pair.target_tree is None:
-            log.warning("skipping pair %r: missing parse", pair.source[:40])
-            continue
+            pair = replace(pair, source_tree=pair.source_tree or src, target_tree=pair.target_tree or tgt)
+            if pair.source_tree is None or pair.target_tree is None:
+                log.warning("skipping pair %r: missing parse", pair.source[:40])
+                continue
         parsed.append(pair)
     return parsed
 
@@ -319,8 +320,16 @@ def _system(text: str) -> tuple[str, str]:
     return name, path
 
 
-def _build_parser(config_path: str | None = None, chosen: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; the config file's values become defaults of the ``chosen`` command's options."""
+def _build_parser(
+    config_path: str | None = None, chosen: str | None = None, alone: bool = True
+) -> argparse.ArgumentParser:
+    """The CLI parser; the config file's values become defaults of the ``chosen`` command's options.
+
+    With ``alone`` and a valid ``chosen`` command, only that command's
+    subparser and options are built; otherwise all eight are. The usage
+    line still names every command, so a top-level error after the
+    command reads the same either way.
+    """
     config = _load_config(config_path)
     parser = argparse.ArgumentParser(prog="qcpg-kit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qcpg-kit {__version__}")
@@ -342,13 +351,6 @@ def _build_parser(config_path: str | None = None, chosen: str | None = None) -> 
         action.required = False
         return action
 
-    def command(name, func, out, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        p.add_argument("--config", help="key=value file of option defaults, keyed by dest; flags win")
-        option(p, "--out", default=out)
-        return p
-
     def seeded(p):
         option(p, "--seed", type=int, default=42)
 
@@ -365,61 +367,90 @@ def _build_parser(config_path: str | None = None, chosen: str | None = None) -> 
         option(p, "--generator-command")
         option(p, "--noise-std", type=float)
 
-    p = command("score", cmd_score, None, "append quality columns to a pairs TSV")
-    scored(p)
-    option(p, "--pairs", required=True)
-    option(p, "--source-trees", help="tree sidecar for sources")
-    option(p, "--target-trees", help="tree sidecar for targets")
+    def score(p):
+        scored(p)
+        option(p, "--pairs", required=True)
+        option(p, "--source-trees", help="tree sidecar for sources")
+        option(p, "--target-trees", help="tree sidecar for targets")
 
-    p = command("split", cmd_split, ".", "leak-free train/dev/test split of a cluster file")
-    seeded(p)
-    option(p, "--clusters", required=True)
-    option(p, "--sizes", required=True, help="train,dev,test pair quotas")
-    option(p, "--mode", choices=PAIR_MODES, default=ALL_UNORDERED)
+    def split(p):
+        seeded(p)
+        option(p, "--clusters", required=True)
+        option(p, "--sizes", required=True, help="train,dev,test pair quotas")
+        option(p, "--mode", choices=PAIR_MODES, default=ALL_UNORDERED)
 
-    p = command("train-qp", cmd_train_qp, "qp-model.json", "fit the reference predictor on scored pairs")
-    option(p, "--pairs", required=True, help="scored TSV from `score`")
-    option(p, "--dev", help="scored TSV for held-out MSE reporting")
-    option(p, "--lambda", dest="lam", type=float, default=1.0)
+    def train_qp(p):
+        option(p, "--pairs", required=True, help="scored TSV from `score`")
+        option(p, "--dev", help="scored TSV for held-out MSE reporting")
+        option(p, "--lambda", dest="lam", type=float, default=1.0)
 
-    p = command("predict-qp", cmd_predict_qp, None, "predict reference quality for sentences")
-    option(p, "--model", required=True)
-    option(p, "--sentences", required=True, help="one sentence per line")
+    def predict_qp(p):
+        option(p, "--model", required=True)
+        option(p, "--sentences", required=True, help="one sentence per line")
 
-    p = command("grid", cmd_grid, "heatmap.csv", "run the offset grid search, export heatmap CSV")
-    generation(p)
-    option(p, "--grid", default="0:5:50", help="lo:step:hi per dimension (default %(default)s)")
-    option(p, "--per-cluster", type=int, help="dev sentences per cluster")
-    option(p, "--max-dev-items", type=int)
+    def grid(p):
+        generation(p)
+        option(p, "--grid", default="0:5:50", help="lo:step:hi per dimension (default %(default)s)")
+        option(p, "--per-cluster", type=int, help="dev sentences per cluster")
+        option(p, "--max-dev-items", type=int)
 
-    p = command("select", cmd_select, None, "pick the operation point from a heatmap CSV")
-    option(p, "--heatmap", required=True)
-    option(p, "--baseline-sem", type=float, required=True)
-    option(p, "--margin", type=float, default=5.0, help="required semantic advantage (default %(default)s)")
+    def select(p):
+        option(p, "--heatmap", required=True)
+        option(p, "--baseline-sem", type=float, required=True)
+        option(p, "--margin", type=float, default=5.0, help="required semantic advantage (default %(default)s)")
 
-    p = command("generate", cmd_generate, "generated.tsv", "paraphrase cluster sentences at an offset")
-    generation(p)
-    option(p, "--offset", help="sem,syn,lex (default 0,0,0); excludes --operation-point")
-    option(p, "--operation-point", help="JSON from `select`")
+    def generate(p):
+        generation(p)
+        option(p, "--offset", help="sem,syn,lex (default 0,0,0); excludes --operation-point")
+        option(p, "--operation-point", help="JSON from `select`")
 
-    p = command("eval", cmd_eval, None, "compare systems: quality, Self-BLEU, BLEU")
-    scored(p)
-    p.add_argument("--system", action="append", type=_system, required=True, help="name=pairs.tsv (with trees)")
-    option(p, "--references", help="one reference per line, aligned with sources")
+    def eval_(p):
+        scored(p)
+        p.add_argument("--system", action="append", type=_system, required=True, help="name=pairs.tsv (with trees)")
+        option(p, "--references", help="one reference per line, aligned with sources")
 
+    # name: (handler, --out default, help line, the command's own options)
+    commands = {
+        "score": (cmd_score, None, "append quality columns to a pairs TSV", score),
+        "split": (cmd_split, ".", "leak-free train/dev/test split of a cluster file", split),
+        "train-qp": (cmd_train_qp, "qp-model.json", "fit the reference predictor on scored pairs", train_qp),
+        "predict-qp": (cmd_predict_qp, None, "predict reference quality for sentences", predict_qp),
+        "grid": (cmd_grid, "heatmap.csv", "run the offset grid search, export heatmap CSV", grid),
+        "select": (cmd_select, None, "pick the operation point from a heatmap CSV", select),
+        "generate": (cmd_generate, "generated.tsv", "paraphrase cluster sentences at an offset", generate),
+        "eval": (cmd_eval, None, "compare systems: quality, Self-BLEU, BLEU", eval_),
+    }
+    if alone and chosen in commands:
+        sub.metavar = "{%s}" % ",".join(commands)
+        commands = {chosen: commands[chosen]}
+    for name, (func, out, help, options) in commands.items():
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="key=value file of option defaults, keyed by dest; flags win")
+        option(p, "--out", default=out)
+        options(p)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line; returns its exit code.
+
+    The command and ``--config`` are read first: the config's values
+    become the defaults of that command's options in the one real parse.
+    When a valid command is the first argument, as on every documented
+    command line, the top-level parser hands all the rest to it, so only
+    its subparser is built. Otherwise (no or an unknown command,
+    ``--help``, or any option before the command) all eight are, since the
+    top-level parser may list them.
+    """
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    # the command and --config are read first: the config's values become
-    # the defaults of that command's options in the one real parse
     pre = argparse.ArgumentParser(prog="qcpg-kit", add_help=False)
     pre.add_argument("command", nargs="?")
     pre.add_argument("--config")
     try:
         known = pre.parse_known_args(argv)[0]
-        args = _build_parser(known.config, known.command).parse_args(argv)
+        first = (sys.argv[1:] if argv is None else argv)[:1] == [known.command]
+        args = _build_parser(known.config, known.command, alone=first).parse_args(argv)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single boundary mapping errors to exit codes
         log.error("%s: %s", type(exc).__name__, exc)

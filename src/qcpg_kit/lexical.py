@@ -267,9 +267,9 @@ def bag_assignment_cost(a: WordBag, b: WordBag) -> int:
     """
     rows, cols = list(a.words), []
     for word in b.words:
-        try:
+        if word in rows:
             rows.remove(word)
-        except ValueError:
+        else:
             cols.append(word)
     k = max(len(rows), len(cols))
     if k == 0:

@@ -46,11 +46,21 @@ class ParseTree:
         if _LABEL_FORBIDDEN.search(self.label):
             raise ValueError(f"node label may not contain parentheses or whitespace: {self.label!r}")
 
-    # the dataclass's == and hash would recurse once per level; render walks a stack and is injective
+    # the dataclass's == and hash would recurse once per level. == walks both trees on one stack and
+    # stops at the first node whose label or child count differs; hash hashes render, which walks a
+    # stack and is injective, so equal trees hash equal
     def __eq__(self, other):
         if not isinstance(other, ParseTree):
             return NotImplemented
-        return self is other or self.render() == other.render()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
     def __hash__(self) -> int:
         return hash(self.render())

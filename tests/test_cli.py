@@ -1,7 +1,9 @@
 import argparse
 import json
+import logging
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +43,7 @@ from qcpg_kit.cli import _build_parser, _exit_code_for, _generator_from, _read_s
 from qcpg_kit.generators import build_generator
 
 from helpers import BAD_MODEL_NUMBERS, with_bad_number
+from test_readme import COMMANDS
 from stub_counting_scorer import raw_score as stub_raw
 
 IDENTITY_SEM = 100.0 / (1.0 + math.exp(-2.0))
@@ -1035,14 +1038,18 @@ OPTION_DESTS = {
 }
 
 
+def option_dests(parser) -> dict[str, set[str]]:
+    """The option dests of each subparser the parser registers, in registration order."""
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+        for name, p in sub.choices.items()
+    }
+
+
 class TestOptions:
     def test_each_command_declares_only_the_options_it_reads(self):
-        [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        dests = {
-            name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
-            for name, p in sub.choices.items()
-        }
-        assert dests == OPTION_DESTS
+        assert option_dests(_build_parser()) == OPTION_DESTS
         assert sum(map(len, OPTION_DESTS.values())) == 58
 
     @pytest.mark.parametrize(
@@ -1066,6 +1073,70 @@ class TestOptions:
         with pytest.raises(SystemExit) as info:
             run(["eval", "--system", "foo", "--out", tmp_path / "report.tsv"])
         assert info.value.code == 2
+
+
+def chain_lines() -> list[list[str]]:
+    """The arguments of each ``qcpg-kit`` line of ``tests/chain.sh``, continuations joined."""
+    text = Path(__file__).with_name("chain.sh").read_text(encoding="utf-8").replace("\\\n", " ")
+    return [argv[1:] for argv in map(shlex.split, text.splitlines()) if argv[:1] == ["qcpg-kit"]]
+
+
+# stdout, stderr and exit code of command lines, captured with every subparser built
+# (COLUMNS=80, Python 3.11); CONFIG stands for the path of a config file holding `mode=bogus`
+CLI_TEXTS = json.loads(Path(__file__).with_name("cli_texts.json").read_text(encoding="utf-8"))
+
+
+def cli_texts(argv, capsys, caplog) -> dict:
+    """What ``main(argv)`` prints and exits with; log records are rendered as the CLI's stderr handler would."""
+    caplog.clear()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    err += "".join(f"{r.levelname} {r.getMessage()}\n" for r in caplog.records)
+    return {"code": code, "stdout": out, "stderr": err}
+
+
+class TestOneSubparser:
+    @pytest.mark.parametrize("command", OPTION_DESTS)
+    def test_a_chosen_command_builds_only_its_own_subparser(self, command):
+        assert option_dests(_build_parser(None, command)) == {command: OPTION_DESTS[command]}
+
+    @pytest.mark.parametrize("command", [None, "nosuch"])
+    def test_without_a_valid_command_every_subparser_is_built(self, command):
+        assert option_dests(_build_parser(None, command)) == OPTION_DESTS
+
+    @pytest.mark.parametrize("argv", COMMANDS + chain_lines(), ids=" ".join)
+    def test_documented_lines_parse_alike_with_one_subparser_or_all(self, argv):
+        assert _build_parser(None, argv[0]).parse_args(argv) == _build_parser().parse_args(argv)
+
+    @pytest.fixture()
+    def config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("mode=bogus\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="texts captured with the argparse of Python 3.11")
+    @pytest.mark.parametrize("case", CLI_TEXTS, ids=lambda case: " ".join(case["argv"]) or "no-arguments")
+    def test_help_and_usage_texts_are_pinned(self, case, config_file, capsys, caplog, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        caplog.set_level(logging.INFO)
+        argv = [config_file if a == "CONFIG" else a for a in case["argv"]]
+        texts = cli_texts(argv, capsys, caplog)
+        assert {k: v.replace(config_file, "CONFIG") if isinstance(v, str) else v for k, v in texts.items()} == {
+            k: case[k] for k in ("code", "stdout", "stderr")
+        }
+
+    @pytest.mark.parametrize("case", CLI_TEXTS, ids=lambda case: " ".join(case["argv"]) or "no-arguments")
+    def test_texts_equal_those_with_every_subparser_built(self, case, config_file, capsys, caplog, monkeypatch):
+        # the version-independent check of the pins: the same line with all eight subparsers forced
+        caplog.set_level(logging.INFO)
+        argv = [config_file if a == "CONFIG" else a for a in case["argv"]]
+        texts = cli_texts(argv, capsys, caplog)
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda config_path, chosen, alone: build(config_path, chosen, False))
+        assert cli_texts(argv, capsys, caplog) == texts
 
 
 EXIT_CODES = {

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -130,6 +131,31 @@ class TestParsing:
                 equal_pairs += 1
                 assert hash(t) == hash(u)
         assert equal_pairs > 20
+
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_exactly_when_the_renders_are_on_random_parse_trees(self, seed_a, seed_b, max_depth, k):
+        a = random_parse_tree(np.random.default_rng(seed_a), max_depth)
+        b = random_parse_tree(np.random.default_rng(seed_b), max_depth)
+        twin = random_parse_tree(np.random.default_rng(seed_a), max_depth)  # built apart, sharing no node
+        text = a.render()
+        words = list(re.finditer(r"[^\s()]+", text))
+        word = words[k % len(words)]
+        relabelled = parse_bracketed(text[: word.start()] + "Z" + text[word.start():])  # one label differs
+        for u in (b, twin, relabelled):
+            assert (a == u) == (a.render() == u.render()) == (u == a)
+        assert a == twin and hash(a) == hash(twin)
+        assert a != relabelled
+
+    def test_chains_with_different_roots_compare_without_rendering(self, monkeypatch):
+        chain = parse_bracketed("(A " * 3000 + "(B)" + ")" * 3000)
+        other = parse_bracketed("(C " + "(A " * 2999 + "(B)" + ")" * 3000)
+        calls = []
+        render = ParseTree.render
+        monkeypatch.setattr(ParseTree, "render", lambda self: calls.append(self) or render(self))
+        assert chain != other and not chain == other
+        assert calls == []
 
 
 class TestPrune:

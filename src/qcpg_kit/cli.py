@@ -325,12 +325,11 @@ def _build_parser(
 ) -> argparse.ArgumentParser:
     """The CLI parser; the config file's values become defaults of the ``chosen`` command's options.
 
-    With ``alone`` and a valid ``chosen`` command, only that command's
-    subparser and options are built; otherwise all eight are. The usage
-    line still names every command, so a top-level error after the
-    command reads the same either way.
+    The config file is read only for a valid ``chosen`` command. With
+    ``alone`` and one, only its subparser and options are built;
+    otherwise all eight are. The usage line still names every command,
+    so a top-level error after the command reads the same either way.
     """
-    config = _load_config(config_path)
     parser = argparse.ArgumentParser(prog="qcpg-kit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qcpg-kit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -420,6 +419,7 @@ def _build_parser(
         "generate": (cmd_generate, "generated.tsv", "paraphrase cluster sentences at an offset", generate),
         "eval": (cmd_eval, None, "compare systems: quality, Self-BLEU, BLEU", eval_),
     }
+    config = _load_config(config_path) if chosen in commands else {}
     if alone and chosen in commands:
         sub.metavar = "{%s}" % ",".join(commands)
         commands = {chosen: commands[chosen]}
@@ -435,13 +435,13 @@ def _build_parser(
 def main(argv=None) -> int:
     """Run one command line; returns its exit code.
 
-    The command and ``--config`` are read first: the config's values
-    become the defaults of that command's options in the one real parse.
-    When a valid command is the first argument, as on every documented
-    command line, the top-level parser hands all the rest to it, so only
-    its subparser is built. Otherwise (no or an unknown command,
-    ``--help``, or any option before the command) all eight are, since the
-    top-level parser may list them.
+    The command and ``--config`` are read first. When a valid command is
+    the first argument, as on every documented command line, the config's
+    values become the defaults of its options in the one real parse, and
+    only its subparser is built: the top-level parser hands it the rest.
+    Otherwise (no or an unknown command, ``--help``, or any option before
+    the command) all eight are, since the top-level parser may list them,
+    and the config is not read: the parse ends before any command runs.
     """
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     pre = argparse.ArgumentParser(prog="qcpg-kit", add_help=False)
@@ -450,7 +450,7 @@ def main(argv=None) -> int:
     try:
         known = pre.parse_known_args(argv)[0]
         first = (sys.argv[1:] if argv is None else argv)[:1] == [known.command]
-        args = _build_parser(known.config, known.command, alone=first).parse_args(argv)
+        args = _build_parser(known.config if first else None, known.command, alone=first).parse_args(argv)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single boundary mapping errors to exit codes
         log.error("%s: %s", type(exc).__name__, exc)

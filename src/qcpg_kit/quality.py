@@ -236,48 +236,39 @@ class QualityComputer:
         (none when every key hits); a call's failure fails every key of its
         slice, a malformed tree or a non-finite score only its own key. A
         key without both trees is ``MissingTree`` and never reaches the
-        scorer. Failures are not cached.
+        scorer. Those four are the only failures: once a key's two forms
+        are built, its syn and lex raise none. Failures are not cached.
         """
         results: dict[PairKey, QualityVector | QcpgError] = {}
-        forms: dict[PairKey, tuple[FlatTree, FlatTree]] = {}
-        for key in keys:
-            if key in results or key in forms:
-                continue
+        misses: list[tuple[PairKey, FlatTree, FlatTree]] = []
+        for key in dict.fromkeys(keys):
             cached = self._pairs.get(key)
             if cached is not None:
                 results[key] = cached
-                continue
-            if key[2] is None or key[3] is None:
+            elif key[2] is None or key[3] is None:
                 results[key] = MissingTree(f"no parse available for {key[1][:60]!r} or its source {key[0][:60]!r}")
-                continue
-            try:
-                forms[key] = (self._form(key[2]), self._form(key[3]))
-            except QcpgError as exc:
-                results[key] = exc
-        misses = list(forms.items())
+            else:
+                try:
+                    misses.append((key, self._form(key[2]), self._form(key[3])))
+                except QcpgError as exc:
+                    results[key] = exc
         for start in range(0, len(misses), MAX_BATCH_REQUESTS):
             batch = misses[start:start + MAX_BATCH_REQUESTS]
-            distances: list[tuple[float, float] | QcpgError] = []
+            distances: list[tuple[float, float]] = []
 
             def kernels():
                 # runs while an external scorer starts up; needs nothing from it
-                for key, (form_s, form_t) in batch:
-                    try:
-                        distances.append((self._syn_of(form_s, form_t), self._lex_of(*key[:2])))
-                    except QcpgError as exc:
-                        distances.append(exc)
+                for key, form_s, form_t in batch:
+                    distances.append((self._syn_of(form_s, form_t), self._lex_of(*key[:2])))
 
             try:
-                raws = self.scorer.raw_batch([key[:2] for key, _ in batch], meanwhile=kernels)
+                raws = self.scorer.raw_batch([key[:2] for key, _, _ in batch], meanwhile=kernels)
             except QcpgError as exc:
-                results.update(dict.fromkeys((key for key, _ in batch), exc))
+                results.update(dict.fromkeys((key for key, _, _ in batch), exc))
                 continue
-            for (key, (form_s, form_t)), raw, dist in zip(batch, raws, distances):
-                if isinstance(dist, QcpgError):
-                    results[key] = dist
-                    continue
+            for (key, form_s, form_t), raw, (syn, lex) in zip(batch, raws, distances):
                 try:
-                    q = quality_vector(key[0], key[1], form_s, form_t, raw=raw, syn=dist[0], lex=dist[1])
+                    q = quality_vector(key[0], key[1], form_s, form_t, raw=raw, syn=syn, lex=lex)
                     results[key] = self._pairs[key] = q
                 except QcpgError as exc:
                     results[key] = exc

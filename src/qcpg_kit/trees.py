@@ -46,9 +46,9 @@ class ParseTree:
         if _LABEL_FORBIDDEN.search(self.label):
             raise ValueError(f"node label may not contain parentheses or whitespace: {self.label!r}")
 
-    # the dataclass's == and hash would recurse once per level. == walks both trees on one stack and
-    # stops at the first node whose label or child count differs; hash hashes render, which walks a
-    # stack and is injective, so equal trees hash equal
+    # the dataclass's ==, hash and repr, and the reduce behind copy and pickle, would recurse once per
+    # level. == walks both trees on one stack and stops at the first differing label or child count;
+    # the rest go through render, which walks a stack and which parse_bracketed inverts exactly
     def __eq__(self, other):
         if not isinstance(other, ParseTree):
             return NotImplemented
@@ -64,6 +64,12 @@ class ParseTree:
 
     def __hash__(self) -> int:
         return hash(self.render())
+
+    def __repr__(self) -> str:
+        return f"parse_bracketed({self.render()!r})"
+
+    def __reduce__(self):
+        return parse_bracketed, (self.render(),)
 
     def node_count(self) -> int:
         count, stack = 0, [self]

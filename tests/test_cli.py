@@ -971,6 +971,33 @@ class TestConfig:
         assert all(mode in caplog.text for mode in ("all_ordered", "all_unordered", "star_first"))
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--config", "MISSING", "score", "--pairs", "p.tsv"],
+            ["--config", "BOGUS", "score", "--pairs", "p.tsv"],
+            ["nosuch", "--config", "MISSING"],
+        ],
+    )
+    def test_config_before_the_command_or_with_an_unknown_one_is_a_usage_error_unread(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        bogus = tmp_path / "bogus.cfg"
+        bogus.write_text("scorer=bogus\n", encoding="utf-8")
+        paths = {"MISSING": str(tmp_path / "nonexistent.cfg"), "BOGUS": str(bogus)}
+        opened = []
+        read_lines = cli.read_lines
+        monkeypatch.setattr(cli, "read_lines", lambda path: opened.append(path) or read_lines(path))
+        with pytest.raises(SystemExit) as info:
+            main([paths.get(a, a) for a in argv])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qcpg-kit ") and "qcpg-kit: error: " in err
+        assert opened == []
+        # after a valid command the same config is read
+        assert main(["score", "--config", str(bogus), "--pairs", "p.tsv"]) == 5
+        assert opened == [str(bogus)]
+
+    @pytest.mark.parametrize(
         "name, kind",
         [
             ("builtin", "builtin_trigram"),

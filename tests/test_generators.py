@@ -264,6 +264,12 @@ class TestBuildGenerator:
                 c = ControlVector(*(int(v) for v in rng.choice(range(0, 100, 5), size=3)))
                 assert gen.generate(s, c, cluster) != ""
 
+    def test_every_generator_class_binds_the_one_generate(self):
+        # each class's own binding, which the tracer patches, and one function behind all four
+        classes = (IdentityGenerator, RetrievalOracleGenerator, NoisyOracleGenerator, ExternalCommandGenerator)
+        bound = [cls.__dict__["generate"] for cls in classes]
+        assert all(f is bound[0] for f in bound)
+
 
 class TestGenerateBatch:
     SPECS = (

@@ -435,6 +435,26 @@ class TestPairQualities:
         with pytest.raises(MissingTree):
             computer.pair_quality(*treeless[0])
 
+    def test_each_failing_key_repeated_fails_at_every_position(self, tmp_path, monkeypatch):
+        # one of each failure before the scorer: no tree, a malformed tree; and a key whose slice fails
+        word = "zebra"
+        s, t, ts, tt = self.KEYS[0]
+        missing, malformed, failing = (s, t, None, tt), (s, t, ts, "(S (T a"), (f"{word} {s}", t, ts, tt)
+        good = self.KEYS[1:4]
+        assert not any(word in key[0].split() + key[1].split() for key in good)
+        keys = [missing, malformed, failing, good[0], missing, malformed, failing, *good[1:]]
+        # the misses, in order: failing and good[0] make the first slice, good[1:] the second
+        monkeypatch.setattr(qcpg_kit.quality, "MAX_BATCH_REQUESTS", 2)
+        count, computer = self.counting(tmp_path, "--exit-on", word)
+        qualities = computer.pair_qualities(keys)
+        assert _starts(count) == 2
+        for i, j in ((0, 4), (1, 5), (2, 6)):
+            assert qualities[i] is qualities[j]
+        assert isinstance(qualities[0], MissingTree)
+        assert isinstance(qualities[1], TreeSyntaxError)
+        assert isinstance(qualities[2], ProtocolError) and qualities[3] is qualities[2]
+        assert qualities[7:] == [QualityComputer(computer.scorer).pair_quality(*key) for key in good[1:]]
+
 
 class TestScorerOverlap:
     """An external scorer's process starts before its slice's syn and lex and is fed its pairs after them."""

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from itertools import combinations
 
@@ -99,9 +101,9 @@ class TestParsing:
         assert chain.node_count() == 3001
         text = chain.render()
         assert text == "(A " * 3000 + "B" + ")" * 3000
-        copy = parse_bracketed(text)
-        assert copy == chain and copy is not chain
-        assert hash(copy) == hash(chain)
+        reparsed = parse_bracketed(text)
+        assert reparsed == chain and reparsed is not chain
+        assert hash(reparsed) == hash(chain)
         # the same chain but for its deepest leaf
         assert parse_bracketed("(A " * 3000 + "(C)" + ")" * 3000) != chain
         # a token leaf at the bottom: stripped, and its parent becomes the leaf
@@ -109,6 +111,7 @@ class TestParsing:
         try:
             pruned, deep, stripped = prune_to_level(chain, 5000), prune_to_level(chain, 3), strip_tokens(chain)
             tokens = strip_tokens(token_chain)
+            shown, deep_copied, unpickled = repr(chain), copy.deepcopy(chain), pickle.loads(pickle.dumps(chain))
             recursed = False
         except RecursionError:
             recursed = True
@@ -118,6 +121,9 @@ class TestParsing:
         assert pruned == chain and stripped == chain
         assert deep.render() == "(A (A A))"
         assert tokens.render() == "(A " * 2999 + "A" + ")" * 2999
+        assert shown == f"parse_bracketed({text!r})"
+        assert deep_copied == chain and deep_copied is not chain
+        assert unpickled == chain and unpickled is not chain
 
     def test_equal_exactly_when_the_renders_are(self):
         rng = np.random.default_rng(23)

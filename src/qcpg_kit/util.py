@@ -111,7 +111,7 @@ def philox_keys(parts: np.ndarray) -> np.ndarray:
     present[:, 0::2] = True
     widths = present.sum(axis=1)
     keys = np.empty((n, 2), dtype=np.uint64)
-    for width in np.unique(widths):
+    for width in np.flatnonzero(np.bincount(widths)):  # np.unique, with no index output, loads numpy.ma (numpy 2.4)
         rows = widths == width
         keys[rows] = seed_sequence_keys(halves[rows][present[rows]].reshape(-1, width))
     return keys
@@ -123,15 +123,15 @@ def keyed_generators(keys: np.ndarray):
     One Philox is reset per key (key set, counter 0, buffer empty), so
     every Generator yielded is the same object, valid until the next.
     The state setter reads its arrays one element at a time, so they are
-    handed to it as lists of Python ints.
+    handed to it as lists of Python ints; the keys are converted once.
     """
     bitgen = np.random.Philox(0)
     state = bitgen.state  # counter 0, buffer empty
     state["state"]["counter"] = state["state"]["counter"].tolist()
     state["buffer"] = state["buffer"].tolist()
     rng = np.random.Generator(bitgen)
-    for key in np.asarray(keys, dtype=np.uint64):
-        state["state"]["key"] = key.tolist()
+    for key in np.asarray(keys, dtype=np.uint64).tolist():
+        state["state"]["key"] = key
         bitgen.state = state
         yield rng
 

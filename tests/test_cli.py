@@ -1228,6 +1228,24 @@ class TestProcessStart:
         assert proc.stdout.splitlines() == ["0 False"], proc.stderr
         assert "lex" in out.read_text(encoding="utf-8").splitlines()[0]  # every output has a lex column
 
+    @pytest.mark.parametrize("command", ["grid", "generate"])
+    def test_noisy_oracle_leaves_numpy_ma_unloaded(self, command, corpus_file, model_file, tmp_path):
+        # the Philox keys are grouped by word count without np.unique, which loads numpy.ma (numpy 2.4)
+        noisy = ["--clusters", corpus_file, "--model", model_file, "--generator", "noisy_oracle", "--noise-std", "5"]
+        argv = {
+            "grid": ["grid", *noisy, "--grid", "0:25:50"],
+            "generate": ["generate", *noisy, "--offset", "10,10,10"],
+        }[command]
+        probe = (
+            "import sys\n"
+            "import numpy, qcpg_kit.cli\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "print(qcpg_kit.cli.main(sys.argv[1:]), before or 'numpy.ma' not in sys.modules)\n"
+        )
+        argv = [sys.executable, "-c", probe, *map(str, argv), "--out", str(tmp_path / "out")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=package_env())
+        assert proc.stdout.splitlines() == ["0 True"], proc.stderr
+
 
 class TestRerunAcrossProcesses:
     """The README's promise of byte-identical reruns, one process per command as a shell runs them."""

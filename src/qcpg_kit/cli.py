@@ -320,15 +320,13 @@ def _system(text: str) -> tuple[str, str]:
     return name, path
 
 
-def _build_parser(
-    config_path: str | None = None, chosen: str | None = None, alone: bool = True
-) -> argparse.ArgumentParser:
+def _build_parser(config_path: str | None = None, chosen: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser; the config file's values become defaults of the ``chosen`` command's options.
 
-    The config file is read only for a valid ``chosen`` command. With
-    ``alone`` and one, only its subparser and options are built;
-    otherwise all eight are. The usage line still names every command,
-    so a top-level error after the command reads the same either way.
+    For a valid ``chosen`` command the config file is read and only its
+    subparser and options are built; otherwise all eight are, and no
+    config is read. The usage line still names every command, so a
+    top-level error after the command reads the same either way.
     """
     parser = argparse.ArgumentParser(prog="qcpg-kit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qcpg-kit {__version__}")
@@ -337,7 +335,7 @@ def _build_parser(
     def option(p, *flags, **kwargs) -> argparse.Action:
         """Add an option; a config value under its dest becomes its default, checked like a flag value."""
         action = p.add_argument(*flags, **kwargs)
-        if p is not sub.choices.get(chosen) or action.dest not in config:
+        if action.dest not in config:  # a config is read only when its command's subparser is the only one
             return action
         value = config[action.dest]
         where = f"config {config_path}: {action.dest}={value!r}"
@@ -419,8 +417,9 @@ def _build_parser(
         "generate": (cmd_generate, "generated.tsv", "paraphrase cluster sentences at an offset", generate),
         "eval": (cmd_eval, None, "compare systems: quality, Self-BLEU, BLEU", eval_),
     }
-    config = _load_config(config_path) if chosen in commands else {}
-    if alone and chosen in commands:
+    config = {}
+    if chosen in commands:
+        config = _load_config(config_path)
         sub.metavar = "{%s}" % ",".join(commands)
         commands = {chosen: commands[chosen]}
     for name, (func, out, help, options) in commands.items():
@@ -450,7 +449,7 @@ def main(argv=None) -> int:
     try:
         known = pre.parse_known_args(argv)[0]
         first = (sys.argv[1:] if argv is None else argv)[:1] == [known.command]
-        args = _build_parser(known.config if first else None, known.command, alone=first).parse_args(argv)
+        args = _build_parser(known.config, known.command if first else None).parse_args(argv)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single boundary mapping errors to exit codes
         log.error("%s: %s", type(exc).__name__, exc)

@@ -13,12 +13,15 @@ distance ``|T| - [x occurs in T]`` from any tree T, so
 by that rule and runs Zhang-Shasha's forest tables only between
 non-leaf keyroots.
 
-One tokenizer serves both readers of the text: :func:`parse_bracketed`
-builds a :class:`ParseTree`, and :func:`parse_syntactic_form` builds the
-pruned, token-stripped postorder form the distance compares in a single
-pass, with no tree in between. :func:`prune_to_level`,
-:func:`strip_tokens` and :func:`syntactic_form` give the same form from
-a :class:`ParseTree`.
+One walk over the text serves parsing, pruning, stripping and
+flattening: it reads bracketed text into postorder arrays, keeping only
+the nodes down to a given depth and dropping surface tokens when asked.
+:func:`parse_syntactic_form` hands the pruned, token-stripped arrays to
+:class:`FlatTree`, the form the distance compares, with no tree in
+between. :func:`parse_bracketed` builds a :class:`ParseTree` from the
+full arrays; :func:`prune_to_level`, :func:`strip_tokens`,
+:meth:`FlatTree.of` and :func:`syntactic_form` walk the text a tree
+renders to.
 """
 
 from __future__ import annotations
@@ -71,13 +74,6 @@ class ParseTree:
     def __reduce__(self):
         return parse_bracketed, (self.render(),)
 
-    def node_count(self) -> int:
-        count, stack = 0, [self]
-        while stack:
-            count += 1
-            stack.extend(stack.pop().children)
-        return count
-
     def render(self) -> str:
         """Serialize back to bracketed text; inverse of :func:`parse_bracketed`.
 
@@ -124,12 +120,81 @@ def _syntax_error(text: str, tokens: list[str], k: int) -> TreeSyntaxError:
     return TrailingInput("unexpected text after complete tree", offset)
 
 
-def _tokens(text: str) -> list[str]:
-    """The tokens of one tree's text, which must open with '('."""
+# Labels made of uppercase letters (plus digits and common tag punctuation)
+# are treated as structural (POS/phrase) labels; anything else on a leaf
+# that is its parent's only child is a surface token.
+_STRUCTURAL_LABEL = re.compile(r"^[A-Z0-9$#_.,:`'-]*[A-Z][A-Z0-9$#_.,:`'-]*$")
+
+
+def _walk(text: str, level: int | None = None, strip: bool = False) -> tuple[list[str], list[int]]:
+    """The postorder labels and leftmost-leaf indices of the tree ``text`` holds, in one pass over its tokens.
+
+    Only the nodes at depth <= ``level`` are kept (every node when it is
+    None), with the root at 1. With ``strip``, as a node closes, its only
+    child is dropped when that child is a leaf of the pruned tree with a
+    label that is not structural. Malformed text raises a
+    :class:`~qcpg_kit.errors.TreeSyntaxError` at the UTF-8 byte offset of
+    the first token that breaks the grammar.
+    """
     tokens = _TOKEN.findall(text)
     if not tokens or tokens[0] != "(":
         raise _syntax_error(text, tokens, 0)
-    return tokens
+    m = len(tokens)
+    if level is None:
+        level = m  # no node is deeper than the tokens are many
+    labels: list[str] = []
+    lml: list[int] = []
+    # one [label, first postorder index, only child] per open node at depth <= level;
+    # only child: None while it has no child in the pruned tree (always, at depth == level),
+    # the label of a sole child that is a leaf of the pruned tree, else False
+    stack: list[list] = []
+    depth = k = 0
+    while k < m:
+        tok = tokens[k]
+        if tok == "(":
+            k += 1
+            if k == m or tokens[k] in _PARENS:
+                raise _syntax_error(text, tokens, k)
+            depth += 1
+            if depth <= level:
+                stack.append([tokens[k], len(labels), None])
+        elif tok == ")":
+            if depth <= level:
+                label, first, only = stack.pop()
+                if only and strip and not _STRUCTURAL_LABEL.match(only):
+                    del labels[-1], lml[-1]  # a surface token under its preterminal
+                labels.append(label)
+                lml.append(first)
+                if stack:
+                    parent = stack[-1]
+                    parent[2] = label if parent[2] is None and only is None else False
+            depth -= 1
+            if not depth:
+                if k + 1 < m:
+                    raise _syntax_error(text, tokens, k + 1)
+                return labels, lml
+        elif depth < level:
+            parent = stack[-1]
+            parent[2] = tok if parent[2] is None else False
+            lml.append(len(labels))
+            labels.append(tok)
+        k += 1
+    raise _syntax_error(text, tokens, m)
+
+
+def _tree(labels: list[str], lml: list[int]) -> ParseTree:
+    """The :class:`ParseTree` whose postorder labels and leftmost-leaf indices are ``labels`` and ``lml``."""
+    # an explicit stack, so no depth is too deep: one (first postorder index, subtree) per subtree whose
+    # parent is still to come; a node's children are the subtrees on top that start at or after its leftmost leaf
+    stack: list[tuple[int, ParseTree]] = []
+    for label, first in zip(labels, lml):
+        k = len(stack)
+        while k and stack[k - 1][0] >= first:
+            k -= 1
+        children = tuple(subtree for _, subtree in stack[k:])
+        del stack[k:]
+        stack.append((first, ParseTree(label, children)))
+    return stack[0][1]
 
 
 def parse_bracketed(text: str) -> ParseTree:
@@ -138,60 +203,14 @@ def parse_bracketed(text: str) -> ParseTree:
     Bare words inside a node, such as ``the`` in ``(DT the)``, become
     leaf children; ``(A)`` is a childless root.
     """
-    tokens = _tokens(text)
-    m = len(tokens)
-    # one [label, children] per open node
-    stack: list[list] = []
-    k = 0
-    while k < m:
-        tok = tokens[k]
-        if tok == "(":
-            k += 1
-            if k == m or tokens[k] in _PARENS:
-                raise _syntax_error(text, tokens, k)
-            stack.append([tokens[k], []])
-        elif tok == ")":
-            label, children = stack.pop()
-            node = ParseTree(label, tuple(children))
-            if not stack:
-                if k + 1 < m:
-                    raise _syntax_error(text, tokens, k + 1)
-                return node
-            stack[-1][1].append(node)
-        else:
-            stack[-1][1].append(ParseTree(tok))
-        k += 1
-    raise _syntax_error(text, tokens, m)
-
-
-def _rebuild(tree: ParseTree, descend) -> ParseTree:
-    """A copy of ``tree`` in which a node at depth d keeps its children iff ``descend(node, d)``; the root is at 1."""
-    # an explicit stack, so no depth is too deep: one (node, its children still to copy, their copies so far)
-    # per open node, under a holder of the root
-    stack = [(None, iter((tree,)), [])]
-    while True:
-        node, children, copies = stack[-1]
-        child = next(children, None)
-        if child is not None:
-            stack.append((child, iter(child.children if descend(child, len(stack)) else ()), []))
-        elif node is None:
-            return copies[0]
-        else:
-            stack.pop()
-            stack[-1][2].append(ParseTree(node.label, tuple(copies)))
+    return _tree(*_walk(text))
 
 
 def prune_to_level(tree: ParseTree, level: int = DEFAULT_PRUNE_LEVEL) -> ParseTree:
     """Keep only nodes at depth <= level, with the root at level 1."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    return _rebuild(tree, lambda _, depth: depth < level)
-
-
-# Labels made of uppercase letters (plus digits and common tag punctuation)
-# are treated as structural (POS/phrase) labels; anything else on a leaf
-# that is its parent's only child is a surface token.
-_STRUCTURAL_LABEL = re.compile(r"^[A-Z0-9$#_.,:`'-]*[A-Z][A-Z0-9$#_.,:`'-]*$")
+    return _tree(*_walk(tree.render(), level))
 
 
 def strip_tokens(tree: ParseTree) -> ParseTree:
@@ -203,8 +222,7 @@ def strip_tokens(tree: ParseTree) -> ParseTree:
     and leaf phrases survive, so the operation is idempotent on trees in
     treebank form.
     """
-    return _rebuild(tree, lambda node, _: len(node.children) != 1 or node.children[0].children
-                    or _STRUCTURAL_LABEL.match(node.children[0].label))
+    return _tree(*_walk(tree.render(), strip=True))
 
 
 class FlatTree:
@@ -225,21 +243,8 @@ class FlatTree:
 
     @classmethod
     def of(cls, root: ParseTree) -> "FlatTree":
-        """``root`` flattened as given, with an explicit stack: any depth is fine."""
-        labels: list[str] = []
-        lml: list[int] = []
-        # one (node, its children still to visit, its first postorder index) per open node
-        stack = [(root, iter(root.children), 0)]
-        while stack:
-            node, children, first = stack[-1]
-            child = next(children, None)
-            if child is None:
-                stack.pop()
-                labels.append(node.label)
-                lml.append(first)
-            else:
-                stack.append((child, iter(child.children), len(labels)))
-        return cls(labels, lml)
+        """``root`` flattened as given: the full walk of its rendered text, so any depth is fine."""
+        return cls(*_walk(root.render()))
 
 
 def syntactic_form(tree: ParseTree) -> FlatTree:
@@ -247,63 +252,24 @@ def syntactic_form(tree: ParseTree) -> FlatTree:
 
     Computing it once per tree and passing it to
     :func:`syntactic_distance` in place of the tree saves the pruning,
-    stripping and flattening on every later pair.
-    :func:`parse_syntactic_form` builds the same form from the tree's text.
+    stripping and flattening on every later pair. It is
+    :func:`parse_syntactic_form` of the tree's rendered text.
     """
-    return FlatTree.of(strip_tokens(prune_to_level(tree)))
+    return parse_syntactic_form(tree.render())
 
 
 def parse_syntactic_form(text: str) -> FlatTree:
     """``syntactic_form(parse_bracketed(text))`` in one pass over the tokens.
 
-    Only the nodes at depth <= ``DEFAULT_PRUNE_LEVEL`` are emitted, in
-    postorder. As a node closes, its only child is dropped when that
-    child is a leaf of the pruned tree with a label that is not
-    structural: the rule of :func:`strip_tokens`, applied to the pruned
-    tree. Malformed text raises the error :func:`parse_bracketed`
-    raises, at the same offset.
+    It is the walk of ``text`` pruned to ``DEFAULT_PRUNE_LEVEL`` and
+    stripped: only the nodes at depth <= ``DEFAULT_PRUNE_LEVEL`` are
+    emitted, in postorder, and as a node closes, its only child is
+    dropped when that child is a leaf of the pruned tree with a label
+    that is not structural: the rule of :func:`strip_tokens`, applied to
+    the pruned tree. Malformed text raises the error
+    :func:`parse_bracketed` raises, at the same offset.
     """
-    level = DEFAULT_PRUNE_LEVEL
-    tokens = _tokens(text)
-    m = len(tokens)
-    labels: list[str] = []
-    lml: list[int] = []
-    # one [label, first postorder index, only child] per open node at depth <= level;
-    # only child: None while it has no child in the pruned tree (always, at depth == level),
-    # the label of a sole child that is a leaf of the pruned tree, else False
-    stack: list[list] = []
-    depth = k = 0
-    while k < m:
-        tok = tokens[k]
-        if tok == "(":
-            k += 1
-            if k == m or tokens[k] in _PARENS:
-                raise _syntax_error(text, tokens, k)
-            depth += 1
-            if depth <= level:
-                stack.append([tokens[k], len(labels), None])
-        elif tok == ")":
-            if depth <= level:
-                label, first, only = stack.pop()
-                if only and not _STRUCTURAL_LABEL.match(only):
-                    del labels[-1], lml[-1]  # a surface token under its preterminal
-                labels.append(label)
-                lml.append(first)
-                if stack:
-                    parent = stack[-1]
-                    parent[2] = label if parent[2] is None and only is None else False
-            depth -= 1
-            if not depth:
-                if k + 1 < m:
-                    raise _syntax_error(text, tokens, k + 1)
-                return FlatTree(labels, lml)
-        elif depth < level:
-            parent = stack[-1]
-            parent[2] = tok if parent[2] is None else False
-            lml.append(len(labels))
-            labels.append(tok)
-        k += 1
-    raise _syntax_error(text, tokens, m)
+    return FlatTree(*_walk(text, DEFAULT_PRUNE_LEVEL, strip=True))
 
 
 def tree_edit_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree) -> int:

@@ -235,7 +235,7 @@ def matching_bruteforce(a_words: tuple[str, ...], b_words: tuple[str, ...]) -> i
     return result
 
 
-# --- recursive definitions of pruning and token stripping ---------------------
+# --- recursive definitions of pruning, token stripping and flattening ----------
 
 
 def prune_reference(tree: ParseTree, level: int) -> ParseTree:
@@ -252,6 +252,22 @@ def strip_reference(tree: ParseTree) -> ParseTree:
         if not only.children and not _STRUCTURAL_LABEL.match(only.label):
             return ParseTree(tree.label)
     return ParseTree(tree.label, tuple(strip_reference(c) for c in tree.children))
+
+
+def flatten_reference(tree: ParseTree) -> tuple[list[str], list[int]]:
+    """``FlatTree.of``'s arrays, postorder labels and leftmost-leaf indices, by one recursive call per node."""
+    labels: list[str] = []
+    lml: list[int] = []
+
+    def visit(node: ParseTree) -> None:
+        first = len(labels)
+        for child in node.children:
+            visit(child)
+        labels.append(node.label)
+        lml.append(first)
+
+    visit(tree)
+    return labels, lml
 
 
 # --- random structures ----------------------------------------------------------

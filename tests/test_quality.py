@@ -42,7 +42,7 @@ from qcpg_kit import (
 )
 from qcpg_kit.errors import MalformedControlPrefix, MissingTree, NonFiniteValue, ProtocolError, TreeSyntaxError
 
-from helpers import levenshtein_oracle
+from helpers import flatten_reference, levenshtein_oracle
 from stub_counting_scorer import raw_score as stub_raw
 
 COUNTING_SCORER = Path(__file__).with_name("stub_counting_scorer.py")
@@ -567,7 +567,7 @@ def reference_quality(s: str, t: str, tree_s: str, tree_t: str) -> QualityVector
     rows, cols = linear_sum_assignment(cost)
     lex = _clamped_percent(int(cost[rows, cols].sum()), max(bag_s.total_chars, bag_t.total_chars))
     pa, pb = (strip_tokens(prune_to_level(parse_bracketed(tree), 3)) for tree in (tree_s, tree_t))
-    syn = _clamped_percent(tree_edit_distance(pa, pb), max(pa.node_count(), pb.node_count()))
+    syn = _clamped_percent(tree_edit_distance(pa, pb), max(len(flatten_reference(t)[0]) for t in (pa, pb)))
     return QualityVector(semantic_similarity(builtin_trigram_raw(s, t)), syn, lex)
 
 

@@ -22,6 +22,7 @@ from qcpg_kit.errors import EmptyLabel, TrailingInput, UnbalancedParens
 from qcpg_kit.trees import FlatTree, parse_syntactic_form, syntactic_form
 
 from helpers import (
+    flatten_reference,
     prune_reference,
     random_ordered_tree,
     random_parse_tree,
@@ -43,7 +44,7 @@ class TestParsing:
     def test_hand_counted_nodes(self):
         # hand count: S, NP, DT, the, VP, VB, runs
         tree = parse_bracketed("(S (NP (DT the)) (VP (VB runs)))")
-        assert tree.node_count() == 7
+        assert len(flatten_reference(tree)[0]) == 7
         assert tree.children[0].children[0].children[0].label == "the"
 
     def test_bare_tokens_and_wrapped_leaves_are_equivalent(self):
@@ -98,7 +99,7 @@ class TestParsing:
 
     def test_a_chain_deeper_than_the_recursion_limit(self):
         chain = parse_bracketed("(A " * 3000 + "(B)" + ")" * 3000)  # 3,001 nodes, one leaf
-        assert chain.node_count() == 3001
+        assert FlatTree.of(chain).n == 3001
         text = chain.render()
         assert text == "(A " * 3000 + "B" + ")" * 3000
         reparsed = parse_bracketed(text)
@@ -339,7 +340,7 @@ class TestTreeEditDistanceBeyondBruteForce:
     @settings(max_examples=200, deadline=None)
     def test_one_node_against_a_tree(self, label, tree):
         # the node maps onto a node of the tree with its label, or else is relabelled
-        self.assert_both_orders(ParseTree(label), tree, tree.node_count() - (label in _labels(tree)))
+        self.assert_both_orders(ParseTree(label), tree, len(flatten_reference(tree)[0]) - (label in _labels(tree)))
 
 
 class TestSyntacticDistance:
@@ -359,7 +360,7 @@ class TestSyntacticDistance:
             pa = strip_tokens(prune_to_level(a, 3))
             pb = strip_tokens(prune_to_level(b, 3))
             expected = 100.0 * min(
-                ted_bruteforce(pa, pb) / max(pa.node_count(), pb.node_count()), 1.0
+                ted_bruteforce(pa, pb) / max(len(flatten_reference(pa)[0]), len(flatten_reference(pb)[0])), 1.0
             )
             assert syntactic_distance(a, b) == pytest.approx(expected)
 
@@ -381,12 +382,20 @@ class TestSyntacticDistance:
 
 
 def _composed_form(text: str) -> FlatTree:
-    """The form by the three passes: parse, prune to level 3 then strip, flatten."""
-    return FlatTree.of(strip_tokens(prune_to_level(parse_bracketed(text), 3)))
+    """The form by the three recursive definitions: parse, prune to level 3 then strip, flatten."""
+    return FlatTree(*flatten_reference(strip_reference(prune_reference(parse_bracketed(text), 3))))
 
 
 def _arrays(form: FlatTree):
     return form.labels, form.lml, form.keyroots, form.n
+
+
+def _assert_forms_match_the_references(text: str):
+    """``FlatTree.of`` and ``parse_syntactic_form`` against flattening, pruning and stripping by recursion."""
+    tree = parse_bracketed(text)
+    flat = FlatTree.of(tree)
+    assert (flat.labels, flat.lml) == flatten_reference(tree)
+    assert _arrays(parse_syntactic_form(text)) == _arrays(_composed_form(text))
 
 
 _WORDS = st.sampled_from(["S", "NP", "DT", "X1", "-LRB-", "$", "the", "a", "x1", "é", "ü字", "NÉ"])
@@ -422,13 +431,18 @@ class TestSyntacticFormFromText:
     @example("(S (NP (x (y z))))")  # x: at the prune level 3, children pruned away, not structural
     @example("(S (NP (X (y z))))")
     def test_matches_the_three_passes_on_bracket_strings(self, text):
-        assert _arrays(parse_syntactic_form(text)) == _arrays(_composed_form(text))
+        _assert_forms_match_the_references(text)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
     def test_matches_the_three_passes_on_parse_trees(self, seed, max_depth):
-        text = random_parse_tree(np.random.default_rng(seed), max_depth).render()
-        assert _arrays(parse_syntactic_form(text)) == _arrays(_composed_form(text))
+        _assert_forms_match_the_references(random_parse_tree(np.random.default_rng(seed), max_depth).render())
+
+    def test_matches_the_three_passes_on_a_jittered_corpus(self):
+        texts = {text for cluster in paraphrase_corpus(60, 6, seed=0, length_jitter=8) for text in cluster.trees}
+        assert len(texts) > 300
+        for text in texts:
+            _assert_forms_match_the_references(text)
 
     def test_strip_rule_reads_the_pruned_tree(self):
         # at level 3, x keeps no child: it is a leaf token of NP and goes; X is structure and stays

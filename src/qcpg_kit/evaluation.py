@@ -5,13 +5,22 @@ BLEU here is sentence-level BLEU-4 with add-one smoothing on orders
 brevity penalty; corpus numbers are means of sentence scores. Self-BLEU
 scores a generation against its own source, so 100 means verbatim
 copying and low values mean diversity.
+
+Both come from one table per sentence: its token count and its 1- to
+4-gram counts. ``evaluate_systems`` walks the rows, counts each distinct
+sentence of a row once (the source, every system's output and the
+reference), and reads every Self-BLEU and BLEU of that row from those
+tables, so memory holds one row's tables at a time.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -23,8 +32,42 @@ from .util import tsv_row
 MAX_BLEU_ORDER = 4
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _table(sentence: str) -> tuple[int, list[Counter]]:
+    """A sentence's token count and its n-gram counts, one ``Counter`` per order 1..MAX_BLEU_ORDER."""
+    tokens = sentence.split()
+    shifted = [tokens[i:] for i in range(MAX_BLEU_ORDER)]
+    return len(tokens), [Counter(zip(*shifted[:n])) for n in range(1, MAX_BLEU_ORDER + 1)]
+
+
+def _bleu(candidate: str, references: list[str], table) -> float:
+    """``bleu`` with each sentence's ``_table`` read through ``table(sentence)``."""
+    c, cand = table(candidate)
+    if not c:
+        return 0.0
+    refs = [table(r) for r in references] if references else []
+    if all(not length for length, _ in refs):
+        raise ValueError("bleu requires at least one non-empty reference")
+    if len(refs) == 1:
+        [(r, ref_counts)] = refs
+    else:  # the closest reference length, the shorter on a tie; each order's counts max-merged once
+        r = min((length for length, _ in refs), key=lambda rl: (abs(rl - c), rl))
+        ref_counts = [reduce(operator.or_, order) for order in zip(*(counts for _, counts in refs))]
+
+    log_sum, orders = 0.0, min(c, MAX_BLEU_ORDER)
+    for n in range(orders):
+        total = c - n
+        counts = cand[n]  # clipped matches: min(count, reference count) over the candidate's n-grams
+        matched = sum(map(min, counts.values(), map(ref_counts[n].get, counts, repeat(0))))
+        if matched == 0:
+            if n == 0:
+                return 0.0
+            p = 1.0 / (total + 1)
+        else:
+            p = matched / total
+        log_sum += math.log(p)
+
+    brevity = math.exp(1.0 - r / c) if c < r else 1.0
+    return 100.0 * brevity * math.exp(log_sum / orders)
 
 
 def bleu(candidate: str, references: list[str]) -> float:
@@ -35,43 +78,12 @@ def bleu(candidate: str, references: list[str]) -> float:
     unigram with the references (order 1 is never smoothed). Orders
     longer than the candidate are skipped.
     """
-    cand = candidate.split()
-    if not cand:
-        return 0.0
-    if not references or all(not r.split() for r in references):
-        raise ValueError("bleu requires at least one non-empty reference")
-    refs = [r.split() for r in references]
-
-    log_sum, orders = 0.0, 0
-    for n in range(1, MAX_BLEU_ORDER + 1):
-        counts = _ngrams(cand, n)
-        total = sum(counts.values())
-        if total == 0:
-            continue
-        max_counts: Counter = Counter()
-        for ref in refs:
-            for gram, c in _ngrams(ref, n).items():
-                if c > max_counts[gram]:
-                    max_counts[gram] = c
-        matched = sum(min(c, max_counts[gram]) for gram, c in counts.items())
-        if matched == 0:
-            if n == 1:
-                return 0.0
-            p = 1.0 / (total + 1)
-        else:
-            p = matched / total
-        log_sum += math.log(p)
-        orders += 1
-
-    c = len(cand)
-    r = min((len(ref) for ref in refs), key=lambda rl: (abs(rl - c), rl))
-    brevity = math.exp(1.0 - r / c) if c < r else 1.0
-    return 100.0 * brevity * math.exp(log_sum / orders)
+    return _bleu(candidate, references, _table)
 
 
 def self_bleu(generated: str, source: str) -> float:
     """BLEU of a generation against its own source (copy detector)."""
-    return bleu(generated, [source])
+    return _bleu(generated, [source], _table)
 
 
 def kendall_tau(x: list[float], y: list[float]) -> float:
@@ -142,9 +154,9 @@ def evaluate_systems(
     (ValueError), no system may be empty (ValueError), every row must
     carry both trees (MissingTree), every system must have the first
     system's (source, source tree) sequence (LengthMismatch), and
-    ``references`` must hold one entry per row (LengthMismatch). Every
-    system's pairs are then measured in one batch; its first failure is
-    raised.
+    ``references`` must hold one entry per row (LengthMismatch), none of
+    them blank or whitespace-only (ValueError). Every system's pairs are
+    then measured in one batch; its first failure is raised.
     """
     systems = [(name, list(rows)) for name, rows in systems]
     for name, _ in systems:
@@ -157,21 +169,34 @@ def evaluate_systems(
             raise MissingTree(f"system {name!r} has a pair without a source or output tree")
         if [(src, tree_src) for src, _, tree_src, _ in rows] != first:
             raise LengthMismatch(f"system {name!r} disagrees with the first system's sources or source trees")
-    if systems and references is not None and len(references) != len(first):
-        raise LengthMismatch(f"{len(first)} pairs per system but {len(references)} references")
+    if systems and references is not None:
+        if len(references) != len(first):
+            raise LengthMismatch(f"{len(first)} pairs per system but {len(references)} references")
+        for i, ref in enumerate(references):
+            if not ref.split():
+                raise ValueError(f"references[{i}] is blank; bleu requires at least one non-empty reference")
     qualities = raise_first_failure(QualityComputer(scorer).pair_qualities([row for _, rows in systems for row in rows]))
     n = len(first)
+    self_bleus: list[list[float]] = [[] for _ in systems]
+    bleus: list[list[float]] = [[] for _ in systems]
+    for i, (src, _) in enumerate(first):
+        outs = [rows[i][1] for _, rows in systems]
+        ref = [] if references is None else [references[i]]
+        # each distinct sentence of the row is split and counted once, for every score of the row
+        table = {text: _table(text) for text in {src, *ref, *outs}}.__getitem__
+        for k, out in enumerate(outs):
+            self_bleus[k].append(_bleu(out, [src], table))
+            if ref:
+                bleus[k].append(_bleu(out, ref, table))
     report = EvalReport(rows=[])
-    for k, (name, rows) in enumerate(systems):
+    for k, (name, _) in enumerate(systems):
         mean_q = np.array([q.as_tuple() for q in qualities[k * n:(k + 1) * n]], dtype=np.float64).mean(axis=0)
-        self_bleus = [self_bleu(out, src) for src, out, _, _ in rows]
-        bleus = [bleu(out, [ref]) for (_, out, _, _), ref in zip(rows, references)] if references is not None else None
         report.rows.append(
             EvalRow(
                 name=name,
                 quality=QualityVector(*mean_q),
-                self_bleu=float(np.mean(self_bleus)),
-                bleu=float(np.mean(bleus)) if bleus is not None else None,
+                self_bleu=float(np.mean(self_bleus[k])),
+                bleu=float(np.mean(bleus[k])) if references is not None else None,
                 n=n,
             )
         )

@@ -9,10 +9,13 @@ oracle recurses over all partial matchings.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
 from qcpg_kit import ParseTree
+from qcpg_kit.evaluation import MAX_BLEU_ORDER
 from qcpg_kit.trees import _STRUCTURAL_LABEL
 
 # --- exhaustive enumeration of ordered labeled trees -------------------------
@@ -268,6 +271,49 @@ def flatten_reference(tree: ParseTree) -> tuple[list[str], list[int]]:
 
     visit(tree)
     return labels, lml
+
+
+# --- BLEU as first written ----------------------------------------------------
+
+
+def _ngrams(tokens: list[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def bleu_reference(candidate: str, references: list[str]) -> float:
+    """``evaluation.bleu`` as first written: every n-gram table counted per call, references max-merged per order."""
+    cand = candidate.split()
+    if not cand:
+        return 0.0
+    if not references or all(not r.split() for r in references):
+        raise ValueError("bleu requires at least one non-empty reference")
+    refs = [r.split() for r in references]
+
+    log_sum, orders = 0.0, 0
+    for n in range(1, MAX_BLEU_ORDER + 1):
+        counts = _ngrams(cand, n)
+        total = sum(counts.values())
+        if total == 0:
+            continue
+        max_counts: Counter = Counter()
+        for ref in refs:
+            for gram, c in _ngrams(ref, n).items():
+                if c > max_counts[gram]:
+                    max_counts[gram] = c
+        matched = sum(min(c, max_counts[gram]) for gram, c in counts.items())
+        if matched == 0:
+            if n == 1:
+                return 0.0
+            p = 1.0 / (total + 1)
+        else:
+            p = matched / total
+        log_sum += math.log(p)
+        orders += 1
+
+    c = len(cand)
+    r = min((len(ref) for ref in refs), key=lambda rl: (abs(rl - c), rl))
+    brevity = math.exp(1.0 - r / c) if c < r else 1.0
+    return 100.0 * brevity * math.exp(log_sum / orders)
 
 
 # --- random structures ----------------------------------------------------------

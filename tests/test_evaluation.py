@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qcpg_kit import (
@@ -16,6 +18,8 @@ from qcpg_kit import (
     self_bleu,
 )
 from qcpg_kit.errors import AllTied, LengthMismatch, MissingTree, NonFiniteValue
+
+from helpers import bleu_reference
 
 COUNTING_SCORER = Path(__file__).with_name("stub_counting_scorer.py")
 IDENTITY_SEM = 100.0 / (1.0 + math.exp(-2.0))
@@ -101,6 +105,40 @@ class TestSelfBleu:
         a = self_bleu("the cat", "the cat")
         b = self_bleu("a dog", "the cat")
         assert (a + b) / 2 == pytest.approx(np.mean([a, b]))
+
+
+# a four-word vocabulary makes repeated n-grams common; blank and whitespace-only sentences are included
+_SENTENCES = st.one_of(
+    st.lists(st.sampled_from(["a", "b", "c", "dd"]), max_size=7).map(" ".join),
+    st.sampled_from(["", " ", "\t  "]),
+)
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the class of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is the compared outcome
+        return type(exc)
+
+
+class TestBleuMatchesReference:
+    @given(_SENTENCES, st.lists(_SENTENCES, max_size=3))
+    @example("", [])
+    @example("a", [])
+    @example("a b", ["", " "])
+    @example("a b c", ["a b", "a b c d"])  # a tie in length distance: the shorter reference sets the penalty
+    @example("a a a a b", ["a a", "b a a a a a b"])
+    @settings(max_examples=400, deadline=None)
+    def test_bleu_is_bit_identical(self, candidate, references):
+        assert outcome(bleu, candidate, references) == outcome(bleu_reference, candidate, references)
+
+    @given(_SENTENCES, _SENTENCES)
+    @example("", "")
+    @example("a", " ")
+    @settings(max_examples=200, deadline=None)
+    def test_self_bleu_is_bit_identical(self, generated, source):
+        assert outcome(self_bleu, generated, source) == outcome(bleu_reference, generated, [source])
 
 
 def tau_b_oracle(x, y):
@@ -237,12 +275,29 @@ class TestEvaluateSystems:
         ]
         expected = np.array(qs).mean(axis=0)
         assert row.quality.as_tuple() == pytest.approx(tuple(expected))
-        assert row.self_bleu == pytest.approx(
-            np.mean([self_bleu(o, s) for o, s in zip(outputs, sources)])
-        )
-        assert row.bleu == pytest.approx(
-            np.mean([bleu(o, [r]) for o, r in zip(outputs, sources)])
-        )
+        assert row.self_bleu == float(np.mean([self_bleu(o, s) for o, s in zip(outputs, sources)]))
+        assert row.bleu == float(np.mean([bleu(o, [r]) for o, r in zip(outputs, sources)]))
+
+    @pytest.mark.parametrize("references", [None, ["the cat sat down", "a dog", "cats sat on mats"]])
+    def test_scores_equal_per_row_calls(self, references):
+        sources = ["the cat sat", "a dog ran", "the cat sat on the mat"]
+        trees = [TREE_A, TREE_B, TREE_A]
+        repeat = [1, 2, 0]  # each row takes another row's output
+        disjoint = ["xx yy", "zz", "ww vv uu"]
+        systems = [
+            ("copy", identity_rows(sources, trees)),
+            ("other", [(s, sources[j], t, trees[j]) for s, t, j in zip(sources, trees, repeat)]),
+            ("disjoint", [(s, o, t, TREE_B) for s, o, t in zip(sources, disjoint, trees)]),
+        ]
+        report = evaluate_systems(systems, references=references)
+        for (name, rows), row in zip(systems, report.rows):
+            assert row.name == name
+            assert row.self_bleu == float(np.mean([self_bleu(o, s) for s, o, _, _ in rows]))
+            if references is None:
+                assert row.bleu is None
+            else:
+                assert row.bleu == float(np.mean([bleu(o, [r]) for (_, o, _, _), r in zip(rows, references)]))
+        assert (report.rows[0].self_bleu, report.rows[2].self_bleu) == (100.0, 0.0)  # the copy, the disjoint
 
     def test_length_mismatch(self):
         first = ("a", identity_rows(["the cat sat"], [TREE_A]))
@@ -255,6 +310,15 @@ class TestEvaluateSystems:
             evaluate_systems([first, ("x", [("the cat sat", "the cat sat", TREE_B, TREE_A)])])
         with pytest.raises(LengthMismatch, match="references"):
             evaluate_systems([first], references=["a", "b"])
+
+    @pytest.mark.parametrize("blank", ["", " \t "])
+    def test_a_blank_reference_fails_before_any_pair_is_scored(self, tmp_path, blank):
+        starts = tmp_path / "scorer_starts"
+        scorer = SemanticScorer(kind="external_command", command=f"{sys.executable} {COUNTING_SCORER} {starts}")
+        rows = [("the cat sat", "a dog ran", TREE_A, TREE_B), ("a dog ran", "the cat sat", TREE_B, TREE_A)]
+        with pytest.raises(ValueError, match=r"references\[1\] is blank"):
+            evaluate_systems([("x", rows)], references=["the cat", blank], scorer=scorer)
+        assert not starts.exists()
 
     def test_non_identity_output_requires_tree(self):
         with pytest.raises(MissingTree):

@@ -193,19 +193,14 @@ def split_clusters(
         seen.add(cluster.cluster_id)
     shuffled = (clusters[i] for i in rng_for(seed, "split_clusters").permutation(len(clusters)))
     assigned: dict[str, list[Cluster]] = {}
-    counts: dict[str, int] = {}
+    pairs: dict[str, list[SentencePair]] = {}
     for name, quota in (("test", n_test), ("dev", n_dev), ("train", n_train)):
-        assigned[name], counts[name] = _take_until(shuffled, quota, mode)
-        if counts[name] < quota:
-            achieved = tuple(counts.get(k, 0) for k in ("train", "dev", "test"))
+        assigned[name], pairs[name] = _take_until(shuffled, quota, mode)
+        if len(pairs[name]) < quota:
+            achieved = tuple(len(pairs.get(k, ())) for k in ("train", "dev", "test"))
             raise InsufficientData(f"corpus exhausted while filling the {name} split", achievable=achieved)
-
-    split = DatasetSplit()
-    split.test = extract_pairs(assigned["test"], mode)
-    split.dev = extract_pairs(assigned["dev"], mode)
-    split.train = extract_pairs(assigned["train"], mode)
     _assert_leak_free(assigned)
-    return split
+    return DatasetSplit(**pairs)
 
 
 def _assert_leak_free(assigned: dict[str, list[Cluster]]) -> None:
@@ -216,17 +211,17 @@ def _assert_leak_free(assigned: dict[str, list[Cluster]]) -> None:
                 raise AssertionError(f"cluster leak between {a} and {b}: {ids[a] & ids[b]}")
 
 
-def _take_until(shuffled, quota: int, mode: str) -> tuple[list[Cluster], int]:
-    """Whole clusters from ``shuffled`` until their pairs reach ``quota``, and that pair count.
+def _take_until(shuffled, quota: int, mode: str) -> tuple[list[Cluster], list[SentencePair]]:
+    """Whole clusters from ``shuffled`` until their pairs reach ``quota``, and those pairs.
 
-    The count falls short only when ``shuffled`` runs out; no cluster past the
+    The pairs fall short only when ``shuffled`` runs out; no cluster past the
     quota is drawn from it.
     """
-    taken, total = [], 0
-    while total < quota and (cluster := next(shuffled, None)) is not None:
+    taken, pairs = [], []
+    while len(pairs) < quota and (cluster := next(shuffled, None)) is not None:
         taken.append(cluster)
-        total += pair_count(cluster, mode)
-    return taken, total
+        pairs.extend(_cluster_pairs(cluster, mode))
+    return taken, pairs
 
 
 # --- pair TSV and tree sidecar files -----------------------------------------

@@ -27,15 +27,6 @@ such a pair as ``MissingTree``. Only trees and pairs an output uses are
 measured: per item, each distinct output once, as one row of a
 ``(u, 3)`` array, and each offset's output as an index into it. Each
 failure is one warning and is left out of its offset's n.
-
-How a grid result is held: ``GridResult`` stores columns, one row per
-offset. ``offset_array``, ``q_tilde_array`` and ``responsiveness_array``
-are ``(m, 3)`` float64 arrays and ``n_array`` an ``(m,)`` int64 array;
-``dropped`` is a list of ``Offset``. ``grid_search``, the heatmap reader
-and writer, ``responsiveness`` and ``select_operation_point`` work on
-the columns. ``offsets``, ``q_tilde``, ``responsiveness`` and ``n`` are
-list views for callers that want objects; each view builds its objects
-on every access.
 """
 
 from __future__ import annotations
@@ -87,8 +78,11 @@ class GridResult:
     arrays, ``n_array`` is an ``(m,)`` int64 array, and ``dropped`` lists
     the ``Offset``s where every generation failed. The constructor takes
     each column as an array or as a list of ``Offset``s, ``QualityVector``s,
-    3-tuples or ints. ``offsets``, ``q_tilde``, ``responsiveness`` and ``n``
-    are list views of the columns; each builds its objects on every access.
+    3-tuples or ints. ``grid_search``, the heatmap reader and writer,
+    ``responsiveness`` and ``select_operation_point`` work on the columns.
+    ``offsets``, ``q_tilde``, ``responsiveness`` and ``n`` are list views of
+    the columns for callers that want objects; each builds its objects on
+    every access.
     """
 
     def __init__(self, offsets, q_tilde, responsiveness, n, dropped=()):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import stat
 
@@ -14,24 +13,20 @@ _XSHIFT = 16
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _POOL_SIZE = 4
-MAX_ENTROPY_WORDS = 64
 
 
-def _hash_schedule(init: int, mult: int, count: int) -> np.ndarray:
-    """``init * mult**k`` mod 2**32 for k < count: the hash constants SeedSequence steps through."""
-    consts, h = [], init
-    for _ in range(count):
-        consts.append(h)
-        h = h * mult & _MASK32
-    return np.array(consts, dtype=np.uint32)
+def _hasher(init: int, mult: int):
+    """SeedSequence's hash: XOR with a running constant, step it by ``mult``, multiply by it, xorshift."""
+    const = init
 
+    def hash_(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> _XSHIFT)
 
-# Neither schedule depends on the data. The k-th hashmix call of a pool
-# mix XORs with _HASHMIX[k] and multiplies by _HASHMIX[k + 1];
-# generate_state does the same with _STATE_HASH for the k-th of its
-# 4 uint32 words (2 uint64).
-_HASHMIX = _hash_schedule(0x43B0D7E5, 0x931E8875, _POOL_SIZE * MAX_ENTROPY_WORDS + 1)
-_STATE_HASH = _hash_schedule(0x8B51F9DD, 0x58F38DED, 4 + 1)
+    return hash_
 
 
 def as_entropy(part) -> int:
@@ -58,22 +53,16 @@ def seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
     """The Philox key of ``Philox(SeedSequence(row))`` for each row of an (n, W) uint32 array.
 
     This is numpy's SeedSequence algorithm (pool size 4: ``hashmix`` and
-    ``mix``, then ``generate_state(2, uint64)``) run once over all n rows
-    as uint32 array arithmetic: a fixed cost of a few hundred
-    microseconds per call, then well under a microsecond per row.
+    ``mix``, then ``generate_state(2, uint64)``), each hash stepping its
+    running constant as numpy's does, run once over all n rows as uint32
+    array arithmetic. Rows may be of any width W. It costs a fixed few
+    hundred microseconds per call, then well under a microsecond per row.
     ``rng_for`` keeps numpy's own SeedSequence, which is faster for one
     row; the tests pin the two to each other.
     """
     entropy = np.asarray(entropy, dtype=np.uint32)
     n, width = entropy.shape
-    if width > MAX_ENTROPY_WORDS:
-        raise ValueError(f"entropy of {width} words is wider than {MAX_ENTROPY_WORDS}")
-    calls = itertools.count()
-
-    def hashmix(value):
-        k = next(calls)
-        value = (value ^ _HASHMIX[k]) * _HASHMIX[k + 1]
-        return value ^ (value >> _XSHIFT)
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
 
     def mix(x, y):
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
@@ -88,10 +77,8 @@ def seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
     for src in range(_POOL_SIZE, width):
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(words[src]))
-    state = []
-    for k, value in enumerate(pool):
-        value = (value ^ _STATE_HASH[k]) * _STATE_HASH[k + 1]
-        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    state_hash = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = [state_hash(value).astype(np.uint64) for value in pool]
     # generate_state reads its uint32 words as little-endian uint64 pairs
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 

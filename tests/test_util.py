@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from qcpg_kit import util
 from qcpg_kit.util import (
-    MAX_ENTROPY_WORDS,
     as_entropy,
     keyed_generators,
     philox_keys,
     read_lines,
     read_text,
+    rng_for,
     seed_sequence_keys,
     split_lines,
     tsv_row,
@@ -54,7 +54,7 @@ def batches(draw):
 
 @st.composite
 def word_arrays(draw):
-    width = draw(st.integers(0, 20))
+    width = draw(st.integers(0, 80))
     rows = draw(st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=width, max_size=width), min_size=1, max_size=8))
     return np.array(rows, dtype=np.uint32).reshape(len(rows), width)
 
@@ -77,10 +77,17 @@ class TestBatchKeys:
         expected = [np.random.Philox(np.random.SeedSequence(row)).state["state"]["key"] for row in words]
         assert (seed_sequence_keys(words) == np.array(expected, dtype=np.uint64).reshape(-1, 2)).all()
 
-    def test_rejects_entropy_wider_than_the_schedule(self):
-        seed_sequence_keys(np.zeros((2, MAX_ENTROPY_WORDS), dtype=np.uint32))
-        with pytest.raises(ValueError):
-            seed_sequence_keys(np.zeros((2, MAX_ENTROPY_WORDS + 1), dtype=np.uint32))
+    def test_rows_of_100_words_equal_numpy(self):
+        words = np.arange(300, dtype=np.uint32).reshape(3, 100) * np.uint32(0x9E3779B9)
+        expected = [np.random.Philox(np.random.SeedSequence(row)).state["state"]["key"] for row in words]
+        assert (seed_sequence_keys(words) == np.array(expected, dtype=np.uint64)).all()
+
+    def test_a_40_part_row_keys_and_draws_as_rng_for(self):
+        parts = [7, *range(2**40, 2**40 + 20), *(f"part {i}" for i in range(19))]
+        (key,) = philox_keys(np.array([[as_entropy(p) for p in parts]], dtype=np.uint64))
+        reference = rng_for(*parts)
+        assert (key == reference.bit_generator.state["state"]["key"]).all()
+        assert next(keyed_generators([key])).random() == reference.random()
 
 
 class TestLineFormat:

@@ -54,7 +54,7 @@ from .selection import (
     select_operation_point,
 )
 from .semantic import BUILTIN_TRIGRAM, EXTERNAL_COMMAND, SemanticScorer
-from .util import read_lines, read_text, tsv_row, write_text
+from .util import is_json_number, read_lines, read_text, tsv_row, write_text
 from .evaluation import evaluate_systems
 
 log = logging.getLogger("qcpg_kit")
@@ -122,7 +122,7 @@ def _read_operation_point(path) -> Offset:
     if not (
         isinstance(offset, dict)
         and sorted(offset) == ["lex", "sem", "syn"]
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in offset.values())
+        and all(is_json_number(v) for v in offset.values())
     ):
         raise MalformedRecord('operation point needs "offset" with numeric "sem", "syn" and "lex" only', line=1)
     try:

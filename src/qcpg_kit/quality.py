@@ -26,15 +26,6 @@ QUANT_BINS = 20
 QUANT_VALUES = tuple(range(0, QUANT_BINS * QUANT_STEP, QUANT_STEP))  # 0, 5, ..., 95
 
 
-def _check_score(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise NonFiniteValue(f"{name} must be finite, got {value!r}")
-    if not 0.0 <= value <= 100.0:
-        raise ValueError(f"{name} must lie in [0, 100], got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class _Triple:
     """A point of the (sem, syn, lex) space; each value is admitted by the subclass's ``_check``."""
@@ -55,7 +46,14 @@ class _Triple:
 class QualityVector(_Triple):
     """(semantic, syntactic, lexical) scores, each in [0, 100]."""
 
-    _check = staticmethod(_check_score)
+    @staticmethod
+    def _check(name: str, value: float) -> float:
+        value = float(value)
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"{name} must be finite, got {value!r}")
+        if not 0.0 <= value <= 100.0:
+            raise ValueError(f"{name} must lie in [0, 100], got {value!r}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -150,14 +148,14 @@ def quality_vector(
 ) -> QualityVector:
     """Measure the full 3-D quality of ``t`` as a paraphrase of ``s``.
 
-    A tree may also be given as its :func:`~qcpg_kit.trees.syntactic_form`.
-    ``raw``, when given, is the pair's raw semantic score, already
-    computed, and ``scorer`` is not asked; ``syn`` and ``lex``, when
-    given, are the pair's syntactic and lexical distances, already
-    computed.
+    A tree may also be given as its syntactic form, from
+    :func:`~qcpg_kit.trees.parse_syntactic_form`. ``raw``, when given, is
+    the pair's raw semantic score, already computed, and ``scorer`` is
+    not asked; ``syn`` and ``lex``, when given, are the pair's syntactic
+    and lexical distances, already computed.
     """
     return QualityVector(
-        semantic_similarity(scorer.raw(s, t) if raw is None else raw),
+        semantic_similarity(scorer.raw_batch([(s, t)])[0] if raw is None else raw),
         syntactic_distance(tree_s, tree_t) if syn is None else syn,
         lexical_distance(s, t) if lex is None else lex,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import unicodedata
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateDesign, EmptyEvalSet, ModelFormatError
 from .quality import QualityVector
-from .util import read_text, write_text
+from .util import is_json_number, read_text, write_text
 
 FEATURE_NAMES = (
     "token_count",
@@ -148,6 +149,14 @@ def save_model(model: ReferenceModel, path) -> None:
     write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
+def _field(payload: dict, key: str):
+    """Field ``key`` of a model file, once known to hold only JSON numbers in float64's range, in lists."""
+    for value in np.array(payload[key], dtype=object).flat:  # a ragged list's rows are values, and fail
+        if not is_json_number(value) or abs(value) > sys.float_info.max:
+            raise ValueError(f"{key} holds {value!r:.40}, which is no float64 number")
+    return payload[key]
+
+
 def load_model(path) -> ReferenceModel:
     try:
         payload = json.loads(read_text(path))
@@ -163,11 +172,11 @@ def load_model(path) -> ReferenceModel:
         if payload["feature_names"] != list(FEATURE_NAMES):
             raise ValueError(f"feature_names must be {list(FEATURE_NAMES)}, got {payload['feature_names']!r}")
         return ReferenceModel(
-            mean=np.array(payload["mean"], dtype=np.float64),
-            scale=np.array(payload["scale"], dtype=np.float64),
-            weights=np.array(payload["weights"], dtype=np.float64),
-            bias=np.array(payload["bias"], dtype=np.float64),
-            lam=float(payload["lambda"]),
+            mean=np.array(_field(payload, "mean"), dtype=np.float64),
+            scale=np.array(_field(payload, "scale"), dtype=np.float64),
+            weights=np.array(_field(payload, "weights"), dtype=np.float64),
+            bias=np.array(_field(payload, "bias"), dtype=np.float64),
+            lam=float(_field(payload, "lambda")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model file is missing or corrupts a field: {exc}") from exc

@@ -40,14 +40,10 @@ BUILTIN_TRIGRAM = "builtin_trigram"
 EXTERNAL_COMMAND = "external_command"
 
 
-def _trigram_counts(s: str) -> Counter:
-    return Counter(s[i:i + 3] for i in range(len(s) - 2))
-
-
 def _trigram_profile(s: str) -> tuple[str, Counter, int]:
     """The sentence lowercased, its trigram counts and their integer squared norm."""
     low = s.lower()
-    counts = _trigram_counts(low)
+    counts = Counter(low[i:i + 3] for i in range(len(low) - 2))
     return low, counts, sum(c * c for c in counts.values())
 
 
@@ -116,7 +112,7 @@ def sanitize_line_field(text: str) -> str:
 MAX_BATCH_REQUESTS = 4096
 
 
-def run_line_protocol(command: str, lines: list[str], what: str, meanwhile=None) -> list[str]:
+def run_line_protocol(command: str, lines: list[str], what: str, meanwhile=lambda: None) -> list[str]:
     r"""Pipe ``lines`` to ``command`` and read back exactly one line per input.
 
     Both directions are UTF-8. Output lines end at ``\n`` only, with one
@@ -125,15 +121,14 @@ def run_line_protocol(command: str, lines: list[str], what: str, meanwhile=None)
     A command that names no program, or that ``shlex`` cannot split, fails
     to spawn like a missing program.
 
-    ``meanwhile``, when given, is called once with no arguments after the
-    process has started and before it is fed its lines, so the caller's
-    own work overlaps the process's start-up; with empty ``lines`` it is
-    called all the same, and after a spawn failure it is not. If it
-    raises, the process is killed and reaped and the exception propagates.
+    ``meanwhile`` is called once with no arguments after the process has
+    started and before it is fed its lines, so the caller's own work
+    overlaps the process's start-up; with empty ``lines`` it is called all
+    the same, and after a spawn failure it is not. If it raises, the
+    process is killed and reaped and the exception propagates.
     """
     if not lines:
-        if meanwhile is not None:
-            meanwhile()
+        meanwhile()
         return []
     stdin = "".join(line + "\n" for line in lines).encode("utf-8")
     try:
@@ -145,8 +140,7 @@ def run_line_protocol(command: str, lines: list[str], what: str, meanwhile=None)
         raise SpawnFailure(f"could not spawn {what} command {command!r}: {exc}") from exc
     with proc:
         try:
-            if meanwhile is not None:
-                meanwhile()
+            meanwhile()
             stdout, stderr = proc.communicate(stdin)
         except BaseException:
             proc.kill()
@@ -168,7 +162,7 @@ def run_line_protocol(command: str, lines: list[str], what: str, meanwhile=None)
     return out
 
 
-def external_raw(command: str, pairs: list[tuple[str, str]], meanwhile=None) -> list[float]:
+def external_raw(command: str, pairs: list[tuple[str, str]], meanwhile=lambda: None) -> list[float]:
     """Score sentence pairs with an external command.
 
     Protocol: one ``s1<TAB>s2`` pair per stdin line, one decimal score
@@ -199,22 +193,18 @@ class SemanticScorer:
         if self.kind == EXTERNAL_COMMAND and not (self.command or "").strip():
             raise ValueError("external_command scorer requires a command string")
 
-    def raw(self, s1: str, s2: str) -> float:
-        return self.raw_batch([(s1, s2)])[0]
-
-    def raw_batch(self, pairs: list[tuple[str, str]], meanwhile=None) -> list[float]:
+    def raw_batch(self, pairs: list[tuple[str, str]], meanwhile=lambda: None) -> list[float]:
         """Raw scores of ``pairs``, in order.
 
-        ``meanwhile``, when given, is called once with no arguments while
-        the scores are computed: an external scorer calls it after its
-        process has started and before the process is fed the pairs, so
-        the caller's work overlaps the process's start-up (except after
-        a spawn failure, when it is not called); the built-in scorer
-        calls it first.
+        ``meanwhile`` is called once with no arguments while the scores
+        are computed: an external scorer calls it after its process has
+        started and before the process is fed the pairs, so the caller's
+        work overlaps the process's start-up (except after a spawn
+        failure, when it is not called); the built-in scorer calls it
+        first.
         """
         if self.kind == BUILTIN_TRIGRAM:
-            if meanwhile is not None:
-                meanwhile()
+            meanwhile()
             return _builtin_raw_batch(pairs)
         return external_raw(self.command, pairs, meanwhile)
 

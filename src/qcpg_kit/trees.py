@@ -20,7 +20,7 @@ the nodes down to a given depth and dropping surface tokens when asked.
 :class:`FlatTree`, the form the distance compares, with no tree in
 between. :func:`parse_bracketed` builds a :class:`ParseTree` from the
 full arrays; :func:`prune_to_level`, :func:`strip_tokens`,
-:meth:`FlatTree.of` and :func:`syntactic_form` walk the text a tree
+:meth:`FlatTree.of` and :func:`syntactic_distance` walk the text a tree
 renders to.
 """
 
@@ -247,19 +247,13 @@ class FlatTree:
         return cls(*_walk(root.render()))
 
 
-def syntactic_form(tree: ParseTree) -> FlatTree:
-    """The form :func:`syntactic_distance` compares: pruned, token-stripped, flattened.
+def parse_syntactic_form(text: str) -> FlatTree:
+    """The form :func:`syntactic_distance` compares, in one pass over the tokens of ``text``.
 
     Computing it once per tree and passing it to
     :func:`syntactic_distance` in place of the tree saves the pruning,
-    stripping and flattening on every later pair. It is
-    :func:`parse_syntactic_form` of the tree's rendered text.
-    """
-    return parse_syntactic_form(tree.render())
-
-
-def parse_syntactic_form(text: str) -> FlatTree:
-    """``syntactic_form(parse_bracketed(text))`` in one pass over the tokens.
+    stripping and flattening on every later pair; a :class:`ParseTree`'s
+    form is ``parse_syntactic_form(tree.render())``.
 
     It is the walk of ``text`` pruned to ``DEFAULT_PRUNE_LEVEL`` and
     stripped: only the nodes at depth <= ``DEFAULT_PRUNE_LEVEL`` are
@@ -278,8 +272,8 @@ def tree_edit_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree) -> int:
     Edits are node insertion, deletion, and relabeling on ordered trees,
     each costing 1; ancestor and left-to-right relations are preserved.
     The result is an exact ``int``; it is 0 at once when ``a is b``.
-    Either tree may also be given in the flattened form
-    :func:`syntactic_form` returns.
+    Either tree may also be given as a :class:`FlatTree`, such as the
+    form :func:`parse_syntactic_form` returns.
 
     A keyroot that is a leaf is a single node, and a single node
     labelled x is at distance ``|T| - [x occurs in T]`` from a tree T:
@@ -381,9 +375,9 @@ def syntactic_distance(a: ParseTree | FlatTree, b: ParseTree | FlatTree) -> floa
     Both trees are pruned to their top three levels and token-stripped,
     then compared with unit-cost tree edit distance normalized by the
     larger pruned tree size. Either argument may instead be its
-    :func:`syntactic_form`, which is used as given.
+    :func:`parse_syntactic_form`, which is used as given.
     """
-    fa, fb = (t if isinstance(t, FlatTree) else syntactic_form(t) for t in (a, b))
+    fa, fb = (t if isinstance(t, FlatTree) else parse_syntactic_form(t.render()) for t in (a, b))
     ted = tree_edit_distance(fa, fb)
     denom = max(fa.n, fb.n)
     return 100.0 * min(max(ted / denom, 0.0), 1.0)

@@ -92,15 +92,15 @@ def philox_keys(parts: np.ndarray) -> np.ndarray:
     its key. So the rows are grouped by word count, one pass per count.
     """
     parts = np.asarray(parts, dtype=np.uint64)
-    n = len(parts)
-    halves = np.stack([parts & _MASK32, parts >> 32], axis=2).reshape(n, -1).astype(np.uint32)
+    n, p = parts.shape
+    halves = np.stack([parts & _MASK32, parts >> 32], axis=2).reshape(n, 2 * p).astype(np.uint32)
     present = halves != 0
     present[:, 0::2] = True
     widths = present.sum(axis=1)
     keys = np.empty((n, 2), dtype=np.uint64)
     for width in np.flatnonzero(np.bincount(widths)):  # np.unique, with no index output, loads numpy.ma (numpy 2.4)
         rows = widths == width
-        keys[rows] = seed_sequence_keys(halves[rows][present[rows]].reshape(-1, width))
+        keys[rows] = seed_sequence_keys(halves[rows][present[rows]].reshape(np.count_nonzero(rows), width))
     return keys
 
 
@@ -121,6 +121,11 @@ def keyed_generators(keys: np.ndarray):
         state["state"]["key"] = key
         bitgen.state = state
         yield rng
+
+
+def is_json_number(value) -> bool:
+    """Whether a value read from JSON is a number: an int or a float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def split_lines(text: str) -> list[str]:

@@ -377,6 +377,19 @@ BAD_MODEL_NUMBERS = {
 }
 
 
+# JSON values that float() or numpy would read as a number, or fail to convert with OverflowError: a model
+# file's number fields take none of them
+NOT_MODEL_NUMBERS = {
+    **{
+        f"{key}_{kind}": (key, value)
+        for key in ("mean", "scale", "weights", "bias", "lambda")
+        for kind, value in (("string", "1"), ("bool", True))
+    },
+    "bias_int_beyond_float": ("bias", 10**400),
+    "lambda_int_beyond_float": ("lambda", 10**400),
+}
+
+
 def with_bad_number(payload: dict, key: str, value: float) -> dict:
     """Put ``value`` as the first number of ``key`` in a model-file payload."""
     if key == "lambda":

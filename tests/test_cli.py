@@ -42,7 +42,7 @@ from qcpg_kit import cli, errors, quality, selection
 from qcpg_kit.cli import _build_parser, _exit_code_for, _generator_from, _read_scored_tsv, _scorer_from, main
 from qcpg_kit.generators import build_generator
 
-from helpers import BAD_MODEL_NUMBERS, with_bad_number
+from helpers import BAD_MODEL_NUMBERS, NOT_MODEL_NUMBERS, with_bad_number
 from test_readme import COMMANDS
 from stub_counting_scorer import raw_score as stub_raw
 
@@ -301,7 +301,8 @@ class TestQpCommands:
         sentences.write_text("hello there\n", encoding="utf-8")
         assert run(["predict-qp", "--model", bad, "--sentences", sentences, "--out", tmp_path / "p.tsv"]) == 4
 
-    @pytest.mark.parametrize("key, value", BAD_MODEL_NUMBERS.values(), ids=BAD_MODEL_NUMBERS.keys())
+    @pytest.mark.parametrize("key, value", [*BAD_MODEL_NUMBERS.values(), *NOT_MODEL_NUMBERS.values()],
+                             ids=[*BAD_MODEL_NUMBERS, *NOT_MODEL_NUMBERS])
     def test_model_with_a_bad_number_exit_4(self, model_file, tmp_path, key, value):
         bad = tmp_path / "bad.json"
         payload = with_bad_number(json.loads(model_file.read_text(encoding="utf-8")), key, value)

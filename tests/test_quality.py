@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -41,6 +41,7 @@ from qcpg_kit import (
     tree_edit_distance,
 )
 from qcpg_kit.errors import MalformedControlPrefix, MissingTree, NonFiniteValue, ProtocolError, TreeSyntaxError
+from qcpg_kit.quality import quantize_array
 
 from helpers import flatten_reference, levenshtein_oracle
 from stub_counting_scorer import raw_score as stub_raw
@@ -86,6 +87,16 @@ class TestTypes:
         assert Offset() == Offset(0, 0, 0)
 
 
+# each bin edge and the values one ulp either side, signed zeros, the extremes and subnormals
+QUANT_EDGES = [
+    x
+    for edge in range(0, 101, 5)
+    for x in (np.nextafter(float(edge), -math.inf), float(edge), np.nextafter(float(edge), math.inf))
+] + [-0.0, 1e308, -1e308, sys.float_info.max, -sys.float_info.max, 5e-324, -5e-324, 1e-310, -1e-310]
+FINITE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(QUANT_EDGES))
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
 class TestQuantize:
     def test_examples(self):
         assert quantize(37.4) == 35
@@ -116,6 +127,27 @@ class TestQuantize:
         quantized = [quantize(v) for v in grid]
         assert all(quantize(q) == q for q in quantized)
         assert all(a <= b for a, b in zip(quantized, quantized[1:]))
+
+    @given(st.lists(FINITE_FLOATS, max_size=40))
+    @example(QUANT_EDGES)
+    @example([])
+    @settings(max_examples=300, deadline=None)
+    def test_array_equals_scalar(self, values):
+        quantized = quantize_array(np.array(values, dtype=np.float64))
+        assert quantized.dtype == np.int64
+        assert quantized.tolist() == [quantize(v) for v in values]
+
+    @given(st.lists(FINITE_FLOATS, max_size=10), st.lists(NON_FINITE, min_size=1, max_size=3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_array_refuses_non_finite_as_scalar(self, values, bad, data):
+        for x in bad:
+            values.insert(data.draw(st.integers(0, len(values))), x)
+        first = next(x for x in values if not math.isfinite(x))
+        with pytest.raises(NonFiniteValue) as scalar:
+            quantize(first)
+        with pytest.raises(NonFiniteValue) as array:
+            quantize_array(np.array(values, dtype=np.float64))
+        assert str(array.value) == str(scalar.value)
 
 
 class TestControlEncoding:
@@ -188,7 +220,7 @@ class TestQualityVectorOp:
         tree_t = parse_bracketed("(S (VP (VB xxxx) (NP (DT yyyy) (NN zzzz))))")
         scorer = SemanticScorer()
         q = quality_vector(s, t, tree_s, tree_t, scorer)
-        assert q.sem == pytest.approx(semantic_similarity(scorer.raw(s, t)))
+        assert q.sem == pytest.approx(semantic_similarity(scorer.raw_batch([(s, t)])[0]))
         assert q.syn == pytest.approx(syntactic_distance(tree_s, tree_t))
         assert q.lex == pytest.approx(lexical_distance(s, t))
         assert q.sem < 15.0 and q.lex == 100.0 and q.syn > 0.0

@@ -19,7 +19,7 @@ from qcpg_kit import (
 from qcpg_kit.errors import DegenerateDesign, EmptyEvalSet, ModelFormatError
 from qcpg_kit.reference import ReferenceModel
 
-from helpers import BAD_MODEL_NUMBERS, with_bad_number
+from helpers import BAD_MODEL_NUMBERS, NOT_MODEL_NUMBERS, with_bad_number
 
 
 def ridge_oracle(X, Y, lam):
@@ -320,6 +320,16 @@ class TestModelIo:
         changed = value if key == "lambda" else np.array(payload[key], dtype=np.float64)
         with pytest.raises(ValueError):
             dataclasses.replace(model, **{field: changed})
+
+    @pytest.mark.parametrize("key, value", NOT_MODEL_NUMBERS.values(), ids=NOT_MODEL_NUMBERS.keys())
+    def test_value_that_is_no_float64_number_rejected(self, tmp_path, key, value):
+        samples = [("a", QualityVector(1, 2, 3)), ("b c", QualityVector(4, 5, 6))]
+        path = tmp_path / "model.json"
+        save_model(fit(samples), path)
+        payload = with_bad_number(json.loads(path.read_text(encoding="utf-8")), key, value)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=key):
+            load_model(path)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "model.json"

@@ -68,20 +68,20 @@ class TestBuiltinRawBatch:
         assert [builtin_trigram_raw(s1, s2) for s1, s2 in batch[0]] == scorer.raw_batch(batch[0])
 
     def test_counts_each_distinct_sentence_once_per_batch(self, monkeypatch):
-        trigram_counts = qcpg_kit.semantic._trigram_counts
+        trigram_profile = qcpg_kit.semantic._trigram_profile
         calls = Counter()
 
         def counting(text):
             calls[text] += 1
-            return trigram_counts(text)
+            return trigram_profile(text)
 
-        monkeypatch.setattr(qcpg_kit.semantic, "_trigram_counts", counting)
+        monkeypatch.setattr(qcpg_kit.semantic, "_trigram_profile", counting)
         sentences = ["the cat sat", "The Cat sat", "a dog ran off", "ab", "", "the cat sat down"]
         pairs = [(a, b) for a in sentences for b in sentences]
         scorer = SemanticScorer()
         assert scorer.raw_batch(pairs) == [pairwise_trigram_raw(a, b) for a, b in pairs]
         assert sum(calls.values()) == len(sentences)
-        assert set(calls) == {s.lower() for s in sentences}
+        assert set(calls) == set(sentences)
         scorer.raw_batch(pairs[::-1])  # nothing is kept from one batch to the next
         assert sum(calls.values()) == 2 * len(sentences)
 
@@ -270,12 +270,12 @@ class TestRunLineProtocol:
 class TestSemanticScorer:
     def test_builtin_roundtrip(self):
         scorer = SemanticScorer()
-        assert scorer.raw("x y z", "x y z") == 2.0
+        assert scorer.raw_batch([("x y z", "x y z")])[0] == 2.0
 
     def test_batch_matches_single(self):
         scorer = SemanticScorer()
         pairs = [("a cat", "a dog"), ("x", "x")]
-        assert scorer.raw_batch(pairs) == [scorer.raw(*p) for p in pairs]
+        assert scorer.raw_batch(pairs) == [scorer.raw_batch([p])[0] for p in pairs]
 
     def test_external_requires_command(self):
         for command in (None, "", " ", "\t\n"):

@@ -19,7 +19,7 @@ from qcpg_kit import (
     tree_edit_distance,
 )
 from qcpg_kit.errors import EmptyLabel, TrailingInput, UnbalancedParens
-from qcpg_kit.trees import FlatTree, parse_syntactic_form, syntactic_form
+from qcpg_kit.trees import FlatTree, parse_syntactic_form
 
 from helpers import (
     flatten_reference,
@@ -376,7 +376,7 @@ class TestSyntacticDistance:
         for _ in range(50):
             a = random_parse_tree(rng)
             b = random_parse_tree(rng)
-            fa, fb = syntactic_form(a), syntactic_form(b)
+            fa, fb = parse_syntactic_form(a.render()), parse_syntactic_form(b.render())
             assert syntactic_distance(fa, fb) == syntactic_distance(a, b)
             assert syntactic_distance(fa, b) == syntactic_distance(a, b)
 

@@ -28,15 +28,15 @@ from qcpg_kit.util import (
 )
 
 
-def reference_rng(seed, *parts):
-    """A copy of rng_for as first written: Generator(Philox(SeedSequence(entropy)))."""
+def reference_rng(*parts):
+    """A copy of rng_for as first written, Generator(Philox(SeedSequence(entropy))), that also takes no seed."""
 
     def entropy(part):
         if isinstance(part, int):
             return part & 0xFFFFFFFFFFFFFFFF
         return int.from_bytes(hashlib.sha256(part.encode("utf-8")).digest()[:8], "big")
 
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([entropy(seed)] + [entropy(p) for p in parts])))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([entropy(p) for p in parts])))
 
 
 # one uint32 word (0 included) or two; seeds also above 2**64 and negative, which are masked
@@ -47,9 +47,11 @@ PARTS = st.one_of(INTS, st.text())
 
 @st.composite
 def batches(draw):
-    """Rows of (seed, *parts), all with one part count; their word counts differ."""
-    n_parts = draw(st.integers(0, 6))
-    return draw(st.lists(st.tuples(SEEDS, *[PARTS] * n_parts), min_size=1, max_size=12))
+    """A part count and rows of (seed, *parts) with it, their word counts differing; maybe no row,
+    and at part count 0 rows of no part, not even a seed."""
+    n_parts = draw(st.integers(0, 7))
+    row = st.tuples(SEEDS, *[PARTS] * (n_parts - 1)) if n_parts else st.just(())
+    return n_parts, draw(st.lists(row, max_size=12))
 
 
 @st.composite
@@ -61,10 +63,16 @@ def word_arrays(draw):
 
 class TestBatchKeys:
     @given(batches(), st.floats(0.0, 50.0), st.integers(1, 6))
-    @example(rows=[(0, 2**32 - 1, "a"), (2**40, 2**32, "b"), (7, 0, "c"), (2**64 + 5, 1, "")], std=5.0, k=5)
+    @example(batch=(3, [(0, 2**32 - 1, "a"), (2**40, 2**32, "b"), (7, 0, "c"), (2**64 + 5, 1, "")]), std=5.0, k=5)
+    @example(batch=(0, [(), ()]), std=1.0, k=1)
+    @example(batch=(4, []), std=1.0, k=1)
+    @example(batch=(0, []), std=1.0, k=1)
     @settings(max_examples=200, deadline=None)
-    def test_keys_and_draws_equal_numpy(self, rows, std, k):
-        keys = philox_keys(np.array([[as_entropy(p) for p in row] for row in rows], dtype=np.uint64))
+    def test_keys_and_draws_equal_numpy(self, batch, std, k):
+        n_parts, rows = batch
+        entropy = np.array([[as_entropy(p) for p in row] for row in rows], dtype=np.uint64)
+        keys = philox_keys(entropy.reshape(len(rows), n_parts))
+        assert keys.shape == (len(rows), 2)
         for row, key, rng in zip(rows, keys, keyed_generators(keys)):
             reference = reference_rng(*row)
             assert (key == reference.bit_generator.state["state"]["key"]).all()

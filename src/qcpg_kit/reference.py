@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-import unicodedata
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DegenerateDesign, EmptyEvalSet, ModelFormatError
+from .lexical import _is_punct
 from .quality import QualityVector
 from .util import is_json_number, read_text, write_text
 
@@ -43,15 +44,20 @@ def featurize(s: str) -> np.ndarray:
         [
             n,
             len(s),
-            (sum(len(t) for t in tokens) / n) if n else 0.0,
-            sum(ch.isdigit() for ch in s),
-            sum(t[0].isupper() for t in tokens),
-            sum(unicodedata.category(ch).startswith("P") for ch in s),
+            (sum(map(len, tokens)) / n) if n else 0.0,
+            sum(map(str.isdigit, s)),
+            sum(map(str.isupper, map(itemgetter(0), tokens))),
+            sum(map(_is_punct, s)),
             (len(set(tokens)) / n) if n else 1.0,
             1.0 if "?" in s else 0.0,
         ],
         dtype=np.float64,
     )
+
+
+def _features(sentences) -> np.ndarray:
+    """``featurize`` of each sentence, as the rows of an ``(n, d)`` array."""
+    return np.array([featurize(s) for s in sentences], dtype=np.float64).reshape(-1, len(FEATURE_NAMES))
 
 
 @dataclass
@@ -90,7 +96,7 @@ def fit(samples: list[tuple[str, QualityVector]], lam: float = 1.0) -> Reference
     if len(samples) < 2:
         raise DegenerateDesign(f"need at least 2 samples, got {len(samples)}")
     rows = {s: i for i, s in enumerate(dict.fromkeys(s for s, _ in samples))}
-    X = np.stack([featurize(s) for s in rows])[[rows[s] for s, _ in samples]]
+    X = _features(rows)[[rows[s] for s, _ in samples]]
     Y = np.array([q.as_tuple() for _, q in samples], dtype=np.float64)
     if not np.isfinite(X).all():
         raise DegenerateDesign("non-finite feature encountered")
@@ -116,12 +122,25 @@ def fit(samples: list[tuple[str, QualityVector]], lam: float = 1.0) -> Reference
     )
 
 
+def predict_array(model: ReferenceModel, sentences) -> np.ndarray:
+    """Predicted typical quality of paraphrases of each sentence, clamped to [0, 100], as an ``(n, 3)`` array.
+
+    The features of all sentences are z-scored at once; the weights are
+    applied to each row by its own matrix-vector product, as for one
+    sentence, since one matrix product over all rows can round
+    differently. A NaN prediction raises ``QualityVector``'s error.
+    """
+    Z = (_features(sentences) - model.mean) / model.scale
+    y = np.clip(np.array([model.weights @ z for z in Z]).reshape(-1, 3) + model.bias, 0.0, 100.0)
+    nan = np.flatnonzero(np.isnan(y).any(axis=1))
+    if len(nan):
+        QualityVector(*y[nan[0]])  # raises the NonFiniteValue of the first such sentence's prediction
+    return y
+
+
 def predict(model: ReferenceModel, s: str) -> QualityVector:
-    """Predicted typical quality of paraphrases of ``s``, clamped to [0, 100]."""
-    z = (featurize(s) - model.mean) / model.scale
-    y = model.weights @ z + model.bias
-    y = np.clip(y, 0.0, 100.0)
-    return QualityVector(*y)
+    """Predicted typical quality of paraphrases of ``s``: ``predict_array`` of one sentence."""
+    return QualityVector(*predict_array(model, [s])[0])
 
 
 def evaluate_mse(
@@ -130,8 +149,9 @@ def evaluate_mse(
     """Per-dimension mean squared error on held-out samples; one prediction per distinct sentence."""
     if not samples:
         raise EmptyEvalSet("cannot evaluate on an empty sample list")
-    predicted = {s: predict(model, s).as_tuple() for s in dict.fromkeys(s for s, _ in samples)}
-    errors = np.array([predicted[s] for s, _ in samples]) - np.array([q.as_tuple() for _, q in samples])
+    rows = {s: i for i, s in enumerate(dict.fromkeys(s for s, _ in samples))}
+    predicted = predict_array(model, rows)[[rows[s] for s, _ in samples]]
+    errors = predicted - np.array([q.as_tuple() for _, q in samples])
     mse = (errors ** 2).mean(axis=0)
     return tuple(float(v) for v in mse)
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import logging
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,8 @@ from .errors import (
 )
 from .generators import GeneratorSpec, batches, build_generator
 from .quality import Offset, QualityComputer, QualityVector, quantize_array
-from .reference import ReferenceModel, predict
+from .reference import ReferenceModel, predict_array
+from .reference import predict  # noqa: F401 - not called here, but bench/tracing.py spans this binding
 from .semantic import DEFAULT_SCORER, MAX_BATCH_REQUESTS, SemanticScorer
 from .util import read_lines, write_text
 
@@ -219,8 +219,7 @@ def generate_pairs(generator, qp_model: ReferenceModel, items, offsets):
     the controls, chunks and trees.
     """
     items = list(items)
-    refs = [predict(qp_model, s).as_tuple() for s, _ in items]
-    plans = plan_controls(refs, offsets)
+    plans = plan_controls(predict_array(qp_model, [s for s, _ in items]), offsets)
     groups = ((s, cluster, controls, slots) for (s, cluster), (controls, slots) in zip(items, plans))
     for chunk in batches(groups, MAX_BATCH_REQUESTS):
         outputs = generator.generate_batch([(s, cluster, controls) for s, cluster, controls, _ in chunk])
@@ -381,16 +380,38 @@ def export_heatmap_csv(result: GridResult, path) -> None:
     write_text(path, "".join(lines))
 
 
-def read_heatmap_csv(path) -> GridResult:
-    """Load an exported heatmap back into a GridResult.
+# rows per block of the heatmap reader: only one block's fields are Python objects at once, which keeps peak RSS at
+# the row-by-row reader's
+HEATMAP_BLOCK = 64
 
-    Every value must be finite and each quality in [0, 100]; a row that
-    breaks this raises MalformedRecord naming its line.
+
+def _heatmap_columns(rows: list[str]):
+    """The ``(m, 10)`` value table and the ``n`` list of a heatmap's data rows, or None if any row is refused.
+
+    Per block of rows, one ``float`` over the value fields and one
+    ``int`` over ``n``; then the checks over the whole arrays.
     """
-    table, counts = array("d"), []  # packed doubles, not a float object per cell
-    lines = read_lines(path) or [""]
-    if lines[0].split(",") != list(HEATMAP_COLUMNS):
-        raise MalformedRecord(f"unexpected heatmap header: {lines[0]!r}", line=1)
+    width = len(HEATMAP_COLUMNS)
+    if any(line.count(",") != width - 1 for line in rows):
+        return None
+    table, counts = np.empty((len(rows), width - 1)), []
+    for start in range(0, len(rows), HEATMAP_BLOCK):
+        fields = ",".join(rows[start:start + HEATMAP_BLOCK]).split(",")
+        try:
+            counts += map(int, fields[width - 1::width])
+            del fields[width - 1::width]
+            values = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
+        except ValueError:  # a field that int or float refuses
+            return None
+        table[start:start + HEATMAP_BLOCK] = values.reshape(-1, width - 1)
+    q = table[:, 3:6]
+    if np.isfinite(table).all() and min(counts, default=1) >= 1 and ((q >= 0) & (q <= 100)).all():
+        return table, counts
+    return None
+
+
+def _raise_first_bad_row(lines: list[str]) -> None:
+    """Raise MalformedRecord for the first heatmap row, after the header, that ``read_heatmap_csv`` refuses."""
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -409,7 +430,22 @@ def read_heatmap_csv(path) -> GridResult:
                     raise ValueError(f"{name} must lie in [0, 100], got {v!r}")
         except ValueError as exc:
             raise MalformedRecord(f"{exc} in {line!r}", line=lineno) from None
-        table.extend(values)
-        counts.append(n)
-    table = np.array(table, dtype=np.float64).reshape(-1, len(HEATMAP_COLUMNS) - 1)
+
+
+def read_heatmap_csv(path) -> GridResult:
+    """Load an exported heatmap back into a GridResult.
+
+    Every value must be finite and each quality in [0, 100]; a row that
+    breaks this raises MalformedRecord naming its line. Blank lines are
+    skipped. The table is parsed and checked by column
+    (``_heatmap_columns``); only a table refused there is read again row
+    by row, to name its first bad line.
+    """
+    lines = read_lines(path) or [""]
+    if lines[0].split(",") != list(HEATMAP_COLUMNS):
+        raise MalformedRecord(f"unexpected heatmap header: {lines[0]!r}", line=1)
+    columns = _heatmap_columns([line for line in lines[1:] if line.strip()])
+    if columns is None:
+        _raise_first_bad_row(lines)
+    table, counts = columns
     return GridResult(table[:, 0:3], table[:, 3:6], table[:, 6:9], counts)

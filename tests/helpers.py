@@ -4,18 +4,27 @@ Everything here is deliberately written from first principles (and kept
 separate from the library), so an implementation bug cannot hide in a
 shared code path: the tree-edit oracles enumerate Tai mappings or run
 the textbook forest recursion, the Levenshtein oracle fills the full textbook matrix, the bag-matching
-oracle recurses over all partial matchings.
+oracle recurses over all partial matchings. The row-by-row reference
+features, prediction and heatmap reader are the kit's earlier per-row
+code, kept to pin the column-wise code to it.
 """
 
 from __future__ import annotations
 
 import math
+import unicodedata
+from array import array
 from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from qcpg_kit import ParseTree
+import numpy as np
+
+from qcpg_kit import GridResult, ParseTree
+from qcpg_kit.errors import MalformedRecord
 from qcpg_kit.evaluation import MAX_BLEU_ORDER
+from qcpg_kit.selection import HEATMAP_COLUMNS
+from qcpg_kit.util import read_lines
 from qcpg_kit.trees import _STRUCTURAL_LABEL
 
 # --- exhaustive enumeration of ordered labeled trees -------------------------
@@ -399,3 +408,60 @@ def with_bad_number(payload: dict, key: str, value: float) -> dict:
     else:
         payload[key][0] = value
     return payload
+
+
+# --- row-by-row reference prediction and heatmap reading --------------------
+
+def featurize_reference(s: str) -> np.ndarray:
+    """The surface features of ``reference.FEATURE_NAMES``, one Python generator per count."""
+    tokens = s.split()
+    n = len(tokens)
+    return np.array(
+        [
+            n,
+            len(s),
+            (sum(len(t) for t in tokens) / n) if n else 0.0,
+            sum(ch.isdigit() for ch in s),
+            sum(t[0].isupper() for t in tokens),
+            sum(unicodedata.category(ch).startswith("P") for ch in s),
+            (len(set(tokens)) / n) if n else 1.0,
+            1.0 if "?" in s else 0.0,
+        ],
+        dtype=np.float64,
+    )
+
+
+def predict_reference(model, s: str) -> np.ndarray:
+    """A model's clamped prediction for one sentence, as a ``(3,)`` array: one matrix-vector product."""
+    z = (featurize_reference(s) - model.mean) / model.scale
+    return np.clip(model.weights @ z + model.bias, 0.0, 100.0)
+
+
+def read_heatmap_reference(path) -> GridResult:
+    """An exported heatmap read line by line, each row parsed and checked before the next."""
+    table, counts = array("d"), []
+    lines = read_lines(path) or [""]
+    if lines[0].split(",") != list(HEATMAP_COLUMNS):
+        raise MalformedRecord(f"unexpected heatmap header: {lines[0]!r}", line=1)
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != len(HEATMAP_COLUMNS):
+            raise MalformedRecord(f"expected {len(HEATMAP_COLUMNS)} fields, got {len(fields)}", line=lineno)
+        try:
+            values = [float(v) for v in fields[:-1]]
+            n = int(fields[-1])
+            if not all(map(math.isfinite, values)):
+                raise ValueError("a value is not finite")
+            if n < 1:
+                raise ValueError(f"n = {n} is below 1")
+            for name, v in zip(("sem", "syn", "lex"), values[3:6]):
+                if not 0.0 <= v <= 100.0:
+                    raise ValueError(f"{name} must lie in [0, 100], got {v!r}")
+        except ValueError as exc:
+            raise MalformedRecord(f"{exc} in {line!r}", line=lineno) from None
+        table.extend(values)
+        counts.append(n)
+    table = np.array(table, dtype=np.float64).reshape(-1, len(HEATMAP_COLUMNS) - 1)
+    return GridResult(table[:, 0:3], table[:, 3:6], table[:, 6:9], counts)

@@ -7,6 +7,7 @@ from pathlib import Path, PurePosixPath
 
 import pytest
 
+from qcpg_kit import errors
 from qcpg_kit.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -79,3 +80,24 @@ def test_library_quick_start_runs():
     namespace = {}
     exec(compile(code, "README quick start", "exec"), namespace)
     assert namespace["point"].expected.sem >= 35.0
+
+
+def failure_table() -> list[tuple[str, int]]:
+    """The README's error table: each class named in it and its exit code, in order."""
+    text = README.read_text(encoding="utf-8")
+    [table] = re.findall(r"^\| Error class \| Exit code \| Meaning \|\n\|[-|]+\|\n((?:\|.*\n)+)", text, re.M)
+    rows = re.findall(r"^\| `(\w+)` \| (\d) \| [^|]+ \|$", table, re.M)
+    assert len(rows) == len(table.splitlines()), "every table row names a class, an exit code and a meaning"
+    return [(name, int(code)) for name, code in rows]
+
+
+def test_failure_table_matches_errors_module():
+    # both ways: every QcpgError subclass of errors.py is in the table with its exit_code, and nothing else is
+    classes = {
+        name: cls.exit_code
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.QcpgError) and cls is not errors.QcpgError
+    }
+    table = failure_table()
+    assert len({name for name, _ in table}) == len(table), "each class has one row"
+    assert dict(table) == classes

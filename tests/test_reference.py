@@ -4,22 +4,33 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qcpg_kit.reference
 from qcpg_kit import (
+    ALL_UNORDERED,
     FEATURE_NAMES,
     QualityVector,
     evaluate_mse,
     featurize,
     fit,
     load_model,
+    paraphrase_corpus,
     predict,
+    quality_samples,
     save_model,
 )
-from qcpg_kit.errors import DegenerateDesign, EmptyEvalSet, ModelFormatError
-from qcpg_kit.reference import ReferenceModel
+from qcpg_kit.errors import DegenerateDesign, EmptyEvalSet, ModelFormatError, NonFiniteValue
+from qcpg_kit.reference import ReferenceModel, predict_array
 
-from helpers import BAD_MODEL_NUMBERS, NOT_MODEL_NUMBERS, with_bad_number
+from helpers import (
+    BAD_MODEL_NUMBERS,
+    NOT_MODEL_NUMBERS,
+    featurize_reference,
+    predict_reference,
+    with_bad_number,
+)
 
 
 def ridge_oracle(X, Y, lam):
@@ -141,7 +152,7 @@ class TestPerSentenceFeatures:
         samples = self.repeated_samples()
         model = fit(samples[::2])
         expected = mse_row_by_row(model, samples)
-        calls = self.counting(monkeypatch, "predict")
+        calls = self.counting(monkeypatch, "featurize")
         assert evaluate_mse(model, samples) == expected
         assert calls == Counter({s: 1 for s, _ in samples})
 
@@ -218,6 +229,85 @@ class TestPredict:
         samples = [(s, QualityVector(10, 20, 30)) for s in ("a", "b c", "ddd e")]
         model = fit(samples)
         assert predict(model, "anything at all").as_tuple() == pytest.approx((10, 20, 30), abs=1e-6)
+
+
+# text that exercises every branch of featurize: ASCII, non-ASCII digits, capitals and titlecase letters,
+# every punctuation category, symbols, and Unicode whitespace that str.split splits at
+SENTENCE_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet=st.characters(codec="ascii")),
+    st.text(
+        alphabet=st.characters(
+            categories=["Nd", "Lu", "Lt", "Ll", "Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po", "Sm", "Zs"]
+        )
+        | st.sampled_from(" \t\n\x0b\x0c\r\x1c\x85\u2028?")
+    ),
+    st.sampled_from(["", " ", "\t\n", "\u3000\u2028", "?", "\u0663\u00bf\u00c9"]),
+)
+
+
+def _fitted_models() -> dict[str, ReferenceModel]:
+    rng = np.random.default_rng(131)
+    noisy, _, _ = synthetic_linear_samples(rng, 60, noise=3.0)
+    exact, _, _ = synthetic_linear_samples(rng, 60)
+    return {
+        "noisy": fit(noisy),
+        "near_interpolating": fit(exact, lam=1e-8),
+        "heavily_regularized": fit(noisy, lam=1e4),
+        # every sentence has the same features, so every weight is 0: the grid benchmark's model
+        "constant": fit(quality_samples(paraphrase_corpus(40, 6, seed=0)[:20], mode=ALL_UNORDERED)),
+    }
+
+
+FITTED_MODELS = _fitted_models()
+
+
+class TestArrayPrediction:
+    """``featurize`` and ``predict_array`` equal the row-by-row reference bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=SENTENCE_TEXT)
+    @example(s="Hello, World! Is 42 \u0663 a \u01c5ungla\u2014ok?")
+    def test_featurize_equals_reference(self, s):
+        got, want = featurize(s), featurize_reference(s)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_constant_model_has_zero_weights(self):
+        assert not FITTED_MODELS["constant"].weights.any()
+
+    @settings(max_examples=120, deadline=None)
+    @given(name=st.sampled_from(sorted(FITTED_MODELS)), sentences=st.lists(SENTENCE_TEXT, max_size=12))
+    def test_rows_equal_per_sentence_prediction(self, name, sentences):
+        model = FITTED_MODELS[name]
+        got = predict_array(model, sentences)
+        assert got.shape == (len(sentences), 3)
+        for row, s in zip(got, sentences):
+            assert row.tobytes() == predict_reference(model, s).tobytes()
+            assert predict(model, s).as_tuple() == tuple(row.tolist())
+
+    def test_many_rows_equal_per_row_products(self):
+        rng = np.random.default_rng(7)
+        sentences = [" ".join(rng.choice(["how", "Big", "is", "it", "12", "x?"], size=9)) for _ in range(200)]
+        model = ReferenceModel(
+            mean=rng.normal(size=8) * 10, scale=rng.uniform(0.1, 10, size=8),
+            weights=rng.normal(size=(3, 8)) * 30, bias=rng.uniform(20, 80, size=3), lam=1.0,
+        )
+        rows = np.array([predict_reference(model, s) for s in sentences])
+        assert predict_array(model, sentences).tobytes() == rows.tobytes()
+
+    def test_a_nan_prediction_raises_as_predict_did(self):
+        # a subnormal scale overflows z to inf for any sentence with tokens, and weights of both signs make inf - inf
+        model = ReferenceModel(
+            mean=np.zeros(8), scale=np.array([5e-324, 5e-324, 1, 1, 1, 1, 1, 1]), weights=np.tile([1.0, -1.0, 0, 0, 0, 0, 0, 0], (3, 1)),
+            bias=np.zeros(3), lam=1.0,
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteValue) as reference:
+                QualityVector(*predict_reference(model, "a b c"))
+            with pytest.raises(NonFiniteValue) as info:
+                predict_array(model, ["", "a b c", "x"])
+        assert str(info.value) == str(reference.value)
+        assert predict_array(model, [""]).tolist() == [[0.0, 0.0, 0.0]]
 
 
 class TestEvaluateMse:

@@ -54,6 +54,8 @@ from qcpg_kit.errors import (
 from qcpg_kit.cli import _parse_grid_spec
 from qcpg_kit.selection import _rows, plan_controls
 
+from helpers import read_heatmap_reference
+
 MEMBER_STUB = Path(__file__).with_name("stub_member_generator.py")
 ECHO_LINES_STUB = Path(__file__).with_name("stub_echo_lines.py")
 COUNTING_STUB = Path(__file__).with_name("stub_counting_generator.py")
@@ -595,6 +597,85 @@ class TestHeatmapCsv:
         with pytest.raises(MalformedRecord) as info:
             read_heatmap_csv(path)
         assert info.value.line == 1
+
+
+HEATMAP_VALUES = st.floats(-1e9, 1e9) | st.sampled_from([-0.0, 0.0, 1e-5, -1e-5])
+HEATMAP_QUALITIES = st.floats(0.0, 100.0) | st.sampled_from([-0.0, 0.0, 100.0])
+
+
+@st.composite
+def heatmaps(draw, min_rows=0):
+    """A random GridResult, and how its exported text is changed: blank lines, line end and BOM."""
+    m = draw(st.integers(min_rows, 12))
+
+    def column(values):
+        return np.array(draw(st.lists(st.tuples(values, values, values), min_size=m, max_size=m))).reshape(-1, 3)
+
+    result = GridResult(
+        column(HEATMAP_VALUES), column(HEATMAP_QUALITIES), column(HEATMAP_VALUES),
+        draw(st.lists(st.integers(1, 10**12), min_size=m, max_size=m)),
+    )
+    blanks = draw(st.lists(st.tuples(st.integers(1, m + 1), st.sampled_from(["", " ", "\t", " \t "])), max_size=3))
+    return result, blanks, draw(st.sampled_from(["\n", "\r\n"])), draw(st.sampled_from(["", "\ufeff"]))
+
+
+def heatmap_lines(heatmap, path) -> list[str]:
+    """The lines of ``heatmap``'s exported text, changed as drawn, each with its line end; the BOM leads."""
+    result, blanks, end, bom = heatmap
+    export_heatmap_csv(result, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for at, blank in blanks:
+        lines.insert(at, blank)
+    return [bom + lines[0] + end] + [line + end for line in lines[1:]]
+
+
+# (field positions, replacement values) of each corruption a heatmap row can suffer
+CORRUPTIONS = {
+    "non_numeric": (range(11), ["x", "", "1.0.0", "0x10", "1e"]),
+    "non_finite": (range(10), ["nan", "inf", "-inf", "1e999", "NaN", "-Infinity"]),
+    "n_below_1_or_not_int": ([10], ["0", "-3", "3.0", "1e3", "-0"]),
+    "quality_outside_0_100": (range(3, 6), ["-0.5", "100.0001", "1e5", "-1e-300"]),
+}
+
+
+class TestHeatmapReader:
+    """``read_heatmap_csv`` reads and refuses exactly what the row-by-row reference reader does."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("heatmaps") / "heat.csv"
+
+    @settings(max_examples=100, deadline=None)
+    @given(heatmap=heatmaps())
+    def test_reads_as_the_reference(self, path, heatmap):
+        path.write_text("".join(heatmap_lines(heatmap, path)), encoding="utf-8", newline="")
+        got, want = read_heatmap_csv(path), read_heatmap_reference(path)
+        assert got == want and got.n == want.n
+        for column in ("offset_array", "q_tilde_array", "responsiveness_array"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(heatmap=heatmaps(min_rows=1), data=st.data())
+    def test_refuses_as_the_reference(self, path, heatmap, data):
+        # one or two rows corrupted, each in one way: the first of them is the one named
+        lines = heatmap_lines(heatmap, path)
+        rows = [i for i, line in enumerate(lines) if i and line.strip()]
+        for i in data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=2, unique=True)):
+            body = lines[i].rstrip("\r\n")
+            fields = body.split(",")
+            kind = data.draw(st.sampled_from(sorted(CORRUPTIONS) + ["field_count"]))
+            if kind == "field_count":
+                fields = fields[:-1] if data.draw(st.booleans()) else [*fields, "1"]
+            else:
+                positions, values = CORRUPTIONS[kind]
+                fields[data.draw(st.sampled_from(positions))] = data.draw(st.sampled_from(values))
+            lines[i] = ",".join(fields) + lines[i][len(body):]
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        with pytest.raises(MalformedRecord) as want:
+            read_heatmap_reference(path)
+        with pytest.raises(MalformedRecord) as got:
+            read_heatmap_csv(path)
+        assert (type(got.value), str(got.value), got.value.line) == (type(want.value), str(want.value), want.value.line)
 
 
 class TestColumnarGrid:

@@ -385,67 +385,63 @@ def export_heatmap_csv(result: GridResult, path) -> None:
 HEATMAP_BLOCK = 64
 
 
-def _heatmap_columns(rows: list[str]):
-    """The ``(m, 10)`` value table and the ``n`` list of a heatmap's data rows, or None if any row is refused.
+def _heatmap_table(rows: list[str]):
+    """The ``(m, 10)`` value table and the ``n`` list of a heatmap's data rows.
 
-    Per block of rows, one ``float`` over the value fields and one
-    ``int`` over ``n``; then the checks over the whole arrays.
+    Raises ValueError for the first rule broken, in this order: 11 fields
+    per row, every field parses, every value finite, each ``n`` at least
+    1, each quality in [0, 100]. Per block of rows, one ``float`` over the
+    value fields, then one ``int`` over ``n``; the other checks run over
+    the whole arrays. On a single row, the message is that row's first
+    broken rule.
     """
     width = len(HEATMAP_COLUMNS)
-    if any(line.count(",") != width - 1 for line in rows):
-        return None
+    for line in rows:
+        if line.count(",") != width - 1:
+            raise ValueError(f"expected {width} fields, got {line.count(',') + 1}")
     table, counts = np.empty((len(rows), width - 1)), []
     for start in range(0, len(rows), HEATMAP_BLOCK):
         fields = ",".join(rows[start:start + HEATMAP_BLOCK]).split(",")
-        try:
-            counts += map(int, fields[width - 1::width])
-            del fields[width - 1::width]
-            values = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
-        except ValueError:  # a field that int or float refuses
-            return None
+        n = fields[width - 1::width]
+        del fields[width - 1::width]
+        values = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
+        counts += map(int, n)
         table[start:start + HEATMAP_BLOCK] = values.reshape(-1, width - 1)
+    if not np.isfinite(table).all():
+        raise ValueError("a value is not finite")
+    below = [n for n in counts if n < 1]
+    if below:
+        raise ValueError(f"n = {below[0]} is below 1")
     q = table[:, 3:6]
-    if np.isfinite(table).all() and min(counts, default=1) >= 1 and ((q >= 0) & (q <= 100)).all():
-        return table, counts
-    return None
-
-
-def _raise_first_bad_row(lines: list[str]) -> None:
-    """Raise MalformedRecord for the first heatmap row, after the header, that ``read_heatmap_csv`` refuses."""
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != len(HEATMAP_COLUMNS):
-            raise MalformedRecord(f"expected {len(HEATMAP_COLUMNS)} fields, got {len(fields)}", line=lineno)
-        try:
-            values = [float(v) for v in fields[:-1]]
-            n = int(fields[-1])
-            if not all(map(math.isfinite, values)):
-                raise ValueError("a value is not finite")
-            if n < 1:
-                raise ValueError(f"n = {n} is below 1")
-            for name, v in zip(("sem", "syn", "lex"), values[3:6]):
-                if not 0.0 <= v <= 100.0:
-                    raise ValueError(f"{name} must lie in [0, 100], got {v!r}")
-        except ValueError as exc:
-            raise MalformedRecord(f"{exc} in {line!r}", line=lineno) from None
+    outside = np.argwhere((q < 0) | (q > 100))
+    if len(outside):
+        row, col = outside[0]
+        raise ValueError(f"{('sem', 'syn', 'lex')[col]} must lie in [0, 100], got {float(q[row, col])!r}")
+    return table, counts
 
 
 def read_heatmap_csv(path) -> GridResult:
     """Load an exported heatmap back into a GridResult.
 
-    Every value must be finite and each quality in [0, 100]; a row that
-    breaks this raises MalformedRecord naming its line. Blank lines are
-    skipped. The table is parsed and checked by column
-    (``_heatmap_columns``); only a table refused there is read again row
-    by row, to name its first bad line.
+    Blank lines are skipped. Every other row must keep the rules of
+    ``_heatmap_table``, or MalformedRecord names the first line that
+    breaks one. The table is read in one call; only a refused table is
+    read again one row per call, to name that line.
     """
     lines = read_lines(path) or [""]
     if lines[0].split(",") != list(HEATMAP_COLUMNS):
         raise MalformedRecord(f"unexpected heatmap header: {lines[0]!r}", line=1)
-    columns = _heatmap_columns([line for line in lines[1:] if line.strip()])
-    if columns is None:
-        _raise_first_bad_row(lines)
-    table, counts = columns
+    try:
+        table, counts = _heatmap_table([line for line in lines[1:] if line.strip()])
+    except ValueError:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            try:
+                _heatmap_table([line])
+            except ValueError as exc:
+                # a wrong field count is not quoted with its line
+                where = f" in {line!r}" if line.count(",") == len(HEATMAP_COLUMNS) - 1 else ""
+                raise MalformedRecord(f"{exc}{where}", line=lineno) from None
+        raise  # not reached: a table breaks a rule only where one of its rows does
     return GridResult(table[:, 0:3], table[:, 3:6], table[:, 6:9], counts)

@@ -31,6 +31,7 @@ from qcpg_kit import (
     export_heatmap_csv,
     extract_pairs,
     fit,
+    generate_pairs,
     grid_search,
     paraphrase_corpus,
     predict,
@@ -50,9 +51,11 @@ from qcpg_kit.errors import (
     NoFeasibleOffset,
     NonFiniteValue,
     QcpgError,
+    SpawnFailure,
 )
 from qcpg_kit.cli import _parse_grid_spec
-from qcpg_kit.selection import _rows, plan_controls
+from qcpg_kit.generators import IdentityGenerator
+from qcpg_kit.selection import HEATMAP_COLUMNS, _rows, plan_controls
 
 from helpers import read_heatmap_reference
 
@@ -226,6 +229,73 @@ class TestGridSearch:
             GeneratorSpec(kind="retrieval_oracle"), qp_model, items, grid=default_grid(0, 5, 5)
         )
         assert all(n == 4 for n in result.n)
+
+
+class ControlEcho:
+    """A generator whose output names its control, so no cluster holds it; it records each batch's groups."""
+
+    def __init__(self):
+        self.batches = []
+
+    def generate_batch(self, groups):
+        self.batches.append(groups)
+        return [[f"{s} @ {row}" for row in controls.tolist()] for s, _, controls in groups]
+
+
+class BatchFailure:
+    """A generator whose every batch fails as a whole: one failure object for every control of the batch."""
+
+    def generate_batch(self, groups):
+        failure = SpawnFailure("no such generator")
+        return [[failure] * len(controls) for _, _, controls in groups]
+
+
+class TestGeneratePairs:
+    GRID = default_grid(0, 25, 50)
+
+    def test_each_offset_indexes_the_key_of_its_output(self, qp_model, dev):
+        generator = ControlEcho()
+        measured = [m for chunk in generate_pairs(generator, qp_model, dev, self.GRID) for m in chunk]
+        assert [item for item, _, _ in measured] == dev
+        for (s, cluster), keys, index in measured:
+            outputs = [f"{s} @ {list(apply_offset(predict(qp_model, s), o).as_tuple())}" for o in self.GRID]
+            # one key per distinct output, in order of first occurrence; an output no member is has no tree
+            assert keys == [(s, t, cluster.tree_of(s), None) for t in dict.fromkeys(outputs)]
+            assert cluster.tree_of(s) is not None
+            assert index.shape == (len(self.GRID),) and [keys[i][1] for i in index.tolist()] == outputs
+
+    def test_a_batch_wide_failure_is_one_key_per_item(self, qp_model, dev):
+        measured = [m for chunk in generate_pairs(BatchFailure(), qp_model, dev[:3], self.GRID) for m in chunk]
+        assert len(measured) == 3
+        for _, keys, index in measured:
+            assert len(keys) == 1 and isinstance(keys[0], SpawnFailure)
+            assert index.tolist() == [0] * len(self.GRID)
+        # the batch's one failure object, shared by its items
+        assert len({id(keys[0]) for _, keys, _ in measured}) == 1
+
+    def test_an_item_without_a_cluster_has_no_trees(self, qp_model, dev):
+        (s, cluster), other = dev[0], dev[1][0]
+        items = [(s, cluster), (other, None)]
+        measured = [m for chunk in generate_pairs(IdentityGenerator(), qp_model, items, self.GRID) for m in chunk]
+        tree = cluster.tree_of(s)
+        assert tree is not None
+        assert [keys for _, keys, _ in measured] == [[(s, s, tree, tree)], [(other, other, None, None)]]
+        assert all(index.tolist() == [0] * len(self.GRID) for _, _, index in measured)
+
+    # each of the 8 dev items asks for 27 distinct controls on this grid: alone it holds more than a bound of 1,
+    # exactly a bound of 27, and two of them fit a bound of 60 but not three
+    @pytest.mark.parametrize("bound, per_chunk", [(1, 1), (27, 1), (60, 2)])
+    def test_chunks_hold_whole_items_and_at_most_the_bound(self, qp_model, dev, monkeypatch, bound, per_chunk):
+        monkeypatch.setattr(selection, "MAX_BATCH_REQUESTS", bound)
+        generator = ControlEcho()
+        chunks = list(generate_pairs(generator, qp_model, dev, self.GRID))
+        # one generator batch per chunk, of the chunk's items in dev order
+        assert [[item for item, _, _ in chunk] for chunk in chunks] == [
+            [(s, cluster) for s, cluster, _ in batch] for batch in generator.batches
+        ]
+        assert [item for chunk in chunks for item, _, _ in chunk] == dev
+        sizes = [[len(controls) for _, _, controls in batch] for batch in generator.batches]
+        assert sizes == [[27] * per_chunk] * (len(dev) // per_chunk)
 
 
 class TestClusterlessItem:
@@ -657,18 +727,27 @@ class TestHeatmapReader:
     @settings(max_examples=200, deadline=None)
     @given(heatmap=heatmaps(min_rows=1), data=st.data())
     def test_refuses_as_the_reference(self, path, heatmap, data):
-        # one or two rows corrupted, each in one way: the first of them is the one named
+        # one or two rows corrupted, each in one or two ways of different kinds, at different fields: the first
+        # corrupted row is the one named, and within it the first rule it breaks
         lines = heatmap_lines(heatmap, path)
         rows = [i for i, line in enumerate(lines) if i and line.strip()]
+        kinds = st.lists(st.sampled_from(sorted(CORRUPTIONS) + ["field_count"]), min_size=1, max_size=2, unique=True)
         for i in data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=2, unique=True)):
             body = lines[i].rstrip("\r\n")
             fields = body.split(",")
-            kind = data.draw(st.sampled_from(sorted(CORRUPTIONS) + ["field_count"]))
-            if kind == "field_count":
-                fields = fields[:-1] if data.draw(st.booleans()) else [*fields, "1"]
-            else:
+            # the field count changes last, so it cannot take a field another corruption wrote
+            corruptions = sorted(data.draw(kinds), key="field_count".__eq__)
+            used = set()
+            for kind in corruptions:
+                if kind == "field_count":
+                    fields = fields[:-1] if data.draw(st.booleans()) else [*fields, "1"]
+                    continue
                 positions, values = CORRUPTIONS[kind]
-                fields[data.draw(st.sampled_from(positions))] = data.draw(st.sampled_from(values))
+                free = [p for p in positions if p not in used]
+                if free:
+                    at = data.draw(st.sampled_from(free))
+                    fields[at] = data.draw(st.sampled_from(values))
+                    used.add(at)
             lines[i] = ",".join(fields) + lines[i][len(body):]
         path.write_text("".join(lines), encoding="utf-8", newline="")
         with pytest.raises(MalformedRecord) as want:
@@ -676,6 +755,35 @@ class TestHeatmapReader:
         with pytest.raises(MalformedRecord) as got:
             read_heatmap_csv(path)
         assert (type(got.value), str(got.value), got.value.line) == (type(want.value), str(want.value), want.value.line)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,0,0,50,10,20,0,0,0,15", "expected 11 fields, got 10"),
+            ("0,0,0,50,1.0.0,20,0,0,0,15,10", "could not convert string to float: '1.0.0'"),
+            ("0,0,0,50,10,20,0,0,0,15,3.0", "invalid literal for int() with base 10: '3.0'"),
+            ("0,0,-inf,50,10,20,0,0,0,15,10", "a value is not finite"),
+            ("0,0,0,50,10,20,0,0,0,15,-3", "n = -3 is below 1"),
+            ("0,0,0,50,10,100.0001,0,0,0,15,10", "lex must lie in [0, 100], got 100.0001"),
+            # two rules broken in one row: the earlier rule is named
+            ("0,0,0,50,x,20,0,0,0,15,3.0", "could not convert string to float: 'x'"),
+            ("0,nan,0,50,10,20,0,0,0,15,0", "a value is not finite"),
+            ("0,inf,0,50,10,100.0001,0,0,0,15,10", "a value is not finite"),
+            ("0,0,0,-0.5,10,20,0,0,0,15,0", "n = 0 is below 1"),
+            ("0,0,0,-0.5,10,20,0,0,0,15,x,1", "expected 11 fields, got 12"),
+            ("0,0,0,50,-0.5,100.5,0,0,0,15,10", "syn must lie in [0, 100], got -0.5"),
+        ],
+    )
+    def test_names_the_first_rule_a_row_breaks(self, tmp_path, row, message):
+        good = "0,0,0,50,10,20,0,0,0,15,10"
+        path = tmp_path / "heat.csv"
+        path.write_text("\n".join([",".join(HEATMAP_COLUMNS), good, "", row, good]) + "\n", encoding="utf-8")
+        if not message.startswith("expected"):
+            message += f" in {row!r}"
+        for read in (read_heatmap_csv, read_heatmap_reference):
+            with pytest.raises(MalformedRecord) as exc:
+                read(path)
+            assert str(exc.value) == f"{message} (line 4)" and exc.value.line == 4
 
 
 class TestColumnarGrid:

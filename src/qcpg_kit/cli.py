@@ -53,7 +53,7 @@ from .selection import (
     read_heatmap_csv,
     select_operation_point,
 )
-from .semantic import BUILTIN_TRIGRAM, EXTERNAL_COMMAND, SemanticScorer
+from .semantic import BUILTIN_TRIGRAM, EXTERNAL_COMMAND, SCORER_KINDS, SemanticScorer
 from .util import is_json_number, read_lines, read_text, tsv_row, write_text
 from .evaluation import evaluate_systems
 
@@ -352,7 +352,7 @@ def _build_parser(config_path: str | None = None, chosen: str | None = None) -> 
         option(p, "--seed", type=int, default=42)
 
     def scored(p):
-        option(p, "--scorer", choices=[*_KIND_ALIASES, BUILTIN_TRIGRAM, EXTERNAL_COMMAND], default=BUILTIN_TRIGRAM)
+        option(p, "--scorer", choices=[*_KIND_ALIASES, *SCORER_KINDS], default=SemanticScorer.kind)
         option(p, "--scorer-command")
 
     def generation(p):
@@ -360,7 +360,7 @@ def _build_parser(config_path: str | None = None, chosen: str | None = None) -> 
         scored(p)
         option(p, "--clusters", required=True, help="clusters JSONL (with trees)")
         option(p, "--model", required=True, help="reference predictor JSON")
-        option(p, "--generator", choices=["external", *GENERATOR_KINDS], default="identity")
+        option(p, "--generator", choices=["external", *GENERATOR_KINDS], default=GeneratorSpec.kind)
         option(p, "--generator-command")
         option(p, "--noise-std", type=float)
 
@@ -394,7 +394,8 @@ def _build_parser(config_path: str | None = None, chosen: str | None = None) -> 
     def select(p):
         option(p, "--heatmap", required=True)
         option(p, "--baseline-sem", type=float, required=True)
-        option(p, "--margin", type=float, default=5.0, help="required semantic advantage (default %(default)s)")
+        option(p, "--margin", type=float, default=SelectionConstraint.min_sem_advantage,
+               help="required semantic advantage (default %(default)s)")
 
     def generate(p):
         generation(p)

@@ -192,36 +192,25 @@ def split_clusters(
             raise ValueError(f"cluster id {cluster.cluster_id!r} is repeated; a split needs distinct ids")
         seen.add(cluster.cluster_id)
     shuffled = (clusters[i] for i in rng_for(seed, "split_clusters").permutation(len(clusters)))
-    assigned: dict[str, list[Cluster]] = {}
     pairs: dict[str, list[SentencePair]] = {}
     for name, quota in (("test", n_test), ("dev", n_dev), ("train", n_train)):
-        assigned[name], pairs[name] = _take_until(shuffled, quota, mode)
+        pairs[name] = _take_until(shuffled, quota, mode)
         if len(pairs[name]) < quota:
             achieved = tuple(len(pairs.get(k, ())) for k in ("train", "dev", "test"))
             raise InsufficientData(f"corpus exhausted while filling the {name} split", achievable=achieved)
-    _assert_leak_free(assigned)
     return DatasetSplit(**pairs)
 
 
-def _assert_leak_free(assigned: dict[str, list[Cluster]]) -> None:
-    ids = {name: {c.cluster_id for c in cs} for name, cs in assigned.items()}
-    for a in ("train", "dev", "test"):
-        for b in ("train", "dev", "test"):
-            if a < b and ids[a] & ids[b]:
-                raise AssertionError(f"cluster leak between {a} and {b}: {ids[a] & ids[b]}")
-
-
-def _take_until(shuffled, quota: int, mode: str) -> tuple[list[Cluster], list[SentencePair]]:
-    """Whole clusters from ``shuffled`` until their pairs reach ``quota``, and those pairs.
+def _take_until(shuffled, quota: int, mode: str) -> list[SentencePair]:
+    """The pairs of whole clusters from ``shuffled``, drawn until they reach ``quota``.
 
     The pairs fall short only when ``shuffled`` runs out; no cluster past the
     quota is drawn from it.
     """
-    taken, pairs = [], []
+    pairs = []
     while len(pairs) < quota and (cluster := next(shuffled, None)) is not None:
-        taken.append(cluster)
         pairs.extend(_cluster_pairs(cluster, mode))
-    return taken, pairs
+    return pairs
 
 
 # --- pair TSV and tree sidecar files -----------------------------------------

@@ -390,10 +390,10 @@ def _heatmap_table(rows: list[str]):
 
     Raises ValueError for the first rule broken, in this order: 11 fields
     per row, every field parses, every value finite, each ``n`` at least
-    1, each quality in [0, 100]. Per block of rows, one ``float`` over the
-    value fields, then one ``int`` over ``n``; the other checks run over
-    the whole arrays. On a single row, the message is that row's first
-    broken rule.
+    1, each ``n`` at most 2**63 - 1 (it is stored as int64), each quality
+    in [0, 100]. Per block of rows, one ``float`` over the value fields,
+    then one ``int`` over ``n``; the other checks run over the whole
+    arrays. On a single row, the message is that row's first broken rule.
     """
     width = len(HEATMAP_COLUMNS)
     for line in rows:
@@ -409,9 +409,9 @@ def _heatmap_table(rows: list[str]):
         table[start:start + HEATMAP_BLOCK] = values.reshape(-1, width - 1)
     if not np.isfinite(table).all():
         raise ValueError("a value is not finite")
-    below = [n for n in counts if n < 1]
-    if below:
-        raise ValueError(f"n = {below[0]} is below 1")
+    bad = [n for n in counts if not 1 <= n <= 2**63 - 1]
+    if bad:
+        raise ValueError(f"n = {bad[0]} is below 1" if bad[0] < 1 else f"n = {bad[0]} is above 2**63 - 1")
     q = table[:, 3:6]
     outside = np.argwhere((q < 0) | (q > 100))
     if len(outside):

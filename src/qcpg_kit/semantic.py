@@ -38,6 +38,7 @@ from .util import split_lines
 
 BUILTIN_TRIGRAM = "builtin_trigram"
 EXTERNAL_COMMAND = "external_command"
+SCORER_KINDS = (BUILTIN_TRIGRAM, EXTERNAL_COMMAND)
 
 
 def _trigram_profile(s: str) -> tuple[str, Counter, int]:
@@ -188,7 +189,7 @@ class SemanticScorer:
     command: str | None = None
 
     def __post_init__(self):
-        if self.kind not in (BUILTIN_TRIGRAM, EXTERNAL_COMMAND):
+        if self.kind not in SCORER_KINDS:
             raise ValueError(f"unknown scorer kind {self.kind!r}")
         if self.kind == EXTERNAL_COMMAND and not (self.command or "").strip():
             raise ValueError("external_command scorer requires a command string")

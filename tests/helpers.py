@@ -456,6 +456,8 @@ def read_heatmap_reference(path) -> GridResult:
                 raise ValueError("a value is not finite")
             if n < 1:
                 raise ValueError(f"n = {n} is below 1")
+            if n > 2**63 - 1:
+                raise ValueError(f"n = {n} is above 2**63 - 1")
             for name, v in zip(("sem", "syn", "lex"), values[3:6]):
                 if not 0.0 <= v <= 100.0:
                     raise ValueError(f"{name} must lie in [0, 100], got {v!r}")

@@ -26,6 +26,7 @@ from qcpg_kit import (
     extract_pairs,
     fit,
     grid_search,
+    load_clusters,
     load_model,
     paraphrase_corpus,
     parse_bracketed,
@@ -692,6 +693,28 @@ class TestExternalBatching:
         assert "AllGenerationsFailed" in caplog.text
         assert len(count.read_text(encoding="utf-8").splitlines()) == 1
 
+    def test_offsets_whose_every_generation_fails_are_dropped(self, tmp_path, caplog):
+        # the chain.sh corpus and model; every control at o_lex = 100 quantizes to lex 95, which the stub
+        # answers with an empty line, so those four offsets have no generation left
+        clusters, model = tmp_path / "corpus.jsonl", tmp_path / "qp.json"
+        save_clusters(paraphrase_corpus(12, 4, seed=0, length_jitter=3), clusters)
+        assert run(["split", "--clusters", clusters, "--sizes", "30,6,6", "--out", tmp_path / "splits"]) == 0
+        assert run(["score", "--pairs", tmp_path / "splits/train.tsv", "--out", tmp_path / "scored.tsv"]) == 0
+        assert run(["train-qp", "--pairs", tmp_path / "scored.tsv", "--out", model]) == 0
+        _, command = self.stub(tmp_path, "--empty-on", "<lex_95>")
+        heat = tmp_path / "heat.csv"
+        argv = ["grid", "--clusters", clusters, "--model", model, "--grid", "0:100:100"]
+        assert run([*argv, "--generator", "external", "--generator-command", command, "--out", heat]) == 0
+        dropped = [Offset(sem, syn, 100.0) for sem in (0.0, 100.0) for syn in (0.0, 100.0)]
+        warnings = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
+        assert warnings == [f"offset {o.as_tuple()} dropped: all generations failed" for o in dropped]
+        result = read_heatmap_csv(heat)
+        assert result.offsets == [Offset(sem, syn, 0.0) for sem in (0.0, 100.0) for syn in (0.0, 100.0)]
+        assert result.n == [48] * 4
+        spec = GeneratorSpec(kind="external_command", command=command)
+        items = dev_items(load_clusters(clusters))
+        assert grid_search(spec, load_model(model), items, grid=default_grid(0, 100, 100)).dropped == dropped
+
 
 COUNTING_SCORER = Path(__file__).with_name("stub_counting_scorer.py")
 
@@ -1323,8 +1346,11 @@ OUT_OF_RANGE_HEATMAPS = [
     HEATMAP_HEADER + ZERO_ROW.replace(",10.0000,4", ",nan,4"),
     HEATMAP_HEADER + ZERO_ROW.replace(",4\n", ",0\n"),
     HEATMAP_HEADER + ZERO_ROW.replace(",4\n", ",-7\n"),
+    HEATMAP_HEADER + ZERO_ROW.replace(",4\n", f",{2**63}\n"),
 ]
-OUT_OF_RANGE_IDS = ["quality_above_100", "nan_quality", "inf_offset", "nan_diversity", "zero_n", "negative_n"]
+OUT_OF_RANGE_IDS = [
+    "quality_above_100", "nan_quality", "inf_offset", "nan_diversity", "zero_n", "negative_n", "n_above_int64",
+]
 
 
 class TestMalformedInputs:
@@ -1335,6 +1361,10 @@ class TestMalformedInputs:
 
     def test_heatmap_is_well_formed(self, tmp_path):
         assert self.select(tmp_path, HEATMAP_HEADER + ZERO_ROW) == 0
+
+    def test_heatmap_n_may_be_int64_max(self, tmp_path):
+        # n is stored as int64: its largest value is read, one more is refused (OUT_OF_RANGE_HEATMAPS)
+        assert self.select(tmp_path, HEATMAP_HEADER + ZERO_ROW.replace(",4\n", f",{2**63 - 1}\n")) == 0
 
     @pytest.mark.parametrize(
         "text",
@@ -1396,6 +1426,34 @@ class TestMalformedInputs:
         argv = ["grid", "--clusters", corpus_file, "--model", model_file, "--grid", "0:50:50", flag, "-1"]
         assert run([*argv, "--out", heat]) == 5
         assert not heat.exists() and "-1" in caplog.text
+
+    @pytest.mark.parametrize(
+        "argv, text, code, message",
+        [
+            (["generate", "--clusters", "CORPUS", "--model", "MODEL", "--offset", "1,2"], None, 5,
+             "offset must be sem,syn,lex, got '1,2'"),
+            (["split", "--clusters", "CORPUS", "--sizes", "1,2"], None, 5, "--sizes must be train,dev,test pair counts"),
+            # the = form: argparse reads a bare -1,1,1 as an option
+            (["split", "--clusters", "CORPUS", "--sizes=-1,1,1"], None, 5, "split sizes must be non-negative"),
+            (["train-qp", "--pairs", "INPUT"], "a\tb\tc\n", 4, "lacks source/q_sem/q_syn/q_lex columns (line 1)"),
+            (["split", "--clusters", "INPUT", "--sizes", "1,1,1"], "[1]\n", 4, "record is not a JSON object (line 1)"),
+            (["split", "--clusters", "INPUT", "--sizes", "1,1,1"], '{"cluster_id": "a", "sentences": ["x"], "trees": [1]}\n',
+             4, "'trees' must be a list of strings (line 1)"),
+            (["grid", "--clusters", "INPUT", "--model", "MODEL"], '{"cluster_id": "a", "sentences": ["x y", "y x"]}\n',
+             5, "cluster 'a' has no trees"),
+        ],
+        ids=["offset_of_two", "sizes_of_two", "negative_size", "scored_tsv_without_q", "cluster_not_an_object",
+             "number_in_trees", "grid_without_trees"],
+    )
+    def test_refused_input_exit_code_and_message(self, corpus_file, model_file, tmp_path, caplog, argv, text, code, message):
+        given = tmp_path / "input"
+        if text is not None:
+            given.write_text(text, encoding="utf-8")
+        paths = {"CORPUS": corpus_file, "MODEL": model_file, "INPUT": given}
+        out = tmp_path / "out"
+        assert run([*(paths.get(a, a) for a in argv), "--out", out]) == code
+        assert message in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize("generator, n", [("identity", 4), ("retrieval_oracle", 3)])
     def test_malformed_dev_tree_fails_only_the_items_that_use_it(self, model_file, tmp_path, caplog, generator, n):

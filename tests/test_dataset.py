@@ -17,6 +17,7 @@ from qcpg_kit import (
     split_clusters,
     write_pairs_tsv,
 )
+from qcpg_kit.cli import _load_config, _read_scored_tsv
 from qcpg_kit.dataset import PAIR_MODES
 from qcpg_kit.errors import InsufficientData, MalformedRecord, TreeLengthMismatch
 
@@ -204,6 +205,15 @@ class TestClusterLookups:
         assert Cluster("bare", ["a", "b"]).pair_keys("a") == []
         assert Cluster("solo", ["a"], trees=["(A)"]).pair_keys("a") == []
 
+    def test_cluster_without_sentences_refused(self):
+        with pytest.raises(ValueError, match="'c' has no sentences"):
+            Cluster("c", [])
+
+    @pytest.mark.parametrize("trees", [["(A)"], ["(A)", "(B)", "(C)"]])
+    def test_cluster_tree_count_must_match_its_sentences(self, trees):
+        with pytest.raises(ValueError, match=f"'c' has {len(trees)} trees for 2 sentences"):
+            Cluster("c", ["a", "b"], trees=trees)
+
 
 class TestExtractPairs:
     def test_ordered_counts(self):
@@ -233,6 +243,10 @@ class TestExtractPairs:
         cluster = Cluster("c", list("abcde"))
         for mode in (ALL_ORDERED, ALL_UNORDERED, STAR_FIRST):
             assert pair_count(cluster, mode) == len(extract_pairs([cluster], mode))
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="unknown pair mode 'x'"):
+            extract_pairs([Cluster("c", ["a", "b"])], mode="x")
 
 
 class TestSplitClusters:
@@ -365,3 +379,20 @@ class TestTreeSidecar:
         with pytest.raises(MalformedRecord) as info:
             read_tree_sidecar(path)
         assert info.value.line == 2
+
+
+class TestBlankLinesSkipped:
+    def test_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("mode=star_first\n\n  \n# a comment\nseed = 3\n", encoding="utf-8")
+        assert _load_config(path) == {"mode": "star_first", "seed": "3"}
+
+    def test_scored_tsv(self, tmp_path):
+        path = tmp_path / "scored.tsv"
+        path.write_text("source\tq_sem\tq_syn\tq_lex\na b\t1\t2\t3\n\n \t\nc d\t4\t5\t6\n", encoding="utf-8")
+        assert [(s, q.as_tuple()) for s, q in _read_scored_tsv(path)] == [("a b", (1, 2, 3)), ("c d", (4, 5, 6))]
+
+    def test_pairs_tsv(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("a\tb\tc1\n\nd\te\tc2\n", encoding="utf-8")
+        assert read_pairs_tsv(path) == [SentencePair("a", "b", "c1"), SentencePair("d", "e", "c2")]

@@ -1,10 +1,11 @@
 """Each demo runs cleanly and prints exactly its committed stdout.
 
 The expected output of ``demos/<name>.py`` is ``tests/demo_stdout/<name>.txt``.
-A demo runs in a fresh interpreter with ``-W error::RuntimeWarning``, from
-an empty temporary directory so that any file it writes stays out of the
-checkout. After a change meant to alter a demo's output, regenerate the
-file from that demo's stdout.
+A demo runs in a fresh interpreter with ``-W error::RuntimeWarning`` and
+``-W error::DeprecationWarning`` (a numpy overflow or a deprecated numpy
+call fails it), from an empty temporary directory so that any file it
+writes stays out of the checkout. After a change meant to alter a demo's
+output, regenerate the file from that demo's stdout.
 """
 
 import os
@@ -29,7 +30,7 @@ def test_demo_stdout_is_the_committed_one(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env["PYTHONIOENCODING"] = "utf-8"
     run = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning", str(demo)],
         cwd=tmp_path, env=env, capture_output=True, encoding="utf-8", timeout=120,
     )
     assert run.returncode == 0, run.stderr

@@ -704,6 +704,7 @@ CORRUPTIONS = {
     "non_numeric": (range(11), ["x", "", "1.0.0", "0x10", "1e"]),
     "non_finite": (range(10), ["nan", "inf", "-inf", "1e999", "NaN", "-Infinity"]),
     "n_below_1_or_not_int": ([10], ["0", "-3", "3.0", "1e3", "-0"]),
+    "n_above_int64": ([10], ["9223372036854775808", "99999999999999999999", "1" + "0" * 30]),
     "quality_outside_0_100": (range(3, 6), ["-0.5", "100.0001", "1e5", "-1e-300"]),
 }
 
@@ -764,6 +765,7 @@ class TestHeatmapReader:
             ("0,0,0,50,10,20,0,0,0,15,3.0", "invalid literal for int() with base 10: '3.0'"),
             ("0,0,-inf,50,10,20,0,0,0,15,10", "a value is not finite"),
             ("0,0,0,50,10,20,0,0,0,15,-3", "n = -3 is below 1"),
+            ("0,0,0,50,10,20,0,0,0,15,99999999999999999999", "n = 99999999999999999999 is above 2**63 - 1"),
             ("0,0,0,50,10,100.0001,0,0,0,15,10", "lex must lie in [0, 100], got 100.0001"),
             # two rules broken in one row: the earlier rule is named
             ("0,0,0,50,x,20,0,0,0,15,3.0", "could not convert string to float: 'x'"),
@@ -772,6 +774,7 @@ class TestHeatmapReader:
             ("0,0,0,-0.5,10,20,0,0,0,15,0", "n = 0 is below 1"),
             ("0,0,0,-0.5,10,20,0,0,0,15,x,1", "expected 11 fields, got 12"),
             ("0,0,0,50,-0.5,100.5,0,0,0,15,10", "syn must lie in [0, 100], got -0.5"),
+            ("0,0,0,50,10,100.5,0,0,0,15,9223372036854775808", "n = 9223372036854775808 is above 2**63 - 1"),
         ],
     )
     def test_names_the_first_rule_a_row_breaks(self, tmp_path, row, message):
